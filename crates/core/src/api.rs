@@ -64,16 +64,15 @@
 pub mod queryset;
 
 use crate::control::{Interrupted, RunControl};
-use crate::estimate::{densest_count_stats, select_top_k, top_k_sets, MpdsResult};
+use crate::estimate::{densest_count_stats, CandidateTable, MpdsResult};
 use crate::nds::NdsResult;
 use densest::{
-    all_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
+    for_each_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
 };
 use mpds_obs::Stage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sampling::{stream_seed, LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -483,6 +482,10 @@ pub struct RunStats {
     /// MPDS: some world's densest-subgraph enumeration hit the cap.
     /// NDS: the closed-itemset miner hit its node cap.
     pub truncated: bool,
+    /// MPDS: how many worlds' enumerations hit the cap (each credited only
+    /// the first `enumeration_cap` of its densest subgraphs). Always 0 for
+    /// NDS, which never enumerates.
+    pub truncated_worlds: usize,
     /// Convergence diagnostic — per-world densest-subgraph counts summarized
     /// as `(mean, std, [q1, median, q3])`, the paper's Table VIII statistic.
     /// `None` for NDS runs (they keep one transaction per world instead).
@@ -543,7 +546,8 @@ pub struct Run {
 impl Run {
     /// Estimated score of an arbitrary node set: `τ̂(U)` for MPDS runs
     /// (frequency of inducing a densest subgraph), `γ̂(U)` for NDS runs
-    /// (fraction of transactions containing `U`).
+    /// (fraction of transactions containing `U`). `nodes` may come in any
+    /// order and repeat ids.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -553,6 +557,7 @@ impl Run {
     /// let g = UncertainGraph::from_weighted_edges(3, &[(0, 1, 1.0)]);
     /// let run = Query::mpds(DensityNotion::Edge).theta(50).run(&g).unwrap();
     /// assert_eq!(run.score_of(&[0, 1]), 1.0);
+    /// assert_eq!(run.score_of(&[1, 0]), 1.0); // order and repeats don't matter
     /// assert_eq!(run.score_of(&[1, 2]), 0.0);
     /// ```
     pub fn score_of(&self, nodes: &[NodeId]) -> f64 {
@@ -1098,7 +1103,7 @@ impl Query {
         let rec = self.control.recorder();
         match self.kind {
             Kind::Mpds => {
-                let mut acc = MpdsAccum::new(self);
+                let mut acc = MpdsAccum::new(self, g.num_nodes());
                 let mut outcome =
                     sample_worlds(g, sampler, limit, &self.control, progress, |world| {
                         {
@@ -1109,7 +1114,7 @@ impl Query {
                             None => true,
                             Some(t) => {
                                 let _span = rec.map(|r| r.span(Stage::StableTracker));
-                                !t.observe(top_k_sets(&acc.candidates, self.k))
+                                !t.observe(acc.top_k_sets(self.k))
                             }
                         }
                     })?;
@@ -1157,7 +1162,7 @@ impl Query {
         match self.kind {
             Kind::Mpds => {
                 let (acc, outcome) =
-                    self.run_workers(g, workers, progress, MpdsAccum::new(self))?;
+                    self.run_workers(g, workers, progress, MpdsAccum::new(self, g.num_nodes()))?;
                 Ok(self.finish_mpds(acc, outcome, started))
             }
             Kind::Nds => {
@@ -1254,7 +1259,12 @@ impl Query {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
-        let top_k = select_top_k(&acc.candidates, self.k, worlds);
+        let top_k: Vec<(NodeSet, f64)> = acc
+            .candidates
+            .top_k(self.k)
+            .into_iter()
+            .map(|(set, c)| (set, c as f64 / worlds as f64))
+            .collect();
         let summary = if acc.densest_counts.is_empty() {
             None
         } else {
@@ -1278,6 +1288,7 @@ impl Query {
                 empty_worlds: result.empty_worlds,
                 wall: started.elapsed(),
                 truncated: result.truncated,
+                truncated_worlds: acc.truncated_worlds,
                 densest_count_summary: summary,
             },
             details: RunDetails::Mpds(result),
@@ -1313,6 +1324,7 @@ impl Query {
                 empty_worlds: result.empty_worlds,
                 wall: started.elapsed(),
                 truncated: miner_capped,
+                truncated_worlds: 0,
                 densest_count_summary: None,
             },
             details: RunDetails::Nds(result),
@@ -1437,75 +1449,115 @@ trait Accum: Send + Sized {
 }
 
 struct MpdsAccum {
-    candidates: HashMap<NodeSet, u32>,
+    candidates: CandidateTable,
     empty_worlds: usize,
     densest_counts: Vec<usize>,
     truncated: bool,
+    truncated_worlds: usize,
     choice_rng: StdRng,
+    /// One world's densest family as packed masks, kept only for the
+    /// one-densest ablation's random pick; reused across worlds.
+    family: Vec<u64>,
+    /// Decoding buffer for masks of graphs past 64 nodes; reused.
+    decoded: NodeSet,
 }
 
 impl MpdsAccum {
-    fn new(q: &Query) -> Self {
+    fn new(q: &Query, num_nodes: usize) -> Self {
         MpdsAccum {
-            candidates: HashMap::new(),
+            candidates: CandidateTable::for_graph(num_nodes),
             empty_worlds: 0,
             densest_counts: Vec::with_capacity(q.theta),
             truncated: false,
+            truncated_worlds: 0,
             choice_rng: StdRng::seed_from_u64(q.choice_seed),
+            family: Vec::new(),
+            decoded: Vec::new(),
         }
+    }
+
+    /// The current top-k sets, for the `Stop::Stable` trackers.
+    fn top_k_sets(&self, k: usize) -> Vec<NodeSet> {
+        self.candidates
+            .top_k(k)
+            .into_iter()
+            .map(|(set, _)| set)
+            .collect()
+    }
+
+    /// Exact mode: streams the world's densest family straight into the
+    /// table (all-densest) or into the reused family buffer (ablation).
+    /// Returns the family size.
+    fn consume_exact(&mut self, world: &Graph, q: &Query) -> usize {
+        let (table, decoded, family) = (&mut self.candidates, &mut self.decoded, &mut self.family);
+        family.clear();
+        let streamed = if q.all_densest {
+            for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
+                table.credit_mask(mask, decoded)
+            })
+        } else {
+            for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
+                family.extend_from_slice(mask)
+            })
+        };
+        let Some(f) = streamed else {
+            return 0;
+        };
+        self.truncated |= f.truncated;
+        self.truncated_worlds += usize::from(f.truncated);
+        if !q.all_densest && f.count > 0 {
+            // §VI-D ablation: one uniformly random densest subgraph.
+            let width = family.len() / f.count;
+            let pick = self.choice_rng.gen_range(0..f.count);
+            table.credit_mask(&family[pick * width..(pick + 1) * width], decoded);
+        }
+        f.count
     }
 }
 
 impl Accum for MpdsAccum {
     fn fresh(&self) -> Self {
         MpdsAccum {
-            candidates: HashMap::new(),
+            candidates: self.candidates.empty_like(),
             empty_worlds: 0,
             densest_counts: Vec::new(),
             truncated: false,
+            truncated_worlds: 0,
             choice_rng: self.choice_rng.clone(),
+            family: Vec::new(),
+            decoded: Vec::new(),
         }
     }
 
     fn consume(&mut self, world: &Graph, q: &Query) {
-        let subgraphs: Vec<NodeSet> = if q.heuristic {
-            match heuristic_dense_subgraphs(world, &q.notion) {
-                None => Vec::new(),
-                Some(h) => h.subgraphs,
-            }
-        } else {
-            match all_densest(world, &q.notion, q.enumeration_cap) {
-                None => Vec::new(),
-                Some(r) => {
-                    self.truncated |= r.truncated;
-                    r.subgraphs
+        let count = if q.heuristic {
+            let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
+            let subgraphs = subgraphs.unwrap_or_default();
+            if q.all_densest {
+                for sg in &subgraphs {
+                    self.candidates.credit_nodes(sg);
                 }
+            } else if !subgraphs.is_empty() {
+                // §VI-D ablation: one uniformly random dense subgraph.
+                let pick = self.choice_rng.gen_range(0..subgraphs.len());
+                self.candidates.credit_nodes(&subgraphs[pick]);
             }
-        };
-        if subgraphs.is_empty() {
-            self.empty_worlds += 1;
-            self.densest_counts.push(0);
-            return;
-        }
-        self.densest_counts.push(subgraphs.len());
-        if q.all_densest {
-            for sg in subgraphs {
-                *self.candidates.entry(sg).or_insert(0) += 1;
-            }
+            subgraphs.len()
         } else {
-            // §VI-D ablation: one uniformly random densest subgraph.
-            let pick = self.choice_rng.gen_range(0..subgraphs.len());
-            *self.candidates.entry(subgraphs[pick].clone()).or_insert(0) += 1;
+            self.consume_exact(world, q)
+        };
+        if count == 0 {
+            self.empty_worlds += 1;
         }
+        self.densest_counts.push(count);
     }
 
     fn merge(&mut self, other: Self) {
-        for (set, c) in other.candidates {
-            *self.candidates.entry(set).or_insert(0) += c;
-        }
+        self.candidates.merge(other.candidates);
         self.empty_worlds += other.empty_worlds;
         self.densest_counts.extend(other.densest_counts);
         self.truncated |= other.truncated;
+        self.truncated_worlds += other.truncated_worlds;
     }
 }
 
@@ -1633,7 +1685,7 @@ mod tests {
 
     /// `Exec::Threads(n)` merges worker sub-streams in worker order: worker
     /// `w`'s contribution equals a serial run over MC sub-stream `w` with
-    /// its quota, and the merged top-k is `select_top_k` of the summed
+    /// its quota, and the merged top-k is the ranking of the summed
     /// candidate tables.
     #[test]
     fn threads_mpds_merges_worker_substreams_in_order() {
@@ -1641,7 +1693,7 @@ mod tests {
         let (seed, theta, workers) = (42u64, 500usize, 3usize);
         let per = theta / workers;
         let extra = theta % workers;
-        let mut expected_candidates: HashMap<NodeSet, u32> = HashMap::new();
+        let mut expected_candidates = CandidateTable::for_graph(g.num_nodes());
         let mut expected_counts: Vec<usize> = Vec::new();
         for w in 0..workers {
             let quota = per + usize::from(w < extra);
@@ -1653,12 +1705,14 @@ mod tests {
                     .run_with_sampler(&g, &mut mc)
                     .unwrap(),
             );
-            for (set, c) in part.candidates {
-                *expected_candidates.entry(set).or_insert(0) += c;
-            }
+            expected_candidates.merge(part.candidates);
             expected_counts.extend(part.densest_counts);
         }
-        let expected_top_k = select_top_k(&expected_candidates, 3, theta);
+        let expected_top_k: Vec<(NodeSet, f64)> = expected_candidates
+            .top_k(3)
+            .into_iter()
+            .map(|(set, c)| (set, c as f64 / theta as f64))
+            .collect();
         let run = Query::mpds(DensityNotion::Edge)
             .theta(theta)
             .k(3)

@@ -68,7 +68,6 @@ use super::{
     Query, Run, SamplerKind, StableTracker, Stop, StopReason,
 };
 use crate::control::RunControl;
-use crate::estimate::top_k_sets;
 use sampling::WorldSampler;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -478,7 +477,7 @@ impl QuerySet {
         let mut accums: Vec<MemberAccum> = members
             .iter()
             .map(|q| match q.kind {
-                Kind::Mpds => MemberAccum::Mpds(MpdsAccum::new(q)),
+                Kind::Mpds => MemberAccum::Mpds(MpdsAccum::new(q, g.num_nodes())),
                 Kind::Nds => MemberAccum::Nds(NdsAccum::new(q)),
             })
             .collect();
@@ -508,7 +507,7 @@ impl QuerySet {
                     let mut all_stable = true;
                     for ((t, accum), q) in ts.iter_mut().zip(&accums).zip(&members) {
                         let current = match accum {
-                            MemberAccum::Mpds(a) => top_k_sets(&a.candidates, q.k),
+                            MemberAccum::Mpds(a) => a.top_k_sets(q.k),
                             MemberAccum::Nds(a) => itemset::top_k_closed(
                                 &a.transactions,
                                 q.k,

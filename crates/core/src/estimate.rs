@@ -10,8 +10,10 @@
 //! stream); this module keeps the result type and the ranking helpers.
 
 use densest::DensityNotion;
-use std::collections::HashMap;
-use ugraph::{NodeId, NodeSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use ugraph::bitset::ones_in;
+use ugraph::{nodeset, NodeId, NodeSet};
 
 /// Configuration for the top-k MPDS estimator.
 #[derive(Debug, Clone)]
@@ -61,7 +63,7 @@ pub struct MpdsResult {
     pub top_k: Vec<(NodeSet, f64)>,
     /// Full candidate table: node set → number of worlds in which it was a
     /// densest subgraph.
-    pub candidates: HashMap<NodeSet, u32>,
+    pub candidates: CandidateTable,
     /// Number of sampled worlds.
     pub theta: usize,
     /// Worlds with no instance of the notion (they contribute to no set).
@@ -73,58 +75,229 @@ pub struct MpdsResult {
 }
 
 impl MpdsResult {
-    /// Estimated densest subgraph probability of an arbitrary node set.
+    /// Estimated densest subgraph probability of an arbitrary node set, in
+    /// any order and with repeats allowed.
     pub fn tau_hat(&self, nodes: &[NodeId]) -> f64 {
-        let key: NodeSet = nodes.to_vec();
-        *self.candidates.get(&key).unwrap_or(&0) as f64 / self.theta as f64
+        self.candidates.get(nodes).unwrap_or(0) as f64 / self.theta as f64
     }
 }
 
-/// Deterministically selects the k best candidates (shared by the builder
-/// API's serial and parallel execution paths).
-pub(crate) fn select_top_k(
-    candidates: &HashMap<NodeSet, u32>,
-    k: usize,
-    theta: usize,
-) -> Vec<(NodeSet, f64)> {
-    let mut all: Vec<(&NodeSet, u32)> = candidates.iter().map(|(s, &c)| (s, c)).collect();
-    all.sort_by(|a, b| {
-        b.1.cmp(&a.1)
-            .then(a.0.len().cmp(&b.0.len()))
-            .then(a.0.cmp(b.0))
-    });
-    all.into_iter()
-        .take(k)
-        .map(|(s, c)| (s.clone(), c as f64 / theta as f64))
-        .collect()
+/// The candidate table of paper Algorithm 1: every node set that was a
+/// densest subgraph in some sampled world, with the number of such worlds.
+///
+/// Keys are packed `u64` node masks when the graph has at most 64 nodes
+/// (bit `v` = node `v`), and sorted [`NodeSet`]s otherwise. The choice
+/// follows from the graph alone; both behave the same through this API, and
+/// tables compare equal by content whatever their key form.
+///
+/// Ranking ([`CandidateTable::top_k`]) orders by count descending, then
+/// fewer nodes first, then lexicographically on the sorted ids. No two
+/// distinct sets tie under that order, so the ranking never depends on hash
+/// iteration order. Which sets a table holds, though, depends on the
+/// enumeration order of [`densest::for_each_densest`]: a world truncated at
+/// the enumeration cap credits only the first sets of that order, and the
+/// one-densest-per-world ablation credits the set at a random position in
+/// it.
+///
+/// ```
+/// use densest::DensityNotion;
+/// use mpds::api::{Query, RunDetails};
+/// use ugraph::UncertainGraph;
+///
+/// // {0, 1} is densest in every world; {2, 3} only when its edge exists.
+/// let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 1.0), (2, 3, 0.5)]);
+/// let run = Query::mpds(DensityNotion::Edge).theta(20).run(&g).unwrap();
+/// let RunDetails::Mpds(r) = &run.details else { unreachable!() };
+/// assert_eq!(r.candidates.get(&[1, 0]), Some(20)); // any order
+/// assert_eq!(r.candidates.top_k(1), vec![(vec![0, 1], 20)]);
+/// assert_eq!(r.candidates.iter().count(), r.candidates.len());
+/// ```
+#[derive(Debug, Clone)]
+pub struct CandidateTable {
+    keys: Keys,
 }
 
-/// The k best candidate *sets* under exactly [`select_top_k`]'s order, by
-/// bounded insertion instead of a full sort — O(n·k) with no intermediate
-/// allocation, cheap enough to call once per sampled world (the
-/// `Stop::Stable` tracker does).
-pub(crate) fn top_k_sets(candidates: &HashMap<NodeSet, u32>, k: usize) -> Vec<NodeSet> {
-    if k == 0 {
-        return Vec::new();
+#[derive(Debug, Clone)]
+enum Keys {
+    /// Graphs of at most 64 nodes: bit `v` of the key is node `v`.
+    Packed(HashMap<u64, u32>),
+    /// Larger graphs: sorted, duplicate-free id vectors.
+    Sets(HashMap<NodeSet, u32>),
+}
+
+impl CandidateTable {
+    /// An empty table for sets over a graph of `num_nodes` nodes.
+    pub(crate) fn for_graph(num_nodes: usize) -> Self {
+        let keys = if num_nodes <= 64 {
+            Keys::Packed(HashMap::new())
+        } else {
+            Keys::Sets(HashMap::new())
+        };
+        CandidateTable { keys }
     }
-    let before = |(xs, xc): (&NodeSet, u32), (ys, yc): (&NodeSet, u32)| -> bool {
-        yc.cmp(&xc)
-            .then(xs.len().cmp(&ys.len()))
-            .then(xs.cmp(ys))
-            .is_lt()
-    };
-    let mut top: Vec<(&NodeSet, u32)> = Vec::with_capacity(k + 1);
-    for (s, &c) in candidates {
-        if let Some(&last) = top.last() {
-            if top.len() == k && !before((s, c), last) {
-                continue;
+
+    /// An empty table with the same key form.
+    pub(crate) fn empty_like(&self) -> Self {
+        let keys = match self.keys {
+            Keys::Packed(_) => Keys::Packed(HashMap::new()),
+            Keys::Sets(_) => Keys::Sets(HashMap::new()),
+        };
+        CandidateTable { keys }
+    }
+
+    /// Number of distinct candidate sets.
+    pub fn len(&self) -> usize {
+        match &self.keys {
+            Keys::Packed(m) => m.len(),
+            Keys::Sets(m) => m.len(),
+        }
+    }
+
+    /// Whether no world credited any set.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The count of one node set (ids in any order, repeats allowed), or
+    /// `None` if it never was a densest subgraph.
+    pub fn get(&self, nodes: &[NodeId]) -> Option<u32> {
+        match &self.keys {
+            Keys::Packed(m) => {
+                let mut mask = 0u64;
+                for &v in nodes {
+                    mask |= 1u64.checked_shl(v)?;
+                }
+                m.get(&mask).copied()
+            }
+            Keys::Sets(m) if nodes.windows(2).all(|w| w[0] < w[1]) => m.get(nodes).copied(),
+            Keys::Sets(m) => m.get(&nodeset::canonicalize(nodes.to_vec())).copied(),
+        }
+    }
+
+    /// Every `(sorted node set, count)` entry, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
+        let entries: Box<dyn Iterator<Item = (NodeSet, u32)> + '_> = match &self.keys {
+            Keys::Packed(m) => Box::new(m.iter().map(|(&k, &c)| (mask_nodes(k), c))),
+            Keys::Sets(m) => Box::new(m.iter().map(|(s, &c)| (s.clone(), c))),
+        };
+        entries
+    }
+
+    /// The `k` highest-ranked entries in ranking order (see the type docs):
+    /// one pass through a bounded heap, `O(len · log k)`, never a sort of
+    /// the whole table.
+    pub fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
+        match &self.keys {
+            Keys::Packed(m) => smallest_k(
+                m.iter()
+                    .map(|(&key, &c)| (Reverse(c), packed_rank(key), key)),
+                k,
+            )
+            .into_iter()
+            .map(|(Reverse(c), _, key)| (mask_nodes(key), c))
+            .collect(),
+            Keys::Sets(m) => smallest_k(
+                m.iter().map(|(s, &c)| (Reverse(c), s.len(), s.as_slice())),
+                k,
+            )
+            .into_iter()
+            .map(|(Reverse(c), _, s)| (s.to_vec(), c))
+            .collect(),
+        }
+    }
+
+    /// Credits one densest set given as a packed node mask (the layout of
+    /// [`densest::for_each_densest`]). Masks of graphs past 64 nodes are
+    /// decoded into the reused buffer `decoded`.
+    pub(crate) fn credit_mask(&mut self, mask: &[u64], decoded: &mut NodeSet) {
+        match &mut self.keys {
+            Keys::Packed(m) => {
+                debug_assert!(mask[1..].iter().all(|&w| w == 0));
+                *m.entry(mask[0]).or_insert(0) += 1;
+            }
+            Keys::Sets(m) => {
+                decoded.clear();
+                decoded.extend(ones_in(mask).map(|v| v as NodeId));
+                credit_set(m, decoded);
             }
         }
-        let pos = top.partition_point(|&entry| before(entry, (s, c)));
-        top.insert(pos, (s, c));
-        top.truncate(k);
     }
-    top.into_iter().map(|(s, _)| s.clone()).collect()
+
+    /// Credits one densest set given as sorted ids.
+    pub(crate) fn credit_nodes(&mut self, nodes: &[NodeId]) {
+        match &mut self.keys {
+            Keys::Packed(m) => {
+                let mask = nodes.iter().fold(0u64, |acc, &v| acc | 1 << v);
+                *m.entry(mask).or_insert(0) += 1;
+            }
+            Keys::Sets(m) => credit_set(m, nodes),
+        }
+    }
+
+    /// Adds another table's counts (same graph, so the same key form).
+    pub(crate) fn merge(&mut self, other: CandidateTable) {
+        match (&mut self.keys, other.keys) {
+            (Keys::Packed(m), Keys::Packed(o)) => {
+                for (k, c) in o {
+                    *m.entry(k).or_insert(0) += c;
+                }
+            }
+            (Keys::Sets(m), Keys::Sets(o)) => {
+                for (s, c) in o {
+                    *m.entry(s).or_insert(0) += c;
+                }
+            }
+            _ => unreachable!("tables of one graph share their key form"),
+        }
+    }
+}
+
+impl PartialEq for CandidateTable {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.keys, &other.keys) {
+            (Keys::Packed(a), Keys::Packed(b)) => a == b,
+            (Keys::Sets(a), Keys::Sets(b)) => a == b,
+            _ => self.len() == other.len() && self.iter().all(|(s, c)| other.get(&s) == Some(c)),
+        }
+    }
+}
+
+/// Counts one more world for `nodes`, allocating a key only for a new set.
+fn credit_set(m: &mut HashMap<NodeSet, u32>, nodes: &[NodeId]) {
+    match m.get_mut(nodes) {
+        Some(c) => *c += 1,
+        None => {
+            m.insert(nodes.to_vec(), 1);
+        }
+    }
+}
+
+/// The sorted ids of a packed node mask.
+fn mask_nodes(mask: u64) -> NodeSet {
+    ones_in(&[mask]).map(|v| v as NodeId).collect()
+}
+
+/// A packed key's place in the ranking: fewer nodes first, then
+/// lexicographic on the sorted ids. Among masks of equal size, the id lists
+/// first differ at the lowest differing bit, and the mask holding it sorts
+/// first: that is the larger bit-reversed mask.
+fn packed_rank(mask: u64) -> (u32, Reverse<u64>) {
+    (mask.count_ones(), Reverse(mask.reverse_bits()))
+}
+
+/// The `k` smallest items, ascending, through a heap of at most `k` items.
+fn smallest_k<T: Ord>(items: impl Iterator<Item = T>, k: usize) -> Vec<T> {
+    let mut heap = BinaryHeap::with_capacity(k.min(items.size_hint().0) + 1);
+    for item in items {
+        if heap.len() < k {
+            heap.push(item);
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if item < *worst {
+                *worst = item;
+            }
+        }
+    }
+    heap.into_sorted_vec()
 }
 
 /// Summary statistics of the per-world densest-subgraph counts, as reported
@@ -158,28 +331,78 @@ mod tests {
         UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)])
     }
 
+    /// The ranking order by full sort: count descending, then fewer nodes,
+    /// then lexicographic.
+    fn sorted_reference(table: &CandidateTable) -> Vec<(NodeSet, u32)> {
+        let mut all: Vec<(NodeSet, u32)> = table.iter().collect();
+        all.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then(a.0.len().cmp(&b.0.len()))
+                .then(a.0.cmp(&b.0))
+        });
+        all
+    }
+
     #[test]
-    fn top_k_sets_matches_the_full_sort() {
+    fn top_k_matches_the_full_sort_under_both_key_forms() {
         // Pseudo-random counts with heavy ties exercise every tie-break
-        // (count, then length, then lexicographic).
-        let mut candidates: HashMap<NodeSet, u32> = HashMap::new();
+        // (count, then length, then lexicographic); ids stay below 64 so
+        // the same sets fit a packed and a sorted-set table.
+        let mut packed = CandidateTable::for_graph(64);
+        let mut sets = CandidateTable::for_graph(65);
         let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..200u32 {
+        for i in 0..300u32 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let len = 1 + (x % 4) as u32;
-            let set: NodeSet = (0..len).map(|j| (i + j * 7) % 50).collect();
-            let set = ugraph::nodeset::canonicalize(set);
-            candidates.insert(set, (x >> 32) as u32 % 5);
+            let set = nodeset::canonicalize((0..len).map(|j| (i + j * 7) % 64).collect());
+            for _ in 0..(x >> 32) % 5 + 1 {
+                packed.credit_nodes(&set);
+                sets.credit_nodes(&set);
+            }
         }
-        for k in [0, 1, 3, 7, candidates.len(), candidates.len() + 5] {
-            let fast = top_k_sets(&candidates, k);
-            let slow: Vec<NodeSet> = select_top_k(&candidates, k, 1)
-                .into_iter()
-                .map(|(s, _)| s)
-                .collect();
-            assert_eq!(fast, slow, "k = {k}");
+        assert_eq!(packed, sets);
+        assert_eq!(sets, packed);
+        let full = sorted_reference(&packed);
+        assert_eq!(full, sorted_reference(&sets));
+        for k in [0, 1, 3, 7, full.len(), full.len() + 5] {
+            let want = &full[..k.min(full.len())];
+            assert_eq!(packed.top_k(k), want, "packed, k = {k}");
+            assert_eq!(sets.top_k(k), want, "sets, k = {k}");
+        }
+    }
+
+    #[test]
+    fn packed_rank_orders_like_sorted_id_lists() {
+        let masks: Vec<u64> = (1..256u64)
+            .chain([1 << 63, 1 << 63 | 1, u64::MAX])
+            .collect();
+        for &a in &masks {
+            for &b in &masks {
+                let (na, nb) = (mask_nodes(a), mask_nodes(b));
+                let want = na.len().cmp(&nb.len()).then_with(|| na.cmp(&nb));
+                assert_eq!(
+                    packed_rank(a).cmp(&packed_rank(b)),
+                    want,
+                    "{na:?} vs {nb:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_ignore_order_and_repeats() {
+        for n in [4, 100] {
+            let mut t = CandidateTable::for_graph(n);
+            t.credit_nodes(&[1, 3]);
+            t.credit_mask(&[0b1010], &mut Vec::new());
+            assert_eq!(t.len(), 1);
+            assert_eq!(t.get(&[1, 3]), Some(2));
+            assert_eq!(t.get(&[3, 1, 3]), Some(2));
+            assert_eq!(t.get(&[1]), None);
+            assert_eq!(t.get(&[1, 3, 99]), None);
+            assert_eq!(t.iter().collect::<Vec<_>>(), vec![(vec![1, 3], 2)]);
         }
     }
 

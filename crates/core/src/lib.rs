@@ -68,6 +68,6 @@ pub mod theory;
 pub use api::queryset::{BatchRun, BatchStats, QuerySet};
 pub use api::{ApiError, Exec, ProgressSink, Query, Run, SamplerKind, Stop, StopReason};
 pub use control::{InterruptReason, Interrupted, RunControl};
-pub use estimate::{MpdsConfig, MpdsResult};
+pub use estimate::{CandidateTable, MpdsConfig, MpdsResult};
 pub use nds::{NdsConfig, NdsResult};
 pub use recompute::{CommonRandomNumbers, Recompute, RecomputeReport, TopKDiff};

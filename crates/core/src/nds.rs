@@ -69,9 +69,11 @@ pub struct NdsResult {
 
 impl NdsResult {
     /// Estimated containment probability `γ̂(U)` = fraction of transactions
-    /// containing `U` (paper §IV).
+    /// containing `U` (paper §IV). `nodes` may come in any order and repeat
+    /// ids.
     pub fn gamma_hat(&self, nodes: &[NodeId]) -> f64 {
-        itemset::support_of(&self.transactions, nodes) as f64 / self.theta as f64
+        let items = ugraph::nodeset::canonicalize(nodes.to_vec());
+        itemset::support_of(&self.transactions, &items) as f64 / self.theta as f64
     }
 }
 
@@ -199,6 +201,7 @@ mod tests {
         let r = run(&g, &cfg, 4);
         assert_eq!(r.gamma_hat(&[2, 3]), 0.0);
         assert_eq!(r.gamma_hat(&[0, 1]), 1.0);
+        assert_eq!(r.gamma_hat(&[1, 0, 1]), 1.0);
     }
 
     #[test]

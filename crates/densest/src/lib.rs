@@ -6,7 +6,9 @@
 //! * the exact maximum density ρ\* as a rational number,
 //! * **all** densest subgraphs (the node sets attaining ρ\*), via minimum-cut
 //!   residual structure (Goldberg \[1\] / Chang–Qiao \[46\] for edges; the
-//!   paper's novel Algorithms 2 and 4 for cliques and patterns),
+//!   paper's novel Algorithms 2 and 4 for cliques and patterns), either
+//!   collected ([`all_densest`]) or streamed as packed node masks without
+//!   a per-set allocation ([`for_each_densest`]),
 //! * the maximum-sized densest subgraph (union of all densest subgraphs,
 //!   needed by the NDS estimator),
 //! * the peeling 1/2-approximation (lower bound ρ̃) and `(k, ·)`-core
@@ -45,4 +47,6 @@ pub mod solve;
 
 pub use density::Density;
 pub use notion::DensityNotion;
-pub use solve::{all_densest, max_density, max_sized_densest, AllDensest};
+pub use solve::{
+    all_densest, for_each_densest, max_density, max_sized_densest, AllDensest, DensestFamily,
+};

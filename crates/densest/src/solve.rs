@@ -20,11 +20,12 @@
 //! denominator so the flow solver only ever sees integers.
 
 use crate::density::Density;
-use crate::enumerate::enumerate_min_cut_subgraphs;
+use crate::enumerate::for_each_min_cut_subgraph;
 use crate::instances::{enumerate_cliques, enumerate_pattern, InstanceSet};
 use crate::notion::DensityNotion;
 use crate::peeling::peel;
 use maxflow::{FlowNetwork, INF};
+use ugraph::bitset::ones_in;
 use ugraph::{Graph, NodeId};
 
 /// Exact solution: the maximum density and every node set attaining it.
@@ -32,12 +33,27 @@ use ugraph::{Graph, NodeId};
 pub struct AllDensest {
     /// The exact maximum density ρ\*.
     pub density: Density,
-    /// All densest node sets (sorted ids, sorted lexicographically), possibly
-    /// truncated to the enumeration cap.
+    /// All densest node sets (sorted ids), in the enumeration order of
+    /// [`for_each_densest`], possibly truncated to the enumeration cap.
     pub subgraphs: Vec<Vec<NodeId>>,
     /// The maximum-sized densest subgraph (union of all densest subgraphs).
     pub max_sized: Vec<NodeId>,
     /// True if `subgraphs` was truncated.
+    pub truncated: bool,
+}
+
+/// One world's densest family as streamed by [`for_each_densest`]: the
+/// exact maximum density plus what the enumeration reported.
+#[derive(Debug, Clone)]
+pub struct DensestFamily {
+    /// The exact maximum density ρ\*.
+    pub density: Density,
+    /// Densest node sets handed to the sink (at most the cap).
+    pub count: usize,
+    /// The maximum-sized densest subgraph (union of all densest subgraphs,
+    /// sorted). Never truncated.
+    pub max_sized: Vec<NodeId>,
+    /// True if the enumeration stopped at the cap.
     pub truncated: bool,
 }
 
@@ -46,28 +62,81 @@ pub struct AllDensest {
 /// Returns `None` when `g` contains no instance of the notion at all (e.g. an
 /// edgeless possible world): such worlds have maximum density 0 and, by the
 /// paper's accounting (Table I), contribute no densest subgraph.
+///
+/// A collector over [`for_each_densest`]: same sets, same order, decoded
+/// into sorted id vectors.
 pub fn all_densest(g: &Graph, notion: &DensityNotion, cap: usize) -> Option<AllDensest> {
-    solve(g, notion, Some(cap))
+    let mut subgraphs = Vec::new();
+    let family = for_each_densest(g, notion, cap, &mut |mask| {
+        subgraphs.push(ones_in(mask).map(|v| v as NodeId).collect());
+    })?;
+    Some(AllDensest {
+        density: family.density,
+        subgraphs,
+        max_sized: family.max_sized,
+        truncated: family.truncated,
+    })
+}
+
+/// Streams every densest subgraph of `g` under `notion` (at most `cap` of
+/// them) into `sink` as a packed node mask, allocating nothing per set.
+/// Masks index original node ids and are one word wide whenever
+/// `g.num_nodes() <= 64`; see [`crate::enumerate::for_each_min_cut_subgraph`]
+/// for the mask layout and the emission-order contract.
+///
+/// Returns `None` (and never calls `sink`) when `g` has no instance of the
+/// notion, exactly like [`all_densest`].
+pub fn for_each_densest(
+    g: &Graph,
+    notion: &DensityNotion,
+    cap: usize,
+    sink: &mut dyn FnMut(&[u64]),
+) -> Option<DensestFamily> {
+    let solved = solve(g, notion, true)?;
+    let e = for_each_min_cut_subgraph(
+        &solved.built.net,
+        solved.built.s,
+        solved.built.t,
+        solved.core_nodes.len(),
+        &solved.core_nodes,
+        cap,
+        sink,
+    );
+    Some(DensestFamily {
+        density: solved.density,
+        count: e.count,
+        max_sized: e.max_sized,
+        truncated: e.truncated,
+    })
 }
 
 /// The exact maximum density ρ\* of any subgraph of `g`, or `None` if `g`
 /// has no instances.
 pub fn max_density(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    solve(g, notion, None).map(|r| r.density)
+    solve(g, notion, true).map(|r| r.density)
 }
 
 /// The maximum-sized densest subgraph (and ρ\*), skipping the full
 /// enumeration — this is what the NDS estimator calls per sampled world
 /// (paper Algorithm 5 Line 4).
 pub fn max_sized_densest(g: &Graph, notion: &DensityNotion) -> Option<(Density, Vec<NodeId>)> {
-    solve(g, notion, None).map(|r| (r.density, r.max_sized))
+    let solved = solve(g, notion, true)?;
+    let reach_t = solved.built.net.can_reach(solved.built.t);
+    let max_sized: Vec<NodeId> = solved
+        .core_nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !reach_t[i])
+        .map(|(_, &v)| v)
+        .collect();
+    Some((solved.density, max_sized))
 }
 
 /// Like [`max_density`] but *without* the `(⌈ρ̃⌉, ·)`-core reduction —
 /// the flow networks span the whole graph. Exists only so the ablation bench
 /// can quantify how much the paper's core pruning (Line 2) buys.
 pub fn max_density_unpruned(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    solve_opts(g, notion, None, false).map(|r| r.density)
+    solve(g, notion, false).map(|r| r.density)
 }
 
 /// `Clique(2)` and clique-shaped patterns are routed to the cheaper
@@ -90,16 +159,17 @@ pub fn instances_of(g: &Graph, notion: &DensityNotion) -> InstanceSet {
     }
 }
 
-fn solve(g: &Graph, notion: &DensityNotion, enumerate_cap: Option<usize>) -> Option<AllDensest> {
-    solve_opts(g, notion, enumerate_cap, true)
+/// The flow network at `α = ρ*`, holding a maximum flow, over the reduced
+/// core — what every extraction (density, max-sized set, enumeration)
+/// reads its answer from.
+struct Solved {
+    density: Density,
+    built: BuiltNetwork,
+    /// Original ids of the network's V nodes (ascending).
+    core_nodes: Vec<NodeId>,
 }
 
-fn solve_opts(
-    g: &Graph,
-    notion: &DensityNotion,
-    enumerate_cap: Option<usize>,
-    prune: bool,
-) -> Option<AllDensest> {
+fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
     let notion = normalize(notion);
     let instances = instances_of(g, &notion);
     if instances.count() == 0 {
@@ -149,39 +219,13 @@ fn solve_opts(
             .expect("trivial cut fits in u64");
         debug_assert!(flow <= trivial, "min cut cannot exceed the trivial cut");
         if flow == trivial {
-            // α = ρ*. Extract results from this network's residual structure.
-            let result = match enumerate_cap {
-                Some(cap) => {
-                    let e = enumerate_min_cut_subgraphs(
-                        &built.net,
-                        built.s,
-                        built.t,
-                        nc,
-                        &core_nodes,
-                        cap,
-                    );
-                    AllDensest {
-                        density: alpha,
-                        subgraphs: e.subgraphs,
-                        max_sized: e.max_sized,
-                        truncated: e.truncated,
-                    }
-                }
-                None => {
-                    let reach_t = built.net.can_reach(built.t);
-                    let max_sized: Vec<NodeId> = (0..nc)
-                        .filter(|&i| !reach_t[i])
-                        .map(|i| core_nodes[i])
-                        .collect();
-                    AllDensest {
-                        density: alpha,
-                        subgraphs: Vec::new(),
-                        max_sized,
-                        truncated: false,
-                    }
-                }
-            };
-            return Some(result);
+            // α = ρ*: the caller extracts its answer from this network's
+            // residual structure.
+            return Some(Solved {
+                density: alpha,
+                built,
+                core_nodes,
+            });
         }
         // A denser subgraph exists: the min-cut source side is a witness.
         let reach = built.net.reachable_from(built.s);
@@ -579,6 +623,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn streamed_masks_are_one_word_below_64_nodes() {
+        let g = Graph::from_edges(64, &[(0, 1), (62, 63)]);
+        let mut masks = Vec::new();
+        let family = for_each_densest(&g, &DensityNotion::Edge, 10, &mut |m| {
+            masks.push(m.to_vec());
+        })
+        .unwrap();
+        assert_eq!(family.count, 3);
+        assert_eq!(family.max_sized, vec![0, 1, 62, 63]);
+        masks.sort();
+        assert_eq!(
+            masks,
+            vec![vec![0b11], vec![0b11 << 62], vec![0b11 | 0b11 << 62]]
+        );
+        assert!(
+            for_each_densest(&Graph::new(3), &DensityNotion::Edge, 10, &mut |_| {
+                unreachable!("no instance, no set")
+            })
+            .is_none()
+        );
     }
 
     #[test]

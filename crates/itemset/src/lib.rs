@@ -71,7 +71,8 @@ pub fn all_closed(
     out
 }
 
-/// Support of one itemset within the transactions (`θ · γ̂`).
+/// Support of one itemset within the transactions (`θ · γ̂`). Both `items`
+/// and every transaction must be sorted and duplicate-free.
 pub fn support_of(transactions: &[Vec<u32>], items: &[u32]) -> u64 {
     transactions.iter().filter(|t| is_subset(items, t)).count() as u64
 }

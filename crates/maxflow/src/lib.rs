@@ -9,8 +9,9 @@
 //! * [`FlowNetwork`] — adjacency-list flow network over `u64` capacities with
 //!   Dinic's algorithm. All densest-subgraph constructions scale capacities
 //!   by the density denominator so the arithmetic stays exact.
-//! * [`scc`] — iterative Tarjan SCC and the condensation DAG with
-//!   descendant/ancestor queries used by the all-densest-subgraph enumerator.
+//! * [`scc`] — iterative Tarjan SCC and the condensation DAG, with the
+//!   closure of packed per-component bitsets over descendants that the
+//!   all-densest-subgraph enumerator builds on.
 
 pub mod dinic;
 pub mod scc;

@@ -3,8 +3,10 @@
 //! The all-densest-subgraph enumerators decompose the residual graph under a
 //! maximum flow into SCCs (paper Line 7 of Algorithms 2 and 4) and then walk
 //! *independent component sets* — antichains of the condensation DAG — so
-//! this module exposes, besides the component labelling itself, per-component
-//! descendant and ancestor sets (paper Def. 9).
+//! this module exposes, besides the component labelling itself, a closure
+//! of per-component packed bitsets over descendants (paper Def. 9): seeded
+//! with each component's own bit it yields `C ∪ des(C)`, and `d` is an
+//! ancestor of `c` iff `c` is a descendant of `d`.
 
 /// An iterative Tarjan SCC decomposition plus the condensation DAG.
 #[derive(Debug, Clone)]
@@ -55,48 +57,27 @@ impl Condensation {
         self.members.len()
     }
 
-    /// All components reachable from `c` in the condensation DAG, excluding
-    /// `c` itself (paper's `des(C)`).
-    pub fn descendants(&self, c: usize) -> Vec<u32> {
-        self.reach(c, &self.dag)
-    }
-
-    /// All components with a path to `c` (paper's `anc(C)`). Computed against
-    /// the reversed DAG, built lazily per query; the enumerator's component
-    /// counts are small (residual graphs of core-pruned worlds).
-    pub fn ancestors(&self, c: usize, reverse_dag: &[Vec<u32>]) -> Vec<u32> {
-        self.reach(c, reverse_dag)
-    }
-
-    /// The reversed condensation DAG (for ancestor queries).
-    pub fn reverse_dag(&self) -> Vec<Vec<u32>> {
-        let mut rev = vec![Vec::new(); self.num_components()];
-        for (c, outs) in self.dag.iter().enumerate() {
-            for &d in outs {
-                rev[d as usize].push(c as u32);
+    /// ORs into every component's row the rows of all its descendants, so
+    /// a row that held a component's own items ends up holding those of
+    /// `C ∪ des(C)` (paper Def. 9). `rows` is flat, `words` u64s per
+    /// component.
+    ///
+    /// One ascending pass suffices because Tarjan numbers every component
+    /// before any component that can reach it.
+    pub fn close_over_descendants(&self, rows: &mut [u64], words: usize) {
+        for c in 0..self.num_components() {
+            let (done, rest) = rows.split_at_mut(c * words);
+            for &d in &self.dag[c] {
+                let d = d as usize;
+                debug_assert!(d < c, "Tarjan numbers descendants first");
+                for (w, &x) in rest[..words]
+                    .iter_mut()
+                    .zip(&done[d * words..(d + 1) * words])
+                {
+                    *w |= x;
+                }
             }
         }
-        for outs in &mut rev {
-            outs.sort_unstable();
-            outs.dedup();
-        }
-        rev
-    }
-
-    fn reach(&self, start: usize, dag: &[Vec<u32>]) -> Vec<u32> {
-        let mut seen = vec![false; self.num_components()];
-        let mut stack: Vec<u32> = dag[start].to_vec();
-        let mut out = Vec::new();
-        while let Some(c) = stack.pop() {
-            if seen[c as usize] || c as usize == start {
-                continue;
-            }
-            seen[c as usize] = true;
-            out.push(c);
-            stack.extend_from_slice(&dag[c as usize]);
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -170,6 +151,26 @@ fn tarjan(adj: &[Vec<u32>]) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    /// `des(x)`: the closure of one bit per component, minus `x` itself.
+    fn descendants(c: &Condensation, x: usize) -> Vec<usize> {
+        let (n, words) = (c.num_components(), c.num_components().div_ceil(64));
+        let mut rows = vec![0u64; n * words];
+        for i in 0..n {
+            rows[i * words + i / 64] |= 1 << (i % 64);
+        }
+        c.close_over_descendants(&mut rows, words);
+        (0..n)
+            .filter(|&d| d != x && rows[x * words + d / 64] >> (d % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// `anc(x)`: every component whose descendants include `x`.
+    fn ancestors(c: &Condensation, x: usize) -> Vec<usize> {
+        (0..c.num_components())
+            .filter(|&a| descendants(c, a).contains(&x))
+            .collect()
+    }
+
     #[test]
     fn single_cycle() {
         let adj = vec![vec![1], vec![2], vec![0]];
@@ -190,10 +191,9 @@ mod tests {
         assert_ne!(c01, c23);
         assert_eq!(c.dag[c01], vec![c23 as u32]);
         assert!(c.dag[c23].is_empty());
-        assert_eq!(c.descendants(c01), vec![c23 as u32]);
-        assert!(c.descendants(c23).is_empty());
-        let rev = c.reverse_dag();
-        assert_eq!(c.ancestors(c23, &rev), vec![c01 as u32]);
+        assert_eq!(descendants(&c, c01), vec![c23]);
+        assert!(descendants(&c, c23).is_empty());
+        assert_eq!(ancestors(&c, c23), vec![c01]);
     }
 
     #[test]
@@ -203,11 +203,10 @@ mod tests {
         let c = Condensation::new(&adj);
         assert_eq!(c.num_components(), 4);
         let c0 = c.comp_of[0] as usize;
-        assert_eq!(c.descendants(c0).len(), 3);
+        assert_eq!(descendants(&c, c0).len(), 3);
         let c3 = c.comp_of[3] as usize;
-        let rev = c.reverse_dag();
-        assert_eq!(c.ancestors(c3, &rev).len(), 3);
-        assert!(c.descendants(c3).is_empty());
+        assert_eq!(ancestors(&c, c3).len(), 3);
+        assert!(descendants(&c, c3).is_empty());
     }
 
     #[test]
@@ -235,7 +234,7 @@ mod tests {
         assert_eq!(c.comp_of[2], c.comp_of[3]);
         assert_ne!(c.comp_of[0], c.comp_of[2]);
         let top = c.comp_of[0] as usize;
-        assert_eq!(c.descendants(top).len(), 2);
+        assert_eq!(descendants(&c, top).len(), 2);
     }
 
     #[test]

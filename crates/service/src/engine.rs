@@ -507,13 +507,23 @@ pub fn run_query_with_progress(
     ctrl: &RunControl,
     progress: Option<Arc<dyn ProgressSink>>,
 ) -> Result<ResponsePayload, QueryError> {
+    run_core(g, req, ctrl, progress).map(|run| payload_of(g, run))
+}
+
+/// The estimator run behind [`run_query_with_progress`], before the result
+/// is mapped to labels.
+fn run_core(
+    g: &LoadedGraph,
+    req: &QueryRequest,
+    ctrl: &RunControl,
+    progress: Option<Arc<dyn ProgressSink>>,
+) -> Result<Run, QueryError> {
     let notion = req.validate().map_err(QueryError::BadRequest)?;
     let mut query = build_query(req, notion, ctrl);
     if let Some(sink) = progress {
         query = query.progress(sink);
     }
-    let run = query.run(&g.graph).map_err(api_error_to_query_error)?;
-    Ok(payload_of(g, run))
+    query.run(&g.graph).map_err(api_error_to_query_error)
 }
 
 /// Maps a core-API failure onto the service's error vocabulary: cooperative
@@ -831,6 +841,9 @@ pub struct EngineObs {
     pub stage_totals: Recorder,
     /// Profiled requests served.
     pub profiled: Counter,
+    /// Sampled worlds whose densest-subgraph enumeration hit the cap,
+    /// summed over computed MISSes (`/query` and led `/batch` members).
+    pub truncated_worlds: Counter,
 }
 
 /// A query response with its provenance: the bytes, how they were obtained,
@@ -1138,9 +1151,12 @@ impl QueryEngine {
             // accumulation, and stability tracking against this recorder.
             ctrl = ctrl.with_recorder(Arc::clone(r));
         }
-        let payload =
-            run_query_with_progress(graph, req, &ctrl, Some(Arc::clone(&self.worlds) as _))?;
+        let run = run_core(graph, req, &ctrl, Some(Arc::clone(&self.worlds) as _))?;
         self.computed.fetch_add(1, Ordering::Relaxed);
+        self.obs
+            .truncated_worlds
+            .add(run.stats.truncated_worlds as u64);
+        let payload = payload_of(graph, run);
         if payload.stop_reason == "budget" {
             self.spawn_refinement(req, graph);
         }
@@ -1345,6 +1361,9 @@ impl QueryEngine {
             .into_iter()
             .zip(led)
             .map(|(run, &i)| {
+                self.obs
+                    .truncated_worlds
+                    .add(run.stats.truncated_worlds as u64);
                 let payload = payload_of(graph, run);
                 Arc::new(render_query_response(&requests[i], &payload).into_bytes())
             })

@@ -1220,6 +1220,16 @@ fn render_metrics_prom(state: &ServerState) -> String {
         &[("outcome", "failed")],
         eobs.refine_failed.value(),
     );
+    p.family(
+        "mpds_truncated_worlds_total",
+        "counter",
+        "Sampled worlds whose densest-subgraph enumeration hit the cap, over computed misses.",
+    );
+    p.sample_u64(
+        "mpds_truncated_worlds_total",
+        &[],
+        eobs.truncated_worlds.value(),
+    );
 
     let totals = eobs.stage_totals.totals();
     p.family(

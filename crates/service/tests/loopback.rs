@@ -1,7 +1,8 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real HTTP
 //! requests from client threads.
 
-use mpds_service::harness::{http_get, http_post, wait_until_healthy, Exchange};
+use mpds_obs::scrape;
+use mpds_service::harness::{http_get, http_get_accept, http_post, wait_until_healthy, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,6 +47,37 @@ fn health_datasets_and_errors() {
         get(&server, "/query?dataset=karate&theta=1&theta=2").status,
         400
     );
+}
+
+/// `mpds_truncated_worlds_total` from the Prometheus `/metrics` body.
+fn truncated_worlds_total(server: &Server) -> Option<f64> {
+    let e = http_get_accept(
+        server.local_addr(),
+        "/metrics",
+        "text/plain",
+        Duration::from_secs(10),
+    )
+    .expect("scrape /metrics");
+    let text = String::from_utf8(e.body).unwrap();
+    scrape::prom_value(&text, "mpds_truncated_worlds_total", &[])
+}
+
+#[test]
+fn cap_truncated_worlds_are_counted_on_metrics() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    assert_eq!(truncated_worlds_total(&server), Some(0.0));
+    // Some karate world of this stream holds more densest subgraphs than
+    // the default enumeration cap.
+    let path = "/query?dataset=karate&theta=320&k=3&seed=7";
+    let e = get(&server, path);
+    assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
+    let text = String::from_utf8(e.body).unwrap();
+    assert!(text.contains("\"truncated\":true"), "{text}");
+    let after_miss = truncated_worlds_total(&server).unwrap();
+    assert!(after_miss >= 1.0, "{after_miss}");
+    // A cache HIT computes nothing, so the counter holds.
+    assert_eq!(get(&server, path).body, text.as_bytes());
+    assert_eq!(truncated_worlds_total(&server), Some(after_miss));
 }
 
 #[test]

@@ -144,16 +144,24 @@ impl DenseBitSet {
 
     /// Iterates the members in ascending order (word-at-a-time scan).
     pub fn ones(&self) -> Ones<'_> {
-        Ones {
-            words: &self.words,
-            next_word: 0,
-            current: 0,
-            base: 0,
-        }
+        ones_in(&self.words)
     }
 }
 
-/// Ascending iterator over the members of a [`DenseBitSet`].
+/// Iterates the set bits of raw packed words in ascending order: bit
+/// `i % 64` of word `i / 64` stands for element `i`. Decodes the packed node
+/// masks the densest-subgraph enumerator streams.
+pub fn ones_in(words: &[u64]) -> Ones<'_> {
+    Ones {
+        words,
+        next_word: 0,
+        current: 0,
+        base: 0,
+    }
+}
+
+/// Ascending iterator over the members of a [`DenseBitSet`] (or of raw
+/// words, see [`ones_in`]).
 #[derive(Debug)]
 pub struct Ones<'a> {
     words: &'a [u64],
@@ -202,6 +210,7 @@ mod tests {
         let s = DenseBitSet::from_members(200, &[3, 64, 65, 199]);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![3, 64, 65, 199]);
         assert_eq!(s.count(), 4);
+        assert_eq!(ones_in(&[0b101, 0, 1]).collect::<Vec<_>>(), vec![0, 2, 128]);
     }
 
     #[test]

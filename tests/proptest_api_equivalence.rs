@@ -11,10 +11,12 @@
 //!   standalone [`Query`] run, for MPDS and NDS under all three samplers;
 //! * recorded-baseline values (bit-exact `f64`s captured from the legacy
 //!   implementation before its deletion) stay reproducible, so the suite
-//!   guards the historical behaviour without calling the deleted code.
+//!   guards the historical behaviour without calling the deleted code;
+//! * the candidate table's two key forms (packed masks up to 64 nodes,
+//!   sorted id vectors beyond) give the same answers on the same worlds.
 
 use densest::DensityNotion;
-use mpds::api::{Exec, Query, RunDetails, SamplerKind};
+use mpds::api::{Exec, Query, Run, RunDetails, SamplerKind};
 use mpds::{MpdsResult, NdsResult, QuerySet, Stop, StopReason};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -118,7 +120,7 @@ proptest! {
                     .unwrap()
                     .details,
             );
-            for (set, count) in r.candidates {
+            for (set, count) in r.candidates.iter() {
                 *expected_candidates.entry(set).or_insert(0) += count;
             }
             expected_counts.extend(r.densest_counts);
@@ -137,7 +139,8 @@ proptest! {
             prop_assert_eq!(*tau, count as f64 / theta as f64);
         }
         let details = mpds_details(run.details);
-        prop_assert_eq!(details.candidates, expected_candidates);
+        let merged: HashMap<NodeSet, u32> = details.candidates.iter().collect();
+        prop_assert_eq!(merged, expected_candidates);
         prop_assert_eq!(details.densest_counts, expected_counts);
         prop_assert_eq!(details.empty_worlds, expected_empty);
     }
@@ -424,4 +427,144 @@ fn recorded_baseline_nds_fig1() {
         .collect();
     assert_eq!(got, recorded);
     assert_eq!(run.stats.empty_worlds, 54);
+}
+
+/// Recorded baseline for the §VI-D one-densest-per-world ablation (same
+/// graph, seed, and θ as above), captured before the enumerator streamed
+/// packed masks: the random pick indexes the enumeration order, so any
+/// change to that order shows up here.
+#[test]
+fn recorded_baseline_mpds_fig1_one_densest_ablation() {
+    let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
+    let run = Query::mpds(DensityNotion::Edge)
+        .theta(400)
+        .k(4)
+        .seed(1234)
+        .all_densest(false)
+        .run(&g)
+        .unwrap();
+    let recorded: Vec<(NodeSet, u64)> = vec![
+        (vec![1, 3], 0x3fd4cccccccccccd),
+        (vec![0, 1, 3], 0x3fc47ae147ae147b),
+        (vec![0, 1, 2, 3], 0x3fc3851eb851eb85),
+        (vec![0, 2], 0x3fc147ae147ae148),
+    ];
+    let got: Vec<(NodeSet, u64)> = run
+        .top_k
+        .iter()
+        .map(|(set, tau)| (set.clone(), tau.to_bits()))
+        .collect();
+    assert_eq!(got, recorded);
+    assert_eq!(run.stats.empty_worlds, 54);
+    let counts = mpds_details(run.details).densest_counts;
+    assert_eq!((counts.len(), counts.iter().sum::<usize>()), (400, 478));
+}
+
+/// `g` with `pad` isolated nodes added, after its own nodes or, when
+/// `shift`, before them (every id moves up by `pad`). Edge order, and so
+/// every sampled world, is unchanged.
+fn padded(g: &UncertainGraph, pad: u32, shift: bool) -> UncertainGraph {
+    let offset = if shift { pad } else { 0 };
+    let edges: Vec<(NodeId, NodeId, f64)> = g
+        .graph()
+        .edges()
+        .iter()
+        .zip(g.probs())
+        .map(|(&(u, v), &p)| (u + offset, v + offset, p))
+        .collect();
+    UncertainGraph::from_weighted_edges(g.num_nodes() + pad as usize, &edges)
+}
+
+/// A run's top-k (bit-exact scores), candidate table, per-world densest
+/// counts, and truncation, with node ids moved down by `offset`.
+type Observed = (
+    Vec<(NodeSet, u64)>,
+    HashMap<NodeSet, u32>,
+    Vec<usize>,
+    bool,
+    usize,
+);
+
+fn observe(run: Run, offset: u32) -> Observed {
+    let down = |set: &NodeSet| -> NodeSet { set.iter().map(|&v| v - offset).collect() };
+    let top = run
+        .top_k
+        .iter()
+        .map(|(set, tau)| (down(set), tau.to_bits()))
+        .collect();
+    let truncated_worlds = run.stats.truncated_worlds;
+    let r = mpds_details(run.details);
+    let table = r
+        .candidates
+        .iter()
+        .map(|(set, c)| (down(&set), c))
+        .collect();
+    (top, table, r.densest_counts, r.truncated, truncated_worlds)
+}
+
+/// The packed-mask key path (≤ 64 nodes) and the sorted-set key path
+/// (> 64 nodes) agree: padding a graph past 64 nodes with isolated nodes
+/// changes no world, so it must change no answer — exact and heuristic,
+/// all-densest and the one-densest ablation, serial and threaded. The
+/// 5-edge perfect matching under `enumeration_cap(5)` truncates every
+/// world with 3 or more edges, pinning that the cap keeps the same prefix
+/// of each family under both key forms.
+#[test]
+fn packed_and_sorted_set_keys_agree_past_64_nodes() {
+    let matching = UncertainGraph::from_weighted_edges(
+        10,
+        &[
+            (0, 1, 0.9),
+            (2, 3, 0.9),
+            (4, 5, 0.9),
+            (6, 7, 0.9),
+            (8, 9, 0.9),
+        ],
+    );
+    let fig1 = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
+    let karate = ugraph::datasets::karate_club().graph;
+    let cases: [(&str, &UncertainGraph, usize, usize); 3] = [
+        ("matching", &matching, 5, 200),
+        ("fig1", &fig1, 100_000, 200),
+        ("karate", &karate, 100_000, 24),
+    ];
+    let mut truncating_worlds = 0;
+    for (name, g, cap, theta) in cases {
+        for heuristic in [false, true] {
+            for all in [true, false] {
+                for exec in [Exec::Serial, Exec::Threads(2)] {
+                    let query = || {
+                        Query::mpds(DensityNotion::Edge)
+                            .theta(theta)
+                            .k(6)
+                            .seed(29)
+                            .heuristic(heuristic)
+                            .all_densest(all)
+                            .enumeration_cap(cap)
+                            .exec(exec)
+                    };
+                    let label = format!("{name} heuristic={heuristic} all={all} {exec:?}");
+                    let plain = match query().run(g) {
+                        Ok(run) => run,
+                        Err(e) => {
+                            // The ablation is serial-only on every graph.
+                            assert!(!all && exec != Exec::Serial, "{label}: {e}");
+                            assert!(query().run(&padded(g, 64, false)).is_err(), "{label}");
+                            continue;
+                        }
+                    };
+                    let plain = observe(plain, 0);
+                    truncating_worlds += plain.4;
+                    for shift in [false, true] {
+                        let big = padded(g, 64, shift);
+                        assert!(big.num_nodes() > 64);
+                        let run = query().run(&big).unwrap();
+                        let offset = if shift { 64 } else { 0 };
+                        assert_eq!(observe(run, offset), plain, "{label} shift={shift}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(truncating_worlds > 0, "some case must truncate");
 }
