@@ -733,7 +733,7 @@ fn update_command(o: &UpdateOptions) -> Result<(), String> {
     let body = std::fs::read(&o.file).map_err(|e| format!("read {}: {e}", o.file))?;
     let path = format!("/update?dataset={}", o.dataset);
     let ex =
-        mpds_service::harness::http_post(addr, &path, &body, std::time::Duration::from_secs(120))
+        mpds_service::client::http_post(addr, &path, &body, std::time::Duration::from_secs(120))
             .map_err(|e| format!("POST {path} to {addr}: {e}"))?;
     let text = String::from_utf8_lossy(&ex.body);
     if ex.status != 200 {
@@ -746,9 +746,8 @@ fn update_command(o: &UpdateOptions) -> Result<(), String> {
 fn checkpoint_command(o: &CheckpointOptions) -> Result<(), String> {
     let addr = resolve_addr(&o.addr)?;
     let path = format!("/admin/checkpoint?dataset={}", o.dataset);
-    let ex =
-        mpds_service::harness::http_post(addr, &path, &[], std::time::Duration::from_secs(120))
-            .map_err(|e| format!("POST {path} to {addr}: {e}"))?;
+    let ex = mpds_service::client::http_post(addr, &path, &[], std::time::Duration::from_secs(120))
+        .map_err(|e| format!("POST {path} to {addr}: {e}"))?;
     let text = String::from_utf8_lossy(&ex.body);
     if ex.status != 200 {
         return Err(format!("server answered {}: {text}", ex.status));
@@ -784,13 +783,9 @@ fn raw_number(v: &JsonValue) -> String {
 fn batch_command(o: &BatchOptions) -> Result<(), String> {
     let addr = resolve_addr(&o.addr)?;
     let body = std::fs::read(&o.file).map_err(|e| format!("read {}: {e}", o.file))?;
-    let ex = mpds_service::harness::http_post(
-        addr,
-        "/batch",
-        &body,
-        std::time::Duration::from_secs(120),
-    )
-    .map_err(|e| format!("POST /batch to {addr}: {e}"))?;
+    let ex =
+        mpds_service::client::http_post(addr, "/batch", &body, std::time::Duration::from_secs(120))
+            .map_err(|e| format!("POST /batch to {addr}: {e}"))?;
     let text = String::from_utf8_lossy(&ex.body).into_owned();
     if ex.status != 200 {
         return Err(format!("server answered {}: {text}", ex.status));
@@ -866,7 +861,7 @@ fn diff_command(o: &DiffOptions) -> Result<(), String> {
         o.seed,
         if o.heuristic { "&heuristic=true" } else { "" }
     );
-    let ex = mpds_service::harness::http_get(addr, &path, std::time::Duration::from_secs(120))
+    let ex = mpds_service::client::http_get(addr, &path, std::time::Duration::from_secs(120))
         .map_err(|e| format!("GET {path} from {addr}: {e}"))?;
     let text = String::from_utf8_lossy(&ex.body).into_owned();
     if ex.status != 200 {

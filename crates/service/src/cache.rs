@@ -5,8 +5,7 @@
 //! needs invalidation — only bounded capacity. Keys are hashed to one of a
 //! fixed number of shards, each an independently locked LRU list, so
 //! concurrent lookups on different shards never contend. Hit/miss counters
-//! are process-wide atomics read by the `/stats` endpoint and the load
-//! harness.
+//! are process-wide atomics read by the `/metrics` endpoint.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -1123,12 +1123,12 @@ impl QueryEngine {
             // released and the in-flight entry is removed on every exit path.
             let guard = LeaderGuard {
                 engine: self,
-                key,
-                flight: &flight,
+                keys: std::slice::from_ref(key),
+                flights: std::slice::from_ref(&flight),
                 completed: false,
             };
             let result = self.compute(req, graph, own_deadline, rec);
-            guard.finish(result.clone());
+            guard.finish(std::slice::from_ref(&result));
             return result.map(|b| (b, ResponseSource::Miss));
         }
         Err(last_err
@@ -1265,9 +1265,10 @@ impl QueryEngine {
         let mut pass_reason = "completed";
         let mut pass_converged = None;
         if !led.is_empty() {
-            let guard = BatchLeaderGuard {
+            let led_keys: Vec<QueryKey> = led.iter().map(|&i| keys[i].clone()).collect();
+            let guard = LeaderGuard {
                 engine: self,
-                keys: led.iter().map(|&i| keys[i].clone()).collect(),
+                keys: &led_keys,
                 flights: &flights,
                 completed: false,
             };
@@ -1455,36 +1456,49 @@ impl QueryEngine {
     }
 }
 
-/// Completes an in-flight computation on every exit path (including leader
-/// panic, where the drop handler reports an internal error so followers are
-/// not stranded on the condvar).
+/// Completes the in-flight computations a leader registered — one for a
+/// query, one per led member for a batch — on every exit path. `finish`
+/// caches each success before releasing its followers; the drop handler
+/// (leader panic) reports an internal error so followers are never
+/// stranded on the condvar. Either way the flights are unregistered.
 struct LeaderGuard<'a> {
     engine: &'a QueryEngine,
-    key: &'a QueryKey,
-    flight: &'a Arc<InFlight>,
+    keys: &'a [QueryKey],
+    flights: &'a [Arc<InFlight>],
     completed: bool,
 }
 
 impl LeaderGuard<'_> {
-    fn finish(mut self, result: Result<Arc<Vec<u8>>, QueryError>) {
+    fn finish(mut self, results: &[Result<Arc<Vec<u8>>, QueryError>]) {
         // Publish to the cache before releasing followers / unregistering,
         // so a request arriving between those steps still finds the result.
-        if let Ok(body) = &result {
-            self.engine.cache.insert(self.key.clone(), Arc::clone(body));
+        for ((key, flight), result) in self.keys.iter().zip(self.flights).zip(results) {
+            if let Ok(body) = result {
+                self.engine.cache.insert(key.clone(), Arc::clone(body));
+            }
+            flight.complete(result.clone());
         }
-        self.flight.complete(result);
-        self.engine.inflight.lock().unwrap().remove(self.key);
+        self.unregister();
         self.completed = true;
+    }
+
+    fn unregister(&self) {
+        let mut map = self.engine.inflight.lock().unwrap();
+        for key in self.keys {
+            map.remove(key);
+        }
     }
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if !self.completed {
-            self.flight.complete(Err(QueryError::Internal(
-                "query computation panicked".to_string(),
-            )));
-            self.engine.inflight.lock().unwrap().remove(self.key);
+            for flight in self.flights {
+                flight.complete(Err(QueryError::Internal(
+                    "query computation panicked".to_string(),
+                )));
+            }
+            self.unregister();
         }
     }
 }
@@ -1516,49 +1530,6 @@ impl BatchOutcome {
             .iter()
             .filter(|(_, s)| *s == ResponseSource::Miss)
             .count()
-    }
-}
-
-/// [`LeaderGuard`] for a whole batch: completes every led flight (caching
-/// successes first) and unregisters them, with a drop handler that reports
-/// an internal error so followers are never stranded if the batch panics.
-struct BatchLeaderGuard<'a> {
-    engine: &'a QueryEngine,
-    keys: Vec<QueryKey>,
-    flights: &'a [Arc<InFlight>],
-    completed: bool,
-}
-
-impl BatchLeaderGuard<'_> {
-    fn finish(mut self, results: &[Result<Arc<Vec<u8>>, QueryError>]) {
-        for ((key, flight), result) in self.keys.iter().zip(self.flights).zip(results) {
-            if let Ok(body) = result {
-                self.engine.cache.insert(key.clone(), Arc::clone(body));
-            }
-            flight.complete(result.clone());
-        }
-        let mut map = self.engine.inflight.lock().unwrap();
-        for key in &self.keys {
-            map.remove(key);
-        }
-        drop(map);
-        self.completed = true;
-    }
-}
-
-impl Drop for BatchLeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            for flight in self.flights {
-                flight.complete(Err(QueryError::Internal(
-                    "batch computation panicked".to_string(),
-                )));
-            }
-            let mut map = self.engine.inflight.lock().unwrap();
-            for key in &self.keys {
-                map.remove(key);
-            }
-        }
     }
 }
 
@@ -1936,7 +1907,7 @@ mod tests {
     #[test]
     fn render_is_stable_across_processes_in_shape() {
         // Pin the exact serialization of a tiny deterministic payload: the
-        // cache, the loopback harness, and external clients all rely on
+        // cache, the loopback tests, and external clients all rely on
         // this byte layout never drifting silently.
         let req = QueryRequest::new("karate");
         let payload = ResponsePayload {
@@ -2066,7 +2037,7 @@ mod tests {
 
     #[test]
     fn batch_samples_theta_worlds_once_not_per_member() {
-        // The amortization claim, measured where the harness measures it:
+        // The amortization claim, on the counter `/metrics` exports:
         // a 4-member batch advances worlds_sampled by θ, not 4θ.
         let e = engine();
         let req = karate_batch(&[2, 3, 4, 5]);

@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON writer and a small recursive-descent parser.
 //!
-//! The vendored `serde` is a marker-trait shim (see `vendor/README.md`), so
-//! the service serializes by hand. Determinism is the point, not a
-//! limitation: the cache and the load harness both assert that identical
-//! queries produce **bytewise-identical** response bodies, so every field is
-//! emitted in a fixed order with a fixed float formatting (Rust's shortest
-//! round-trip `{}`), no maps with nondeterministic iteration order anywhere.
+//! The service serializes by hand, with no serialization framework.
+//! Determinism is the point: the cache, the tests and the benchmark all
+//! assert that identical queries produce **bytewise-identical** response
+//! bodies, so every field is emitted in a fixed order with a fixed float
+//! formatting (Rust's shortest round-trip `{}`), no maps with
+//! nondeterministic iteration order anywhere.
 //!
 //! The parser ([`JsonValue::parse`]) exists for the one endpoint that takes
 //! a JSON request body, `POST /batch`. It keeps numbers as raw text so a
@@ -176,13 +176,11 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Renders the unified error document shared by every endpoint:
-/// `{"error":{"code":"...","reason":"..."},"reason":"..."}`.
+/// `{"error":{"code":"...","reason":"..."}}`.
 ///
 /// `code` is a stable machine vocabulary (`bad_request`, `not_found`,
 /// `method_not_allowed`, `forbidden`, `overloaded`, `deadline_exceeded`,
-/// `cancelled`, `internal`); `reason` is the human-readable message. The
-/// top-level `"reason"` duplicates the nested one for clients that still
-/// read the old flat shape — kept for one release, then dropped.
+/// `cancelled`, `internal`); `reason` is the human-readable message.
 pub fn error_body(code: &str, reason: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
@@ -191,7 +189,6 @@ pub fn error_body(code: &str, reason: &str) -> String {
         .field_str("code", code)
         .field_str("reason", reason)
         .end_object()
-        .field_str("reason", reason)
         .end_object();
     w.finish()
 }
@@ -496,35 +493,29 @@ mod tests {
 
     #[test]
     fn error_body_shape() {
-        // Nested typed error plus the one-release top-level alias. No
-        // duplicate keys: `error` is an object, `reason` appears once at
-        // each level.
+        // One nested typed error object, nothing at the top level beside it.
         assert_eq!(
             error_body("bad_request", "bad"),
-            "{\"error\":{\"code\":\"bad_request\",\"reason\":\"bad\"},\"reason\":\"bad\"}"
+            "{\"error\":{\"code\":\"bad_request\",\"reason\":\"bad\"}}"
         );
-        // The alias must stay parseable by the strict duplicate-rejecting
-        // parser (the loopback tests read error bodies through it).
+        // Parseable by the strict duplicate-rejecting parser (the loopback
+        // tests read error bodies through it).
         let doc = JsonValue::parse(&error_body("internal", "boom")).unwrap();
+        let error = doc.get("error").unwrap().unwrap();
         assert_eq!(
-            doc.get("error")
-                .unwrap()
-                .unwrap()
-                .get("code")
-                .unwrap()
-                .unwrap()
-                .as_str("code")
-                .unwrap(),
+            error.get("code").unwrap().unwrap().as_str("code").unwrap(),
             "internal"
         );
         assert_eq!(
-            doc.get("reason")
+            error
+                .get("reason")
                 .unwrap()
                 .unwrap()
                 .as_str("reason")
                 .unwrap(),
             "boom"
         );
+        assert!(doc.get("reason").unwrap().is_none());
     }
 
     #[test]

@@ -34,17 +34,19 @@
 //!   plus snapshot checkpoints (`POST /admin/checkpoint`, `mpds-cli
 //!   checkpoint`), and boot replays checkpoint + WAL tail back to the
 //!   exact pre-crash generation;
-//! * [`harness`] — the loopback load + churn + batch + kill-recover
-//!   harnesses behind `BENCH_pr3.json` / `BENCH_pr5.json` /
-//!   `BENCH_pr6.json` / `BENCH_pr9.json` and the CI `service-smoke` /
-//!   `churn-smoke` / `batch-smoke` / `durability-smoke` jobs;
+//! * [`client`] — the blocking HTTP/1.1 client that `mpds-cli`'s remote
+//!   subcommands and the integration tests speak to a server with;
 //! * [`json`] — the byte-stable JSON writer everything serializes through
-//!   (the vendored serde is a no-op shim; determinism is asserted, not
-//!   hoped for).
+//!   (fixed field order and float formatting, so identical queries yield
+//!   identical bytes).
+//!
+//! Load generation lives outside this crate: `perfbench/` (described by
+//! `BENCHMARK.json`) measures the service end to end against a real
+//! `mpds-cli serve` process.
 
 pub mod cache;
+pub mod client;
 pub mod engine;
-pub mod harness;
 pub mod http;
 pub mod json;
 pub mod obs;

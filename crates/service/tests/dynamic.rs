@@ -1,8 +1,8 @@
 //! Dynamic-graph serving tests: live updates over the loopback server and
 //! reader/writer consistency under concurrency.
 
+use mpds_service::client::{http_get, http_post, Exchange};
 use mpds_service::engine::{QueryRequest, ResponseSource};
-use mpds_service::harness::{http_get, http_post, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,55 +179,6 @@ fn malformed_and_truncated_requests_are_handled() {
     let server = start_server(false);
     let e = post(&server, "/update?dataset=karate", &"0 1 0.5\n".repeat(500));
     assert_eq!(e.status, 403);
-}
-
-#[test]
-fn churn_harness_runs_clean_against_mutable_server() {
-    // A miniature of the CI churn-smoke run: update batches interleaved
-    // with read bursts, every invariant checked.
-    let engine = Arc::new(QueryEngine::new(
-        GraphRegistry::with_builtins(),
-        &EngineConfig {
-            cache_capacity: 512,
-            cache_shards: 8,
-        },
-    ));
-    let cfg = ServerConfig {
-        threads: 4,
-        queue_capacity: 256,
-        mutable: true,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", engine, &cfg).expect("bind");
-    let ccfg = mpds_service::harness::ChurnConfig {
-        addr: server.local_addr(),
-        clients: 4,
-        update_batches: 3,
-        batch_edges: 4,
-        reads_per_round: 3,
-        server_threads: 4,
-        dataset: "karate".to_string(),
-        theta: 32,
-        k: 3,
-    };
-    let report = mpds_service::harness::run_churn(&ccfg);
-    assert!(
-        report.violations.is_empty(),
-        "violations: {:?}",
-        report.violations
-    );
-    assert!(report.generations_monotone);
-    assert_eq!(report.first_generation, 1);
-    assert_eq!(report.last_generation, 3);
-    assert_eq!(report.update_errors, 0);
-    assert_eq!(report.reads.errors, 0);
-    assert!(
-        (report.post_update_hit_recovery - 1.0).abs() < 1e-9,
-        "every round must MISS then HIT: {}",
-        report.post_update_hit_recovery
-    );
-    let rendered = mpds_service::harness::render_churn_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/churn_harness/v1\""));
 }
 
 /// The probability the writer assigns edge (0, 1) at generation `g` — the

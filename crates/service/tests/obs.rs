@@ -3,7 +3,7 @@
 //! over real loopback HTTP.
 
 use mpds_obs::scrape;
-use mpds_service::harness::{http_get, http_get_accept, Exchange};
+use mpds_service::client::{http_get, http_get_accept, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -454,7 +454,7 @@ fn update_traces_record_wal_and_fsync_stages() {
     )
     .expect("bind ephemeral port");
 
-    let e = mpds_service::harness::http_post(
+    let e = mpds_service::client::http_post(
         server.local_addr(),
         "/update?dataset=karate",
         b"0 1 0.9\n",
@@ -579,42 +579,107 @@ fn slo_families_expose_targets_and_burn_rates() {
     }
 }
 
+/// Runs `clients` threads that each GET `per_client` paths from `path_of`,
+/// asserting every answer is 200; returns the client-side latencies.
+fn concurrent_gets(
+    server: &Server,
+    clients: usize,
+    per_client: usize,
+    path_of: &(dyn Fn(usize, usize) -> String + Sync),
+) -> Vec<Duration> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                s.spawn(move || {
+                    (0..per_client)
+                        .map(|i| {
+                            let e = get(server, &path_of(c, i));
+                            assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
+                            e.latency
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    })
+}
+
 #[test]
 fn flight_harness_mini_run_resolves_an_exemplar() {
-    // A miniature of the CI flight-smoke run. The throughput-ratio gate is
-    // meaningless at this sample size, so only non-throughput violations
-    // count here.
-    let cfg = mpds_service::harness::FlightConfig {
-        clients: 2,
-        queries_per_client: 2,
-        server_threads: 2,
-        dataset: "karate".to_string(),
-        theta: 32,
-        k: 3,
+    // The flight recorder under a cold + repeat workload at a zero slow
+    // threshold: every query answers 200 with the recorder on and off, and
+    // on the recording server /debug/requests lists its own in-flight
+    // trace, /debug/slow is non-empty, and a /metrics exemplar resolves via
+    // /debug/trace/<id> to a per-stage breakdown.
+    let base = "/query?dataset=karate&theta=32&k=3";
+    let workload = |server: &Server| {
+        concurrent_gets(server, 2, 2, &|c, i| {
+            format!("{base}&seed={}", 100_000 + c * 2 + i)
+        });
+        concurrent_gets(server, 2, 2, &|_, _| format!("{base}&seed=7777"));
     };
-    let report = mpds_service::harness::run_flight(&cfg);
-    let hard: Vec<&String> = report
-        .violations
-        .iter()
-        .filter(|v| !v.contains("throughput"))
-        .collect();
-    assert!(hard.is_empty(), "violations: {hard:?}");
-    assert!(report.debug_requests_ok);
-    assert!(report.debug_slow_len >= 1);
-    assert!(report.exemplar_resolved, "{}", report.exemplar_trace);
-    assert_eq!(report.enabled.cold.errors + report.enabled.repeat.errors, 0);
-    assert_eq!(
-        report.disabled.cold.errors + report.disabled.repeat.errors,
-        0
+    let server_cfg = |flight: bool| ServerConfig {
+        threads: 2,
+        slow_ms: Some(0),
+        flight,
+        ..ServerConfig::default()
+    };
+
+    let server = start_server(&EngineConfig::default(), &server_cfg(true));
+    workload(&server);
+
+    let dr = get(&server, "/debug/requests");
+    assert_eq!(dr.status, 200);
+    let own = dr.trace_id.clone().expect("X-Trace-Id on /debug/requests");
+    assert!(String::from_utf8(dr.body).unwrap().contains(&own));
+
+    let slow = String::from_utf8(get(&server, "/debug/slow").body).unwrap();
+    assert!(slow.contains("\"trace_id\""), "{slow}");
+
+    let prom = http_get_accept(
+        server.local_addr(),
+        "/metrics",
+        "text/plain",
+        Duration::from_secs(10),
+    )
+    .unwrap();
+    let text = String::from_utf8(prom.body).unwrap();
+    let exemplars = scrape::prom_exemplars(
+        &text,
+        "mpds_http_request_duration_microseconds",
+        &[("endpoint", "query"), ("status", "2xx")],
     );
-    let rendered = mpds_service::harness::render_flight_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/flight_harness/v1\""));
+    assert!(!exemplars.is_empty(), "{text}");
+    let resolved = exemplars.iter().any(|(_, ex)| {
+        let Some(id) = ex.trace_id() else {
+            return false;
+        };
+        let hex = mpds_obs::flight::format_trace_id(id);
+        let t = get(&server, &format!("/debug/trace/{hex}"));
+        t.status == 200 && String::from_utf8_lossy(&t.body).contains("\"stages\":{\"")
+    });
+    assert!(
+        resolved,
+        "no exemplar resolved to a stage breakdown: {text}"
+    );
+    drop(server);
+
+    let server = start_server(&EngineConfig::default(), &server_cfg(false));
+    workload(&server);
 }
 
 #[test]
 fn obs_harness_runs_clean_with_server_side_percentiles() {
-    // Miniature of the CI obs-smoke run: server-side histogram windows must
-    // count exactly the traffic sent and agree with client-side timings.
+    // Server-side latency against client-side latency: 4 clients send 3
+    // cold queries each, then 3 repeats each of one query. Scrapes around
+    // each phase cut the cumulative /query histogram into windows that
+    // count exactly the requests sent, with a server p50 inside
+    // [0.25x - 1 ms, 4x + 1 ms] of the client p50: wide enough for log2
+    // buckets and connection overhead, while a unit error is 1000x out.
     let server = start_server(
         &EngineConfig {
             cache_capacity: 512,
@@ -626,25 +691,59 @@ fn obs_harness_runs_clean_with_server_side_percentiles() {
             ..ServerConfig::default()
         },
     );
-    let cfg = mpds_service::harness::ObsConfig {
-        addr: server.local_addr(),
-        clients: 4,
-        queries_per_client: 3,
-        server_threads: 4,
-        dataset: "karate".to_string(),
-        theta: 32,
-        k: 3,
+    let (clients, per_client) = (4, 3);
+    let base = "/query?dataset=karate&theta=32&k=3";
+    let repeat_path = format!("{base}&seed=4242");
+    let scrape_hist = || {
+        let e = http_get_accept(
+            server.local_addr(),
+            "/metrics",
+            "text/plain",
+            Duration::from_secs(10),
+        )
+        .unwrap();
+        let text = String::from_utf8(e.body).unwrap();
+        scrape::prom_histogram(
+            &text,
+            "mpds_http_request_duration_microseconds",
+            &[("endpoint", "query"), ("status", "2xx")],
+        )
+        .unwrap_or_default()
     };
-    let report = mpds_service::harness::run_obs(&cfg);
-    assert!(
-        report.violations.is_empty(),
-        "violations: {:?}",
-        report.violations
-    );
-    assert_eq!(report.server_cold.requests, 12);
-    assert_eq!(report.server_repeat.requests, 12);
-    assert!(report.profile_ok);
-    assert!(report.server_cold.p50_ms > 0.0);
-    let rendered = mpds_service::harness::render_obs_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/obs_harness/v1\""));
+    let p50_ms = |mut lat: Vec<Duration>| {
+        lat.sort();
+        lat[((lat.len() - 1) as f64 * 0.5).round() as usize].as_secs_f64() * 1e3
+    };
+
+    let s0 = scrape_hist();
+    let cold = concurrent_gets(&server, clients, per_client, &|c, i| {
+        format!("{base}&seed={}", 80_000 + c * per_client + i)
+    });
+    let s1 = scrape_hist();
+    let repeat = concurrent_gets(&server, clients, per_client, &|_, _| repeat_path.clone());
+    let s2 = scrape_hist();
+
+    for (phase, client, window) in [
+        ("cold", cold, s1.since(&s0)),
+        ("repeat", repeat, s2.since(&s1)),
+    ] {
+        assert_eq!(window.count(), (clients * per_client) as u64, "{phase}");
+        let client_p50 = p50_ms(client);
+        let server_p50 = window.quantile(0.50) / 1e3;
+        let (lo, hi) = ((client_p50 * 0.25 - 1.0).max(0.0), client_p50 * 4.0 + 1.0);
+        assert!(
+            (lo..=hi).contains(&server_p50),
+            "{phase}: server p50 {server_p50:.3} ms outside [{lo:.3}, {hi:.3}] \
+             around client p50 {client_p50:.3} ms"
+        );
+    }
+
+    // `?profile=1` on the cached repeat query splices a stage breakdown
+    // into its own body only; the unprofiled re-issue is unchanged.
+    let profiled =
+        String::from_utf8(get(&server, &format!("{repeat_path}&profile=1")).body).unwrap();
+    assert!(profiled.contains("\"profile\":{"), "{profiled}");
+    assert!(profiled.contains("\"stages\":{"), "{profiled}");
+    let plain = String::from_utf8(get(&server, &repeat_path).body).unwrap();
+    assert!(!plain.contains("\"profile\":"), "{plain}");
 }

@@ -15,19 +15,13 @@
 //! works on simple graphs.
 
 use crate::bitset::{DenseBitSet, NodeBitSet};
-use serde::{Deserialize, Serialize};
 
 /// Dense node identifier. `u32` keeps the arc arrays half the size of `usize`
 /// on 64-bit targets, which matters for the million-edge synthetic datasets.
 pub type NodeId = u32;
 
 /// An undirected simple graph in CSR (compressed sparse row) layout.
-///
-/// The derives are markers today (the vendored serde cannot serialize); if a
-/// real serde is restored, replace them with a custom impl that persists
-/// only `edges` + node count and rebuilds the derived CSR arrays on
-/// deserialize, rather than trusting them from the wire.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     /// Row offsets: the arcs of node `v` are `offsets[v]..offsets[v + 1]`.
     offsets: Vec<u32>,

@@ -1,13 +1,11 @@
 //! Reading and writing uncertain graphs.
 //!
-//! Two formats:
+//! Three formats:
 //!
 //! * **Weighted edge lists** — the format the paper's public datasets ship
 //!   in: one `u v p` triple per line, `#`-comments and blank lines ignored.
 //!   Node ids may be arbitrary `u32`s; they are compacted to `0..n` with the
 //!   mapping returned to the caller.
-//! * **Serde JSON** — lossless round-trip of [`UncertainGraph`] (the type
-//!   derives `Serialize`/`Deserialize`), used for experiment checkpoints.
 //! * **Mutation files** — one mutation per line against a live
 //!   [`DeltaGraph`]: `u v p` inserts or re-weights the edge, `u v -`
 //!   deletes it ([`read_edge_list_delta`] / [`apply_edge_list_delta`]).
@@ -737,10 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_json_roundtrip() {
-        // UncertainGraph derives Serialize/Deserialize; verify a manual
-        // field-level reconstruction (serde_json is not a dependency, so we
-        // round-trip through the serde data model via the edge-list instead).
+    fn edge_list_roundtrip_keeps_counts() {
         let g = UncertainGraph::from_weighted_edges(3, &[(0, 2, 0.4), (1, 2, 0.6)]);
         let mut buf = Vec::new();
         write_weighted_edge_list(&mut buf, &g, None).unwrap();

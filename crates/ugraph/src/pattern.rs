@@ -6,10 +6,8 @@
 //! edge is the `h = 2` special case). `c3-star` is modelled as the tailed
 //! triangle ("paw"); see DESIGN.md §2 for the rationale.
 
-use serde::{Deserialize, Serialize};
-
 /// A small connected pattern graph with nodes `0..k` (`k ≤ 16`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     name: String,
     k: usize,

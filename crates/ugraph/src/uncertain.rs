@@ -8,11 +8,10 @@
 
 use crate::bitset::{EdgeMask, NodeBitSet};
 use crate::graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// An uncertain graph: every edge `e` of the underlying deterministic graph
 /// exists independently with probability `p(e) ∈ (0, 1]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UncertainGraph {
     graph: Graph,
     probs: Vec<f64>,
