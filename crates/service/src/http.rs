@@ -2,12 +2,21 @@
 //!
 //! Hand-rolled on purpose: the workspace vendors no HTTP or async stack,
 //! and the protocol surface a deterministic query API needs is tiny — GET
-//! with a query string in, JSON out, `Connection: close`. What matters is
-//! the concurrency shape:
+//! with a query string (or a `Content-Length` POST body) in, JSON out, over
+//! persistent HTTP/1.1 connections. What matters is the concurrency shape:
 //!
 //! * one acceptor thread + N worker threads over a **bounded** connection
 //!   queue — the admission-control point. A full queue is answered `503`
 //!   immediately from the acceptor instead of queueing unbounded work;
+//! * keep-alive on that same pool: a worker serves a connection's requests
+//!   in order (pipelined ones included, one trace each) and answers
+//!   `Connection: keep-alive` only to an HTTP/1.1 request that did not ask
+//!   to close, whose body was fully read, while no queued connection lacks
+//!   a parked worker and the server is not stopping. Between requests it
+//!   waits for the next one in short slices and **yields** the connection as
+//!   soon as a queued one has no parked worker to take it, at shutdown, or
+//!   after [`ServerConfig::read_timeout`] of idleness — so idle clients can
+//!   never pin every worker, with no keep-alive count to tune;
 //! * graceful shutdown: the shutdown flag doubles as the engine's
 //!   cancellation flag, so in-flight estimator loops stop cooperatively at
 //!   their next sampled world.
@@ -50,7 +59,7 @@ use mpds_obs::{
     TraceRecord, TraceState,
 };
 use std::collections::VecDeque;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -135,9 +144,25 @@ impl Default for ServerConfig {
     }
 }
 
+/// Accepted connections waiting for a worker, and how many workers are
+/// parked waiting for one.
+#[derive(Default)]
+struct AdmissionQueue {
+    conns: VecDeque<TcpStream>,
+    idle_workers: usize,
+}
+
+impl AdmissionQueue {
+    /// Whether a queued connection has no parked worker to take it, so a
+    /// worker holding a kept connection should give that one up.
+    fn needs_worker(&self) -> bool {
+        self.conns.len() > self.idle_workers
+    }
+}
+
 struct ServerState {
     engine: Arc<QueryEngine>,
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<AdmissionQueue>,
     queue_capacity: usize,
     work_ready: Condvar,
     shutdown: AtomicBool,
@@ -154,6 +179,9 @@ struct ServerState {
     diffs: AtomicU64,
     /// Connections answered 503 at the admission gate.
     rejected: AtomicU64,
+    /// Connections admitted to the worker queue (shed ones count in
+    /// `rejected` instead); `served` over this is requests per connection.
+    connections_accepted: AtomicU64,
     /// Requests fully served (any status).
     served: AtomicU64,
     /// Live rejection-drain threads (bounded; see `acceptor_loop`).
@@ -207,7 +235,7 @@ impl Server {
         };
         let state = Arc::new(ServerState {
             engine,
-            queue: Mutex::new(VecDeque::with_capacity(cfg.queue_capacity)),
+            queue: Mutex::new(AdmissionQueue::default()),
             queue_capacity: cfg.queue_capacity.max(1),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -219,6 +247,7 @@ impl Server {
             batches: AtomicU64::new(0),
             diffs: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            connections_accepted: AtomicU64::new(0),
             served: AtomicU64::new(0),
             rejecters: AtomicU64::new(0),
             http_obs: HttpObs::new(),
@@ -331,7 +360,7 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             return;
         }
         let mut queue = state.queue.lock().unwrap();
-        if queue.len() >= state.queue_capacity {
+        if queue.conns.len() >= state.queue_capacity {
             drop(queue);
             state.rejected.fetch_add(1, Ordering::Relaxed);
             // Answer the rejection off-thread: draining the request head
@@ -362,8 +391,9 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             }
             continue;
         }
-        queue.push_back(stream);
+        queue.conns.push_back(stream);
         drop(queue);
+        state.connections_accepted.fetch_add(1, Ordering::Relaxed);
         state.work_ready.notify_one();
     }
 }
@@ -375,17 +405,16 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 fn respond_overloaded(mut stream: TcpStream, drain_timeout: Duration, trace_hex: &str) {
     let _ = stream.set_read_timeout(Some(drain_timeout));
     let _ = stream.set_write_timeout(Some(drain_timeout));
-    let _ = read_request(&mut stream, |_, _| false);
-    let body = error_body("overloaded", "server overloaded: connection queue full");
-    let _ = write_response(
-        &mut stream,
+    let _ = read_request(&mut stream, &mut Vec::new(), |_, _| false);
+    let resp = Response::json(
         503,
         "Service Unavailable",
-        body.as_bytes(),
-        None,
-        CONTENT_TYPE_JSON,
-        Some(trace_hex),
+        Body::Text(error_body(
+            "overloaded",
+            "server overloaded: connection queue full",
+        )),
     );
+    let _ = write_response(&mut stream, &resp, trace_hex, false);
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
@@ -393,17 +422,18 @@ fn worker_loop(state: &Arc<ServerState>) {
         let stream = {
             let mut queue = state.queue.lock().unwrap();
             loop {
-                if let Some(s) = queue.pop_front() {
+                if let Some(s) = queue.conns.pop_front() {
                     break s;
                 }
                 if state.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                queue.idle_workers += 1;
                 queue = state.work_ready.wait(queue).unwrap();
+                queue.idle_workers -= 1;
             }
         };
         handle_connection(stream, state);
-        state.served.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -454,9 +484,29 @@ impl Response {
     }
 }
 
+/// How long one idle wait for a kept connection's next request lasts
+/// before the worker re-checks the admission queue and the shutdown flag.
+const IDLE_POLL: Duration = Duration::from_millis(1);
+
+/// Serves one connection's requests in order until one of them (or the
+/// idle wait between them) gives the connection up.
 fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_read_timeout(Some(state.read_timeout));
     let _ = stream.set_write_timeout(Some(state.read_timeout));
+    // Each response is one write; without Nagle's algorithm it leaves at
+    // once instead of waiting for the client's delayed ACK of the last one.
+    let _ = stream.set_nodelay(true);
+    // Bytes read past the current request: the start of a pipelined next one.
+    let mut carry = Vec::new();
+    while serve_request(&mut stream, &mut carry, state)
+        && next_request_arrives(&stream, &carry, state)
+    {}
+}
+
+/// Reads, routes, and answers one request; returns whether the connection
+/// stays open for another (the response said `Connection: keep-alive` and
+/// was written in full).
+fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerState) -> bool {
     let started = Instant::now();
     state.http_obs.inflight.inc();
     let id = state.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -475,7 +525,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     let accept_body = |method: &str, path: &str| {
         method == "POST" && (path == "/batch" || (path == "/update" && state.mutable))
     };
-    match read_request(&mut stream, accept_body) {
+    let (resp, method, endpoint, keep_alive) = match read_request(stream, carry, accept_body) {
         Ok(request) => {
             let endpoint = Endpoint::classify(request.target.split('?').next().unwrap_or(""));
             state.flight.begin(
@@ -486,44 +536,71 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
                 Arc::clone(&rec),
             );
             let resp = route(&request, state, &rec);
-            let _ = write_response(
-                &mut stream,
-                resp.status,
-                resp.reason,
-                resp.body.as_bytes(),
-                resp.x_cache,
-                resp.content_type,
-                Some(&trace_hex),
-            );
-            observe_request(
-                state,
-                id,
-                trace_id,
-                started,
-                Some(&request.method),
-                endpoint,
-                &resp,
-            );
+            (resp, Some(request.method), endpoint, request.keep_alive)
         }
-        Err(msg) => {
-            let resp = Response::json(
+        // A request that does not parse leaves the stream at an unknown
+        // offset: answer it and close.
+        Err(msg) => (
+            Response::json(
                 400,
                 "Bad Request",
                 Body::Text(error_body("bad_request", &msg)),
-            );
-            let _ = write_response(
-                &mut stream,
-                resp.status,
-                resp.reason,
-                resp.body.as_bytes(),
-                resp.x_cache,
-                resp.content_type,
-                Some(&trace_hex),
-            );
-            observe_request(state, id, trace_id, started, None, Endpoint::Other, &resp);
-        }
-    }
+            ),
+            None,
+            Endpoint::Other,
+            false,
+        ),
+    };
+    let keep_alive =
+        keep_alive && !state.shutdown.load(Ordering::SeqCst) && !connection_waiting(state);
+    let written = write_response(stream, &resp, &trace_hex, keep_alive).is_ok();
+    observe_request(
+        state,
+        id,
+        trace_id,
+        started,
+        method.as_deref(),
+        endpoint,
+        &resp,
+    );
+    state.served.fetch_add(1, Ordering::Relaxed);
     state.http_obs.inflight.dec();
+    keep_alive && written
+}
+
+/// Whether an accepted connection waits in the queue with no parked worker
+/// to take it.
+fn connection_waiting(state: &ServerState) -> bool {
+    state.queue.lock().unwrap().needs_worker()
+}
+
+/// Waits for the first byte of a kept connection's next request, in
+/// [`IDLE_POLL`] slices. Returns `false` — the worker drops the connection
+/// — when the client closes it, when a queued connection has no parked
+/// worker to take it, at shutdown, or after `read_timeout` of idleness.
+fn next_request_arrives(stream: &TcpStream, carry: &[u8], state: &ServerState) -> bool {
+    if !carry.is_empty() {
+        return true;
+    }
+    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
+        return false;
+    }
+    let idle_since = Instant::now();
+    let mut probe = [0u8; 1];
+    let arrived = loop {
+        match stream.peek(&mut probe) {
+            Ok(n) => break n > 0,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break false,
+        }
+        if state.shutdown.load(Ordering::SeqCst)
+            || connection_waiting(state)
+            || idle_since.elapsed() >= state.read_timeout
+        {
+            break false;
+        }
+    };
+    arrived && stream.set_read_timeout(Some(state.read_timeout)).is_ok()
 }
 
 /// Records one finished request: latency (with the trace id as the bucket
@@ -596,13 +673,17 @@ fn observe_request(
 }
 
 /// One parsed HTTP request: method, target (path + query), the `Accept`
-/// header (for `/metrics` content negotiation), and — for POST — the
-/// `Content-Length`-delimited body.
+/// header (for `/metrics` content negotiation), for POST the
+/// `Content-Length`-delimited body, and whether the connection may carry
+/// another request after it.
 struct Request {
     method: String,
     target: String,
     accept: String,
     body: Vec<u8>,
+    /// HTTP/1.1, no `Connection: close`, and the body fully consumed, so the
+    /// next byte on the stream starts the next request.
+    keep_alive: bool,
 }
 
 /// Largest accepted `/update` body; mutation batches beyond this are
@@ -612,18 +693,24 @@ const MAX_BODY: usize = 8 * 1024 * 1024;
 /// How much of a *rejected* request's body gets drained (discarded, never
 /// buffered) so the error response survives the close — closing a socket
 /// with substantial unread data RSTs the reply away. Abuse-sized bodies
-/// past this simply are not read.
+/// past this simply are not read, and their connection is closed.
 const MAX_REJECTED_DRAIN: usize = 64 * 1024;
 
 /// Reads one request head and, when `accept_body(method, path)` approves
 /// the route, its `Content-Length`-delimited body. Rejected routes get the
 /// body drained (bounded) but never buffered.
-fn read_request(
-    stream: &mut TcpStream,
+///
+/// `carry` holds the connection's bytes already read past the previous
+/// request and is consumed first; on return it holds whatever was read past
+/// this one (the start of a pipelined next request).
+fn read_request<R: Read>(
+    stream: &mut R,
+    carry: &mut Vec<u8>,
     accept_body: impl Fn(&str, &str) -> bool,
 ) -> Result<Request, String> {
-    let mut buf = Vec::with_capacity(1024);
+    let mut buf = std::mem::take(carry);
     let mut chunk = [0u8; 1024];
+    let mut eof = false;
     let header_end = loop {
         if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break at;
@@ -634,6 +721,7 @@ fn read_request(
         let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
         if n == 0 {
             // EOF with no terminator: the whole buffer is the head.
+            eof = true;
             break buf.len();
         }
         buf.extend_from_slice(&chunk[..n]);
@@ -643,32 +731,48 @@ fn read_request(
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or("empty request")?.to_string();
     let target = parts.next().ok_or("missing request target")?.to_string();
+    let mut keep_alive = parts.next() == Some("HTTP/1.1") && !eof;
     let mut content_length = 0usize;
     let mut accept = String::new();
     for line in head.lines().skip(1) {
         if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
+            let k = k.trim();
+            if k.eq_ignore_ascii_case("content-length") {
                 content_length = v
                     .trim()
                     .parse()
                     .map_err(|_| format!("bad Content-Length {:?}", v.trim()))?;
-            } else if k.trim().eq_ignore_ascii_case("accept") {
+            } else if k.eq_ignore_ascii_case("accept") {
                 accept = v.trim().to_string();
+            } else if k.eq_ignore_ascii_case("connection")
+                && v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
+            {
+                keep_alive = false;
             }
         }
     }
-    let already = buf.len().saturating_sub((header_end + 4).min(buf.len()));
+    // What was read past the head: body bytes, then maybe the next request.
+    let mut rest = buf.split_off((header_end + 4).min(buf.len()));
     let path = target.split('?').next().unwrap_or("");
     if !accept_body(&method, path) {
-        // Drain (bounded, discarded) so the rejection response survives.
-        let mut remaining = content_length
-            .saturating_sub(already)
-            .min(MAX_REJECTED_DRAIN);
-        while remaining > 0 {
-            let want = remaining.min(chunk.len());
-            match stream.read(&mut chunk[..want]) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => remaining -= n,
+        if rest.len() >= content_length {
+            *carry = rest.split_off(content_length);
+        } else {
+            // Drain (bounded, discarded) so the rejection response survives.
+            // Reads never go past the body, so the stream is left at the
+            // next request only when the whole body fit the bound.
+            let missing = content_length - rest.len();
+            keep_alive &= missing <= MAX_REJECTED_DRAIN;
+            let mut remaining = missing.min(MAX_REJECTED_DRAIN);
+            while remaining > 0 {
+                let want = remaining.min(chunk.len());
+                match stream.read(&mut chunk[..want]) {
+                    Ok(0) | Err(_) => {
+                        keep_alive = false;
+                        break;
+                    }
+                    Ok(n) => remaining -= n,
+                }
             }
         }
         return Ok(Request {
@@ -676,25 +780,26 @@ fn read_request(
             target,
             accept,
             body: Vec::new(),
+            keep_alive,
         });
     }
     if content_length > MAX_BODY {
         return Err(format!("request body too large ({content_length} bytes)"));
     }
-    let mut body = buf[(header_end + 4).min(buf.len())..].to_vec();
-    while body.len() < content_length {
+    while rest.len() < content_length {
         let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
         if n == 0 {
             return Err("request body truncated".to_string());
         }
-        body.extend_from_slice(&chunk[..n]);
+        rest.extend_from_slice(&chunk[..n]);
     }
-    body.truncate(content_length);
+    *carry = rest.split_off(content_length);
     Ok(Request {
         method,
         target,
         accept,
-        body,
+        body: rest,
+        keep_alive,
     })
 }
 
@@ -1056,7 +1161,7 @@ fn render_datasets(state: &ServerState) -> String {
 fn render_metrics(state: &ServerState) -> String {
     let s = state.engine.stats();
     let eobs = state.engine.obs();
-    let queue_depth = state.queue.lock().unwrap().len() as u64;
+    let queue_depth = state.queue.lock().unwrap().conns.len() as u64;
     let mut w = JsonWriter::new();
     // Pre-existing keys keep their exact order and spelling — external
     // scrapers key-scan this body. New observability keys are appended
@@ -1182,7 +1287,7 @@ fn render_metrics_prom(state: &ServerState) -> String {
     p.sample_u64(
         "mpds_admission_queue_depth",
         &[],
-        state.queue.lock().unwrap().len() as u64,
+        state.queue.lock().unwrap().conns.len() as u64,
     );
 
     p.family(
@@ -1381,6 +1486,11 @@ fn render_metrics_prom(state: &ServerState) -> String {
             state.rejected.load(Ordering::Relaxed),
         ),
         (
+            "mpds_connections_accepted_total",
+            "Connections admitted to the worker queue (each may carry many requests).",
+            state.connections_accepted.load(Ordering::Relaxed),
+        ),
+        (
             "mpds_served_total",
             "Requests fully served (any status).",
             state.served.load(Ordering::Relaxed),
@@ -1496,28 +1606,30 @@ fn render_metrics_prom(state: &ServerState) -> String {
     p.finish()
 }
 
+/// Writes `resp` with its `X-Trace-Id` in a single write (head and body
+/// together), announcing whether the connection stays open.
 fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    body: &[u8],
-    x_cache: Option<&str>,
-    content_type: &str,
-    trace: Option<&str>,
+    stream: &mut impl Write,
+    resp: &Response,
+    trace: &str,
+    keep_alive: bool,
 ) -> std::io::Result<()> {
+    let body = resp.body.as_bytes();
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        resp.status,
+        resp.reason,
+        resp.content_type,
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
     );
-    if let Some(v) = x_cache {
+    if let Some(v) = resp.x_cache {
         head.push_str(&format!("X-Cache: {v}\r\n"));
     }
-    if let Some(t) = trace {
-        head.push_str(&format!("X-Trace-Id: {t}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    head.push_str(&format!("X-Trace-Id: {trace}\r\n\r\n"));
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -2023,6 +2135,140 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown policy")
         );
+    }
+
+    /// A reader that hands out at most `step` bytes per call, like a socket
+    /// receiving a request in pieces.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_request_keeps_a_pipelined_request_after_a_body() {
+        let raw = b"POST /batch HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello\
+                    GET /healthz HTTP/1.1\r\nAccept: text/plain\r\n\r\n";
+        let mut src = &raw[..];
+        let mut carry = Vec::new();
+        let first = read_request(&mut src, &mut carry, |_, _| true).unwrap();
+        assert_eq!(
+            (first.method.as_str(), first.target.as_str()),
+            ("POST", "/batch")
+        );
+        assert_eq!(first.body, b"hello");
+        assert!(first.keep_alive);
+        assert!(carry.starts_with(b"GET /healthz"), "{carry:?}");
+        let second = read_request(&mut src, &mut carry, |_, _| true).unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.target.as_str()),
+            ("GET", "/healthz")
+        );
+        assert_eq!(second.accept, "text/plain");
+        assert!(second.body.is_empty() && second.keep_alive);
+        assert!(carry.is_empty());
+    }
+
+    #[test]
+    fn read_request_drains_a_rejected_body_and_leaves_the_next_request() {
+        let body = vec![b'x'; 3000];
+        let mut raw = b"POST /update HTTP/1.1\r\nContent-Length: 3000\r\n\r\n".to_vec();
+        raw.extend_from_slice(&body);
+        raw.extend_from_slice(b"GET /datasets HTTP/1.1\r\n\r\n");
+        // In one buffer (the body arrives with the head) and trickled in
+        // pieces (the body is drained from the stream).
+        for step in [raw.len(), 7] {
+            let mut src = Trickle { data: &raw, step };
+            let mut carry = Vec::new();
+            let rejected = read_request(&mut src, &mut carry, |_, _| false).unwrap();
+            assert_eq!(rejected.target, "/update");
+            assert!(
+                rejected.body.is_empty(),
+                "a rejected body is never buffered"
+            );
+            assert!(rejected.keep_alive, "step {step}");
+            let next = read_request(&mut src, &mut carry, |_, _| false).unwrap();
+            assert_eq!(
+                (next.method.as_str(), next.target.as_str()),
+                ("GET", "/datasets")
+            );
+            assert!(next.keep_alive && carry.is_empty() && src.data.is_empty());
+        }
+    }
+
+    #[test]
+    fn read_request_closes_past_the_rejected_drain_bound() {
+        let len = MAX_REJECTED_DRAIN + 2_000;
+        let mut raw =
+            format!("POST /update HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").into_bytes();
+        raw.resize(raw.len() + len, b'x');
+        let mut src = Trickle {
+            data: &raw,
+            step: 512,
+        };
+        let r = read_request(&mut src, &mut Vec::new(), |_, _| false).unwrap();
+        assert!(
+            !r.keep_alive,
+            "an undrained body leaves the stream mid-request"
+        );
+        // The drain stopped at the bound instead of reading the whole body.
+        assert!(!src.data.is_empty());
+        // A body that ends early (client gone) also closes.
+        let mut src = &b"POST /nope HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort"[..];
+        assert!(
+            !read_request(&mut src, &mut Vec::new(), |_, _| false)
+                .unwrap()
+                .keep_alive
+        );
+    }
+
+    #[test]
+    fn read_request_keep_alive_follows_version_and_connection_header() {
+        let keep = |raw: &[u8]| {
+            let mut src = raw;
+            read_request(&mut src, &mut Vec::new(), |_, _| false)
+                .unwrap()
+                .keep_alive
+        };
+        assert!(keep(b"GET / HTTP/1.1\r\n\r\n"));
+        assert!(keep(b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(!keep(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!keep(
+            b"GET / HTTP/1.1\r\nconnection: Keep-Alive, CLOSE\r\n\r\n"
+        ));
+        assert!(!keep(b"GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keep(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(!keep(b"GET /\r\n\r\n"));
+        // A head cut off by EOF is answered, but nothing can follow it.
+        assert!(!keep(b"GET / HTTP/1.1\r\n"));
+    }
+
+    #[test]
+    fn write_response_is_one_buffer_with_the_connection_header() {
+        let resp = Response {
+            x_cache: Some("HIT"),
+            ..Response::json(200, "OK", Body::Text("{}".to_string()))
+        };
+        let mut out = Vec::new();
+        write_response(&mut out, &resp, "00000000000000ab", true).unwrap();
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+              Connection: keep-alive\r\nX-Cache: HIT\r\nX-Trace-Id: 00000000000000ab\r\n\r\n{}"
+        );
+        let mut out = Vec::new();
+        write_response(&mut out, &resp, "00000000000000ab", false).unwrap();
+        assert!(String::from_utf8(out)
+            .unwrap()
+            .contains("\r\nConnection: close\r\n"));
     }
 
     #[test]

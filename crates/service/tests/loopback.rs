@@ -4,8 +4,10 @@
 use mpds_obs::scrape;
 use mpds_service::client::{http_get, http_get_accept, http_post, wait_until_healthy, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_server(engine_cfg: &EngineConfig, server_cfg: &ServerConfig) -> Server {
     let engine = Arc::new(QueryEngine::new(GraphRegistry::with_builtins(), engine_cfg));
@@ -49,8 +51,8 @@ fn health_datasets_and_errors() {
     );
 }
 
-/// `mpds_truncated_worlds_total` from the Prometheus `/metrics` body.
-fn truncated_worlds_total(server: &Server) -> Option<f64> {
+/// The Prometheus `/metrics` body.
+fn scrape_prom(server: &Server) -> String {
     let e = http_get_accept(
         server.local_addr(),
         "/metrics",
@@ -58,8 +60,12 @@ fn truncated_worlds_total(server: &Server) -> Option<f64> {
         Duration::from_secs(10),
     )
     .expect("scrape /metrics");
-    let text = String::from_utf8(e.body).unwrap();
-    scrape::prom_value(&text, "mpds_truncated_worlds_total", &[])
+    String::from_utf8(e.body).unwrap()
+}
+
+/// `mpds_truncated_worlds_total` from the Prometheus `/metrics` body.
+fn truncated_worlds_total(server: &Server) -> Option<f64> {
+    scrape::prom_value(&scrape_prom(server), "mpds_truncated_worlds_total", &[])
 }
 
 #[test]
@@ -482,4 +488,238 @@ fn shutdown_cancels_inflight_queries() {
     if let Ok(e) = handle.join().unwrap() {
         assert_eq!(e.status, 503, "{}", String::from_utf8_lossy(&e.body));
     }
+}
+
+/// One response read off a raw socket: status, headers, and the
+/// `Content-Length`-delimited body.
+struct RawResponse {
+    status: u16,
+    headers: Vec<(String, String)>,
+    body: Vec<u8>,
+}
+
+impl RawResponse {
+    fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// A raw HTTP/1.1 connection that sends whatever bytes a test gives it and
+/// parses responses one at a time, so several can share one socket.
+struct RawConn {
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn open(server: &Server) -> RawConn {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        RawConn {
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, raw: &str) {
+        self.reader.get_mut().write_all(raw.as_bytes()).unwrap();
+    }
+
+    fn get(&mut self, path: &str) -> RawResponse {
+        self.send(&format!("GET {path} HTTP/1.1\r\nHost: loopback\r\n\r\n"));
+        self.response()
+    }
+
+    fn response(&mut self) -> RawResponse {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        let status = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("bad status line {line:?}"));
+        let mut headers = Vec::new();
+        loop {
+            line.clear();
+            self.reader.read_line(&mut line).unwrap();
+            let Some((k, v)) = line.trim_end().split_once(':') else {
+                break;
+            };
+            headers.push((k.trim().to_string(), v.trim().to_string()));
+        }
+        let mut response = RawResponse {
+            status,
+            headers,
+            body: Vec::new(),
+        };
+        let len: usize = response.header("content-length").unwrap().parse().unwrap();
+        response.body.resize(len, 0);
+        self.reader.read_exact(&mut response.body).unwrap();
+        response
+    }
+
+    /// Whether the server has closed the connection (EOF or reset).
+    fn closed_by_server(&mut self) -> bool {
+        let mut rest = Vec::new();
+        match self.reader.read_to_end(&mut rest) {
+            Ok(_) => rest.is_empty(),
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        }
+    }
+}
+
+/// `(mpds_served_total, mpds_connections_accepted_total)` from one
+/// Prometheus `/metrics` scrape.
+fn served_and_accepted(server: &Server) -> (f64, f64) {
+    let text = scrape_prom(server);
+    let value = |name| scrape::prom_value(&text, name, &[]).unwrap_or_else(|| panic!("{text}"));
+    (
+        value("mpds_served_total"),
+        value("mpds_connections_accepted_total"),
+    )
+}
+
+#[test]
+fn kept_connection_serves_repeat_gets_with_the_close_reply_bytes() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let path = "/query?dataset=karate&theta=32&k=3&seed=31";
+    let mut conn = RawConn::open(&server);
+    let first = conn.get(path);
+    let second = conn.get(path);
+    for r in [&first, &second] {
+        assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
+        assert_eq!(r.header("connection"), Some("keep-alive"));
+    }
+    assert_eq!(first.header("x-cache"), Some("MISS"));
+    assert_eq!(second.header("x-cache"), Some("HIT"));
+    let (t1, t2) = (first.header("x-trace-id"), second.header("x-trace-id"));
+    assert!(t1.is_some() && t1 != t2, "each request has its own trace");
+    // The body is the one a `Connection: close` client gets, byte for byte.
+    let closed = get(&server, path);
+    assert_eq!(closed.x_cache.as_deref(), Some("HIT"));
+    assert_eq!(first.body, closed.body);
+    assert_eq!(second.body, closed.body);
+    // HTTP/1.0 and `Connection: close` are answered, then closed.
+    conn.send("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(conn.response().header("connection"), Some("close"));
+    assert!(conn.closed_by_server());
+    let mut conn = RawConn::open(&server);
+    conn.send("GET /healthz HTTP/1.0\r\n\r\n");
+    let r = conn.response();
+    assert_eq!((r.status, r.header("connection")), (200, Some("close")));
+    assert!(conn.closed_by_server());
+}
+
+#[test]
+fn served_counts_every_request_on_a_kept_connection() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let (served, accepted) = served_and_accepted(&server);
+    let mut conn = RawConn::open(&server);
+    assert_eq!(conn.get("/healthz").status, 200);
+    assert_eq!(conn.get("/datasets").status, 200);
+    // The last request closes, so once the socket reads EOF the server has
+    // finished (and counted) all three.
+    conn.send("GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(conn.response().status, 200);
+    assert!(conn.closed_by_server());
+    // The first scrape counts once it is written; the kept socket adds 3.
+    // The second scrape's connection is counted on accept.
+    assert_eq!(
+        served_and_accepted(&server),
+        (served + 1.0 + 3.0, accepted + 2.0)
+    );
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let mut conn = RawConn::open(&server);
+    // A GET, a POST whose body this immutable server drains unread (403),
+    // and another GET, all in one write.
+    let body = "1 2 0.5\n";
+    conn.send(&format!(
+        "GET /healthz HTTP/1.1\r\n\r\n\
+         POST /update?dataset=karate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /dataset?name=karate HTTP/1.1\r\n\r\n",
+        body.len()
+    ));
+    let replies: Vec<RawResponse> = (0..3).map(|_| conn.response()).collect();
+    assert_eq!(replies[0].status, 200);
+    assert_eq!(replies[0].body, b"{\"status\":\"ok\"}");
+    assert_eq!(replies[1].status, 403);
+    assert_eq!(replies[2].status, 200);
+    let stats = String::from_utf8_lossy(&replies[2].body);
+    assert!(stats.contains("\"nodes\":34"), "{stats}");
+    let traces: std::collections::HashSet<_> =
+        replies.iter().map(|r| r.header("x-trace-id")).collect();
+    assert_eq!(traces.len(), 3, "one trace per pipelined request");
+    // The connection is still usable afterwards.
+    assert_eq!(conn.get("/healthz").status, 200);
+}
+
+#[test]
+fn bad_request_closes_the_connection() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let mut conn = RawConn::open(&server);
+    assert_eq!(conn.get("/healthz").status, 200);
+    conn.send("NONSENSE\r\n\r\n");
+    let r = conn.response();
+    assert_eq!((r.status, r.header("connection")), (400, Some("close")));
+    assert!(conn.closed_by_server());
+}
+
+#[test]
+fn idle_kept_connections_yield_to_a_fresh_client() {
+    let threads = 2;
+    let server = start_server(
+        &EngineConfig::default(),
+        &ServerConfig {
+            threads,
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        },
+    );
+    // One more idle kept connection than there are workers. Each is served
+    // in turn: a worker idling on a kept connection gives it up as soon as
+    // another connection waits in the queue.
+    let mut idle = Vec::new();
+    for _ in 0..threads + 1 {
+        let mut conn = RawConn::open(&server);
+        let started = Instant::now();
+        assert_eq!(conn.get("/healthz").status, 200);
+        assert!(started.elapsed() < Duration::from_millis(500));
+        idle.push(conn);
+    }
+    let started = Instant::now();
+    assert_eq!(get(&server, "/healthz").status, 200);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "a fresh client waited {waited:?} behind idle kept connections"
+    );
+}
+
+#[test]
+fn shutdown_is_prompt_while_a_kept_connection_idles() {
+    let mut server = start_server(
+        &EngineConfig::default(),
+        &ServerConfig {
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        },
+    );
+    let mut conn = RawConn::open(&server);
+    let r = conn.get("/healthz");
+    assert_eq!(r.header("connection"), Some("keep-alive"));
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "shutdown waited {took:?} on an idle kept connection"
+    );
+    assert!(conn.closed_by_server());
 }

@@ -154,6 +154,17 @@ fn metrics_content_negotiation_selects_prometheus_text() {
         scrape::prom_value(&prom_body, "mpds_queries_computed_total", &[]),
         scrape::json_uint(&legacy_body, "computed").map(|v| v as f64)
     );
+    // Three connections so far (query, JSON scrape, this scrape), each
+    // counted on accept; the first two requests are served, this one is
+    // still being answered. Their ratio is requests per connection.
+    assert_eq!(
+        scrape::prom_value(&prom_body, "mpds_connections_accepted_total", &[]),
+        Some(3.0)
+    );
+    assert_eq!(
+        scrape::prom_value(&prom_body, "mpds_served_total", &[]),
+        Some(2.0)
+    );
     // A Prometheus-ish Accept string also negotiates.
     let prom2 = http_get_accept(
         server.local_addr(),
