@@ -11,24 +11,35 @@
 //! separate slow-query ring that survives much longer than the completed
 //! ring under load, so a latency spike stays debuggable after the fact.
 //!
-//! Concurrency: the in-flight table is sharded by trace id across
-//! [`SHARDS`] mutexes (a request takes exactly two uncontended-in-practice
-//! lock acquisitions, registration and completion); the completed and slow
-//! rings are each a single mutex around a `VecDeque`, touched once per
-//! completion. No lock is held across a clock read or an allocation larger
-//! than one record. Crucially, in-flight requests live in the shard maps —
-//! not the rings — so ring eviction can never drop a request that has not
-//! finished (see `tests/flight_prop.rs`).
+//! Concurrency and cost: the in-flight table is split across [`SHARDS`]
+//! mutexes, each over a short list of reusable slots. Each thread registers
+//! its requests in a home shard of its own (threads take shards
+//! round-robin), so a request takes its worker's own shard lock twice
+//! (registration and completion) and hashes nothing. The completed and
+//! slow rings are each a single mutex around a fixed set of entries,
+//! touched once per completion. Registration reuses the start instant the
+//! caller already read, and both the in-flight slots and the ring entries
+//! are overwritten in place, so in steady state a request costs no
+//! allocation, no free and no clock read here.
+//!
+//! Everything a request writes here — shard locks, slots, ring entries and
+//! the text they hold — sits in whole cache lines of its own. Slots and
+//! entries are written by whichever worker serves the request, and a
+//! 64-byte string buffer shared with one worker's hot per-request data
+//! turned every such write into cache-line ping-pong with that worker: on a
+//! 2-vCPU host that cost a quarter of a keep-alive cache HIT's throughput.
+//!
+//! Crucially, in-flight requests live in the shard slots — not the rings —
+//! so ring eviction can never drop a request that has not finished (see
+//! `tests/flight_prop.rs`).
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::trace::{Recorder, Stage, StageTotals};
 
-/// Number of in-flight table shards (must be a power of two).
+/// Number of in-flight table shards.
 pub const SHARDS: usize = 16;
 
 /// Formats a trace id the way every surface of the workspace emits it:
@@ -135,7 +146,7 @@ pub struct TraceRecord {
     /// The request's process-unique trace id.
     pub trace_id: u64,
     /// Bounded-cardinality endpoint label (e.g. `query`, `debug`).
-    pub endpoint: String,
+    pub endpoint: &'static str,
     /// HTTP method, or empty when the request line never parsed.
     pub method: String,
     /// The raw request target (path + query string).
@@ -156,67 +167,188 @@ pub struct TraceRecord {
     pub totals: StageTotals,
 }
 
-#[derive(Debug)]
-struct InFlightEntry {
-    endpoint: String,
-    method: String,
-    target: String,
-    started: Instant,
-    recorder: Arc<Recorder>,
+/// The calling thread's home in-flight shard. Threads take shards
+/// round-robin on first use, so a worker registers and completes its
+/// requests in slots no other worker writes.
+fn home_shard() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static HOME: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    }
+    HOME.with(|home| *home)
 }
 
-impl InFlightEntry {
-    fn record(&self, trace_id: u64) -> TraceRecord {
-        TraceRecord {
-            trace_id,
-            endpoint: self.endpoint.clone(),
-            method: self.method.clone(),
-            target: self.target.clone(),
+/// Aligns a value to a cache line, so that nothing else shares its lines.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Padded<T>(T);
+
+/// One cache line of text.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
+struct Line([u8; 64]);
+
+/// Text kept in whole cache lines of its own, rewritten in place: an
+/// ordinary `String` buffer shares its lines with neighbouring allocations.
+#[derive(Debug, Default)]
+struct LineText {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl LineText {
+    fn set(&mut self, text: &str) {
+        let chunks = text.as_bytes().chunks(64);
+        if self.lines.len() < chunks.len() {
+            self.lines.resize(chunks.len(), Line([0; 64]));
+        }
+        for (line, chunk) in self.lines.iter_mut().zip(chunks) {
+            line.0[..chunk.len()].copy_from_slice(chunk);
+        }
+        self.len = text.len();
+    }
+
+    fn copy_from(&mut self, other: &LineText) {
+        let used = other.len.div_ceil(64);
+        if self.lines.len() < used {
+            self.lines.resize(used, Line([0; 64]));
+        }
+        self.lines[..used].copy_from_slice(&other.lines[..used]);
+        self.len = other.len;
+    }
+
+    fn to_text(&self) -> String {
+        let bytes = self.lines.iter().flat_map(|l| l.0).take(self.len).collect();
+        String::from_utf8(bytes).expect("LineText holds what a &str set")
+    }
+}
+
+/// One in-flight table entry. A slot is free while `recorder` is `None`;
+/// freed slots keep their text buffers for the next registration.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Slot {
+    trace_id: u64,
+    endpoint: &'static str,
+    method: LineText,
+    target: LineText,
+    started: Instant,
+    recorder: Option<Arc<Recorder>>,
+}
+
+impl Slot {
+    fn holds(&self, trace_id: u64) -> bool {
+        self.trace_id == trace_id && self.recorder.is_some()
+    }
+
+    /// The in-flight view of this slot, or `None` when it is free.
+    fn in_flight(&self) -> Option<TraceRecord> {
+        let recorder = self.recorder.as_deref()?;
+        Some(TraceRecord {
+            trace_id: self.trace_id,
+            endpoint: self.endpoint,
+            method: self.method.to_text(),
+            target: self.target.to_text(),
             state: TraceState::InFlight,
             status: 0,
             wall_us: crate::micros_since(self.started),
-            current_stage: self.recorder.current_stage(),
+            current_stage: recorder.current_stage(),
             slow: false,
-            totals: self.recorder.totals(),
+            totals: recorder.totals(),
+        })
+    }
+}
+
+/// One completed request retained in a ring.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Entry {
+    trace_id: u64,
+    endpoint: &'static str,
+    method: LineText,
+    target: LineText,
+    status: u16,
+    wall_us: u64,
+    slow: bool,
+    totals: StageTotals,
+}
+
+impl Entry {
+    /// Overwrites this entry with `slot`'s request, completed.
+    fn fill(&mut self, slot: &Slot, status: u16, wall_us: u64, slow: bool, totals: StageTotals) {
+        self.trace_id = slot.trace_id;
+        self.endpoint = slot.endpoint;
+        self.method.copy_from(&slot.method);
+        self.target.copy_from(&slot.target);
+        self.status = status;
+        self.wall_us = wall_us;
+        self.slow = slow;
+        self.totals = totals;
+    }
+
+    fn record(&self) -> TraceRecord {
+        TraceRecord {
+            trace_id: self.trace_id,
+            endpoint: self.endpoint,
+            method: self.method.to_text(),
+            target: self.target.to_text(),
+            state: TraceState::Completed,
+            status: self.status,
+            wall_us: self.wall_us,
+            current_stage: None,
+            slow: self.slow,
+            totals: self.totals,
         }
     }
 }
 
+/// A bounded ring of completed requests. Once full, each push overwrites
+/// the oldest entry in place.
 #[derive(Debug)]
 struct Ring {
     cap: usize,
-    buf: VecDeque<TraceRecord>,
+    entries: Vec<Entry>,
+    /// Where the next push lands: the oldest entry once the ring is full.
+    next: usize,
 }
 
 impl Ring {
     fn new(cap: usize) -> Self {
         Ring {
             cap,
-            buf: VecDeque::with_capacity(cap.min(1024)),
+            entries: Vec::with_capacity(cap.min(1024)),
+            next: 0,
         }
     }
 
-    fn push(&mut self, record: TraceRecord) {
+    /// The entry the next completion overwrites, or `None` for a
+    /// zero-capacity ring.
+    fn push_slot(&mut self) -> Option<&mut Entry> {
         if self.cap == 0 {
-            return;
+            return None;
         }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+        let at = self.next;
+        self.next = (at + 1) % self.cap;
+        if at == self.entries.len() {
+            self.entries.push(Entry::default());
         }
-        self.buf.push_back(record);
+        Some(&mut self.entries[at])
     }
 
-    /// Newest-first copy of the retained records.
-    fn newest_first(&self) -> Vec<TraceRecord> {
-        self.buf.iter().rev().cloned().collect()
+    /// The retained entries, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = &Entry> {
+        let n = self.entries.len();
+        (1..=n).map(move |k| &self.entries[(self.next + n - k) % n])
+    }
+
+    fn records(&self) -> Vec<TraceRecord> {
+        self.newest_first().map(Entry::record).collect()
     }
 
     fn find(&self, trace_id: u64) -> Option<TraceRecord> {
-        self.buf
-            .iter()
-            .rev()
-            .find(|r| r.trace_id == trace_id)
-            .cloned()
+        self.newest_first()
+            .find(|e| e.trace_id == trace_id)
+            .map(Entry::record)
     }
 }
 
@@ -230,7 +362,8 @@ impl Ring {
 ///
 /// let f = FlightRecorder::new(true, 8, 8, 1_000_000);
 /// let rec = Arc::new(Recorder::new(true));
-/// f.begin(42, "query", "GET", "/query?dataset=karate", Arc::clone(&rec));
+/// let started = std::time::Instant::now();
+/// f.begin(42, "query", "GET", "/query?dataset=karate", started, Arc::clone(&rec));
 /// assert_eq!(f.in_flight().len(), 1);
 /// f.finish(42, 200, 123, true);
 /// let trace = f.lookup(42).unwrap();
@@ -242,9 +375,9 @@ impl Ring {
 pub struct FlightRecorder {
     enabled: bool,
     slow_threshold_us: u64,
-    shards: Vec<Mutex<HashMap<u64, InFlightEntry>>>,
-    completed: Mutex<Ring>,
-    slow: Mutex<Ring>,
+    shards: Vec<Padded<Mutex<Vec<Slot>>>>,
+    completed: Padded<Mutex<Ring>>,
+    slow: Padded<Mutex<Ring>>,
     slow_promoted: AtomicU64,
 }
 
@@ -264,9 +397,9 @@ impl FlightRecorder {
         FlightRecorder {
             enabled,
             slow_threshold_us,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            completed: Mutex::new(Ring::new(capacity)),
-            slow: Mutex::new(Ring::new(slow_capacity)),
+            shards: (0..SHARDS).map(|_| Padded::default()).collect(),
+            completed: Padded(Mutex::new(Ring::new(capacity))),
+            slow: Padded(Mutex::new(Ring::new(slow_capacity))),
             slow_promoted: AtomicU64::new(0),
         }
     }
@@ -288,63 +421,91 @@ impl FlightRecorder {
         self.slow_promoted.load(Ordering::Relaxed)
     }
 
-    fn shard(&self, trace_id: u64) -> &Mutex<HashMap<u64, InFlightEntry>> {
-        &self.shards[(trace_id % SHARDS as u64) as usize]
+    /// The shards in search order for the calling thread: its home shard
+    /// first, where it registers its own requests.
+    fn shards_from_home(&self) -> impl Iterator<Item = &Mutex<Vec<Slot>>> {
+        let home = home_shard();
+        (0..SHARDS).map(move |k| &self.shards[(home + k) % SHARDS].0)
     }
 
-    /// Registers an in-flight request. No-op when the recorder is disabled.
-    /// `recorder` is the request's own stage recorder; its live state backs
-    /// the `current_stage`/partial-totals view in [`FlightRecorder::in_flight`].
+    /// Registers an in-flight request that started at `started` (the
+    /// caller's own clock read, so registering reads no clock). No-op when
+    /// the recorder is disabled. `recorder` is the request's own stage
+    /// recorder; its live state backs the `current_stage`/partial-totals view
+    /// in [`FlightRecorder::in_flight`].
     pub fn begin(
         &self,
         trace_id: u64,
-        endpoint: &str,
+        endpoint: &'static str,
         method: &str,
         target: &str,
+        started: Instant,
         recorder: Arc<Recorder>,
     ) {
         if !self.enabled {
             return;
         }
-        let entry = InFlightEntry {
-            endpoint: endpoint.to_string(),
-            method: method.to_string(),
-            target: target.to_string(),
-            started: Instant::now(),
-            recorder,
+        let mut shard = self.shards[home_shard()].0.lock().unwrap();
+        let at = match shard.iter().position(|s| s.recorder.is_none()) {
+            Some(at) => at,
+            None => {
+                shard.push(Slot {
+                    trace_id,
+                    endpoint,
+                    method: LineText::default(),
+                    target: LineText::default(),
+                    started,
+                    recorder: None,
+                });
+                shard.len() - 1
+            }
         };
-        self.shard(trace_id).lock().unwrap().insert(trace_id, entry);
+        let slot = &mut shard[at];
+        slot.trace_id = trace_id;
+        slot.endpoint = endpoint;
+        slot.method.set(method);
+        slot.target.set(target);
+        slot.started = started;
+        slot.recorder = Some(recorder);
     }
 
-    /// Completes a request: removes it from the in-flight table and retains
-    /// it in the completed ring (and the slow ring when `slow_eligible` and
-    /// `wall_us` crosses the threshold — self-observation traffic like
-    /// `/debug/*` and `/metrics` passes `slow_eligible = false`).
+    /// Completes a request: frees its in-flight slot and retains it in the
+    /// completed ring (and the slow ring when `slow_eligible` and `wall_us`
+    /// crosses the threshold — self-observation traffic like `/debug/*` and
+    /// `/metrics` passes `slow_eligible = false`).
     ///
     /// Returns whether the request was promoted as slow. Unknown trace ids
     /// (never registered, e.g. while disabled) are a no-op.
     pub fn finish(&self, trace_id: u64, status: u16, wall_us: u64, slow_eligible: bool) -> bool {
-        let Some(entry) = self.shard(trace_id).lock().unwrap().remove(&trace_id) else {
+        if !self.enabled {
             return false;
-        };
+        }
+        for shard in self.shards_from_home() {
+            let mut shard = shard.lock().unwrap();
+            if let Some(slot) = shard.iter_mut().find(|s| s.holds(trace_id)) {
+                return self.complete(slot, status, wall_us, slow_eligible);
+            }
+        }
+        false
+    }
+
+    /// Frees `slot` and retains its request in the ring(s).
+    fn complete(&self, slot: &mut Slot, status: u16, wall_us: u64, slow_eligible: bool) -> bool {
+        let recorder = slot
+            .recorder
+            .take()
+            .expect("an occupied slot has a recorder");
+        let totals = recorder.totals();
         let slow = slow_eligible && wall_us >= self.slow_threshold_us;
-        let record = TraceRecord {
-            trace_id,
-            endpoint: entry.endpoint,
-            method: entry.method,
-            target: entry.target,
-            state: TraceState::Completed,
-            status,
-            wall_us,
-            current_stage: None,
-            slow,
-            totals: entry.recorder.totals(),
-        };
         if slow {
             self.slow_promoted.fetch_add(1, Ordering::Relaxed);
-            self.slow.lock().unwrap().push(record.clone());
+            if let Some(e) = self.slow.0.lock().unwrap().push_slot() {
+                e.fill(slot, status, wall_us, slow, totals);
+            }
         }
-        self.completed.lock().unwrap().push(record);
+        if let Some(e) = self.completed.0.lock().unwrap().push_slot() {
+            e.fill(slot, status, wall_us, slow, totals);
+        }
         slow
     }
 
@@ -353,8 +514,8 @@ impl FlightRecorder {
     pub fn in_flight(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            out.extend(shard.iter().map(|(&id, entry)| entry.record(id)));
+            let shard = shard.0.lock().unwrap();
+            out.extend(shard.iter().filter_map(Slot::in_flight));
         }
         out.sort_by_key(|r| r.trace_id);
         out
@@ -362,27 +523,27 @@ impl FlightRecorder {
 
     /// The retained completed requests, newest first.
     pub fn completed(&self) -> Vec<TraceRecord> {
-        self.completed.lock().unwrap().newest_first()
+        self.completed.0.lock().unwrap().records()
     }
 
     /// The retained slow requests, newest first.
     pub fn slow(&self) -> Vec<TraceRecord> {
-        self.slow.lock().unwrap().newest_first()
+        self.slow.0.lock().unwrap().records()
     }
 
     /// Looks a trace id up across the in-flight table, then the slow ring,
     /// then the completed ring.
     pub fn lookup(&self, trace_id: u64) -> Option<TraceRecord> {
-        {
-            let shard = self.shard(trace_id).lock().unwrap();
-            if let Some(entry) = shard.get(&trace_id) {
-                return Some(entry.record(trace_id));
+        for shard in self.shards_from_home() {
+            let shard = shard.lock().unwrap();
+            if let Some(slot) = shard.iter().find(|s| s.holds(trace_id)) {
+                return slot.in_flight();
             }
         }
-        if let Some(r) = self.slow.lock().unwrap().find(trace_id) {
+        if let Some(r) = self.slow.0.lock().unwrap().find(trace_id) {
             return Some(r);
         }
-        self.completed.lock().unwrap().find(trace_id)
+        self.completed.0.lock().unwrap().find(trace_id)
     }
 }
 
@@ -410,7 +571,7 @@ mod tests {
     fn completed_ring_evicts_oldest_only() {
         let f = FlightRecorder::new(true, 2, 2, u64::MAX);
         for id in 1..=3u64 {
-            f.begin(id, "query", "GET", "/query", recorder());
+            f.begin(id, "query", "GET", "/query", Instant::now(), recorder());
             f.finish(id, 200, id * 10, true);
         }
         let ids: Vec<u64> = f.completed().iter().map(|r| r.trace_id).collect();
@@ -422,11 +583,11 @@ mod tests {
     #[test]
     fn slow_ring_promotes_past_threshold_and_respects_eligibility() {
         let f = FlightRecorder::new(true, 4, 4, 1_000);
-        f.begin(1, "query", "GET", "/query", recorder());
+        f.begin(1, "query", "GET", "/query", Instant::now(), recorder());
         assert!(!f.finish(1, 200, 999, true)); // under threshold
-        f.begin(2, "query", "GET", "/query", recorder());
+        f.begin(2, "query", "GET", "/query", Instant::now(), recorder());
         assert!(f.finish(2, 200, 1_000, true)); // at threshold
-        f.begin(3, "metrics", "GET", "/metrics", recorder());
+        f.begin(3, "metrics", "GET", "/metrics", Instant::now(), recorder());
         assert!(!f.finish(3, 200, 50_000, false)); // self-traffic excluded
         let slow = f.slow();
         assert_eq!(slow.len(), 1);
@@ -440,10 +601,17 @@ mod tests {
     #[test]
     fn slow_records_outlive_completed_ring_churn() {
         let f = FlightRecorder::new(true, 2, 4, 1_000);
-        f.begin(99, "query", "GET", "/query?slow=1", recorder());
+        f.begin(
+            99,
+            "query",
+            "GET",
+            "/query?slow=1",
+            Instant::now(),
+            recorder(),
+        );
         f.finish(99, 200, 5_000, true);
         for id in 100..110u64 {
-            f.begin(id, "query", "GET", "/query", recorder());
+            f.begin(id, "query", "GET", "/query", Instant::now(), recorder());
             f.finish(id, 200, 10, true);
         }
         // Churned out of the completed ring, still resolvable via slow ring.
@@ -456,7 +624,14 @@ mod tests {
     fn in_flight_view_reports_age_stage_and_partial_totals() {
         let f = FlightRecorder::new(true, 4, 4, u64::MAX);
         let rec = recorder();
-        f.begin(5, "update", "POST", "/update", Arc::clone(&rec));
+        f.begin(
+            5,
+            "update",
+            "POST",
+            "/update",
+            Instant::now(),
+            Arc::clone(&rec),
+        );
         rec.record_ns(Stage::WalAppend, 1_500);
         let _live = rec.span(Stage::WalFsync);
         let inflight = f.in_flight();
@@ -472,9 +647,53 @@ mod tests {
     }
 
     #[test]
+    fn ring_entries_are_rewritten_in_place_newest_first() {
+        let f = FlightRecorder::new(true, 3, 1, u64::MAX);
+        // Targets shorter than, exactly one of, and longer than a cache
+        // line, with multi-byte characters straddling a line boundary.
+        let target = |id: u64| format!("/query?k={}", "é".repeat((id as usize * 23) % 90));
+        for id in 1..=7u64 {
+            f.begin(id, "query", "GET", &target(id), Instant::now(), recorder());
+            f.finish(id, 200, id, true);
+        }
+        let kept: Vec<(u64, String)> = f
+            .completed()
+            .into_iter()
+            .map(|r| (r.trace_id, r.target))
+            .collect();
+        assert_eq!(
+            kept,
+            [(7, target(7)), (6, target(6)), (5, target(5))],
+            "newest first, oldest evicted"
+        );
+        assert!(f.lookup(4).is_none());
+        assert_eq!(f.lookup(6).unwrap().target, target(6));
+        // A freed in-flight slot serves the next registration.
+        f.begin(8, "debug", "POST", "/x", Instant::now(), recorder());
+        let open = f.in_flight();
+        assert_eq!(open.len(), 1);
+        assert_eq!(
+            (open[0].endpoint, open[0].method.as_str()),
+            ("debug", "POST")
+        );
+        assert_eq!(open[0].target, "/x");
+    }
+
+    #[test]
+    fn finish_on_another_thread_completes_the_request() {
+        let f = FlightRecorder::new(true, 4, 4, u64::MAX);
+        f.begin(9, "query", "GET", "/query", Instant::now(), recorder());
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!f.finish(9, 204, 5, true)));
+        });
+        assert!(f.in_flight().is_empty());
+        assert_eq!(f.lookup(9).unwrap().status, 204);
+    }
+
+    #[test]
     fn disabled_recorder_registers_nothing() {
         let f = FlightRecorder::new(false, 4, 4, 0);
-        f.begin(1, "query", "GET", "/query", recorder());
+        f.begin(1, "query", "GET", "/query", Instant::now(), recorder());
         assert!(f.in_flight().is_empty());
         assert!(!f.finish(1, 200, 10_000, true));
         assert!(f.completed().is_empty());

@@ -4,6 +4,7 @@
 //! ring churn via the slow ring.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mpds_obs::{FlightRecorder, Recorder, TraceState};
 use proptest::prelude::*;
@@ -57,7 +58,7 @@ proptest! {
         for op in ops.iter().cloned() {
             match op {
                 Op::Begin => {
-                    f.begin(next_id, "query", "GET", "/query", Arc::new(Recorder::new(true)));
+                    f.begin(next_id, "query", "GET", "/query", Instant::now(), Arc::new(Recorder::new(true)));
                     open.push(next_id);
                     next_id += 1;
                 }
@@ -97,11 +98,11 @@ proptest! {
         capacity in 1usize..4,
     ) {
         let f = FlightRecorder::new(true, capacity, 8, 1_000);
-        f.begin(7, "query", "GET", "/query", Arc::new(Recorder::new(true)));
+        f.begin(7, "query", "GET", "/query", Instant::now(), Arc::new(Recorder::new(true)));
         prop_assert!(f.finish(7, 200, 1_000, true));
         for i in 0..churn as u64 {
             let id = 100 + i;
-            f.begin(id, "query", "GET", "/query", Arc::new(Recorder::new(true)));
+            f.begin(id, "query", "GET", "/query", Instant::now(), Arc::new(Recorder::new(true)));
             f.finish(id, 200, 1, true);
         }
         let r = f.lookup(7);

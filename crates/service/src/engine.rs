@@ -25,7 +25,7 @@ use mpds::api::queryset::QuerySet;
 use mpds::api::{ApiError, Exec, ProgressCounter, ProgressSink, Query, Run, Stop};
 use mpds::control::{InterruptReason, RunControl};
 use mpds::recompute::Recompute;
-use mpds_obs::{Counter, Gauge, Histogram, Recorder, Stage, StageTotals};
+use mpds_obs::{Counter, Gauge, Histogram, Recorder, Span, Stage, StageTotals};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1026,25 +1026,31 @@ impl QueryEngine {
         caller_rec: Option<&Arc<Recorder>>,
     ) -> Result<TracedResponse, QueryError> {
         req.validate().map_err(QueryError::BadRequest)?;
+        let profiled;
         let rec = match caller_rec {
-            Some(r) if r.is_enabled() => Some(Arc::clone(r)),
-            _ => req.profile.then(|| Arc::new(Recorder::new(true))),
+            Some(r) if r.is_enabled() => Some(r),
+            _ if req.profile => {
+                profiled = Arc::new(Recorder::new(true));
+                Some(&profiled)
+            }
+            _ => None,
         };
         // Resolve the dataset snapshot up front: its generation is part of
         // the cache key, and the computation below runs against exactly
         // this snapshot even if a writer swaps in a newer generation
         // mid-flight.
-        let graph = {
-            let _span = rec.as_deref().map(|r| r.span(Stage::SnapshotResolve));
-            self.registry
-                .get(&req.dataset)
-                .map_err(QueryError::BadRequest)?
-        };
+        let resolving = rec.map(|r| r.span(Stage::SnapshotResolve));
+        let graph = self
+            .registry
+            .get(&req.dataset)
+            .map_err(QueryError::BadRequest)?;
+        // The cache probe, key build included, starts where resolution ends.
+        let probing = resolving.map(|s| s.then(Stage::CacheProbe));
         let key = req.key(graph.generation);
         let own_deadline = req
             .timeout_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let (body, source) = self.serve_key(req, &graph, &key, own_deadline, rec.as_ref())?;
+        let (body, source) = self.serve_key(req, &graph, &key, own_deadline, rec, probing)?;
         // A flight-only recorder feeds /debug/trace but leaves the profiled
         // aggregates alone: absorb + count only what ?profile=1 asked for.
         let profile = if req.profile {
@@ -1068,7 +1074,8 @@ impl QueryEngine {
     /// The cache → in-flight → compute path for an already-resolved
     /// `(request, snapshot, key)` triple — shared by [`Self::execute`] and
     /// the joiner side of [`Self::execute_batch`] (which must serve against
-    /// the generation its batch resolved, not a fresh lookup).
+    /// the generation its batch resolved, not a fresh lookup). `probing`,
+    /// when the caller already started it, times the first cache probe.
     fn serve_key(
         &self,
         req: &QueryRequest,
@@ -1076,6 +1083,7 @@ impl QueryEngine {
         key: &QueryKey,
         own_deadline: Option<Instant>,
         rec: Option<&Arc<Recorder>>,
+        mut probing: Option<Span<'_>>,
     ) -> Result<(Arc<Vec<u8>>, ResponseSource), QueryError> {
         // Bounded retries: each iteration either serves the request or
         // observes a *leader* deadline failure (not cached, entry removed),
@@ -1083,7 +1091,9 @@ impl QueryEngine {
         let mut last_err = None;
         for _ in 0..3 {
             let probed = {
-                let _span = rec.map(|r| r.span(Stage::CacheProbe));
+                let _span = probing
+                    .take()
+                    .or_else(|| rec.map(|r| r.span(Stage::CacheProbe)));
                 self.cache.get(key)
             };
             if let Some(body) = probed {
@@ -1304,7 +1314,7 @@ impl QueryEngine {
         // never deadlocks on its own batch.
         for i in joined {
             let (body, source) =
-                self.serve_key(&requests[i], &graph, &keys[i], own_deadline, None)?;
+                self.serve_key(&requests[i], &graph, &keys[i], own_deadline, None, None)?;
             let source = match source {
                 // The member joined someone's in-flight computation or hit
                 // bytes published after classification — both are coalesced

@@ -11,12 +11,14 @@
 //! * keep-alive on that same pool: a worker serves a connection's requests
 //!   in order (pipelined ones included, one trace each) and answers
 //!   `Connection: keep-alive` only to an HTTP/1.1 request that did not ask
-//!   to close, whose body was fully read, while no queued connection lacks
-//!   a parked worker and the server is not stopping. Between requests it
-//!   waits for the next one in short slices and **yields** the connection as
-//!   soon as a queued one has no parked worker to take it, at shutdown, or
-//!   after [`ServerConfig::read_timeout`] of idleness — so idle clients can
-//!   never pin every worker, with no keep-alive count to tune;
+//!   to close or send `Transfer-Encoding`, whose body was fully read, while
+//!   no queued connection lacks a worker to take it and the server is not
+//!   stopping. Between requests it waits for the next one in short slices
+//!   and **yields** the connection — taking the queued one itself — as soon
+//!   as a queued one has no parked worker to take it, at shutdown, or after
+//!   [`ServerConfig::read_timeout`] of idleness. Workers on idle kept
+//!   connections yield before busy ones, so idle clients can never pin
+//!   every worker, with no keep-alive count to tune;
 //! * graceful shutdown: the shutdown flag doubles as the engine's
 //!   cancellation flag, so in-flight estimator loops stop cooperatively at
 //!   their next sampled world.
@@ -60,7 +62,7 @@ use mpds_obs::{
 };
 use std::collections::VecDeque;
 use std::io::{BufWriter, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -144,19 +146,33 @@ impl Default for ServerConfig {
     }
 }
 
-/// Accepted connections waiting for a worker, and how many workers are
-/// parked waiting for one.
+/// Accepted connections waiting for a worker (each with when it was
+/// queued), how many workers are parked waiting for one, and how many hold
+/// a kept connection that has been idle for at least one [`IDLE_POLL`]
+/// slice.
 #[derive(Default)]
 struct AdmissionQueue {
-    conns: VecDeque<TcpStream>,
+    conns: VecDeque<(TcpStream, Instant)>,
     idle_workers: usize,
+    idle_kept: usize,
 }
 
 impl AdmissionQueue {
-    /// Whether a queued connection has no parked worker to take it, so a
-    /// worker holding a kept connection should give that one up.
-    fn needs_worker(&self) -> bool {
-        self.conns.len() > self.idle_workers
+    /// Pops a queued connection for a worker to serve in place of its kept
+    /// one, when no parked worker is going to take it. A worker whose client
+    /// is busy (`busy`, checked right after a response) also leaves it to
+    /// the workers on idle kept connections, and to any worker about to
+    /// free up, by yielding only to a connection that has waited a whole
+    /// [`IDLE_POLL`]: an idle client is dropped before a busy one. Popping
+    /// under the lock means only as many workers yield as such connections
+    /// wait.
+    fn pop_unclaimed(&mut self, busy: bool) -> Option<TcpStream> {
+        let claimed = self.idle_workers + if busy { self.idle_kept } else { 0 };
+        let (_, queued) = self.conns.get(claimed)?;
+        if busy && queued.elapsed() < IDLE_POLL {
+            return None;
+        }
+        self.conns.pop_front().map(|(conn, _)| conn)
     }
 }
 
@@ -359,6 +375,7 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let accepted = Instant::now();
         let mut queue = state.queue.lock().unwrap();
         if queue.conns.len() >= state.queue_capacity {
             drop(queue);
@@ -391,9 +408,10 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             }
             continue;
         }
-        queue.conns.push_back(stream);
-        drop(queue);
+        // Counted before a worker can pop (and serve) it.
         state.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        queue.conns.push_back((stream, accepted));
+        drop(queue);
         state.work_ready.notify_one();
     }
 }
@@ -418,11 +436,15 @@ fn respond_overloaded(mut stream: TcpStream, drain_timeout: Duration, trace_hex:
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
+    // A queued connection this worker took over when it gave up a kept one.
+    let mut taken = None;
     loop {
-        let stream = {
+        let stream = if let Some(s) = taken.take() {
+            s
+        } else {
             let mut queue = state.queue.lock().unwrap();
             loop {
-                if let Some(s) = queue.conns.pop_front() {
+                if let Some((s, _)) = queue.conns.pop_front() {
                     break s;
                 }
                 if state.shutdown.load(Ordering::SeqCst) {
@@ -433,7 +455,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 queue.idle_workers -= 1;
             }
         };
-        handle_connection(stream, state);
+        taken = handle_connection(stream, state);
     }
 }
 
@@ -488,9 +510,21 @@ impl Response {
 /// before the worker re-checks the admission queue and the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(1);
 
+/// What a worker does with its connection after a request or an idle wait.
+enum Next {
+    /// Serve the connection's next request.
+    Continue,
+    /// Drop the connection and go back to the admission queue.
+    Close,
+    /// Drop the connection and serve this queued one, which no parked worker
+    /// was going to take.
+    Yield(TcpStream),
+}
+
 /// Serves one connection's requests in order until one of them (or the
-/// idle wait between them) gives the connection up.
-fn handle_connection(mut stream: TcpStream, state: &ServerState) {
+/// idle wait between them) gives the connection up. Returns the queued
+/// connection the worker gave it up for, if any.
+fn handle_connection(mut stream: TcpStream, state: &ServerState) -> Option<TcpStream> {
     let _ = stream.set_read_timeout(Some(state.read_timeout));
     let _ = stream.set_write_timeout(Some(state.read_timeout));
     // Each response is one write; without Nagle's algorithm it leaves at
@@ -498,15 +532,22 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_nodelay(true);
     // Bytes read past the current request: the start of a pipelined next one.
     let mut carry = Vec::new();
-    while serve_request(&mut stream, &mut carry, state)
-        && next_request_arrives(&stream, &carry, state)
-    {}
+    loop {
+        let next = match serve_request(&mut stream, &mut carry, state) {
+            Next::Continue => next_request_arrives(&stream, &carry, state),
+            done => done,
+        };
+        match next {
+            Next::Continue => {}
+            Next::Close => return None,
+            Next::Yield(queued) => return Some(queued),
+        }
+    }
 }
 
-/// Reads, routes, and answers one request; returns whether the connection
-/// stays open for another (the response said `Connection: keep-alive` and
-/// was written in full).
-fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerState) -> bool {
+/// Reads, routes, and answers one request. The connection continues only
+/// when the response said `Connection: keep-alive` and was written in full.
+fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerState) -> Next {
     let started = Instant::now();
     state.http_obs.inflight.inc();
     let id = state.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -533,6 +574,7 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
                 endpoint.as_str(),
                 &request.method,
                 &request.target,
+                started,
                 Arc::clone(&rec),
             );
             let resp = route(&request, state, &rec);
@@ -551,8 +593,14 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
             false,
         ),
     };
-    let keep_alive =
-        keep_alive && !state.shutdown.load(Ordering::SeqCst) && !connection_waiting(state);
+    let next = if !keep_alive || state.shutdown.load(Ordering::SeqCst) {
+        Next::Close
+    } else if let Some(queued) = state.queue.lock().unwrap().pop_unclaimed(true) {
+        Next::Yield(queued)
+    } else {
+        Next::Continue
+    };
+    let keep_alive = matches!(next, Next::Continue);
     let written = write_response(stream, &resp, &trace_hex, keep_alive).is_ok();
     observe_request(
         state,
@@ -565,42 +613,70 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
     );
     state.served.fetch_add(1, Ordering::Relaxed);
     state.http_obs.inflight.dec();
-    keep_alive && written
-}
-
-/// Whether an accepted connection waits in the queue with no parked worker
-/// to take it.
-fn connection_waiting(state: &ServerState) -> bool {
-    state.queue.lock().unwrap().needs_worker()
+    match next {
+        Next::Continue if !written => Next::Close,
+        next => next,
+    }
 }
 
 /// Waits for the first byte of a kept connection's next request, in
-/// [`IDLE_POLL`] slices. Returns `false` — the worker drops the connection
-/// — when the client closes it, when a queued connection has no parked
-/// worker to take it, at shutdown, or after `read_timeout` of idleness.
-fn next_request_arrives(stream: &TcpStream, carry: &[u8], state: &ServerState) -> bool {
+/// [`IDLE_POLL`] slices. The worker drops the connection when the client
+/// closes it, at shutdown, after `read_timeout` of idleness, or — yielding —
+/// as soon as a queued connection has no parked worker to take it.
+fn next_request_arrives(stream: &TcpStream, carry: &[u8], state: &ServerState) -> Next {
     if !carry.is_empty() {
-        return true;
+        return Next::Continue;
     }
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return false;
+        return Next::Close;
     }
     let idle_since = Instant::now();
+    // Whether this worker counts in the queue's `idle_kept`, which it joins
+    // after its first slice without a request.
+    let mut counted = false;
     let mut probe = [0u8; 1];
-    let arrived = loop {
+    let next = loop {
         match stream.peek(&mut probe) {
-            Ok(n) => break n > 0,
+            Ok(0) => break Next::Close,
+            Ok(_) => break Next::Continue,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => break false,
+            Err(_) => break Next::Close,
         }
-        if state.shutdown.load(Ordering::SeqCst)
-            || connection_waiting(state)
-            || idle_since.elapsed() >= state.read_timeout
-        {
-            break false;
+        if state.shutdown.load(Ordering::SeqCst) || idle_since.elapsed() >= state.read_timeout {
+            release_idle(stream);
+            break Next::Close;
+        }
+        let mut queue = state.queue.lock().unwrap();
+        if !counted {
+            queue.idle_kept += 1;
+            counted = true;
+        }
+        if let Some(queued) = queue.pop_unclaimed(false) {
+            queue.idle_kept -= 1;
+            counted = false;
+            drop(queue);
+            release_idle(stream);
+            break Next::Yield(queued);
         }
     };
-    arrived && stream.set_read_timeout(Some(state.read_timeout)).is_ok()
+    if counted {
+        state.queue.lock().unwrap().idle_kept -= 1;
+    }
+    match next {
+        Next::Continue if stream.set_read_timeout(Some(state.read_timeout)).is_err() => Next::Close,
+        next => next,
+    }
+}
+
+/// Closes our side of an idle kept connection and discards, for at most
+/// one [`IDLE_POLL`] read, a request the client may be sending right now,
+/// so that client reads end-of-stream rather than a reset.
+fn release_idle(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(
+        &mut stream.take(MAX_REJECTED_DRAIN as u64),
+        &mut std::io::sink(),
+    );
 }
 
 /// Records one finished request: latency (with the trace id as the bucket
@@ -681,8 +757,9 @@ struct Request {
     target: String,
     accept: String,
     body: Vec<u8>,
-    /// HTTP/1.1, no `Connection: close`, and the body fully consumed, so the
-    /// next byte on the stream starts the next request.
+    /// HTTP/1.1, no `Connection: close` or `Transfer-Encoding`, and the body
+    /// fully consumed, so the next byte on the stream starts the next
+    /// request.
     keep_alive: bool,
 }
 
@@ -732,16 +809,25 @@ fn read_request<R: Read>(
     let method = parts.next().ok_or("empty request")?.to_string();
     let target = parts.next().ok_or("missing request target")?.to_string();
     let mut keep_alive = parts.next() == Some("HTTP/1.1") && !eof;
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut accept = String::new();
     for line in head.lines().skip(1) {
         if let Some((k, v)) = line.split_once(':') {
             let k = k.trim();
             if k.eq_ignore_ascii_case("content-length") {
-                content_length = v
+                let n: usize = v
                     .trim()
                     .parse()
                     .map_err(|_| format!("bad Content-Length {:?}", v.trim()))?;
+                if content_length.is_some_and(|c| c != n) {
+                    return Err("conflicting Content-Length headers".to_string());
+                }
+                content_length = Some(n);
+            } else if k.eq_ignore_ascii_case("transfer-encoding") {
+                // Bodies are delimited by Content-Length only. A body in any
+                // other framing would be read as the next request, so the
+                // connection closes after this one.
+                keep_alive = false;
             } else if k.eq_ignore_ascii_case("accept") {
                 accept = v.trim().to_string();
             } else if k.eq_ignore_ascii_case("connection")
@@ -751,6 +837,7 @@ fn read_request<R: Read>(
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     // What was read past the head: body bytes, then maybe the next request.
     let mut rest = buf.split_off((header_end + 4).min(buf.len()));
     let path = target.split('?').next().unwrap_or("");
@@ -1095,7 +1182,7 @@ fn render_trace_list(key: &str, records: &[TraceRecord]) -> String {
 fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     w.field_str("trace_id", &format_trace_id(r.trace_id))
         .field_str("state", r.state.as_str())
-        .field_str("endpoint", &r.endpoint)
+        .field_str("endpoint", r.endpoint)
         .field_str("method", &r.method)
         .field_str("target", &r.target);
     if r.state == TraceState::Completed {
@@ -2249,6 +2336,85 @@ mod tests {
         assert!(!keep(b"GET /\r\n\r\n"));
         // A head cut off by EOF is answered, but nothing can follow it.
         assert!(!keep(b"GET / HTTP/1.1\r\n"));
+    }
+
+    #[test]
+    fn read_request_never_reads_a_chunked_body_as_the_next_request() {
+        // The chunk's payload is a complete request line. The body is not
+        // Content-Length framed, so the connection must close after this
+        // request instead of running that payload as a second request.
+        let raw = b"POST /batch HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    13\r\nGET /x HTTP/1.1\r\n\r\n\r\n0\r\n\r\n";
+        for accepted in [true, false] {
+            let mut src = &raw[..];
+            let r = read_request(&mut src, &mut Vec::new(), |_, _| accepted).unwrap();
+            assert_eq!(r.target, "/batch");
+            assert!(!r.keep_alive, "accepted route: {accepted}");
+        }
+        // Content-Length beside Transfer-Encoding closes too.
+        let mut src = &b"POST /batch HTTP/1.1\r\nContent-Length: 0\r\n\
+                          Transfer-Encoding: chunked\r\n\r\n"[..];
+        assert!(
+            !read_request(&mut src, &mut Vec::new(), |_, _| true)
+                .unwrap()
+                .keep_alive
+        );
+    }
+
+    #[test]
+    fn read_request_rejects_conflicting_content_lengths() {
+        let mut src = &b"POST /batch HTTP/1.1\r\nContent-Length: 5\r\n\
+                          Content-Length: 26\r\n\r\nhelloGET /x HTTP/1.1\r\n\r\n"[..];
+        let err = read_request(&mut src, &mut Vec::new(), |_, _| true)
+            .err()
+            .expect("conflicting lengths are a bad request");
+        assert!(err.contains("conflicting Content-Length"), "{err}");
+        // Repeating the same length is allowed.
+        let mut src = &b"POST /batch HTTP/1.1\r\nContent-Length: 5\r\n\
+                          Content-Length: 5\r\n\r\nhello"[..];
+        let r = read_request(&mut src, &mut Vec::new(), |_, _| true).unwrap();
+        assert_eq!(r.body, b"hello");
+        assert!(r.keep_alive);
+    }
+
+    #[test]
+    fn only_connections_no_worker_will_take_are_popped_to_yield() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut queue = AdmissionQueue::default();
+        let _clients: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let long_ago = Instant::now() - IDLE_POLL;
+        for _ in 0..2 {
+            queue
+                .conns
+                .push_back((listener.accept().unwrap().0, long_ago));
+        }
+        // Two parked workers take both connections: nobody yields.
+        queue.idle_workers = 2;
+        assert!(queue.pop_unclaimed(false).is_none());
+        // One parked worker and one idle kept connection: the idle one
+        // yields, a busy one does not.
+        queue.idle_workers = 1;
+        queue.idle_kept = 1;
+        assert!(queue.pop_unclaimed(true).is_none());
+        assert!(queue.pop_unclaimed(false).is_some());
+        // Popping under the lock means the next worker to look finds the
+        // remaining connection claimed by the parked worker.
+        assert!(queue.pop_unclaimed(false).is_none());
+        queue.idle_workers = 0;
+        queue.idle_kept = 0;
+        // A busy worker yields only to a connection that has waited a whole
+        // idle slice; an idle one yields at once.
+        queue.conns[0].1 = Instant::now();
+        assert!(queue.pop_unclaimed(true).is_none());
+        queue.conns[0].1 = long_ago;
+        assert!(queue.pop_unclaimed(true).is_some());
+        assert!(queue.pop_unclaimed(true).is_none());
+        let _late = TcpStream::connect(addr).unwrap();
+        queue
+            .conns
+            .push_back((listener.accept().unwrap().0, Instant::now()));
+        assert!(queue.pop_unclaimed(false).is_some());
     }
 
     #[test]

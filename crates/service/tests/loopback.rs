@@ -4,7 +4,7 @@
 use mpds_obs::scrape;
 use mpds_service::client::{http_get, http_get_accept, http_post, wait_until_healthy, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -561,6 +561,24 @@ impl RawConn {
         response
     }
 
+    /// Whether the server ends the stream cleanly within `wait` (`false`
+    /// when nothing arrives). A reset or stray bytes fail the test.
+    fn ends_within(&mut self, wait: Duration) -> bool {
+        self.reader.get_ref().set_read_timeout(Some(wait)).unwrap();
+        let mut byte = [0u8; 1];
+        let ended = match self.reader.read(&mut byte) {
+            Ok(0) => true,
+            Ok(_) => panic!("unexpected byte {:?}", byte[0] as char),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
+            Err(e) => panic!("the connection failed instead of ending: {e}"),
+        };
+        self.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        ended
+    }
+
     /// Whether the server has closed the connection (EOF or reset).
     fn closed_by_server(&mut self) -> bool {
         let mut rest = Vec::new();
@@ -700,6 +718,33 @@ fn idle_kept_connections_yield_to_a_fresh_client() {
         waited < Duration::from_millis(500),
         "a fresh client waited {waited:?} behind idle kept connections"
     );
+}
+
+#[test]
+fn one_fresh_client_costs_one_idle_kept_connection() {
+    let server = start_server(
+        &EngineConfig::default(),
+        &ServerConfig {
+            threads: 2,
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        },
+    );
+    // Both workers idle on a kept connection.
+    let mut kept: Vec<RawConn> = (0..2).map(|_| RawConn::open(&server)).collect();
+    for conn in &mut kept {
+        assert_eq!(conn.get("/healthz").status, 200);
+    }
+    assert_eq!(get(&server, "/healthz").status, 200);
+    // Exactly one worker gave its connection up for the fresh client, and
+    // that client saw a clean end of stream, not a reset.
+    let ended: Vec<bool> = kept
+        .iter_mut()
+        .map(|c| c.ends_within(Duration::from_millis(200)))
+        .collect();
+    assert_eq!(ended.iter().filter(|&&e| e).count(), 1, "{ended:?}");
+    let open = ended.iter().position(|&e| !e).unwrap();
+    assert_eq!(kept[open].get("/healthz").status, 200);
 }
 
 #[test]
