@@ -65,8 +65,9 @@ impl Stage {
         Stage::RefineRepublish,
     ];
 
-    /// The stage's stable snake_case name, used in `?profile=1` blocks and
-    /// Prometheus labels.
+    /// The stage's stable snake_case name, used in `?profile=1` blocks,
+    /// `/debug/trace/<id>` (and `/debug/requests`, `/debug/slow`) records,
+    /// and Prometheus labels.
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::SnapshotResolve => "snapshot_resolve",

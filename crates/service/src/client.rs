@@ -4,7 +4,9 @@
 //! `mpds-cli update|checkpoint|batch|diff` and the integration tests talk to
 //! a server through it. It shares nothing with the server beyond the socket,
 //! so it drives an in-process [`crate::Server`] and an external `mpds-cli
-//! serve` process identically.
+//! serve` process identically. It sends no `Accept` header: every endpoint
+//! has one body format, so a `/metrics` scrape is a plain [`http_get`] that
+//! reads Prometheus text.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -70,21 +72,6 @@ fn http_exchange(addr: SocketAddr, request: &[u8], timeout: Duration) -> std::io
 /// Issues one blocking HTTP/1.1 GET and reads the full response.
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<Exchange> {
     let req = format!("GET {path} HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\n\r\n");
-    http_exchange(addr, req.as_bytes(), timeout)
-}
-
-/// [`http_get`] with an explicit `Accept` header — the scraper half of the
-/// `/metrics` content negotiation (`Accept: text/plain` selects Prometheus
-/// text exposition).
-pub fn http_get_accept(
-    addr: SocketAddr,
-    path: &str,
-    accept: &str,
-    timeout: Duration,
-) -> std::io::Result<Exchange> {
-    let req = format!(
-        "GET {path} HTTP/1.1\r\nHost: loopback\r\nAccept: {accept}\r\nConnection: close\r\n\r\n"
-    );
     http_exchange(addr, req.as_bytes(), timeout)
 }
 

@@ -642,14 +642,13 @@ fn render_query_body(
     w.finish()
 }
 
-/// Renders the `?profile=1` per-stage timing block: every stage of
+/// Writes a per-stage breakdown as a `"stages"` field: every stage of
 /// [`mpds_obs::Stage::ALL`] in order, each with its invocation count and
-/// total microseconds — zero-count stages included, so the block's shape is
-/// stable across cache hits (which only exercise the engine-side stages)
-/// and misses.
-pub fn render_profile_block(totals: &StageTotals, source: ResponseSource) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object().field_str("source", source.as_str());
+/// total microseconds — zero-count stages included, so the shape is stable
+/// across cache hits (which only exercise the engine-side stages) and
+/// misses. The `?profile=1` block and every `/debug/*` flight record render
+/// their stages through this one function.
+pub(crate) fn write_stages(w: &mut JsonWriter, totals: &StageTotals) {
     w.key("stages").begin_object();
     for stage in Stage::ALL {
         w.key(stage.as_str())
@@ -658,7 +657,16 @@ pub fn render_profile_block(totals: &StageTotals, source: ResponseSource) -> Str
             .field_uint("total_us", totals.total_us(stage))
             .end_object();
     }
-    w.end_object().end_object();
+    w.end_object();
+}
+
+/// Renders the `?profile=1` block: the response source and the stage
+/// breakdown of [`write_stages`].
+fn render_profile_block(totals: &StageTotals, source: ResponseSource) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object().field_str("source", source.as_str());
+    write_stages(&mut w, totals);
+    w.end_object();
     w.finish()
 }
 
@@ -815,7 +823,8 @@ pub struct EngineStats {
     /// Possible worlds requested (θ summed) across all computed queries.
     pub worlds_requested: u64,
     /// Budget-truncated answers refined to convergence in the background
-    /// and republished under their original key.
+    /// and republished under their original key (read from
+    /// [`EngineObs::refine_ok`]).
     pub refined: u64,
 }
 
@@ -837,7 +846,7 @@ pub struct EngineObs {
     /// truncated answer keeps serving.
     pub refine_failed: Counter,
     /// Per-stage time totals aggregated across every profiled
-    /// (`?profile=1`) request.
+    /// (`?profile=1`) request and every background refinement run.
     pub stage_totals: Recorder,
     /// Profiled requests served.
     pub profiled: Counter,
@@ -880,7 +889,6 @@ pub struct QueryEngine {
     cancel: Arc<AtomicBool>,
     computed: AtomicU64,
     coalesced: AtomicU64,
-    refined: Arc<AtomicU64>,
     /// Keys queued for or undergoing refinement — the dedup gate that keeps
     /// repeated budget-truncated queries from re-enqueueing the same key.
     refining: Arc<Mutex<HashSet<QueryKey>>>,
@@ -900,7 +908,6 @@ impl QueryEngine {
     pub fn new(registry: GraphRegistry, cfg: &EngineConfig) -> Self {
         let cache = Arc::new(ShardedLru::new(cfg.cache_capacity, cfg.cache_shards));
         let cancel = Arc::new(AtomicBool::new(false));
-        let refined = Arc::new(AtomicU64::new(0));
         let refining = Arc::new(Mutex::new(HashSet::new()));
         let worlds = ProgressCounter::new();
         let obs = Arc::new(EngineObs::default());
@@ -908,7 +915,6 @@ impl QueryEngine {
         {
             let cache = Arc::clone(&cache);
             let cancel = Arc::clone(&cancel);
-            let refined = Arc::clone(&refined);
             let refining = Arc::clone(&refining);
             let worlds = Arc::clone(&worlds);
             let obs = Arc::clone(&obs);
@@ -931,7 +937,6 @@ impl QueryEngine {
                                     render_query_response(&job.req, &payload).into_bytes(),
                                 );
                                 cache.insert(job.key.clone(), body);
-                                refined.fetch_add(1, Ordering::Relaxed);
                                 obs.refine_ok.inc();
                             }
                             Err(_) => obs.refine_failed.inc(),
@@ -953,7 +958,6 @@ impl QueryEngine {
             cancel,
             computed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            refined,
             refining,
             refine_tx: Mutex::new(refine_tx),
             worlds,
@@ -986,7 +990,7 @@ impl QueryEngine {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             worlds_sampled: self.worlds.done() as u64,
             worlds_requested: self.worlds.requested() as u64,
-            refined: self.refined.load(Ordering::Relaxed),
+            refined: self.obs.refine_ok.value(),
         }
     }
 

@@ -35,7 +35,7 @@
 //! | `GET /diff?dataset=A&against=B&…` | one query over two datasets under common random numbers, diffed (A is the *after* side, B the baseline) |
 //! | `POST /update?dataset=D` | apply a mutation batch (body: `u v p` / `u v -` lines); gated by [`ServerConfig::mutable`]; with `serve --data-dir` the batch is WAL-logged before the ack |
 //! | `POST /admin/checkpoint?dataset=D` | force a compaction + durable checkpoint (requires `--mutable` and `--data-dir`); truncates the covered WAL prefix |
-//! | `GET /metrics` | cache/engine/server counters + per-dataset generation/overlay/compactions (plus wal/checkpoint/recovery state on durable servers); `Accept: text/plain` (or any OpenMetrics/Prometheus accept value) switches to Prometheus text exposition with full latency histograms |
+//! | `GET /metrics` | Prometheus text exposition (whatever the `Accept` header says): latency histograms per endpoint × cache source × status class, cache/engine/server counters, per-stage totals, SLO burn rates, and per-dataset generation/overlay/compactions (plus wal/checkpoint/recovery state on durable servers) |
 //!
 //! ## Observability
 //!
@@ -54,7 +54,8 @@ use crate::engine::{
 };
 use crate::json::JsonValue;
 use crate::json::{error_body, JsonWriter};
-use crate::obs::{render_access_record, AccessRecord, Endpoint, HttpObs, SourceLabel};
+use crate::obs::{render_access_record, AccessRecord, Endpoint, HttpObs, SourceLabel, StatusClass};
+use crate::registry::DatasetInfo;
 use mpds_obs::flight::{format_trace_id, parse_trace_id};
 use mpds_obs::{
     scrape, FlightRecorder, PromText, Recorder, SloEngine, SloObjective, Stage, TraceIdGen,
@@ -185,21 +186,13 @@ struct ServerState {
     read_timeout: Duration,
     default_timeout: Option<Duration>,
     mutable: bool,
-    /// Mutation batches applied through `/update`.
-    updates: AtomicU64,
-    /// Durable checkpoints forced through `/admin/checkpoint`.
-    checkpoints: AtomicU64,
-    /// Query batches served through `/batch`.
-    batches: AtomicU64,
-    /// Diffs served through `/diff`.
-    diffs: AtomicU64,
-    /// Connections answered 503 at the admission gate.
+    /// Connections answered 503 at the admission gate. Shed connections
+    /// never reach the request histogram bank, so they are counted here.
     rejected: AtomicU64,
     /// Connections admitted to the worker queue (shed ones count in
-    /// `rejected` instead); `served` over this is requests per connection.
+    /// `rejected` instead); requests served over this is requests per
+    /// connection.
     connections_accepted: AtomicU64,
-    /// Requests fully served (any status).
-    served: AtomicU64,
     /// Live rejection-drain threads (bounded; see `acceptor_loop`).
     rejecters: AtomicU64,
     /// Latency histogram bank + in-flight gauge.
@@ -258,13 +251,8 @@ impl Server {
             read_timeout: cfg.read_timeout,
             default_timeout: cfg.default_timeout,
             mutable: cfg.mutable,
-            updates: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            diffs: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
             rejecters: AtomicU64::new(0),
             http_obs: HttpObs::new(),
             access_log,
@@ -611,7 +599,6 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
         endpoint,
         &resp,
     );
-    state.served.fetch_add(1, Ordering::Relaxed);
     state.http_obs.inflight.dec();
     match next {
         Next::Continue if !written => Next::Close,
@@ -748,14 +735,12 @@ fn observe_request(
     }
 }
 
-/// One parsed HTTP request: method, target (path + query), the `Accept`
-/// header (for `/metrics` content negotiation), for POST the
+/// One parsed HTTP request: method, target (path + query), for POST the
 /// `Content-Length`-delimited body, and whether the connection may carry
 /// another request after it.
 struct Request {
     method: String,
     target: String,
-    accept: String,
     body: Vec<u8>,
     /// HTTP/1.1, no `Connection: close` or `Transfer-Encoding`, and the body
     /// fully consumed, so the next byte on the stream starts the next
@@ -810,7 +795,6 @@ fn read_request<R: Read>(
     let target = parts.next().ok_or("missing request target")?.to_string();
     let mut keep_alive = parts.next() == Some("HTTP/1.1") && !eof;
     let mut content_length = None;
-    let mut accept = String::new();
     for line in head.lines().skip(1) {
         if let Some((k, v)) = line.split_once(':') {
             let k = k.trim();
@@ -828,8 +812,6 @@ fn read_request<R: Read>(
                 // other framing would be read as the next request, so the
                 // connection closes after this one.
                 keep_alive = false;
-            } else if k.eq_ignore_ascii_case("accept") {
-                accept = v.trim().to_string();
             } else if k.eq_ignore_ascii_case("connection")
                 && v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
             {
@@ -865,7 +847,6 @@ fn read_request<R: Read>(
         return Ok(Request {
             method,
             target,
-            accept,
             body: Vec::new(),
             keep_alive,
         });
@@ -884,7 +865,6 @@ fn read_request<R: Read>(
     Ok(Request {
         method,
         target,
-        accept,
         body: rest,
         keep_alive,
     })
@@ -934,7 +914,6 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                     Some(rec),
                 ) {
                     Ok(outcome) => {
-                        state.updates.fetch_add(1, Ordering::Relaxed);
                         let body = crate::engine::render_update_response(&dataset, &outcome);
                         Response {
                             generation: Some(outcome.generation),
@@ -965,7 +944,6 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 Err(msg) => bad(msg),
                 Ok(dataset) => match state.engine.checkpoint_traced(&dataset, Some(rec)) {
                     Ok(outcome) => {
-                        state.checkpoints.fetch_add(1, Ordering::Relaxed);
                         let body = crate::engine::render_checkpoint_response(&dataset, &outcome);
                         Response {
                             generation: Some(outcome.generation),
@@ -995,7 +973,6 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 }
                 match state.engine.execute_batch(&req) {
                     Ok(outcome) => {
-                        state.batches.fetch_add(1, Ordering::Relaxed);
                         let body = crate::engine::render_batch_response(&req, &outcome);
                         Response {
                             dataset: Some(req.dataset),
@@ -1015,13 +992,10 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                     req.timeout_ms = state.default_timeout.map(|d| d.as_millis() as u64);
                 }
                 match state.engine.execute_diff(&req, &against) {
-                    Ok(body) => {
-                        state.diffs.fetch_add(1, Ordering::Relaxed);
-                        Response {
-                            dataset: Some(req.dataset),
-                            ..Response::json(200, "OK", Body::Shared(Arc::new(body)))
-                        }
-                    }
+                    Ok(body) => Response {
+                        dataset: Some(req.dataset),
+                        ..Response::json(200, "OK", Body::Shared(Arc::new(body)))
+                    },
                     Err(e) => query_error_response(&e),
                 }
             }
@@ -1085,16 +1059,10 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 }
             }
         },
-        ("GET", "/metrics") => {
-            if wants_prometheus(&request.accept) {
-                Response {
-                    content_type: mpds_obs::prom::CONTENT_TYPE,
-                    ..Response::json(200, "OK", Body::Text(render_metrics_prom(state)))
-                }
-            } else {
-                Response::json(200, "OK", Body::Text(render_metrics(state)))
-            }
-        }
+        ("GET", "/metrics") => Response {
+            content_type: mpds_obs::prom::CONTENT_TYPE,
+            ..Response::json(200, "OK", Body::Text(render_metrics_prom(state)))
+        },
         ("GET", "/debug/requests") => Response::json(
             200,
             "OK",
@@ -1152,15 +1120,6 @@ fn query_error_response(e: &QueryError) -> Response {
     Response::json(status, reason, Body::Text(error_body(code, &e.to_string())))
 }
 
-/// `/metrics` content negotiation: Prometheus scrapers advertise
-/// `text/plain` (the classic exposition type) or an OpenMetrics media
-/// type; plain `curl` sends `*/*` and keeps receiving the legacy JSON
-/// body unchanged.
-fn wants_prometheus(accept: &str) -> bool {
-    let a = accept.to_ascii_lowercase();
-    a.contains("text/plain") || a.contains("openmetrics") || a.contains("prometheus")
-}
-
 /// Renders `{"<key>":[{record},…]}` for `/debug/requests` and
 /// `/debug/slow`.
 fn render_trace_list(key: &str, records: &[TraceRecord]) -> String {
@@ -1176,9 +1135,8 @@ fn render_trace_list(key: &str, records: &[TraceRecord]) -> String {
 }
 
 /// Writes one flight record's fields (the caller brackets the object):
-/// identity, state, latency, and the per-stage breakdown — only stages that
-/// actually ran, in the fixed [`Stage::ALL`] order, with the same
-/// microsecond totals `?profile=1` splices into a response body.
+/// identity, state, latency, and the per-stage breakdown in the shape
+/// `?profile=1` splices into a response body.
 fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     w.field_str("trace_id", &format_trace_id(r.trace_id))
         .field_str("state", r.state.as_str())
@@ -1193,19 +1151,7 @@ fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     if let Some(stage) = r.current_stage {
         w.field_str("current_stage", stage.as_str());
     }
-    w.key("stages").begin_object();
-    for stage in Stage::ALL {
-        let count = r.totals.count(stage);
-        if count == 0 {
-            continue;
-        }
-        w.key(stage.as_str())
-            .begin_object()
-            .field_uint("count", count)
-            .field_uint("total_us", r.totals.total_ns(stage) / 1_000)
-            .end_object();
-    }
-    w.end_object();
+    crate::engine::write_stages(w, &r.totals);
 }
 
 fn render_datasets(state: &ServerState) -> String {
@@ -1245,94 +1191,27 @@ fn render_datasets(state: &ServerState) -> String {
     w.finish()
 }
 
-fn render_metrics(state: &ServerState) -> String {
-    let s = state.engine.stats();
-    let eobs = state.engine.obs();
-    let queue_depth = state.queue.lock().unwrap().conns.len() as u64;
-    let mut w = JsonWriter::new();
-    // Pre-existing keys keep their exact order and spelling — external
-    // scrapers key-scan this body. New observability keys are appended
-    // after `diffs`, before the `datasets` array.
-    w.begin_object()
-        .key("cache")
-        .begin_object()
-        .field_uint("hits", s.cache.hits)
-        .field_uint("misses", s.cache.misses)
-        .field_uint("entries", s.cache.entries as u64)
-        .field_uint("capacity", s.cache.capacity as u64)
-        .end_object()
-        .field_uint("computed", s.computed)
-        .field_uint("coalesced", s.coalesced)
-        .field_uint("refined", s.refined)
-        .field_uint("worlds_sampled", s.worlds_sampled)
-        .field_uint("worlds_requested", s.worlds_requested)
-        .field_uint("rejected", state.rejected.load(Ordering::Relaxed))
-        .field_uint("served", state.served.load(Ordering::Relaxed))
-        .field_uint("updates", state.updates.load(Ordering::Relaxed))
-        .field_uint("batches", state.batches.load(Ordering::Relaxed))
-        .field_uint("diffs", state.diffs.load(Ordering::Relaxed))
-        .field_uint(
-            "refine_queue_depth",
-            eobs.refine_queue_depth.value().max(0) as u64,
-        )
-        .field_uint("refine_ok", eobs.refine_ok.value())
-        .field_uint("refine_failed", eobs.refine_failed.value())
-        .field_uint("inflight", state.http_obs.inflight.value().max(0) as u64)
-        .field_uint("queue_depth", queue_depth)
-        .field_uint("profiled", eobs.profiled.value())
-        .field_uint("checkpoints", state.checkpoints.load(Ordering::Relaxed))
-        .field_uint("slow_queries", state.flight.slow_promoted());
-    // Per-dataset dynamic-graph state (loaded datasets only — listing must
-    // never force construction).
-    w.key("datasets").begin_array();
-    for d in state.engine.registry().list() {
-        if !d.loaded {
-            continue;
-        }
-        w.begin_object().field_str("name", &d.name);
-        if let Some(g) = d.generation {
-            w.field_uint("generation", g);
-        }
-        if let Some(o) = d.overlay {
-            w.field_uint("overlay", o as u64);
-        }
-        if let Some(c) = d.compactions {
-            w.field_uint("compactions", c);
-        }
-        // Durability keys are appended after the pre-existing trio and only
-        // present on persistent datasets — key-scanning scrapers see an
-        // unchanged body on non-durable servers.
-        if let Some(r) = d.wal_records {
-            w.field_uint("wal_records", r);
-        }
-        if let Some(b) = d.wal_bytes {
-            w.field_uint("wal_bytes", b);
-        }
-        if let Some(g) = d.last_checkpoint_generation {
-            w.field_uint("last_checkpoint_generation", g);
-        }
-        if let Some(n) = d.replayed_records {
-            w.field_uint("replayed_records", n);
-        }
-        if let Some(ms) = d.recovery_ms {
-            w.field_uint("recovery_ms", ms);
-        }
-        w.end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
-/// The Prometheus text-exposition rendering of `/metrics` (served when the
-/// scraper's `Accept` header asks for it; see [`wants_prometheus`]).
+/// The `/metrics` body: Prometheus text exposition, whatever the request's
+/// `Accept` header says.
 ///
 /// Latency histograms render one series per `(endpoint, source, status)`
 /// combination that has seen traffic, with all 64 cumulative buckets —
 /// so a scraper can reconstruct exact per-window snapshots with
-/// [`mpds_obs::scrape::prom_histogram`].
+/// [`mpds_obs::scrape::prom_histogram`]. The request counters
+/// (`mpds_served_total` and the per-endpoint success counters) are read off
+/// the same snapshot, so every request is counted in one place and a scrape
+/// agrees with itself.
 fn render_metrics_prom(state: &ServerState) -> String {
     let s = state.engine.stats();
     let eobs = state.engine.obs();
+    let series = state.http_obs.series();
+    let succeeded = |endpoint: Endpoint| -> u64 {
+        series
+            .iter()
+            .filter(|(e, _, c, _)| *e == endpoint && *c == StatusClass::Success)
+            .map(|(_, _, _, snap)| snap.count())
+            .sum()
+    };
     let mut p = PromText::new();
 
     p.family(
@@ -1340,7 +1219,7 @@ fn render_metrics_prom(state: &ServerState) -> String {
         "histogram",
         "End-to-end request wall time by endpoint, cache source, and status class.",
     );
-    for (endpoint, source, class, snap) in state.http_obs.series() {
+    for (endpoint, source, class, snap) in &series {
         // Each bucket line carries the most recent trace id that landed in
         // it, in Prometheus exemplar syntax — resolvable while retained via
         // GET /debug/trace/<id>.
@@ -1351,8 +1230,8 @@ fn render_metrics_prom(state: &ServerState) -> String {
                 ("source", source.as_str()),
                 ("status", class.as_str()),
             ],
-            &snap,
-            &state.http_obs.exemplars(endpoint, source, class),
+            snap,
+            &state.http_obs.exemplars(*endpoint, *source, *class),
         );
     }
 
@@ -1427,7 +1306,7 @@ fn render_metrics_prom(state: &ServerState) -> String {
     p.family(
         "mpds_stage_duration_nanoseconds_total",
         "counter",
-        "Per-stage wall time aggregated over profiled (?profile=1) requests.",
+        "Per-stage wall time aggregated over profiled (?profile=1) requests and background refinement runs.",
     );
     for stage in Stage::ALL {
         p.sample_u64(
@@ -1439,7 +1318,7 @@ fn render_metrics_prom(state: &ServerState) -> String {
     p.family(
         "mpds_stage_invocations_total",
         "counter",
-        "Per-stage invocation counts aggregated over profiled requests.",
+        "Per-stage invocation counts aggregated over profiled (?profile=1) requests and background refinement runs.",
     );
     for stage in Stage::ALL {
         p.sample_u64(
@@ -1580,114 +1459,94 @@ fn render_metrics_prom(state: &ServerState) -> String {
         (
             "mpds_served_total",
             "Requests fully served (any status).",
-            state.served.load(Ordering::Relaxed),
+            series.iter().map(|(_, _, _, snap)| snap.count()).sum(),
         ),
         (
             "mpds_updates_total",
             "Mutation batches applied through /update.",
-            state.updates.load(Ordering::Relaxed),
+            succeeded(Endpoint::Update),
         ),
         (
             "mpds_checkpoints_total",
             "Durable checkpoints forced through /admin/checkpoint.",
-            state.checkpoints.load(Ordering::Relaxed),
+            succeeded(Endpoint::Checkpoint),
         ),
         (
             "mpds_batches_total",
             "Query batches served through /batch.",
-            state.batches.load(Ordering::Relaxed),
+            succeeded(Endpoint::Batch),
         ),
         (
             "mpds_diffs_total",
             "Diffs served through /diff.",
-            state.diffs.load(Ordering::Relaxed),
+            succeeded(Endpoint::Diff),
         ),
     ] {
         p.family(name, "counter", help);
         p.sample_u64(name, &[], value);
     }
 
-    // Per-dataset dynamic-graph state (loaded datasets only — a scrape
-    // must never force construction).
-    p.family(
-        "mpds_dataset_generation",
-        "gauge",
-        "Current generation of each loaded dataset.",
-    );
+    // Per-dataset state (loaded datasets only — a scrape must never force
+    // construction). The durability families sample only persistent
+    // datasets, so non-durable servers expose them with no series.
+    type Field = fn(&DatasetInfo) -> Option<u64>;
+    let per_dataset: [(&str, &str, &str, Field); 8] = [
+        (
+            "mpds_dataset_generation",
+            "gauge",
+            "Current generation of each loaded dataset.",
+            |d| d.generation,
+        ),
+        (
+            "mpds_dataset_overlay_edges",
+            "gauge",
+            "Uncompacted overlay edges per loaded dataset.",
+            |d| d.overlay.map(|o| o as u64),
+        ),
+        (
+            "mpds_dataset_compactions_total",
+            "counter",
+            "Overlay compactions per loaded dataset.",
+            |d| d.compactions,
+        ),
+        (
+            "mpds_dataset_wal_records",
+            "gauge",
+            "Write-ahead-log records not yet covered by a checkpoint, per durable dataset.",
+            |d| d.wal_records,
+        ),
+        (
+            "mpds_dataset_wal_bytes",
+            "gauge",
+            "On-disk write-ahead-log size in bytes, per durable dataset.",
+            |d| d.wal_bytes,
+        ),
+        (
+            "mpds_dataset_last_checkpoint_generation",
+            "gauge",
+            "Generation stamped into the newest durable checkpoint, per durable dataset.",
+            |d| d.last_checkpoint_generation,
+        ),
+        (
+            "mpds_dataset_replayed_records",
+            "gauge",
+            "WAL records replayed during the last recovery, per durable dataset.",
+            |d| d.replayed_records,
+        ),
+        (
+            "mpds_dataset_recovery_milliseconds",
+            "gauge",
+            "Milliseconds the last recovery took (open + replay), per durable dataset.",
+            |d| d.recovery_ms,
+        ),
+    ];
     let listing = state.engine.registry().list();
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(g) = d.generation {
-            p.sample_u64("mpds_dataset_generation", &[("dataset", &d.name)], g);
-        }
-    }
-    p.family(
-        "mpds_dataset_overlay_edges",
-        "gauge",
-        "Uncompacted overlay edges per loaded dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(o) = d.overlay {
-            p.sample_u64(
-                "mpds_dataset_overlay_edges",
-                &[("dataset", &d.name)],
-                o as u64,
-            );
-        }
-    }
-    p.family(
-        "mpds_dataset_compactions_total",
-        "counter",
-        "Overlay compactions per loaded dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(c) = d.compactions {
-            p.sample_u64("mpds_dataset_compactions_total", &[("dataset", &d.name)], c);
-        }
-    }
-    // Durability families sample only persistent datasets, so non-durable
-    // servers expose the families with no series.
-    p.family(
-        "mpds_dataset_wal_records",
-        "gauge",
-        "Write-ahead-log records not yet covered by a checkpoint, per durable dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(r) = d.wal_records {
-            p.sample_u64("mpds_dataset_wal_records", &[("dataset", &d.name)], r);
-        }
-    }
-    p.family(
-        "mpds_dataset_wal_bytes",
-        "gauge",
-        "On-disk write-ahead-log size in bytes, per durable dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(b) = d.wal_bytes {
-            p.sample_u64("mpds_dataset_wal_bytes", &[("dataset", &d.name)], b);
-        }
-    }
-    p.family(
-        "mpds_dataset_last_checkpoint_generation",
-        "gauge",
-        "Generation stamped into the newest durable checkpoint, per durable dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(g) = d.last_checkpoint_generation {
-            p.sample_u64(
-                "mpds_dataset_last_checkpoint_generation",
-                &[("dataset", &d.name)],
-                g,
-            );
-        }
-    }
-    p.family(
-        "mpds_dataset_replayed_records",
-        "gauge",
-        "WAL records replayed during the last recovery, per durable dataset.",
-    );
-    for d in listing.iter().filter(|d| d.loaded) {
-        if let Some(n) = d.replayed_records {
-            p.sample_u64("mpds_dataset_replayed_records", &[("dataset", &d.name)], n);
+    for (name, kind, help, field) in per_dataset {
+        p.family(name, kind, help);
+        for d in listing.iter().filter(|d| d.loaded) {
+            if let Some(v) = field(d) {
+                p.sample_u64(name, &[("dataset", &d.name)], v);
+            }
         }
     }
     p.finish()
@@ -2186,17 +2045,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_content_negotiation() {
-        assert!(!wants_prometheus(""));
-        assert!(!wants_prometheus("*/*"));
-        assert!(!wants_prometheus("application/json"));
-        assert!(wants_prometheus("text/plain"));
-        assert!(wants_prometheus("text/plain; version=0.0.4"));
-        assert!(wants_prometheus("application/openmetrics-text"));
-        assert!(wants_prometheus("TEXT/PLAIN"));
-    }
-
-    #[test]
     fn batch_stop_and_budget_fields() {
         let req = parse_batch_request(
             br#"{"dataset":"d","stop":"stable","window":12,"budget_ms":500,"members":[{}]}"#,
@@ -2259,7 +2107,6 @@ mod tests {
             (second.method.as_str(), second.target.as_str()),
             ("GET", "/healthz")
         );
-        assert_eq!(second.accept, "text/plain");
         assert!(second.body.is_empty() && second.keep_alive);
         assert!(carry.is_empty());
     }

@@ -28,7 +28,7 @@
 //!   `(endpoint, cache source, status class)` latency histograms
 //!   ([`mpds_obs`] under the hood), the in-flight gauge, and JSONL
 //!   access-log records (`serve --access-log`); `/metrics` exposes it all
-//!   in both the legacy JSON body and Prometheus text exposition;
+//!   as Prometheus text exposition, the only `/metrics` body;
 //! * durability ([`mpds_store`]) — `serve --data-dir` gives every mutable
 //!   dataset a per-dataset write-ahead log (fsync-on-commit by default)
 //!   plus snapshot checkpoints (`POST /admin/checkpoint`, `mpds-cli

@@ -31,6 +31,8 @@ pub enum Endpoint {
     Diff,
     /// `POST /update`.
     Update,
+    /// `POST /admin/checkpoint`.
+    Checkpoint,
     /// `GET /metrics`.
     Metrics,
     /// `GET /debug/*` introspection (requests, slow, trace lookup) — one
@@ -42,7 +44,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Number of endpoint labels (the length of [`Endpoint::ALL`]).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every endpoint label.
     pub const ALL: [Endpoint; Endpoint::COUNT] = [
@@ -53,6 +55,7 @@ impl Endpoint {
         Endpoint::Batch,
         Endpoint::Diff,
         Endpoint::Update,
+        Endpoint::Checkpoint,
         Endpoint::Metrics,
         Endpoint::Debug,
         Endpoint::Other,
@@ -71,6 +74,7 @@ impl Endpoint {
             "/batch" => Endpoint::Batch,
             "/diff" => Endpoint::Diff,
             "/update" => Endpoint::Update,
+            "/admin/checkpoint" => Endpoint::Checkpoint,
             "/metrics" => Endpoint::Metrics,
             _ => Endpoint::Other,
         }
@@ -86,6 +90,7 @@ impl Endpoint {
             Endpoint::Batch => "batch",
             Endpoint::Diff => "diff",
             Endpoint::Update => "update",
+            Endpoint::Checkpoint => "checkpoint",
             Endpoint::Metrics => "metrics",
             Endpoint::Debug => "debug",
             Endpoint::Other => "other",
@@ -108,9 +113,10 @@ impl Endpoint {
             Endpoint::Batch => 4,
             Endpoint::Diff => 5,
             Endpoint::Update => 6,
-            Endpoint::Metrics => 7,
-            Endpoint::Debug => 8,
-            Endpoint::Other => 9,
+            Endpoint::Checkpoint => 7,
+            Endpoint::Metrics => 8,
+            Endpoint::Debug => 9,
+            Endpoint::Other => 10,
         }
     }
 }
@@ -260,11 +266,6 @@ impl HttpObs {
             + class.index()
     }
 
-    /// Records one request's wall time (microseconds) into its series.
-    pub fn record(&self, endpoint: Endpoint, source: SourceLabel, status: u16, wall_us: u64) {
-        self.record_traced(endpoint, source, status, wall_us, 0);
-    }
-
     /// Records one request's wall time and remembers its trace id as the
     /// latency bucket's exemplar. A zero `trace_id` records the sample
     /// without touching the exemplar slot.
@@ -293,20 +294,10 @@ impl HttpObs {
         self.exemplars[Self::cell(endpoint, source, class)].snapshot()
     }
 
-    /// The histogram backing one `(endpoint, source, class)` series.
-    pub fn histogram(
-        &self,
-        endpoint: Endpoint,
-        source: SourceLabel,
-        class: StatusClass,
-    ) -> &Histogram {
-        &self.bank[Self::cell(endpoint, source, class)]
-    }
-
     /// Snapshots every series that has recorded at least one request —
-    /// the `/metrics` Prometheus renderer emits only these, keeping the
-    /// exposition proportional to observed traffic rather than the full
-    /// 160-cell bank.
+    /// the `/metrics` renderer emits only these, keeping the exposition
+    /// proportional to observed traffic rather than the full 176-cell bank,
+    /// and derives its request counters from the same snapshots.
     pub fn series(&self) -> Vec<(Endpoint, SourceLabel, StatusClass, HistogramSnapshot)> {
         let mut out = Vec::new();
         for e in Endpoint::ALL {
@@ -414,6 +405,10 @@ mod tests {
         assert_eq!(Endpoint::classify("/batch"), Endpoint::Batch);
         assert_eq!(Endpoint::classify("/diff"), Endpoint::Diff);
         assert_eq!(Endpoint::classify("/update"), Endpoint::Update);
+        assert_eq!(
+            Endpoint::classify("/admin/checkpoint"),
+            Endpoint::Checkpoint
+        );
         assert_eq!(Endpoint::classify("/metrics"), Endpoint::Metrics);
         assert_eq!(Endpoint::classify("/debug"), Endpoint::Debug);
         assert_eq!(Endpoint::classify("/debug/requests"), Endpoint::Debug);
@@ -475,9 +470,9 @@ mod tests {
     #[test]
     fn record_lands_in_the_right_series_and_series_skips_empties() {
         let obs = HttpObs::new();
-        obs.record(Endpoint::Query, SourceLabel::Hit, 200, 150);
-        obs.record(Endpoint::Query, SourceLabel::Hit, 200, 250);
-        obs.record(Endpoint::Query, SourceLabel::Miss, 504, 9_000);
+        obs.record_traced(Endpoint::Query, SourceLabel::Hit, 200, 150, 0);
+        obs.record_traced(Endpoint::Query, SourceLabel::Hit, 200, 250, 0);
+        obs.record_traced(Endpoint::Query, SourceLabel::Miss, 504, 9_000, 0);
         let series = obs.series();
         assert_eq!(series.len(), 2);
         let (e, s, c, snap) = series[0];
@@ -497,10 +492,6 @@ mod tests {
             )
         );
         assert_eq!(snap.sum(), 9_000);
-        let direct = obs
-            .histogram(Endpoint::Query, SourceLabel::Hit, StatusClass::Success)
-            .snapshot();
-        assert_eq!(direct.count(), 2);
     }
 
     #[test]
@@ -511,7 +502,7 @@ mod tests {
         let (trace, value) = ex.get(mpds_obs::bucket_index(300)).unwrap();
         assert_eq!((trace, value), (0xbeef, 300));
         // Zero trace ids record the sample but never claim an exemplar slot.
-        obs.record(Endpoint::Query, SourceLabel::Hit, 200, 300);
+        obs.record_traced(Endpoint::Query, SourceLabel::Hit, 200, 300, 0);
         assert!(obs
             .exemplars(Endpoint::Query, SourceLabel::Hit, StatusClass::Success)
             .is_empty());

@@ -9,6 +9,7 @@
 //! `sigkilled_serve_process_recovers_exact_generation_and_bytes` kills a
 //! real `mpds-cli serve` process to hold that claim.
 
+use mpds_obs::scrape;
 use mpds_service::client::{http_get, http_post, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use mpds_store::{Store, SyncPolicy};
@@ -219,10 +220,30 @@ fn checkpoint_endpoint_is_gated() {
     let e = post(server.local_addr(), "/admin/checkpoint?dataset=karate", "");
     assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
     let metrics = String::from_utf8(get(server.local_addr(), "/metrics").body).unwrap();
-    assert!(metrics.contains("\"checkpoints\":1"), "{metrics}");
-    assert!(metrics.contains("\"wal_records\":0"), "{metrics}");
+    let karate = [("dataset", "karate")];
+    let value = |name: &str, labels: &[(&str, &str)]| scrape::prom_value(&metrics, name, labels);
+    assert_eq!(value("mpds_checkpoints_total", &[]), Some(1.0), "{metrics}");
+    assert_eq!(
+        value("mpds_dataset_wal_records", &karate),
+        Some(0.0),
+        "{metrics}"
+    );
+    assert_eq!(
+        value("mpds_dataset_last_checkpoint_generation", &karate),
+        Some(1.0),
+        "{metrics}"
+    );
     assert!(
-        metrics.contains("\"last_checkpoint_generation\":1"),
+        value("mpds_dataset_recovery_milliseconds", &karate).is_some(),
+        "{metrics}"
+    );
+    // The checkpoint is filed under its own endpoint label.
+    assert_eq!(
+        value(
+            "mpds_http_request_duration_microseconds_count",
+            &[("endpoint", "checkpoint"), ("status", "2xx")]
+        ),
+        Some(1.0),
         "{metrics}"
     );
     drop(server);

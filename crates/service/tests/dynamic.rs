@@ -1,6 +1,7 @@
 //! Dynamic-graph serving tests: live updates over the loopback server and
 //! reader/writer consistency under concurrency.
 
+use mpds_obs::scrape;
 use mpds_service::client::{http_get, http_post, Exchange};
 use mpds_service::engine::{QueryRequest, ResponseSource};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
@@ -96,10 +97,22 @@ fn query_update_query_roundtrip_over_http() {
     assert!(datasets.contains("\"name\":\"karate\""), "{datasets}");
     assert!(datasets.contains("\"generation\":1"), "{datasets}");
     let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"updates\":1"), "{metrics}");
-    assert!(metrics.contains("\"generation\":1"), "{metrics}");
-    assert!(metrics.contains("\"overlay\":"), "{metrics}");
-    assert!(metrics.contains("\"compactions\":"), "{metrics}");
+    let karate = [("dataset", "karate")];
+    let value = |name: &str, labels: &[(&str, &str)]| scrape::prom_value(&metrics, name, labels);
+    assert_eq!(value("mpds_updates_total", &[]), Some(1.0), "{metrics}");
+    assert_eq!(
+        value("mpds_dataset_generation", &karate),
+        Some(1.0),
+        "{metrics}"
+    );
+    assert!(
+        value("mpds_dataset_overlay_edges", &karate).is_some(),
+        "{metrics}"
+    );
+    assert!(
+        value("mpds_dataset_compactions_total", &karate).is_some(),
+        "{metrics}"
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! requests from client threads.
 
 use mpds_obs::scrape;
-use mpds_service::client::{http_get, http_get_accept, http_post, wait_until_healthy, Exchange};
+use mpds_service::client::{http_get, http_post, wait_until_healthy, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -51,21 +51,20 @@ fn health_datasets_and_errors() {
     );
 }
 
-/// The Prometheus `/metrics` body.
+/// The `/metrics` body (Prometheus text).
 fn scrape_prom(server: &Server) -> String {
-    let e = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .expect("scrape /metrics");
-    String::from_utf8(e.body).unwrap()
+    String::from_utf8(get(server, "/metrics").body).unwrap()
 }
 
-/// `mpds_truncated_worlds_total` from the Prometheus `/metrics` body.
+/// The first sample of `name` carrying `labels`, from a fresh `/metrics`
+/// scrape.
+fn metric(server: &Server, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    scrape::prom_value(&scrape_prom(server), name, labels)
+}
+
+/// `mpds_truncated_worlds_total` from the `/metrics` body.
 fn truncated_worlds_total(server: &Server) -> Option<f64> {
-    scrape::prom_value(&scrape_prom(server), "mpds_truncated_worlds_total", &[])
+    metric(server, "mpds_truncated_worlds_total", &[])
 }
 
 #[test]
@@ -112,8 +111,10 @@ fn identical_queries_return_identical_bytes_from_concurrent_clients() {
     assert_eq!(again.body, bodies[0]);
 
     // /metrics shows exactly one computation for the whole burst.
-    let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"computed\":1"), "{metrics}");
+    assert_eq!(
+        metric(&server, "mpds_queries_computed_total", &[]),
+        Some(1.0)
+    );
 }
 
 #[test]
@@ -168,10 +169,9 @@ fn saturated_bounded_queue_answers_503() {
         rejected >= 1,
         "a saturated 1-worker/1-slot server must shed load: {results:?}"
     );
-    let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(
-        metrics.contains(&format!("\"rejected\":{rejected}")),
-        "{metrics}"
+    assert_eq!(
+        metric(&server, "mpds_rejected_total", &[]),
+        Some(rejected as f64)
     );
 }
 
@@ -218,9 +218,15 @@ fn harness_runs_clean_against_adequately_provisioned_server() {
         })
     };
     let counters = || {
-        let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-        let counter = |key: &str| scrape::json_uint(&metrics, key).unwrap();
-        (counter("hits"), counter("misses"), counter("coalesced"))
+        let metrics = scrape_prom(&server);
+        let counter = |name: &str, labels: &[(&str, &str)]| {
+            scrape::prom_value(&metrics, name, labels).unwrap() as u64
+        };
+        (
+            counter("mpds_cache_requests_total", &[("result", "hit")]),
+            counter("mpds_cache_requests_total", &[("result", "miss")]),
+            counter("mpds_queries_coalesced_total", &[]),
+        )
     };
 
     let cold = phase(&|c, i| format!("{base}&seed={}", 10_000 + c * per_client + i));
@@ -292,11 +298,21 @@ fn batch_bytes_match_sequential_queries_and_fill_the_cache() {
 
     // One shared stream: the batch sampled theta worlds once, not three
     // times (the standalone server's counter shows the unamortized cost).
-    let metrics = String::from_utf8(get(&batched, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"worlds_sampled\":100"), "{metrics}");
-    assert!(metrics.contains("\"batches\":1"), "{metrics}");
-    let metrics = String::from_utf8(get(&standalone, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"worlds_sampled\":300"), "{metrics}");
+    let metrics = scrape_prom(&batched);
+    assert_eq!(
+        scrape::prom_value(&metrics, "mpds_worlds_sampled_total", &[]),
+        Some(100.0),
+        "{metrics}"
+    );
+    assert_eq!(
+        scrape::prom_value(&metrics, "mpds_batches_total", &[]),
+        Some(1.0),
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&standalone, "mpds_worlds_sampled_total", &[]),
+        Some(300.0)
+    );
 
     // Protocol edges: GET /batch is 405, malformed bodies are 400.
     assert_eq!(get(&batched, "/batch").status, 405);
@@ -318,8 +334,7 @@ fn diff_endpoint_reports_no_change_against_itself() {
     let text = String::from_utf8(e.body).unwrap();
     assert!(text.contains("\"dataset\":\"karate\",\"against\":\"karate\""));
     assert!(text.contains("\"unchanged\":true"), "{text}");
-    let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"diffs\":1"), "{metrics}");
+    assert_eq!(metric(&server, "mpds_diffs_total", &[]), Some(1.0));
 
     assert_eq!(get(&server, "/diff?dataset=karate").status, 400);
     assert_eq!(
@@ -356,10 +371,7 @@ fn batch_harness_runs_clean_and_measures_amortization() {
         let (algo, k) = spec(j);
         format!("/query?dataset=karate&theta={theta}&algo={algo}&k={k}&seed={seed}")
     };
-    let worlds = || {
-        let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-        scrape::json_uint(&metrics, "worlds_sampled").unwrap()
-    };
+    let worlds = || metric(&server, "mpds_worlds_sampled_total", &[]).unwrap() as u64;
 
     for round in 0..2u64 {
         let w0 = worlds();
@@ -444,8 +456,10 @@ fn anytime_budget_serves_200_then_refines_to_the_same_cache_key() {
         "{refined}"
     );
     assert!(refined.contains("\"worlds_sampled\":2000"), "{refined}");
-    let metrics = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(metrics.contains("\"refined\":1"), "{metrics}");
+    assert_eq!(
+        metric(&server, "mpds_queries_refined_total", &[]),
+        Some(1.0)
+    );
 
     // A stable-stop query converges early and says so in its stats block.
     let e = get(
@@ -590,7 +604,7 @@ impl RawConn {
 }
 
 /// `(mpds_served_total, mpds_connections_accepted_total)` from one
-/// Prometheus `/metrics` scrape.
+/// `/metrics` scrape.
 fn served_and_accepted(server: &Server) -> (f64, f64) {
     let text = scrape_prom(server);
     let value = |name| scrape::prom_value(&text, name, &[]).unwrap_or_else(|| panic!("{text}"));

@@ -1,10 +1,12 @@
-//! End-to-end observability tests: `?profile=1` cache neutrality, `/metrics`
-//! content negotiation, refinement-queue drain, and access-log output — all
-//! over real loopback HTTP.
+//! End-to-end observability tests: `?profile=1` cache neutrality, the
+//! Prometheus `/metrics` body and its counters, refinement-queue drain, and
+//! access-log output — all over real loopback HTTP.
 
 use mpds_obs::scrape;
-use mpds_service::client::{http_get, http_get_accept, Exchange};
+use mpds_service::client::{http_get, http_post, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +19,11 @@ fn get(server: &Server, path: &str) -> Exchange {
     http_get(server.local_addr(), path, Duration::from_secs(60)).expect("http_get")
 }
 
+/// The `/metrics` body (Prometheus text).
+fn scrape_prom(server: &Server) -> String {
+    String::from_utf8(get(server, "/metrics").body).unwrap()
+}
+
 const STAGES: [&str; 6] = [
     "snapshot_resolve",
     "cache_probe",
@@ -25,6 +32,23 @@ const STAGES: [&str; 6] = [
     "stable_tracker",
     "json_render",
 ];
+
+/// The `count` of `stage` in the `"stages"` object reached through the
+/// object keys `path` of a rendered JSON body: a `/debug/trace/<id>` record
+/// (`["stages"]`) or a `?profile=1` response (`["profile", "stages"]`).
+/// Every stage is rendered, zero-count ones included, so a check that a
+/// stage ran must read its count rather than the presence of its key.
+fn stage_count(body: &str, path: &[&str], stage: &str) -> u64 {
+    let doc = mpds_service::json::JsonValue::parse(body).expect("body parses");
+    let mut v = &doc;
+    for key in path.iter().copied().chain(["stages", stage, "count"]) {
+        v = v
+            .get(key)
+            .unwrap()
+            .unwrap_or_else(|| panic!("no {key:?} on the way to {stage}: {body}"));
+    }
+    v.as_u64(stage).unwrap()
+}
 
 #[test]
 fn profile_block_rides_along_without_perturbing_cached_bytes() {
@@ -79,18 +103,7 @@ fn profile_block_rides_along_without_perturbing_cached_bytes() {
 
     // Both profiled requests were counted, and their stage timings
     // aggregated into the Prometheus per-stage totals.
-    let legacy = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert_eq!(scrape::json_uint(&legacy, "profiled"), Some(2), "{legacy}");
-    let prom_text = {
-        let e = http_get_accept(
-            server.local_addr(),
-            "/metrics",
-            "text/plain",
-            Duration::from_secs(10),
-        )
-        .unwrap();
-        String::from_utf8(e.body).unwrap()
-    };
+    let prom_text = scrape_prom(&server);
     assert_eq!(
         scrape::prom_value(&prom_text, "mpds_profiled_requests_total", &[]),
         Some(2.0)
@@ -104,44 +117,56 @@ fn profile_block_rides_along_without_perturbing_cached_bytes() {
     assert!(accumulate.is_some_and(|v| v >= 1.0), "{prom_text}");
 }
 
+/// One `GET /metrics` over a raw socket with the given `Accept` header (none
+/// when `None`): the response's `Content-Type` and body.
+fn scrape_with_accept(server: &Server, accept: Option<&str>) -> (String, String) {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let accept = accept.map_or(String::new(), |a| format!("Accept: {a}\r\n"));
+    stream
+        .write_all(format!("GET /metrics HTTP/1.1\r\n{accept}Connection: close\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header end");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    let content_type = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Type: "))
+        .unwrap_or_else(|| panic!("{head}"));
+    (content_type.to_string(), body.to_string())
+}
+
 #[test]
-fn metrics_content_negotiation_selects_prometheus_text() {
+fn metrics_is_prometheus_text_whatever_the_accept_header() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());
     // Seed one query so the request-duration family has samples.
     let e = get(&server, "/query?dataset=karate&theta=32&k=3&seed=5");
     assert_eq!(e.status, 200);
 
-    // Default Accept (none at all): the legacy JSON body, byte-compatible
-    // with what pre-PR8 scrapers key-scan.
-    let legacy = get(&server, "/metrics");
-    assert_eq!(legacy.status, 200);
-    let legacy_body = String::from_utf8(legacy.body).unwrap();
-    assert!(
-        legacy_body.starts_with("{\"cache\":{\"hits\":"),
-        "{legacy_body}"
-    );
-    assert!(scrape::json_uint(&legacy_body, "computed").is_some());
+    // No Accept header, a JSON Accept header, and a Prometheus one all get
+    // the same text exposition.
+    let scrapes: Vec<String> = [None, Some("application/json"), Some("text/plain")]
+        .into_iter()
+        .map(|accept| {
+            let (content_type, body) = scrape_with_accept(&server, accept);
+            assert_eq!(content_type, mpds_obs::prom::CONTENT_TYPE, "{accept:?}");
+            assert!(body.starts_with("# HELP "), "{accept:?}: {body}");
+            assert!(
+                body.contains("# TYPE mpds_http_request_duration_microseconds histogram"),
+                "{accept:?}: {body}"
+            );
+            body
+        })
+        .collect();
+    let prom_body = &scrapes[1];
 
-    // Accept: text/plain → Prometheus text exposition.
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    assert_eq!(prom.status, 200);
-    let prom_body = String::from_utf8(prom.body).unwrap();
-    assert!(prom_body.starts_with("# HELP "), "{prom_body}");
-    assert!(
-        prom_body.contains("# TYPE mpds_http_request_duration_microseconds histogram"),
-        "{prom_body}"
-    );
-
-    // The query that just ran is reconstructible as an exact histogram
-    // window: one 2xx /query observation across all 64 buckets.
+    // The query that ran is reconstructible as an exact histogram window:
+    // one 2xx /query observation across all 64 buckets.
     let hist = scrape::prom_histogram(
-        &prom_body,
+        prom_body,
         "mpds_http_request_duration_microseconds",
         &[("endpoint", "query"), ("status", "2xx")],
     )
@@ -149,33 +174,98 @@ fn metrics_content_negotiation_selects_prometheus_text() {
     assert_eq!(hist.count(), 1);
     assert!(hist.sum() > 0);
 
-    // Scalar families mirror the legacy counters exactly.
     assert_eq!(
-        scrape::prom_value(&prom_body, "mpds_queries_computed_total", &[]),
-        scrape::json_uint(&legacy_body, "computed").map(|v| v as f64)
+        scrape::prom_value(prom_body, "mpds_queries_computed_total", &[]),
+        Some(1.0)
     );
-    // Three connections so far (query, JSON scrape, this scrape), each
-    // counted on accept; the first two requests are served, this one is
-    // still being answered. Their ratio is requests per connection.
+    // Three connections by the second scrape (query, first scrape, this
+    // scrape), each counted on accept; the first two requests are served,
+    // this one is still being answered. Their ratio is requests per
+    // connection.
     assert_eq!(
-        scrape::prom_value(&prom_body, "mpds_connections_accepted_total", &[]),
+        scrape::prom_value(prom_body, "mpds_connections_accepted_total", &[]),
         Some(3.0)
     );
     assert_eq!(
-        scrape::prom_value(&prom_body, "mpds_served_total", &[]),
+        scrape::prom_value(prom_body, "mpds_served_total", &[]),
         Some(2.0)
     );
-    // A Prometheus-ish Accept string also negotiates.
-    let prom2 = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "application/openmetrics-text;version=1.0.0",
-        Duration::from_secs(10),
+}
+
+#[test]
+fn each_request_counter_reads_exactly_its_requests() {
+    let dir = std::env::temp_dir().join(format!(
+        "mpds-obs-counters-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut registry = GraphRegistry::with_builtins();
+    registry.set_store(
+        mpds_store::Store::create(&dir, mpds_store::SyncPolicy::Commit).expect("create store"),
+    );
+    let engine = Arc::new(QueryEngine::new(registry, &EngineConfig::default()));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        engine,
+        &ServerConfig {
+            mutable: true,
+            ..ServerConfig::default()
+        },
     )
-    .unwrap();
-    assert!(String::from_utf8(prom2.body)
-        .unwrap()
-        .starts_with("# HELP "));
+    .expect("bind ephemeral port");
+    let post = |path: &str, body: &[u8]| {
+        http_post(server.local_addr(), path, body, Duration::from_secs(60))
+            .expect("http_post")
+            .status
+    };
+
+    assert_eq!(post("/update?dataset=karate", b"0 1 0.9\n"), 200);
+    assert_eq!(post("/update?dataset=karate", b"not an edge\n"), 400);
+    assert_eq!(
+        post(
+            "/batch",
+            br#"{"dataset":"karate","theta":16,"members":[{"k":2}]}"#
+        ),
+        200
+    );
+    assert_eq!(
+        get(&server, "/diff?dataset=karate&against=karate&theta=16&k=2").status,
+        200
+    );
+    assert_eq!(post("/admin/checkpoint?dataset=karate", b""), 200);
+
+    let text = scrape_prom(&server);
+    let value = |name: &str, labels: &[(&str, &str)]| scrape::prom_value(&text, name, labels);
+    for name in [
+        "mpds_updates_total",
+        "mpds_batches_total",
+        "mpds_diffs_total",
+        "mpds_checkpoints_total",
+    ] {
+        assert_eq!(value(name, &[]), Some(1.0), "{name}: {text}");
+    }
+    // The rejected update is filed under its endpoint as a 4xx.
+    assert_eq!(
+        scrape::prom_sum(
+            &text,
+            "mpds_http_request_duration_microseconds_count",
+            &[("endpoint", "update"), ("status", "4xx")]
+        ),
+        Some(1.0),
+        "{text}"
+    );
+    // Every request is counted once: mpds_served_total is the sum of the
+    // request histogram bank.
+    let requests = scrape::prom_sum(&text, "mpds_http_request_duration_microseconds_count", &[]);
+    assert_eq!(requests, Some(5.0), "{text}");
+    assert_eq!(value("mpds_served_total", &[]), requests, "{text}");
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -189,13 +279,13 @@ fn refine_queue_reports_depth_and_drains_to_zero() {
     assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
     assert!(String::from_utf8_lossy(&e.body).contains("\"stop_reason\":\"budget\""));
 
-    // Poll the legacy body until the worker finishes: `refined` increments
-    // and the queue-depth gauge returns to zero.
+    // Poll /metrics until the worker finishes: the refined counter
+    // increments and the queue-depth gauge returns to zero.
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    let legacy = loop {
-        let m = String::from_utf8(get(&server, "/metrics").body).unwrap();
-        if scrape::json_uint(&m, "refined") == Some(1)
-            && scrape::json_uint(&m, "refine_queue_depth") == Some(0)
+    let text = loop {
+        let m = scrape_prom(&server);
+        if scrape::prom_value(&m, "mpds_queries_refined_total", &[]) == Some(1.0)
+            && scrape::prom_value(&m, "mpds_refine_queue_depth", &[]) == Some(0.0)
         {
             break m;
         }
@@ -205,25 +295,13 @@ fn refine_queue_reports_depth_and_drains_to_zero() {
         );
         std::thread::sleep(Duration::from_millis(50));
     };
-    assert_eq!(scrape::json_uint(&legacy, "refine_ok"), Some(1));
-    assert_eq!(scrape::json_uint(&legacy, "refine_failed"), Some(0));
-
-    // The Prometheus view agrees: one completed run, one latency
-    // observation, drained gauge.
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    let text = String::from_utf8(prom.body).unwrap();
+    // One completed run, no failed one, one latency observation.
     assert_eq!(
         scrape::prom_value(&text, "mpds_refine_runs_total", &[("outcome", "ok")]),
         Some(1.0)
     );
     assert_eq!(
-        scrape::prom_value(&text, "mpds_refine_queue_depth", &[]),
+        scrape::prom_value(&text, "mpds_refine_runs_total", &[("outcome", "failed")]),
         Some(0.0)
     );
     let refine_hist =
@@ -299,9 +377,9 @@ const STORE_STAGES: [&str; 2] = ["wal_append", "wal_fsync"];
 fn every_response_carries_a_trace_id_that_resolves_via_debug_trace() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());
 
-    // A computed query (stable stop, so every engine-side stage fires —
-    // the trace record omits zero-count stages): the header trace id
-    // resolves to a completed record with the full per-stage breakdown.
+    // A computed query (stable stop, so every engine-side stage fires): the
+    // header trace id resolves to a completed record with the full
+    // per-stage breakdown.
     let q = get(
         &server,
         "/query?dataset=karate&theta=200&k=3&seed=31&stop=stable&window=8",
@@ -329,11 +407,10 @@ fn every_response_carries_a_trace_id_that_resolves_via_debug_trace() {
     assert!(body.contains("\"wall_us\":"), "{body}");
     for stage in STAGES {
         assert!(
-            body.contains(&format!("\"{stage}\":{{\"count\":")),
-            "missing stage {stage}: {body}"
+            stage_count(&body, &[], stage) >= 1,
+            "stage {stage} did not run: {body}"
         );
     }
-    mpds_service::json::JsonValue::parse(&body).expect("trace body parses");
 
     // Error responses are traced too.
     let nf = get(&server, "/nope");
@@ -377,6 +454,15 @@ fn profile_stages_agree_with_debug_trace() {
             trace_body.contains(&key),
             "trace missing {stage}: {trace_body}"
         );
+        // Every stage is rendered, so agreement means equal counts of a
+        // stage that actually ran.
+        let count = stage_count(&profiled, &["profile"], stage);
+        assert!(count >= 1, "stage {stage} did not run: {profiled}");
+        assert_eq!(
+            count,
+            stage_count(&trace_body, &[], stage),
+            "{stage}: {profiled} vs {trace_body}"
+        );
     }
 }
 
@@ -419,20 +505,8 @@ fn zero_threshold_promotes_queries_but_never_debug_self_traffic() {
     // at a zero threshold.
     assert!(!slow_body.contains(&own), "{slow_body}");
 
-    // The promotion counter is visible in both /metrics flavors.
-    let legacy = String::from_utf8(get(&server, "/metrics").body).unwrap();
-    assert!(
-        scrape::json_uint(&legacy, "slow_queries").is_some_and(|v| v >= 1),
-        "{legacy}"
-    );
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    let text = String::from_utf8(prom.body).unwrap();
+    // The promotion counter is visible on /metrics.
+    let text = scrape_prom(&server);
     assert!(
         scrape::prom_value(&text, "mpds_slow_queries_total", &[]).is_some_and(|v| v >= 1.0),
         "{text}"
@@ -481,8 +555,8 @@ fn update_traces_record_wal_and_fsync_stages() {
     assert!(body.contains("\"endpoint\":\"update\""), "{body}");
     for stage in STORE_STAGES {
         assert!(
-            body.contains(&format!("\"{stage}\":{{\"count\":")),
-            "missing store stage {stage}: {body}"
+            stage_count(&body, &[], stage) >= 1,
+            "store stage {stage} did not run: {body}"
         );
     }
 
@@ -497,14 +571,7 @@ fn histogram_exemplars_carry_the_latest_trace_id() {
     assert_eq!(q.status, 200);
     let trace = q.trace_id.clone().unwrap();
 
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    let text = String::from_utf8(prom.body).unwrap();
+    let text = scrape_prom(&server);
     let exemplars = scrape::prom_exemplars(
         &text,
         "mpds_http_request_duration_microseconds",
@@ -526,14 +593,7 @@ fn slo_families_expose_targets_and_burn_rates() {
     let q = get(&server, "/query?dataset=karate&theta=16&k=3&seed=51");
     assert_eq!(q.status, 200);
 
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    let text = String::from_utf8(prom.body).unwrap();
+    let text = scrape_prom(&server);
 
     assert_eq!(
         scrape::prom_value(&text, "mpds_slo_target", &[("slo", "query-latency-250ms")]),
@@ -651,14 +711,7 @@ fn flight_harness_mini_run_resolves_an_exemplar() {
     let slow = String::from_utf8(get(&server, "/debug/slow").body).unwrap();
     assert!(slow.contains("\"trace_id\""), "{slow}");
 
-    let prom = http_get_accept(
-        server.local_addr(),
-        "/metrics",
-        "text/plain",
-        Duration::from_secs(10),
-    )
-    .unwrap();
-    let text = String::from_utf8(prom.body).unwrap();
+    let text = scrape_prom(&server);
     let exemplars = scrape::prom_exemplars(
         &text,
         "mpds_http_request_duration_microseconds",
@@ -671,7 +724,7 @@ fn flight_harness_mini_run_resolves_an_exemplar() {
         };
         let hex = mpds_obs::flight::format_trace_id(id);
         let t = get(&server, &format!("/debug/trace/{hex}"));
-        t.status == 200 && String::from_utf8_lossy(&t.body).contains("\"stages\":{\"")
+        t.status == 200 && stage_count(&String::from_utf8_lossy(&t.body), &[], "cache_probe") >= 1
     });
     assert!(
         resolved,
@@ -706,16 +759,8 @@ fn obs_harness_runs_clean_with_server_side_percentiles() {
     let base = "/query?dataset=karate&theta=32&k=3";
     let repeat_path = format!("{base}&seed=4242");
     let scrape_hist = || {
-        let e = http_get_accept(
-            server.local_addr(),
-            "/metrics",
-            "text/plain",
-            Duration::from_secs(10),
-        )
-        .unwrap();
-        let text = String::from_utf8(e.body).unwrap();
         scrape::prom_histogram(
-            &text,
+            &scrape_prom(&server),
             "mpds_http_request_duration_microseconds",
             &[("endpoint", "query"), ("status", "2xx")],
         )
