@@ -1255,10 +1255,11 @@ impl Query {
         ))
     }
 
-    fn finish_mpds(&self, acc: MpdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
+    fn finish_mpds(&self, mut acc: MpdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
+        acc.candidates.fold();
         let top_k: Vec<(NodeSet, f64)> = acc
             .candidates
             .top_k(self.k)
@@ -1477,7 +1478,8 @@ impl MpdsAccum {
     }
 
     /// The current top-k sets, for the `Stop::Stable` trackers.
-    fn top_k_sets(&self, k: usize) -> Vec<NodeSet> {
+    fn top_k_sets(&mut self, k: usize) -> Vec<NodeSet> {
+        self.candidates.fold();
         self.candidates
             .top_k(k)
             .into_iter()

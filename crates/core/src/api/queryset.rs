@@ -505,7 +505,7 @@ impl QuerySet {
                 None => true,
                 Some(ts) => {
                     let mut all_stable = true;
-                    for ((t, accum), q) in ts.iter_mut().zip(&accums).zip(&members) {
+                    for ((t, accum), q) in ts.iter_mut().zip(&mut accums).zip(&members) {
                         let current = match accum {
                             MemberAccum::Mpds(a) => a.top_k_sets(q.k),
                             MemberAccum::Nds(a) => itemset::top_k_closed(

@@ -85,15 +85,26 @@ impl MpdsResult {
 /// The candidate table of paper Algorithm 1: every node set that was a
 /// densest subgraph in some sampled world, with the number of such worlds.
 ///
-/// Keys are packed `u64` node masks when the graph has at most 64 nodes
-/// (bit `v` = node `v`), and sorted [`NodeSet`]s otherwise. The choice
-/// follows from the graph alone; both behave the same through this API, and
-/// tables compare equal by content whatever their key form.
+/// On graphs of at most 64 nodes a set is a packed `u64` node mask (bit `v`
+/// = node `v`). Credits are appended, unsorted, to a pending list; a *fold*
+/// sorts that list, counts its runs of equal masks and merges them into one
+/// run of `(mask, count)` pairs sorted by mask, in place, moving each run
+/// entry at most once. A fold happens when the pending list outgrows the run
+/// (or 65,536 masks, whichever is larger), so memory stays bounded by a
+/// small multiple of the distinct sets, and whenever the run is read: at the
+/// end of a run, before each [`crate::api::Stop::Stable`] check, and when
+/// worker tables merge (the same in-place merge of one sorted run into
+/// another). Every table a run hands out is fully folded, and
+/// [`CandidateTable::get`] is a binary search in its run.
+///
+/// Graphs past 64 nodes key a hash map by sorted [`NodeSet`]s instead. The
+/// choice follows from the graph alone; both behave the same through this
+/// API, and tables compare equal by content whatever their key form.
 ///
 /// Ranking ([`CandidateTable::top_k`]) orders by count descending, then
 /// fewer nodes first, then lexicographically on the sorted ids. No two
-/// distinct sets tie under that order, so the ranking never depends on hash
-/// iteration order. Which sets a table holds, though, depends on the
+/// distinct sets tie under that order, so the ranking never depends on
+/// storage order. Which sets a table holds, though, depends on the
 /// enumeration order of [`densest::for_each_densest`]: a world truncated at
 /// the enumeration cap credits only the first sets of that order, and the
 /// one-densest-per-world ablation credits the set at a random position in
@@ -119,17 +130,112 @@ pub struct CandidateTable {
 
 #[derive(Debug, Clone)]
 enum Keys {
-    /// Graphs of at most 64 nodes: bit `v` of the key is node `v`.
-    Packed(HashMap<u64, u32>),
+    /// Graphs of at most 64 nodes: bit `v` of a mask is node `v`.
+    Packed(Packed),
     /// Larger graphs: sorted, duplicate-free id vectors.
     Sets(HashMap<NodeSet, u32>),
+}
+
+/// Pending credits below this many are never folded early: small tables
+/// fold once, when read.
+const FOLD_FLOOR: usize = 1 << 16;
+
+/// Packed masks as a sorted run plus unsorted pending credits.
+#[derive(Debug, Clone, Default)]
+struct Packed {
+    /// Distinct folded masks, ascending.
+    masks: Vec<u64>,
+    /// `counts[i]` is the number of credits of `masks[i]`.
+    counts: Vec<u32>,
+    /// Credits not yet folded, in arrival order.
+    pending: Vec<u64>,
+}
+
+impl Packed {
+    fn credit(&mut self, mask: u64) {
+        self.pending.push(mask);
+        if self.pending.len() >= self.masks.len().max(FOLD_FLOOR) {
+            self.fold();
+        }
+    }
+
+    /// Sorts the pending credits and merges their per-mask counts into the
+    /// run.
+    fn fold(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable();
+        self.absorb(run_lengths(&pending));
+        pending.clear();
+        self.pending = pending;
+    }
+
+    /// Adds mask-ascending, duplicate-free `(mask, count)` entries to the
+    /// run in two sequential passes: a forward walk adds the counts of masks
+    /// already in the run and sets the new ones aside, then a backward merge
+    /// makes room for them in place, moving each run entry at most once.
+    fn absorb(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
+        let mut fresh = Vec::new();
+        let mut i = 0;
+        for (mask, count) in entries {
+            while self.masks.get(i).is_some_and(|&m| m < mask) {
+                i += 1;
+            }
+            match self.masks.get(i) {
+                Some(&m) if m == mask => self.counts[i] += count,
+                _ => fresh.push((mask, count)),
+            }
+        }
+        let (mut read, mut write) = (self.masks.len(), self.masks.len() + fresh.len());
+        self.masks.resize(write, 0);
+        self.counts.resize(write, 0);
+        for &(mask, count) in fresh.iter().rev() {
+            while read > 0 && self.masks[read - 1] > mask {
+                read -= 1;
+                write -= 1;
+                self.masks[write] = self.masks[read];
+                self.counts[write] = self.counts[read];
+            }
+            write -= 1;
+            self.masks[write] = mask;
+            self.counts[write] = count;
+        }
+    }
+
+    /// The folded `(mask, count)` run, ascending by mask.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.masks.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// The folded run, for reading; a table with pending credits has not
+    /// been handed out yet.
+    fn folded(&self) -> &Self {
+        assert!(
+            self.pending.is_empty(),
+            "candidate table read before its fold"
+        );
+        self
+    }
+}
+
+/// `(mask, repeats)` for each run of equal masks in `sorted`.
+fn run_lengths(sorted: &[u64]) -> impl Iterator<Item = (u64, u32)> + '_ {
+    let mut rest = sorted;
+    std::iter::from_fn(move || {
+        let &mask = rest.first()?;
+        let n = rest.iter().take_while(|&&m| m == mask).count();
+        rest = &rest[n..];
+        Some((mask, n as u32))
+    })
 }
 
 impl CandidateTable {
     /// An empty table for sets over a graph of `num_nodes` nodes.
     pub(crate) fn for_graph(num_nodes: usize) -> Self {
         let keys = if num_nodes <= 64 {
-            Keys::Packed(HashMap::new())
+            Keys::Packed(Packed::default())
         } else {
             Keys::Sets(HashMap::new())
         };
@@ -139,7 +245,7 @@ impl CandidateTable {
     /// An empty table with the same key form.
     pub(crate) fn empty_like(&self) -> Self {
         let keys = match self.keys {
-            Keys::Packed(_) => Keys::Packed(HashMap::new()),
+            Keys::Packed(_) => Keys::Packed(Packed::default()),
             Keys::Sets(_) => Keys::Sets(HashMap::new()),
         };
         CandidateTable { keys }
@@ -148,7 +254,7 @@ impl CandidateTable {
     /// Number of distinct candidate sets.
     pub fn len(&self) -> usize {
         match &self.keys {
-            Keys::Packed(m) => m.len(),
+            Keys::Packed(p) => p.folded().masks.len(),
             Keys::Sets(m) => m.len(),
         }
     }
@@ -162,12 +268,14 @@ impl CandidateTable {
     /// `None` if it never was a densest subgraph.
     pub fn get(&self, nodes: &[NodeId]) -> Option<u32> {
         match &self.keys {
-            Keys::Packed(m) => {
+            Keys::Packed(p) => {
                 let mut mask = 0u64;
                 for &v in nodes {
                     mask |= 1u64.checked_shl(v)?;
                 }
-                m.get(&mask).copied()
+                let p = p.folded();
+                let i = p.masks.binary_search(&mask).ok()?;
+                Some(p.counts[i])
             }
             Keys::Sets(m) if nodes.windows(2).all(|w| w[0] < w[1]) => m.get(nodes).copied(),
             Keys::Sets(m) => m.get(&nodeset::canonicalize(nodes.to_vec())).copied(),
@@ -177,7 +285,7 @@ impl CandidateTable {
     /// Every `(sorted node set, count)` entry, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
         let entries: Box<dyn Iterator<Item = (NodeSet, u32)> + '_> = match &self.keys {
-            Keys::Packed(m) => Box::new(m.iter().map(|(&k, &c)| (mask_nodes(k), c))),
+            Keys::Packed(p) => Box::new(p.folded().entries().map(|(k, c)| (mask_nodes(k), c))),
             Keys::Sets(m) => Box::new(m.iter().map(|(s, &c)| (s.clone(), c))),
         };
         entries
@@ -188,9 +296,10 @@ impl CandidateTable {
     /// the whole table.
     pub fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
         match &self.keys {
-            Keys::Packed(m) => smallest_k(
-                m.iter()
-                    .map(|(&key, &c)| (Reverse(c), packed_rank(key), key)),
+            Keys::Packed(p) => smallest_k(
+                p.folded()
+                    .entries()
+                    .map(|(key, c)| (Reverse(c), packed_rank(key), key)),
                 k,
             )
             .into_iter()
@@ -211,9 +320,9 @@ impl CandidateTable {
     /// decoded into the reused buffer `decoded`.
     pub(crate) fn credit_mask(&mut self, mask: &[u64], decoded: &mut NodeSet) {
         match &mut self.keys {
-            Keys::Packed(m) => {
+            Keys::Packed(p) => {
                 debug_assert!(mask[1..].iter().all(|&w| w == 0));
-                *m.entry(mask[0]).or_insert(0) += 1;
+                p.credit(mask[0]);
             }
             Keys::Sets(m) => {
                 decoded.clear();
@@ -226,21 +335,26 @@ impl CandidateTable {
     /// Credits one densest set given as sorted ids.
     pub(crate) fn credit_nodes(&mut self, nodes: &[NodeId]) {
         match &mut self.keys {
-            Keys::Packed(m) => {
-                let mask = nodes.iter().fold(0u64, |acc, &v| acc | 1 << v);
-                *m.entry(mask).or_insert(0) += 1;
-            }
+            Keys::Packed(p) => p.credit(nodes.iter().fold(0u64, |acc, &v| acc | 1 << v)),
             Keys::Sets(m) => credit_set(m, nodes),
         }
     }
 
-    /// Adds another table's counts (same graph, so the same key form).
+    /// Folds pending credits into the sorted run, so the table can be read.
+    pub(crate) fn fold(&mut self) {
+        if let Keys::Packed(p) = &mut self.keys {
+            p.fold();
+        }
+    }
+
+    /// Adds another table's counts (same graph, so the same key form) and
+    /// leaves the result folded.
     pub(crate) fn merge(&mut self, other: CandidateTable) {
         match (&mut self.keys, other.keys) {
-            (Keys::Packed(m), Keys::Packed(o)) => {
-                for (k, c) in o {
-                    *m.entry(k).or_insert(0) += c;
-                }
+            (Keys::Packed(p), Keys::Packed(mut o)) => {
+                o.fold();
+                p.absorb(o.entries());
+                p.fold();
             }
             (Keys::Sets(m), Keys::Sets(o)) => {
                 for (s, c) in o {
@@ -255,7 +369,10 @@ impl CandidateTable {
 impl PartialEq for CandidateTable {
     fn eq(&self, other: &Self) -> bool {
         match (&self.keys, &other.keys) {
-            (Keys::Packed(a), Keys::Packed(b)) => a == b,
+            (Keys::Packed(a), Keys::Packed(b)) => {
+                let (a, b) = (a.folded(), b.folded());
+                a.masks == b.masks && a.counts == b.counts
+            }
             (Keys::Sets(a), Keys::Sets(b)) => a == b,
             _ => self.len() == other.len() && self.iter().all(|(s, c)| other.get(&s) == Some(c)),
         }
@@ -362,6 +479,7 @@ mod tests {
                 sets.credit_nodes(&set);
             }
         }
+        packed.fold();
         assert_eq!(packed, sets);
         assert_eq!(sets, packed);
         let full = sorted_reference(&packed);
@@ -397,12 +515,113 @@ mod tests {
             let mut t = CandidateTable::for_graph(n);
             t.credit_nodes(&[1, 3]);
             t.credit_mask(&[0b1010], &mut Vec::new());
+            t.fold();
             assert_eq!(t.len(), 1);
             assert_eq!(t.get(&[1, 3]), Some(2));
             assert_eq!(t.get(&[3, 1, 3]), Some(2));
             assert_eq!(t.get(&[1]), None);
             assert_eq!(t.get(&[1, 3, 99]), None);
             assert_eq!(t.iter().collect::<Vec<_>>(), vec![(vec![1, 3], 2)]);
+        }
+    }
+
+    /// A pseudo-random set of about eight nodes below 64, never empty.
+    fn sparse_mask(id: u64) -> u64 {
+        let mix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        };
+        mix(3 * id + 1) & mix(3 * id + 2) & mix(3 * id + 3) | 1 << (id % 64)
+    }
+
+    /// `len` credits drawn from a pool of `pool` distinct sets, with repeats.
+    fn mask_stream(seed: u64, len: usize, pool: u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                sparse_mask((x >> 33) % pool)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tables_match_a_hash_map_across_several_folds() {
+        // More than three floors' worth of credits over a pool larger than
+        // the floor. Folds happen at 65,536 and 131,072 credits, then, once
+        // the run has outgrown the floor, at ≈210,900 on the run's length;
+        // the last ≈51,400 credits are still pending when the loop ends.
+        let stream = mask_stream(7, 4 * FOLD_FLOOR + 123, 120_000);
+        let mut reference: HashMap<u64, u32> = HashMap::new();
+        for &m in &stream {
+            *reference.entry(m).or_insert(0) += 1;
+        }
+        let reference_sets: HashMap<NodeSet, u32> = reference
+            .iter()
+            .map(|(&m, &c)| (mask_nodes(m), c))
+            .collect();
+        let mut decoded = Vec::new();
+        for n in [64, 65] {
+            let mut t = CandidateTable::for_graph(n);
+            for &m in &stream {
+                t.credit_mask(&[m], &mut decoded);
+            }
+            if let Keys::Packed(p) = &t.keys {
+                assert!(p.masks.len() > FOLD_FLOOR && !p.pending.is_empty());
+            }
+            t.fold();
+            assert_eq!(t.len(), reference.len(), "n = {n}");
+            assert_eq!(t.iter().collect::<HashMap<_, _>>(), reference_sets);
+            for (i, (&m, &c)) in reference.iter().enumerate().take(2_000) {
+                let mut ids = mask_nodes(m);
+                ids.reverse();
+                ids.push(ids[i % ids.len()]);
+                assert_eq!(t.get(&ids), Some(c), "{ids:?}");
+            }
+            assert_eq!(t.get(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]), None);
+            assert_eq!(t.get(&[1, 64]), None);
+            let full = sorted_reference(&t);
+            for k in [1, 10, 1_000] {
+                assert_eq!(t.top_k(k), full[..k], "n = {n}, k = {k}");
+            }
+            let mut backwards = CandidateTable::for_graph(64);
+            for &m in stream.iter().rev() {
+                backwards.credit_mask(&[m], &mut decoded);
+            }
+            backwards.fold();
+            assert_eq!(t, backwards, "n = {n}");
+            assert_eq!(backwards, t, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn merged_tables_equal_one_table_credited_with_both_streams() {
+        let (a, b) = (
+            mask_stream(11, 2 * FOLD_FLOOR + 5, 90_000),
+            mask_stream(13, FOLD_FLOOR / 2, 90_000),
+        );
+        let mut decoded = Vec::new();
+        for n in [64, 65] {
+            let mut left = CandidateTable::for_graph(n);
+            let mut right = CandidateTable::for_graph(n);
+            let mut both = CandidateTable::for_graph(n);
+            for &m in &a {
+                left.credit_mask(&[m], &mut decoded);
+            }
+            for &m in &b {
+                right.credit_mask(&[m], &mut decoded);
+            }
+            for &m in b.iter().chain(&a) {
+                both.credit_mask(&[m], &mut decoded);
+            }
+            left.merge(right);
+            both.fold();
+            assert_eq!(left, both, "n = {n}");
+            assert_eq!(left.len(), both.len(), "n = {n}");
+            assert_eq!(left.top_k(5), both.top_k(5), "n = {n}");
         }
     }
 

@@ -195,25 +195,28 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
     for (i, &v) in core_nodes.iter().enumerate() {
         local_of[v as usize] = i as u32;
     }
-    let local_insts: Vec<Vec<u32>> = instances
-        .instances
-        .iter()
-        .filter(|inst| inst.iter().all(|&v| local_of[v as usize] != u32::MAX))
-        .map(|inst| inst.iter().map(|&v| local_of[v as usize]).collect())
-        .collect();
+    // The core's instances in core-local ids, flat: instance `i` is
+    // `local_insts[i * arity..(i + 1) * arity]`.
+    let arity = notion.arity();
+    let mut local_insts: Vec<u32> = Vec::new();
+    for inst in &instances.instances {
+        debug_assert_eq!(inst.len(), arity);
+        if inst.iter().all(|&v| local_of[v as usize] != u32::MAX) {
+            local_insts.extend(inst.iter().map(|&v| local_of[v as usize]));
+        }
+    }
     debug_assert!(!local_insts.is_empty());
 
     let nc = core_nodes.len();
-    let arity = notion.arity() as u64;
-    let mu = local_insts.len() as u64;
+    let mu = (local_insts.len() / arity) as u64;
 
     // Dinkelbach iteration: α is always an achieved subgraph density; when
     // the test at α finds nothing denser, α = ρ*.
     let mut alpha = peeling.best_density;
     loop {
-        let mut built = build_network(&notion, g, nc, &core_nodes, &local_of, &local_insts, alpha);
+        let mut built = build_network(&notion, nc, &local_insts, alpha);
         let flow = built.net.max_flow(built.s, built.t);
-        let trivial = arity
+        let trivial = (arity as u64)
             .checked_mul(mu)
             .and_then(|x| x.checked_mul(alpha.den))
             .expect("trivial cut fits in u64");
@@ -231,20 +234,20 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
         let reach = built.net.reachable_from(built.s);
         let witness: Vec<u32> = (0..nc as u32).filter(|&i| reach[i as usize]).collect();
         debug_assert!(!witness.is_empty());
-        let cnt = count_within_local(nc, &local_insts, &witness);
+        let cnt = count_within_local(nc, &local_insts, arity, &witness);
         let d = Density::new(cnt, witness.len() as u64);
         debug_assert!(d > alpha, "Dinkelbach must strictly improve");
         alpha = d;
     }
 }
 
-fn count_within_local(nc: usize, insts: &[Vec<u32>], nodes: &[u32]) -> u64 {
+fn count_within_local(nc: usize, insts: &[u32], arity: usize, nodes: &[u32]) -> u64 {
     let mut mark = vec![false; nc];
     for &v in nodes {
         mark[v as usize] = true;
     }
     insts
-        .iter()
+        .chunks_exact(arity)
         .filter(|inst| inst.iter().all(|&v| mark[v as usize]))
         .count() as u64
 }
@@ -257,38 +260,35 @@ struct BuiltNetwork {
 
 /// Builds the parameterized flow network for `α = a/b`, capacity-scaled by
 /// `b` (paper Example 4 network for edges, Algorithm 6 for cliques,
-/// Algorithm 7 for patterns).
+/// Algorithm 7 for patterns), over `nc` core nodes and the flat core-local
+/// instances `local_insts` (`notion.arity()` ids each).
 fn build_network(
     notion: &DensityNotion,
-    g: &Graph,
     nc: usize,
-    core_nodes: &[NodeId],
-    local_of: &[u32],
-    local_insts: &[Vec<u32>],
+    local_insts: &[u32],
     alpha: Density,
 ) -> BuiltNetwork {
     let (a, b) = (alpha.num, alpha.den);
+    let insts = local_insts.chunks_exact(notion.arity());
+    // Instance degrees within the core: the s → v capacities.
+    let mut deg = vec![0u64; nc];
+    for &v in local_insts {
+        deg[v as usize] += 1;
+    }
     match notion {
         DensityNotion::Edge => {
             // Nodes: 0..nc = V, nc = s, nc+1 = t.
             let s = nc;
             let t = nc + 1;
             let mut net = FlowNetwork::new(nc + 2);
-            // Local degrees within the core.
-            let mut deg = vec![0u64; nc];
-            for inst in local_insts {
-                deg[inst[0] as usize] += 1;
-                deg[inst[1] as usize] += 1;
-            }
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, 2 * a, 0);
             }
-            for inst in local_insts {
+            for inst in insts {
                 // One arc pair models the undirected edge: cap b both ways.
                 net.add_edge(inst[0] as usize, inst[1] as usize, b, b);
             }
-            let _ = (g, core_nodes, local_of);
             BuiltNetwork { net, s, t }
         }
         DensityNotion::Clique(h) => {
@@ -299,9 +299,9 @@ fn build_network(
                 std::collections::HashMap::new();
             // (λ index, completing node) pairs — one per (clique, member).
             let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for inst in local_insts {
+            for inst in insts {
                 for (i, &v) in inst.iter().enumerate() {
-                    let mut facet = inst.clone();
+                    let mut facet = inst.to_vec();
                     facet.remove(i);
                     let next_id = lambda_of.len() as u32;
                     let id = *lambda_of.entry(facet).or_insert(next_id);
@@ -313,12 +313,6 @@ fn build_network(
             let s = nc + num_lambda;
             let t = s + 1;
             let mut net = FlowNetwork::new(nc + num_lambda + 2);
-            let mut deg = vec![0u64; nc];
-            for inst in local_insts {
-                for &v in inst {
-                    deg[v as usize] += 1;
-                }
-            }
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, (h as u64) * a, 0);
@@ -340,20 +334,14 @@ fn build_network(
             // Λ′: groups of instances sharing a node set (Algorithm 7 Line 5).
             let mut groups: std::collections::HashMap<Vec<u32>, u64> =
                 std::collections::HashMap::new();
-            for inst in local_insts {
-                *groups.entry(inst.clone()).or_insert(0) += 1;
+            for inst in insts {
+                *groups.entry(inst.to_vec()).or_insert(0) += 1;
             }
             let group_list: Vec<(&Vec<u32>, u64)> = groups.iter().map(|(k, &v)| (k, v)).collect();
             let num_groups = group_list.len();
             let s = nc + num_groups;
             let t = s + 1;
             let mut net = FlowNetwork::new(nc + num_groups + 2);
-            let mut deg = vec![0u64; nc];
-            for inst in local_insts {
-                for &v in inst {
-                    deg[v as usize] += 1;
-                }
-            }
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, kp * a, 0);

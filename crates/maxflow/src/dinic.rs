@@ -13,6 +13,8 @@
 //! before running; the counting sort is stable, preserving per-node arc
 //! insertion order.
 
+use std::collections::VecDeque;
+
 /// Effectively infinite capacity (≈ 4.6e18 / 4). Large enough to dominate any
 /// finite cut in the paper's constructions, small enough that adding a few
 /// thousand of them to a real capacity cannot overflow `u64`.
@@ -38,9 +40,11 @@ pub struct FlowNetwork {
     order: Vec<u32>,
     /// Whether `start`/`order` reflect the current arc set.
     frozen: bool,
-    // Scratch buffers reused across BFS/DFS phases.
+    // Scratch buffers reused across BFS/DFS phases and augmenting paths.
     level: Vec<u32>,
     iter: Vec<u32>,
+    queue: VecDeque<u32>,
+    path: Vec<u32>,
 }
 
 impl FlowNetwork {
@@ -57,6 +61,8 @@ impl FlowNetwork {
             frozen: true,
             level: vec![0; n],
             iter: vec![0; n],
+            queue: VecDeque::new(),
+            path: Vec::new(),
         }
     }
 
@@ -144,21 +150,20 @@ impl FlowNetwork {
         assert_ne!(s, t);
         self.freeze();
         let mut total = 0u64;
-        let mut queue = std::collections::VecDeque::new();
         loop {
             // BFS: build level graph.
             self.level.iter_mut().for_each(|l| *l = u32::MAX);
             self.level[s] = 0;
-            queue.clear();
-            queue.push_back(s as u32);
-            while let Some(v) = queue.pop_front() {
+            self.queue.clear();
+            self.queue.push_back(s as u32);
+            while let Some(v) = self.queue.pop_front() {
                 let row = self.start[v as usize] as usize..self.start[v as usize + 1] as usize;
                 for i in row {
                     let e = self.order[i];
                     let w = self.to[e as usize];
                     if self.cap[e as usize] > 0 && self.level[w as usize] == u32::MAX {
                         self.level[w as usize] = self.level[v as usize] + 1;
-                        queue.push_back(w);
+                        self.queue.push_back(w);
                     }
                 }
             }
@@ -181,17 +186,17 @@ impl FlowNetwork {
     /// Returns the pushed amount (0 when the blocking flow is complete).
     fn dfs_augment(&mut self, s: usize, t: usize) -> u64 {
         // Iterative DFS storing the path of arcs taken.
-        let mut path: Vec<u32> = Vec::new();
+        self.path.clear();
         let mut v = s;
         loop {
             if v == t {
                 // Bottleneck along the path, then push.
                 let mut f = u64::MAX;
-                for &e in &path {
+                for &e in &self.path {
                     f = f.min(self.cap[e as usize]);
                 }
                 debug_assert!(f > 0);
-                for &e in &path {
+                for &e in &self.path {
                     self.cap[e as usize] -= f;
                     self.cap[e as usize ^ 1] += f;
                 }
@@ -203,7 +208,7 @@ impl FlowNetwork {
                 let e = self.order[self.start[v] as usize + self.iter[v] as usize];
                 let w = self.to[e as usize] as usize;
                 if self.cap[e as usize] > 0 && self.level[w] == self.level[v] + 1 {
-                    path.push(e);
+                    self.path.push(e);
                     v = w;
                     advanced = true;
                     break;
@@ -215,7 +220,7 @@ impl FlowNetwork {
             }
             // Dead end: mark the node unusable in this phase and backtrack.
             self.level[v] = u32::MAX;
-            match path.pop() {
+            match self.path.pop() {
                 Some(e) => {
                     v = self.to[e as usize ^ 1] as usize;
                     self.iter[v] += 1;

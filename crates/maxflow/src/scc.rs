@@ -23,7 +23,6 @@ pub struct Condensation {
 impl Condensation {
     /// Decomposes the directed graph given as adjacency lists.
     pub fn new(adj: &[Vec<u32>]) -> Self {
-        let _n = adj.len();
         let comp_of = tarjan(adj);
         let num = comp_of.iter().map(|&c| c + 1).max().unwrap_or(0) as usize;
         let mut members = vec![Vec::new(); num];
