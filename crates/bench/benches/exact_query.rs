@@ -2,15 +2,22 @@
 //! Zachary's karate club at θ = 64, k = 3, edge density, over a fixed set of
 //! query seeds, with no server in the way.
 //!
-//! `query` times whole queries: sampling, the exact solve and enumeration of
-//! every world's densest subgraphs, the candidate tally, and ranking.
-//! `solve_only` times just the densest-subgraph enumeration over the same
-//! pre-sampled worlds, streaming each set into a no-op sink. Their
-//! difference is what the estimator spends around the solver, mostly the
-//! candidate tally.
+//! Three timings split a query three ways:
+//!
+//! * `query` times whole queries: sampling, the exact solve and enumeration
+//!   of every world's densest subgraphs, the candidate tally, and ranking.
+//! * `solve_only` times the solver alone over the same pre-sampled worlds:
+//!   `for_each_densest` streaming each set into a no-op sink.
+//! * `max_density_only` times `max_density` over those worlds: instance
+//!   listing, peeling, core reduction and the Dinkelbach max-flow steps,
+//!   without the enumeration.
+//!
+//! `query − solve_only` is what the estimator spends around the solver,
+//! mostly the candidate tally; `solve_only − max_density_only` is the
+//! enumeration (residual graph, condensation and the antichain walk).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use densest::{for_each_densest, DensityNotion};
+use densest::{for_each_densest, max_density, DensityNotion};
 use mpds::api::Query;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,6 +70,13 @@ fn bench_exact_query(c: &mut Criterion) {
                 });
             }
             sets
+        })
+    });
+    group.bench_function("max_density_only", |b| {
+        b.iter(|| {
+            for world in &worlds {
+                black_box(max_density(world, &DensityNotion::Edge));
+            }
         })
     });
     group.finish();

@@ -265,10 +265,10 @@ fn run_benchmarks(min_secs: f64) -> Vec<Metric> {
             for _ in 0..iters {
                 let mask = mc.next_mask();
                 let w = AdjListGraph::world_from_mask(n, &edges, &mask);
-                let inst = densest::instances::InstanceSet {
-                    arity: 2,
-                    instances: w.edges().iter().map(|&(u, v)| vec![u, v]).collect(),
-                };
+                let inst = densest::instances::InstanceSet::from_flat(
+                    2,
+                    w.edges().iter().flat_map(|&(u, v)| [u, v]).collect(),
+                );
                 let p = densest::peeling::peel(n, &inst);
                 std::hint::black_box(p.best_density);
             }
@@ -305,10 +305,7 @@ fn run_benchmarks(min_secs: f64) -> Vec<Metric> {
         let legacy_ops = ops_per_sec(min_secs, |iters| {
             for _ in 0..iters {
                 let tris = legacy_small.triangles();
-                let inst = densest::instances::InstanceSet {
-                    arity: 3,
-                    instances: tris.iter().map(|t| t.to_vec()).collect(),
-                };
+                let inst = densest::instances::InstanceSet::from_flat(3, tris.concat());
                 let p = densest::peeling::peel(600, &inst);
                 std::hint::black_box(p.best_density);
             }

@@ -44,7 +44,7 @@ pub fn expected_densest_subgraph(g: &UncertainGraph, notion: &DensityNotion) -> 
             }
         }
     } else {
-        for nodes in &inst.instances {
+        for nodes in inst.iter() {
             // Weight = product of the probabilities of the instance's edges.
             // For non-induced instances on the same node set the edge sets
             // differ, but density only depends on node sets; summing the
@@ -54,7 +54,7 @@ pub fn expected_densest_subgraph(g: &UncertainGraph, notion: &DensityNotion) -> 
             // for patterns we sum embedding weights via the matcher below.
             let w = instance_weight(g, nodes, notion);
             if w > 0 {
-                weighted.push((nodes.clone(), w));
+                weighted.push((nodes.to_vec(), w));
             }
         }
     }
@@ -136,12 +136,8 @@ fn instance_weight(g: &UncertainGraph, nodes: &[NodeId], notion: &DensityNotion)
             // Total weight of edge-image-distinct instances covering ALL of
             // `nodes` (skip ones on proper subsets; they appear as their own
             // instance entries).
-            let full: Vec<&Vec<NodeId>> = inst
-                .instances
-                .iter()
-                .filter(|i| i.len() == nodes.len())
-                .collect();
-            if full.is_empty() {
+            let full = inst.iter().filter(|i| i.len() == nodes.len()).count();
+            if full == 0 {
                 return 0;
             }
             // enumerate_pattern lost the edge images; recompute weights by
@@ -164,7 +160,7 @@ fn instance_weight(g: &UncertainGraph, nodes: &[NodeId], notion: &DensityNotion)
                 }
                 total += p;
             }
-            let entries = full.len() as f64;
+            let entries = full as f64;
             ((total / entries) * SCALE).round() as u64
         }
     }
@@ -317,7 +313,6 @@ mod tests {
                 let (sub, map) = g.graph().induced_subgraph(nodes);
                 let images = match notion {
                     DensityNotion::Clique(h) => densest::instances::enumerate_cliques(&sub, *h)
-                        .instances
                         .iter()
                         .map(|c| {
                             let mut im = Vec::new();

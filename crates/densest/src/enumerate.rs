@@ -15,8 +15,37 @@
 //! Def. 9), precomputed once per network as packed node bitsets. The
 //! enumeration therefore hands each set to its sink as a borrowed mask and
 //! allocates nothing per set.
+//!
+//! # Bitset rows
+//!
+//! Algorithm 3 keeps, at every recursion level, the list `C2` of components
+//! that may still join the independent set built so far. Here `C2` is a
+//! packed bitset over component ids, `⌈#components / 64⌉` words wide, and
+//! each V-bearing non-trivial component `C` gets one precomputed row
+//! `compat[C]`: the V-bearing non-trivial components with a larger id that
+//! are incomparable with `C` (neither reaches the other). Choosing `C` at a
+//! level whose candidates are `live` gives the child level `live & compat[C]`
+//! — a few word ANDs instead of a rescan of the level's list. Only the
+//! ancestor side needs checking: Tarjan numbers descendants first, so `C`
+//! never reaches a component with a larger id.
+//!
+//! Λ-only components (components of the clique and pattern networks that
+//! hold no graph node) are left out of every row. They may never be chosen
+//! (paper Def. 10) and add no node to any set; the V-bearing components
+//! below them still arrive through the closure masks of the chosen
+//! components above. Dropping them changes no set.
+//!
+//! # Why the order is the list order
+//!
+//! The list form walked `C2` in ascending component id and built a child's
+//! list from the entries after `C` that are incomparable with it, keeping
+//! their order. Iterating a row's set bits in ascending order visits the
+//! same components in the same order, and `live & compat[C]` holds exactly
+//! the entries after `C` that are incomparable with it. So every set is
+//! emitted at the same position, and truncation at a cap keeps the same
+//! prefix.
 
-use maxflow::{Condensation, FlowNetwork};
+use maxflow::{Condensation, Csr, FlowNetwork};
 use ugraph::bitset::ones_in;
 use ugraph::NodeId;
 
@@ -32,6 +61,27 @@ pub struct Enumeration {
     pub truncated: bool,
 }
 
+/// Buffers [`for_each_min_cut_subgraph`] reuses from one network to the
+/// next: the residual graph, its condensation, and the per-component rows.
+/// Enumerating with a warm scratch allocates only the returned
+/// `max_sized` list.
+#[derive(Debug, Clone, Default)]
+pub struct Scratch {
+    residual: Csr,
+    cond: Condensation,
+    /// `compat` rows, `comp_words` words per component (built in place over
+    /// the components' ancestor sets).
+    compat: Vec<u64>,
+    /// Closure masks, `node_words` words per component.
+    closure: Vec<u64>,
+    /// One `comp_words`-word candidate row per open recursion level.
+    live: Vec<u64>,
+    /// One `node_words`-word set mask per open recursion level.
+    masks: Vec<u64>,
+    /// The maximum-sized densest subgraph's node mask.
+    max_sized: Vec<u64>,
+}
+
 /// Streams every minimum-cut subgraph of `network` (which must already hold
 /// a maximum flow at `α = ρ*`) into `sink`.
 ///
@@ -40,6 +90,8 @@ pub struct Enumeration {
 /// * `s`, `t` are the source/sink indices.
 /// * At most `cap` subgraphs are produced (the count can explode — paper
 ///   Table VIII); `max_sized` is exact regardless.
+/// * `scratch` holds the working buffers; pass the same one from call to
+///   call to stop allocating once it has grown.
 ///
 /// # The sink contract
 ///
@@ -62,78 +114,108 @@ pub fn for_each_min_cut_subgraph(
     to_original: &[NodeId],
     cap: usize,
     sink: &mut dyn FnMut(&[u64]),
+    scratch: &mut Scratch,
 ) -> Enumeration {
-    let residual = network.residual_graph();
-    let cond = Condensation::new(&residual);
+    let Scratch {
+        residual,
+        cond,
+        compat,
+        closure,
+        live,
+        masks,
+        max_sized,
+    } = scratch;
+    network.residual_graph_into(residual);
+    cond.rebuild(residual);
     let cs = cond.comp_of[s] as usize;
     let ct = cond.comp_of[t] as usize;
     debug_assert_eq!(
-        cond.members[cs].len(),
+        cond.members(cs).len(),
         1,
         "scc(s) must be the singleton {{s}} (paper Lemma 8)"
     );
     let num_comps = cond.num_components();
-    let nontrivial = |c: usize| c != cs && c != ct;
-
-    // Every component's reach `C ∪ des(C)` as a bitset over components.
     let comp_words = num_comps.div_ceil(64);
-    let mut reach = vec![0u64; num_comps * comp_words];
-    for c in 0..num_comps {
-        reach[c * comp_words + c / 64] |= 1 << (c % 64);
-    }
-    cond.close_over_descendants(&mut reach, comp_words);
-    debug_assert!(
-        (0..num_comps).all(|c| c == ct || !bit(&reach, comp_words, c, ct)),
-        "scc(t) has no incoming edge (paper Lemma 8)"
-    );
 
     // Every component's own V members, packed over original node ids.
     let node_words = to_original[..num_v]
         .iter()
         .max()
         .map_or(1, |&m| (m as usize + 1).div_ceil(64));
-    let mut has_v = vec![false; num_comps];
-    let mut closure = vec![0u64; num_comps * node_words];
+    closure.clear();
+    closure.resize(num_comps * node_words, 0);
     for (i, &c) in cond.comp_of[..num_v].iter().enumerate() {
         let (c, v) = (c as usize, to_original[i] as usize);
         closure[c * node_words + v / 64] |= 1 << (v % 64);
-        has_v[c] = true;
     }
 
-    // The maximum-sized densest subgraph: union of V members over all
-    // non-trivial components (every such component with V members appears in
-    // some independent set; Λ-only components contribute nothing).
-    let mut max_sized = vec![0u64; node_words];
-    for c in (0..num_comps).filter(|&c| nontrivial(c)) {
-        or_into(
-            &mut max_sized,
-            &closure[c * node_words..(c + 1) * node_words],
-        );
+    // The components an independent set may contain: the non-trivial ones
+    // holding a V node (paper Def. 10), as the root level's candidate row.
+    // Their V members together form the maximum-sized densest subgraph,
+    // the union of all densest subgraphs (Λ-only components contribute
+    // nothing).
+    live.clear();
+    live.resize(comp_words, 0);
+    max_sized.clear();
+    max_sized.resize(node_words, 0);
+    let mut candidates = 0;
+    for c in (0..num_comps).filter(|&c| c != cs && c != ct) {
+        let own = &closure[c * node_words..(c + 1) * node_words];
+        if own.iter().any(|&w| w != 0) {
+            live[c / 64] |= 1 << (c % 64);
+            or_into(max_sized, own);
+            candidates += 1;
+        }
     }
+    // An independent set holds at most every candidate, so the recursion
+    // opens at most `candidates + 1` levels, the root included.
+    let levels = candidates + 1;
+    live.resize(levels * comp_words, 0);
 
     // Closure masks (paper Def. 9): each component's V members OR those of
     // its descendants.
-    cond.close_over_descendants(&mut closure, node_words);
+    cond.close_over_descendants(closure, node_words);
 
-    // Paper Algorithm 3 over the non-trivial components.
+    // compat[c] = candidates above c that do not reach c: seed every row
+    // with its own bit, close over ancestors, then complement in place and
+    // keep the root row's candidates above c.
+    compat.clear();
+    compat.resize(num_comps * comp_words, 0);
+    for c in 0..num_comps {
+        compat[c * comp_words + c / 64] |= 1 << (c % 64);
+    }
+    cond.close_over_ancestors(compat, comp_words);
+    debug_assert!(
+        (0..num_comps).all(|c| c == ct || !bit(compat, comp_words, ct, c)),
+        "scc(t) has no incoming edge (paper Lemma 8)"
+    );
+    for c in 0..num_comps {
+        let row = &mut compat[c * comp_words..(c + 1) * comp_words];
+        for (k, w) in row.iter_mut().enumerate() {
+            *w = !*w & live[k] & above(c, k);
+        }
+    }
+
+    // Paper Algorithm 3 over the candidate rows.
+    masks.clear();
+    masks.resize(levels * node_words, 0);
     let mut enumerator = Enumerator {
-        has_v: &has_v,
-        closure: &closure,
-        node_words,
-        reach: &reach,
+        compat,
         comp_words,
-        live: (0..num_comps).filter(|&c| nontrivial(c)).collect(),
-        masks: vec![0; node_words],
+        closure,
+        node_words,
+        live,
+        masks,
         sink,
         cap,
         count: 0,
         truncated: false,
     };
-    enumerator.recurse(0, 0);
+    enumerator.recurse(0);
 
     Enumeration {
         count: enumerator.count,
-        max_sized: ones_in(&max_sized).map(|v| v as NodeId).collect(),
+        max_sized: ones_in(max_sized).map(|v| v as NodeId).collect(),
         truncated: enumerator.truncated,
     }
 }
@@ -143,6 +225,15 @@ fn bit(rows: &[u64], words: usize, row: usize, i: usize) -> bool {
     rows[row * words + i / 64] >> (i % 64) & 1 == 1
 }
 
+/// Word `k` of the mask of component ids strictly above `c`.
+fn above(c: usize, k: usize) -> u64 {
+    match k.cmp(&(c / 64)) {
+        std::cmp::Ordering::Less => 0,
+        std::cmp::Ordering::Equal => (!0u64 << (c % 64)) << 1,
+        std::cmp::Ordering::Greater => !0,
+    }
+}
+
 fn or_into(dst: &mut [u64], src: &[u64]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d |= s;
@@ -150,19 +241,18 @@ fn or_into(dst: &mut [u64], src: &[u64]) {
 }
 
 struct Enumerator<'a> {
-    has_v: &'a [bool],
+    /// Per candidate component, the candidates after it that are
+    /// incomparable with it, `comp_words` words each.
+    compat: &'a [u64],
+    comp_words: usize,
     /// Closure mask of every component, `node_words` words each.
     closure: &'a [u64],
     node_words: usize,
-    /// `C ∪ des(C)` of every component, `comp_words` words each.
-    reach: &'a [u64],
-    comp_words: usize,
-    /// The candidate list (paper's `C2`) of every open recursion level,
-    /// stacked: a level owns `live[start..]` until it returns.
-    live: Vec<usize>,
+    /// The candidate row (paper's `C2`) of every open recursion level.
+    live: &'a mut [u64],
     /// The current independent set's node mask (paper's `C1 ∪ des(C1)`)
-    /// at every open depth, stacked `node_words` words each.
-    masks: Vec<u64>,
+    /// at every open depth (empty at depth 0).
+    masks: &'a mut [u64],
     sink: &'a mut dyn FnMut(&[u64]),
     cap: usize,
     count: usize,
@@ -170,52 +260,52 @@ struct Enumerator<'a> {
 }
 
 impl Enumerator<'_> {
-    /// Whether one of two distinct components reaches the other (so they
-    /// cannot share an independent set).
-    fn comparable(&self, c: usize, d: usize) -> bool {
-        bit(self.reach, self.comp_words, c, d) || bit(self.reach, self.comp_words, d, c)
-    }
-
     /// Paper Algorithm 3: the independent set built so far has mask
-    /// `masks[depth]` (empty at depth 0), and `live[start..]` holds the
-    /// components still compatible with it.
-    fn recurse(&mut self, start: usize, depth: usize) {
-        let nw = self.node_words;
-        if depth > 0 {
-            if self.count >= self.cap {
-                self.truncated = true;
-                return;
-            }
-            (self.sink)(&self.masks[depth * nw..(depth + 1) * nw]);
-            self.count += 1;
-        }
-        let end = self.live.len();
-        for j in start..end {
-            let c = self.live[j];
-            // Only components intersecting V may join an independent set
-            // (paper Def. 10); Λ-only components enter via descendants.
-            if !self.has_v[c] {
-                continue;
-            }
-            // C2 ← C2 \ {C}: the V-bearing components before `j` were chosen
-            // (and removed) by earlier iterations, so each independent set is
-            // produced exactly once. The rest keep their order.
-            for p in start..end {
-                let d = self.live[p];
-                if (p > j || !self.has_v[d]) && !self.comparable(c, d) {
-                    self.live.push(d);
+    /// `masks[depth]`, and `live[depth]` holds the components still
+    /// compatible with it. Each child set is emitted here, before its own
+    /// children, so a leaf costs no call.
+    fn recurse(&mut self, depth: usize) {
+        let (cw, nw) = (self.comp_words, self.node_words);
+        let (here, next) = (depth * cw, (depth + 1) * cw);
+        for k in 0..cw {
+            let mut bits = self.live[here + k];
+            while bits != 0 {
+                // Choose C, the lowest remaining candidate: the child level
+                // keeps the candidates after C that are incomparable with
+                // it (C2 ← C2 \ {C}, each independent set produced once).
+                let c = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (levels, deeper) = self.live.split_at_mut(next);
+                let (child_live, mut open) = (&mut deeper[..cw], 0);
+                for ((w, &l), &r) in child_live
+                    .iter_mut()
+                    .zip(&levels[here..])
+                    .zip(&self.compat[c * cw..(c + 1) * cw])
+                {
+                    *w = l & r;
+                    open |= *w;
                 }
-            }
-            self.masks.extend_from_within(depth * nw..(depth + 1) * nw);
-            or_into(
-                &mut self.masks[(depth + 1) * nw..],
-                &self.closure[c * nw..(c + 1) * nw],
-            );
-            self.recurse(end, depth + 1);
-            self.live.truncate(end);
-            self.masks.truncate((depth + 1) * nw);
-            if self.truncated {
-                return;
+                let (sets, deeper) = self.masks.split_at_mut((depth + 1) * nw);
+                let child = &mut deeper[..nw];
+                for ((w, &m), &r) in child
+                    .iter_mut()
+                    .zip(&sets[depth * nw..])
+                    .zip(&self.closure[c * nw..(c + 1) * nw])
+                {
+                    *w = m | r;
+                }
+                if self.count >= self.cap {
+                    self.truncated = true;
+                    return;
+                }
+                (self.sink)(child);
+                self.count += 1;
+                if open != 0 {
+                    self.recurse(depth + 1);
+                    if self.truncated {
+                        return;
+                    }
+                }
             }
         }
     }
@@ -235,9 +325,16 @@ mod tests {
         cap: usize,
     ) -> (Vec<Vec<NodeId>>, Enumeration) {
         let mut sets = Vec::new();
-        let e = for_each_min_cut_subgraph(net, s, t, num_v, to_original, cap, &mut |mask| {
-            sets.push(ones_in(mask).map(|v| v as NodeId).collect())
-        });
+        let e = for_each_min_cut_subgraph(
+            net,
+            s,
+            t,
+            num_v,
+            to_original,
+            cap,
+            &mut |mask| sets.push(ones_in(mask).map(|v| v as NodeId).collect()),
+            &mut Scratch::default(),
+        );
         assert_eq!(e.count, sets.len());
         (sets, e)
     }
@@ -304,10 +401,19 @@ mod tests {
         net.max_flow(2, 3);
         let mut widths = Vec::new();
         let mut sets: Vec<Vec<NodeId>> = Vec::new();
-        for_each_min_cut_subgraph(&net, 2, 3, 2, &[3, 130], 100, &mut |mask| {
-            widths.push(mask.len());
-            sets.push(ones_in(mask).map(|v| v as NodeId).collect());
-        });
+        for_each_min_cut_subgraph(
+            &net,
+            2,
+            3,
+            2,
+            &[3, 130],
+            100,
+            &mut |mask| {
+                widths.push(mask.len());
+                sets.push(ones_in(mask).map(|v| v as NodeId).collect());
+            },
+            &mut Scratch::default(),
+        );
         assert!(widths.iter().all(|&w| w == 3));
         sets.sort();
         assert_eq!(sets, vec![vec![3], vec![3, 130], vec![130]]);

@@ -41,7 +41,7 @@ pub fn frank_wolfe(n: usize, instances: &InstanceSet, iterations: usize) -> Opti
     // prefix sweep below only needs the ordering of r.
     let mut r = vec![0f64; n];
     for _ in 0..iterations {
-        for inst in &instances.instances {
+        for inst in instances.iter() {
             let &v = inst
                 .iter()
                 .min_by(|&&a, &&b| r[a as usize].partial_cmp(&r[b as usize]).unwrap())
@@ -65,7 +65,7 @@ pub fn frank_wolfe(n: usize, instances: &InstanceSet, iterations: usize) -> Opti
     }
     // An instance is inside prefix `i` iff the max rank of its members ≤ i.
     let mut completed_at = vec![0u64; n];
-    for inst in &instances.instances {
+    for inst in instances.iter() {
         let maxr = inst.iter().map(|&v| rank[v as usize]).max().unwrap();
         completed_at[maxr as usize] += 1;
     }

@@ -12,30 +12,79 @@ use std::collections::HashSet;
 use ugraph::{Graph, NodeBitSet, NodeId, Pattern};
 
 /// All instances of a density notion in `G`, one entry per instance.
+///
+/// Stored flat: instance `i` is `nodes()[i * arity..(i + 1) * arity]`, its
+/// node set sorted ascending. Duplicates are allowed — distinct instances
+/// on the same node set each get an entry. One array for the whole set
+/// keeps enumeration to a single growing allocation instead of one `Vec`
+/// per instance.
 #[derive(Debug, Clone)]
 pub struct InstanceSet {
-    /// Number of pattern nodes `|V_ψ|`.
-    pub arity: usize,
-    /// Node set of each instance, sorted ascending. Duplicates allowed:
-    /// distinct instances on the same node set each get an entry.
-    pub instances: Vec<Vec<NodeId>>,
+    arity: usize,
+    nodes: Vec<NodeId>,
 }
 
 impl InstanceSet {
+    /// An empty set of instances with `arity` nodes each (`arity >= 1`).
+    pub(crate) fn new(arity: usize) -> Self {
+        Self::from_flat(arity, Vec::new())
+    }
+
+    /// Wraps a flat array of `arity`-node instances, each sorted ascending.
+    ///
+    /// # Panics
+    /// If `arity` is zero or does not divide `nodes.len()`.
+    pub fn from_flat(arity: usize, nodes: Vec<NodeId>) -> Self {
+        assert!(arity >= 1, "instances have at least one node");
+        assert_eq!(
+            nodes.len() % arity,
+            0,
+            "flat instances come in whole strides"
+        );
+        InstanceSet { arity, nodes }
+    }
+
+    /// Appends one instance (its node set, sorted ascending).
+    pub(crate) fn push(&mut self, instance: &[NodeId]) {
+        assert_eq!(instance.len(), self.arity);
+        self.nodes.extend_from_slice(instance);
+    }
+
+    /// Number of pattern nodes `|V_ψ|`: the stride of [`InstanceSet::nodes`].
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
     /// Total instance count `µ(G)`.
     #[inline]
     pub fn count(&self) -> usize {
-        self.instances.len()
+        self.nodes.len() / self.arity
+    }
+
+    /// Every instance's nodes, instance after instance.
+    #[inline]
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// Instance `i`'s node set.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[NodeId] {
+        &self.nodes[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The instances in order, each as its sorted node set.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        self.nodes.chunks_exact(self.arity)
     }
 
     /// Instance-degree of every node: the number of instances containing it
     /// (paper Def. 6 generalized to patterns).
     pub fn degrees(&self, n: usize) -> Vec<u64> {
         let mut deg = vec![0u64; n];
-        for inst in &self.instances {
-            for &v in inst {
-                deg[v as usize] += 1;
-            }
+        for &v in &self.nodes {
+            deg[v as usize] += 1;
         }
         deg
     }
@@ -45,28 +94,37 @@ impl InstanceSet {
     /// `G`, so an instance survives in `G[U]` iff its nodes all lie in `U`).
     pub fn count_within(&self, n: usize, nodes: &[NodeId]) -> u64 {
         let mark = NodeBitSet::from_members(n, nodes);
-        self.instances
-            .iter()
+        self.iter()
             .filter(|inst| inst.iter().all(|&v| mark.contains(v as usize)))
             .count() as u64
     }
 
     /// Keeps only instances fully contained in the node set `keep` (marks).
     pub fn retain_within(&mut self, keep: &[bool]) {
-        self.instances
-            .retain(|inst| inst.iter().all(|&v| keep[v as usize]));
+        let arity = self.arity;
+        let mut write = 0;
+        for read in (0..self.nodes.len()).step_by(arity) {
+            if self.nodes[read..read + arity]
+                .iter()
+                .all(|&v| keep[v as usize])
+            {
+                self.nodes.copy_within(read..read + arity, write);
+                write += arity;
+            }
+        }
+        self.nodes.truncate(write);
     }
 
     /// Groups instances by node set, returning `(node_set, multiplicity)`
-    /// pairs — the `Λ'` groups of Algorithm 7.
+    /// pairs in ascending node-set order — the `Λ'` groups of Algorithm 7.
     pub fn grouped(&self) -> Vec<(Vec<NodeId>, u64)> {
-        let mut sorted = self.instances.clone();
+        let mut sorted: Vec<&[NodeId]> = self.iter().collect();
         sorted.sort_unstable();
         let mut out: Vec<(Vec<NodeId>, u64)> = Vec::new();
         for inst in sorted {
             match out.last_mut() {
-                Some((set, cnt)) if *set == inst => *cnt += 1,
-                _ => out.push((inst, 1)),
+                Some((set, cnt)) if set[..] == *inst => *cnt += 1,
+                _ => out.push((inst.to_vec(), 1)),
             }
         }
         out
@@ -80,21 +138,17 @@ impl InstanceSet {
 /// intersections of (higher-numbered) neighbor lists.
 pub fn enumerate_cliques(g: &Graph, h: usize) -> InstanceSet {
     assert!(h >= 1);
-    let mut instances = Vec::new();
     if h == 1 {
-        instances.extend((0..g.num_nodes() as NodeId).map(|v| vec![v]));
-        return InstanceSet {
-            arity: 1,
-            instances,
-        };
+        return InstanceSet::from_flat(1, (0..g.num_nodes() as NodeId).collect());
     }
     if h == 2 {
-        instances.extend(g.edges().iter().map(|&(u, v)| vec![u, v]));
-        return InstanceSet {
-            arity: 2,
-            instances,
-        };
+        let mut nodes = Vec::with_capacity(2 * g.num_edges());
+        for &(u, v) in g.edges() {
+            nodes.extend_from_slice(&[u, v]);
+        }
+        return InstanceSet::from_flat(2, nodes);
     }
+    let mut instances = InstanceSet::new(h);
     let mut current: Vec<NodeId> = Vec::with_capacity(h);
     // One candidate scratch buffer per recursion depth, reused across the
     // whole enumeration — the search allocates nothing per extension.
@@ -108,10 +162,7 @@ pub fn enumerate_cliques(g: &Graph, h: usize) -> InstanceSet {
         extend_clique(g, h, &mut current, cand, &mut pool, &mut instances);
         current.pop();
     }
-    InstanceSet {
-        arity: h,
-        instances,
-    }
+    instances
 }
 
 fn extend_clique(
@@ -120,7 +171,7 @@ fn extend_clique(
     current: &mut Vec<NodeId>,
     cand: &[NodeId],
     pool: &mut [Vec<NodeId>],
-    out: &mut Vec<Vec<NodeId>>,
+    out: &mut InstanceSet,
 ) {
     // Prune: not enough candidates left to finish the clique.
     if current.len() + cand.len() < h {
@@ -131,7 +182,7 @@ fn extend_clique(
     if current.len() + 1 == h {
         for &w in cand {
             current.push(w);
-            out.push(current.clone());
+            out.push(current);
             current.pop();
         }
         return;
@@ -213,7 +264,7 @@ pub fn enumerate_pattern(g: &Graph, pattern: &Pattern) -> InstanceSet {
         .collect();
     let mut assignment: Vec<NodeId> = Vec::with_capacity(k);
     let mut seen_edge_images: HashSet<Vec<(NodeId, NodeId)>> = HashSet::new();
-    let mut instances = Vec::new();
+    let mut instances = InstanceSet::new(k);
     embed(
         g,
         pattern,
@@ -223,10 +274,7 @@ pub fn enumerate_pattern(g: &Graph, pattern: &Pattern) -> InstanceSet {
         &mut seen_edge_images,
         &mut instances,
     );
-    InstanceSet {
-        arity: k,
-        instances,
-    }
+    instances
 }
 
 /// Orders pattern nodes so every node (after the first) is adjacent to an
@@ -256,7 +304,7 @@ fn embed(
     back_edges: &[Vec<usize>],
     assignment: &mut Vec<NodeId>,
     seen: &mut HashSet<Vec<(NodeId, NodeId)>>,
-    out: &mut Vec<Vec<NodeId>>,
+    out: &mut InstanceSet,
 ) {
     let pos = assignment.len();
     if pos == order.len() {
@@ -279,9 +327,9 @@ fn embed(
             .collect();
         image.sort_unstable();
         if seen.insert(image) {
-            let mut nodes = assignment.clone();
-            nodes.sort_unstable();
-            out.push(nodes);
+            let start = out.nodes.len();
+            out.nodes.extend_from_slice(assignment);
+            out.nodes[start..].sort_unstable();
         }
         return;
     }
@@ -348,10 +396,10 @@ mod tests {
     fn cliques_are_sorted_and_unique() {
         let g = k4();
         let tris = enumerate_cliques(&g, 3);
-        for t in &tris.instances {
+        for t in tris.iter() {
             assert!(t.windows(2).all(|w| w[0] < w[1]));
         }
-        let set: HashSet<_> = tris.instances.iter().cloned().collect();
+        let set: HashSet<_> = tris.iter().collect();
         assert_eq!(set.len(), tris.count());
     }
 
@@ -407,7 +455,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (0, 3)]);
         let inst = enumerate_pattern(&g, &Pattern::c3_star());
         assert_eq!(inst.count(), 1);
-        assert_eq!(inst.instances[0], vec![0, 1, 2, 3]);
+        assert_eq!(inst.get(0), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -430,7 +478,8 @@ mod tests {
         let keep = vec![true, true, true, false];
         tris.retain_within(&keep);
         assert_eq!(tris.count(), 1);
-        assert_eq!(tris.instances[0], vec![0, 1, 2]);
+        assert_eq!(tris.get(0), [0, 1, 2]);
+        assert_eq!(tris.nodes(), [0, 1, 2]);
     }
 
     #[test]

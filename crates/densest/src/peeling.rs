@@ -51,13 +51,23 @@ pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
     use std::collections::BinaryHeap;
 
     let mut degree = instances.degrees(n);
-    // Per-node list of instance indices.
-    let mut node_insts: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, inst) in instances.instances.iter().enumerate() {
+    // The instances of every node, CSR: node v's are
+    // `node_insts[inst_start[v]..inst_start[v + 1]]`, ascending.
+    let mut inst_start = vec![0u32; n + 1];
+    for v in 0..n {
+        inst_start[v + 1] = inst_start[v] + degree[v] as u32;
+    }
+    let mut node_insts = vec![0u32; instances.nodes().len()];
+    // Fill with `inst_start[v]` as row v's cursor; each cursor ends at the
+    // next row's start, so one shift restores the offsets.
+    for (i, inst) in instances.iter().enumerate() {
         for &v in inst {
-            node_insts[v as usize].push(i as u32);
+            node_insts[inst_start[v as usize] as usize] = i as u32;
+            inst_start[v as usize] += 1;
         }
     }
+    inst_start.copy_within(0..n, 1);
+    inst_start[0] = 0;
     let mut alive_inst = vec![true; instances.count()];
     let mut alive_node = vec![true; n];
     let mut live_instances = instances.count() as u64;
@@ -92,11 +102,12 @@ pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
         core_number[v as usize] = running_max;
         removal_rev.push(v);
         // Kill the instances containing v.
-        for &ii in &node_insts[v as usize] {
+        let row = inst_start[v as usize] as usize..inst_start[v as usize + 1] as usize;
+        for &ii in &node_insts[row] {
             if alive_inst[ii as usize] {
                 alive_inst[ii as usize] = false;
                 live_instances -= 1;
-                for &w in &instances.instances[ii as usize] {
+                for &w in instances.get(ii as usize) {
                     if alive_node[w as usize] {
                         degree[w as usize] -= 1;
                         heap.push(Reverse((degree[w as usize], w)));

@@ -18,13 +18,21 @@
 //!
 //! Densities are exact rationals; all capacities are scaled by the density
 //! denominator so the flow solver only ever sees integers.
+//!
+//! Steps 3–5 run in a per-thread workspace: the core's ids and
+//! instances, the flow network (cleared and refilled for every Dinkelbach
+//! step), and the enumeration's residual graph, condensation and bitset rows
+//! are all reused from one call to the next, so solving a stream of sampled
+//! worlds allocates only while those buffers are still growing. A thread
+//! keeps the buffers of the largest world it has solved.
 
 use crate::density::Density;
-use crate::enumerate::for_each_min_cut_subgraph;
+use crate::enumerate::{self, for_each_min_cut_subgraph};
 use crate::instances::{enumerate_cliques, enumerate_pattern, InstanceSet};
 use crate::notion::DensityNotion;
 use crate::peeling::peel;
 use maxflow::{FlowNetwork, INF};
+use std::cell::RefCell;
 use ugraph::bitset::ones_in;
 use ugraph::{Graph, NodeId};
 
@@ -92,51 +100,56 @@ pub fn for_each_densest(
     cap: usize,
     sink: &mut dyn FnMut(&[u64]),
 ) -> Option<DensestFamily> {
-    let solved = solve(g, notion, true)?;
-    let e = for_each_min_cut_subgraph(
-        &solved.built.net,
-        solved.built.s,
-        solved.built.t,
-        solved.core_nodes.len(),
-        &solved.core_nodes,
-        cap,
-        sink,
-    );
-    Some(DensestFamily {
-        density: solved.density,
-        count: e.count,
-        max_sized: e.max_sized,
-        truncated: e.truncated,
+    with_workspace(|ws| {
+        let solved = solve(g, notion, true, ws)?;
+        let e = for_each_min_cut_subgraph(
+            &ws.net,
+            solved.s,
+            solved.t,
+            ws.core_nodes.len(),
+            &ws.core_nodes,
+            cap,
+            sink,
+            &mut ws.enumeration,
+        );
+        Some(DensestFamily {
+            density: solved.density,
+            count: e.count,
+            max_sized: e.max_sized,
+            truncated: e.truncated,
+        })
     })
 }
 
 /// The exact maximum density ρ\* of any subgraph of `g`, or `None` if `g`
 /// has no instances.
 pub fn max_density(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    solve(g, notion, true).map(|r| r.density)
+    with_workspace(|ws| solve(g, notion, true, ws).map(|r| r.density))
 }
 
 /// The maximum-sized densest subgraph (and ρ\*), skipping the full
 /// enumeration — this is what the NDS estimator calls per sampled world
 /// (paper Algorithm 5 Line 4).
 pub fn max_sized_densest(g: &Graph, notion: &DensityNotion) -> Option<(Density, Vec<NodeId>)> {
-    let solved = solve(g, notion, true)?;
-    let reach_t = solved.built.net.can_reach(solved.built.t);
-    let max_sized: Vec<NodeId> = solved
-        .core_nodes
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !reach_t[i])
-        .map(|(_, &v)| v)
-        .collect();
-    Some((solved.density, max_sized))
+    with_workspace(|ws| {
+        let solved = solve(g, notion, true, ws)?;
+        let reach_t = ws.net.can_reach(solved.t);
+        let max_sized: Vec<NodeId> = ws
+            .core_nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !reach_t[i])
+            .map(|(_, &v)| v)
+            .collect();
+        Some((solved.density, max_sized))
+    })
 }
 
 /// Like [`max_density`] but *without* the `(⌈ρ̃⌉, ·)`-core reduction —
 /// the flow networks span the whole graph. Exists only so the ablation bench
 /// can quantify how much the paper's core pruning (Line 2) buys.
 pub fn max_density_unpruned(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    solve(g, notion, false).map(|r| r.density)
+    with_workspace(|ws| solve(g, notion, false, ws).map(|r| r.density))
 }
 
 /// `Clique(2)` and clique-shaped patterns are routed to the cheaper
@@ -159,17 +172,55 @@ pub fn instances_of(g: &Graph, notion: &DensityNotion) -> InstanceSet {
     }
 }
 
-/// The flow network at `α = ρ*`, holding a maximum flow, over the reduced
-/// core — what every extraction (density, max-sized set, enumeration)
-/// reads its answer from.
-struct Solved {
-    density: Density,
-    built: BuiltNetwork,
-    /// Original ids of the network's V nodes (ascending).
+/// The exact solver's reusable buffers; see the module docs.
+#[derive(Default)]
+struct Workspace {
+    /// Original ids of the reduced core's nodes (ascending): the network's
+    /// V nodes.
     core_nodes: Vec<NodeId>,
+    /// Core-local id of every graph node, `u32::MAX` outside the core.
+    local_of: Vec<u32>,
+    /// The core's instances in core-local ids, flat: instance `i` is
+    /// `local_insts[i * arity..(i + 1) * arity]`.
+    local_insts: Vec<u32>,
+    /// Instance degree of every core node: the s → v capacities.
+    deg: Vec<u64>,
+    /// The current Dinkelbach step's network; after [`solve`] it holds a
+    /// maximum flow at α = ρ\*.
+    net: FlowNetwork,
+    enumeration: enumerate::Scratch,
 }
 
-fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Runs `f` on this thread's workspace, or on a fresh one when it is busy
+/// (a sink that solves another graph) or already torn down (thread exit).
+fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    let mut f = Some(f);
+    let ran = WORKSPACE.try_with(|cell| {
+        let mut ws = cell.try_borrow_mut().ok()?;
+        f.take().map(|f| f(&mut ws))
+    });
+    match ran {
+        Ok(Some(r)) => r,
+        // The closure never got the workspace, so `f` is still there.
+        _ => f.take().expect("f unused")(&mut Workspace::default()),
+    }
+}
+
+/// Where [`solve`] left its answer: `Workspace::net` holds a maximum flow
+/// at `α = ρ*` between `s` and `t`, over the reduced core whose original ids
+/// are `Workspace::core_nodes` — what every extraction (density, max-sized
+/// set, enumeration) reads its answer from.
+struct Solved {
+    density: Density,
+    s: usize,
+    t: usize,
+}
+
+fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> Option<Solved> {
     let notion = normalize(notion);
     let instances = instances_of(g, &notion);
     if instances.count() == 0 {
@@ -187,20 +238,26 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
     } else {
         1
     };
-    let core_nodes: Vec<NodeId> = (0..n as NodeId)
-        .filter(|&v| peeling.core_number[v as usize] >= k)
-        .collect();
+    let Workspace {
+        core_nodes,
+        local_of,
+        local_insts,
+        deg,
+        net,
+        ..
+    } = ws;
+    core_nodes.clear();
+    core_nodes.extend((0..n as NodeId).filter(|&v| peeling.core_number[v as usize] >= k));
     debug_assert!(!core_nodes.is_empty());
-    let mut local_of = vec![u32::MAX; n];
+    local_of.clear();
+    local_of.resize(n, u32::MAX);
     for (i, &v) in core_nodes.iter().enumerate() {
         local_of[v as usize] = i as u32;
     }
-    // The core's instances in core-local ids, flat: instance `i` is
-    // `local_insts[i * arity..(i + 1) * arity]`.
     let arity = notion.arity();
-    let mut local_insts: Vec<u32> = Vec::new();
-    for inst in &instances.instances {
-        debug_assert_eq!(inst.len(), arity);
+    debug_assert_eq!(instances.arity(), arity);
+    local_insts.clear();
+    for inst in instances.iter() {
         if inst.iter().all(|&v| local_of[v as usize] != u32::MAX) {
             local_insts.extend(inst.iter().map(|&v| local_of[v as usize]));
         }
@@ -209,13 +266,18 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
 
     let nc = core_nodes.len();
     let mu = (local_insts.len() / arity) as u64;
+    deg.clear();
+    deg.resize(nc, 0);
+    for &v in local_insts.iter() {
+        deg[v as usize] += 1;
+    }
 
     // Dinkelbach iteration: α is always an achieved subgraph density; when
     // the test at α finds nothing denser, α = ρ*.
     let mut alpha = peeling.best_density;
     loop {
-        let mut built = build_network(&notion, nc, &local_insts, alpha);
-        let flow = built.net.max_flow(built.s, built.t);
+        let (s, t) = build_network(&notion, nc, local_insts, deg, alpha, net);
+        let flow = net.max_flow(s, t);
         let trivial = (arity as u64)
             .checked_mul(mu)
             .and_then(|x| x.checked_mul(alpha.den))
@@ -226,61 +288,45 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool) -> Option<Solved> {
             // residual structure.
             return Some(Solved {
                 density: alpha,
-                built,
-                core_nodes,
+                s,
+                t,
             });
         }
         // A denser subgraph exists: the min-cut source side is a witness.
-        let reach = built.net.reachable_from(built.s);
-        let witness: Vec<u32> = (0..nc as u32).filter(|&i| reach[i as usize]).collect();
-        debug_assert!(!witness.is_empty());
-        let cnt = count_within_local(nc, &local_insts, arity, &witness);
-        let d = Density::new(cnt, witness.len() as u64);
+        let witness = &net.reachable_from(s)[..nc];
+        let size = witness.iter().filter(|&&w| w).count() as u64;
+        debug_assert!(size > 0);
+        let cnt = local_insts
+            .chunks_exact(arity)
+            .filter(|inst| inst.iter().all(|&v| witness[v as usize]))
+            .count() as u64;
+        let d = Density::new(cnt, size);
         debug_assert!(d > alpha, "Dinkelbach must strictly improve");
         alpha = d;
     }
 }
 
-fn count_within_local(nc: usize, insts: &[u32], arity: usize, nodes: &[u32]) -> u64 {
-    let mut mark = vec![false; nc];
-    for &v in nodes {
-        mark[v as usize] = true;
-    }
-    insts
-        .chunks_exact(arity)
-        .filter(|inst| inst.iter().all(|&v| mark[v as usize]))
-        .count() as u64
-}
-
-struct BuiltNetwork {
-    net: FlowNetwork,
-    s: usize,
-    t: usize,
-}
-
 /// Builds the parameterized flow network for `α = a/b`, capacity-scaled by
 /// `b` (paper Example 4 network for edges, Algorithm 6 for cliques,
-/// Algorithm 7 for patterns), over `nc` core nodes and the flat core-local
-/// instances `local_insts` (`notion.arity()` ids each).
+/// Algorithm 7 for patterns), over `nc` core nodes, the flat core-local
+/// instances `local_insts` (`notion.arity()` ids each) and their instance
+/// degrees `deg`, into `net` (cleared first). Returns the source and sink.
 fn build_network(
     notion: &DensityNotion,
     nc: usize,
     local_insts: &[u32],
+    deg: &[u64],
     alpha: Density,
-) -> BuiltNetwork {
+    net: &mut FlowNetwork,
+) -> (usize, usize) {
     let (a, b) = (alpha.num, alpha.den);
     let insts = local_insts.chunks_exact(notion.arity());
-    // Instance degrees within the core: the s → v capacities.
-    let mut deg = vec![0u64; nc];
-    for &v in local_insts {
-        deg[v as usize] += 1;
-    }
     match notion {
         DensityNotion::Edge => {
             // Nodes: 0..nc = V, nc = s, nc+1 = t.
             let s = nc;
             let t = nc + 1;
-            let mut net = FlowNetwork::new(nc + 2);
+            net.clear(nc + 2);
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, 2 * a, 0);
@@ -289,7 +335,7 @@ fn build_network(
                 // One arc pair models the undirected edge: cap b both ways.
                 net.add_edge(inst[0] as usize, inst[1] as usize, b, b);
             }
-            BuiltNetwork { net, s, t }
+            (s, t)
         }
         DensityNotion::Clique(h) => {
             let h = *h;
@@ -312,7 +358,7 @@ fn build_network(
             // Nodes: 0..nc = V, nc..nc+|Λ| = Λ, then s, t.
             let s = nc + num_lambda;
             let t = s + 1;
-            let mut net = FlowNetwork::new(nc + num_lambda + 2);
+            net.clear(nc + num_lambda + 2);
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, (h as u64) * a, 0);
@@ -327,7 +373,7 @@ fn build_network(
             for &(id, v) in &pairs {
                 net.add_edge(v as usize, nc + id as usize, b, 0);
             }
-            BuiltNetwork { net, s, t }
+            (s, t)
         }
         DensityNotion::Pattern(p) => {
             let kp = p.num_nodes() as u64;
@@ -341,7 +387,7 @@ fn build_network(
             let num_groups = group_list.len();
             let s = nc + num_groups;
             let t = s + 1;
-            let mut net = FlowNetwork::new(nc + num_groups + 2);
+            net.clear(nc + num_groups + 2);
             for v in 0..nc {
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, kp * a, 0);
@@ -353,7 +399,7 @@ fn build_network(
                     net.add_edge(v as usize, nc + gi, b * cnt, 0);
                 }
             }
-            BuiltNetwork { net, s, t }
+            (s, t)
         }
     }
 }
@@ -477,15 +523,24 @@ mod tests {
         }
         let n = g.num_nodes();
         assert!(n <= 16);
+        // Each instance as a node mask: it lies inside `mask` iff it has
+        // no node outside it.
+        let inst_masks: Vec<u32> = inst
+            .iter()
+            .map(|i| i.iter().fold(0, |m, &v| m | 1 << v))
+            .collect();
         let mut best = Density::ZERO;
         let mut sets: Vec<Vec<NodeId>> = Vec::new();
         for mask in 1u32..(1 << n) {
-            let nodes: Vec<NodeId> = (0..n as NodeId).filter(|&v| mask >> v & 1 == 1).collect();
-            let cnt = inst.count_within(n, &nodes);
+            let cnt = inst_masks.iter().filter(|&&m| m & !mask == 0).count() as u64;
             if cnt == 0 {
                 continue;
             }
-            let d = Density::new(cnt, nodes.len() as u64);
+            let d = Density::new(cnt, u64::from(mask.count_ones()));
+            if d < best {
+                continue;
+            }
+            let nodes: Vec<NodeId> = (0..n as NodeId).filter(|&v| mask >> v & 1 == 1).collect();
             if d > best {
                 best = d;
                 sets.clear();
@@ -614,6 +669,87 @@ mod tests {
     }
 
     #[test]
+    fn multi_word_component_rows_match_brute_force() {
+        // 16 nodes under the three-star pattern: the flow network's group
+        // nodes split the residual graph into more than 64 components, so
+        // the enumerator's component rows span two words, and the family
+        // is small enough to check against every node subset.
+        let mut edges: Vec<(NodeId, NodeId)> = vec![
+            (0, 5),
+            (0, 6),
+            (0, 7),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (1, 7),
+            (1, 8),
+            (1, 9),
+            (1, 10),
+            (1, 11),
+            (1, 12),
+            (1, 14),
+            (2, 5),
+            (2, 7),
+            (2, 8),
+            (2, 11),
+            (2, 12),
+            (2, 13),
+            (2, 14),
+            (3, 5),
+            (3, 6),
+            (3, 7),
+            (3, 8),
+            (3, 9),
+            (3, 12),
+            (3, 13),
+            (4, 8),
+            (4, 9),
+            (4, 11),
+            (4, 12),
+            (4, 14),
+            (5, 6),
+            (5, 13),
+            (6, 8),
+            (6, 9),
+            (6, 10),
+            (6, 11),
+            (7, 8),
+            (7, 9),
+            (7, 11),
+            (7, 12),
+            (7, 14),
+            (8, 10),
+            (8, 11),
+            (8, 14),
+            (9, 12),
+            (9, 14),
+            (10, 11),
+            (10, 12),
+            (11, 12),
+            (12, 14),
+            (9, 15),
+            (11, 15),
+        ];
+        edges.push((0, 1));
+        let g = Graph::from_edges(16, &edges);
+        let notion = DensityNotion::Pattern(Pattern::three_star());
+
+        let mut ws = Workspace::default();
+        let solved = solve(&g, &notion, true, &mut ws).unwrap();
+        let cond = maxflow::Condensation::new(&ws.net.residual_graph());
+        assert!(cond.num_components() > 64, "{}", cond.num_components());
+
+        let r = all_densest(&g, &notion, usize::MAX).unwrap();
+        let (d, sets) = brute_force(&g, &notion).unwrap();
+        assert_eq!((r.density, solved.density), (d, d));
+        assert!(!r.truncated);
+        assert!(sets.len() > 1);
+        let mut subs = r.subgraphs.clone();
+        subs.sort();
+        assert_eq!(subs, sets);
+    }
+
+    #[test]
     fn streamed_masks_are_one_word_below_64_nodes() {
         let g = Graph::from_edges(64, &[(0, 1), (62, 63)]);
         let mut masks = Vec::new();
@@ -634,6 +770,26 @@ mod tests {
             })
             .is_none()
         );
+    }
+
+    #[test]
+    fn a_sink_may_solve_another_graph() {
+        // The nested call finds the thread's workspace busy and solves in a
+        // fresh one; neither call disturbs the other.
+        let outer = Graph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
+        let inner = k4_tail();
+        let mut seen = Vec::new();
+        let family = for_each_densest(&outer, &DensityNotion::Edge, 100, &mut |mask| {
+            seen.push(mask[0]);
+            let r = all_densest(&inner, &DensityNotion::Edge, 100).unwrap();
+            assert_eq!(r.subgraphs, vec![vec![0, 1, 2, 3]]);
+        })
+        .unwrap();
+        assert_eq!(family.count, 7);
+        assert_eq!(seen.len(), 7);
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 7);
     }
 
     #[test]

@@ -12,7 +12,14 @@
 //! be added at any time and [`FlowNetwork::max_flow`] freezes the adjacency
 //! before running; the counting sort is stable, preserving per-node arc
 //! insertion order.
+//!
+//! A network is meant to be reused: [`FlowNetwork::clear`] empties it for
+//! another graph while keeping every buffer, and the reachability queries
+//! answer from scratch the network owns, so a solver that rebuilds one
+//! network per parameter value and per sampled world allocates only while
+//! its buffers are still growing.
 
+use crate::csr::Csr;
 use std::collections::VecDeque;
 
 /// Effectively infinite capacity (≈ 4.6e18 / 4). Large enough to dominate any
@@ -40,11 +47,20 @@ pub struct FlowNetwork {
     order: Vec<u32>,
     /// Whether `start`/`order` reflect the current arc set.
     frozen: bool,
-    // Scratch buffers reused across BFS/DFS phases and augmenting paths.
+    // Scratch buffers reused across BFS/DFS phases, augmenting paths and
+    // reachability queries.
     level: Vec<u32>,
     iter: Vec<u32>,
     queue: VecDeque<u32>,
     path: Vec<u32>,
+    seen: Vec<bool>,
+}
+
+impl Default for FlowNetwork {
+    /// An empty network with no nodes, ready for [`FlowNetwork::clear`].
+    fn default() -> Self {
+        FlowNetwork::new(0)
+    }
 }
 
 impl FlowNetwork {
@@ -63,7 +79,25 @@ impl FlowNetwork {
             iter: vec![0; n],
             queue: VecDeque::new(),
             path: Vec::new(),
+            seen: Vec::new(),
         }
+    }
+
+    /// Removes every arc and resizes the network to `n` nodes, keeping all
+    /// allocated buffers: the result behaves exactly like
+    /// `FlowNetwork::new(n)`.
+    pub fn clear(&mut self, n: usize) {
+        self.n = n;
+        self.to.clear();
+        self.tail.clear();
+        self.cap.clear();
+        self.orig.clear();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        self.order.clear();
+        self.frozen = true;
+        self.level.resize(n, 0);
+        self.iter.resize(n, 0);
     }
 
     /// Number of nodes.
@@ -116,20 +150,15 @@ impl FlowNetwork {
         }
         self.order.clear();
         self.order.resize(self.to.len(), 0);
-        let mut cursor: Vec<u32> = self.start[..n].to_vec();
+        // `iter` (reset before every use in `max_flow`) is the fill cursor.
+        let cursor = &mut self.iter;
+        cursor.copy_from_slice(&self.start[..n]);
         for (a, &t) in self.tail.iter().enumerate() {
             let c = cursor[t as usize] as usize;
             self.order[c] = a as u32;
             cursor[t as usize] += 1;
         }
         self.frozen = true;
-    }
-
-    /// Arc ids leaving `v` (requires a frozen index).
-    #[inline]
-    fn arcs_from(&self, v: usize) -> &[u32] {
-        debug_assert!(self.frozen, "CSR index stale: call freeze()");
-        &self.order[self.start[v] as usize..self.start[v + 1] as usize]
     }
 
     /// Current flow on the forward arc `e` (original capacity minus residual).
@@ -231,82 +260,106 @@ impl FlowNetwork {
     }
 
     /// Nodes reachable from `s` through arcs with positive residual capacity
-    /// (the source side of the *minimal* minimum cut). Call after `max_flow`.
-    pub fn reachable_from(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.num_nodes()];
-        seen[s] = true;
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
-            self.for_each_arc_from(v, |e| {
+    /// (the source side of the *minimal* minimum cut), indexed by node. Call
+    /// after `max_flow`. The slice lives in the network's scratch and is
+    /// overwritten by the next reachability query.
+    pub fn reachable_from(&mut self, s: usize) -> &[bool] {
+        // Arc e: v → w is traversable when its own residual is positive.
+        self.search(s, |net, e| net.cap[e] > 0)
+    }
+
+    /// Nodes that can reach `t` through residual arcs, indexed by node. The
+    /// complement is the source side of the *maximal* minimum cut — how the
+    /// maximum-sized densest subgraph is extracted (paper footnote 5 /
+    /// \[59\]). Shares its scratch with [`FlowNetwork::reachable_from`].
+    pub fn can_reach(&mut self, t: usize) -> &[bool] {
+        // Walking backwards from w over arc e: w → v: the residual arc
+        // v → w is its pair e ^ 1.
+        self.search(t, |net, e| net.cap[e ^ 1] > 0)
+    }
+
+    /// Breadth-first search from `root` over the arcs `e` leaving each
+    /// visited node for which `usable(self, e)` holds.
+    fn search(&mut self, root: usize, usable: impl Fn(&Self, usize) -> bool) -> &[bool] {
+        self.freeze();
+        self.seen.clear();
+        self.seen.resize(self.n, false);
+        self.seen[root] = true;
+        self.queue.clear();
+        self.queue.push_back(root as u32);
+        while let Some(v) = self.queue.pop_front() {
+            let row = self.start[v as usize] as usize..self.start[v as usize + 1] as usize;
+            for i in row {
+                let e = self.order[i] as usize;
                 let w = self.to[e] as usize;
-                if self.cap[e] > 0 && !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            });
-        }
-        seen
-    }
-
-    /// Calls `f` with every arc id leaving `v`. Uses the CSR index when
-    /// frozen; otherwise falls back to a full arc scan (cold paths only —
-    /// every flow computation freezes the index first).
-    fn for_each_arc_from(&self, v: usize, mut f: impl FnMut(usize)) {
-        if self.frozen {
-            for &e in self.arcs_from(v) {
-                f(e as usize);
-            }
-        } else {
-            for (e, &t) in self.tail.iter().enumerate() {
-                if t as usize == v {
-                    f(e);
+                if !self.seen[w] && usable(self, e) {
+                    self.seen[w] = true;
+                    self.queue.push_back(w as u32);
                 }
             }
         }
+        &self.seen
     }
 
-    /// Nodes that can reach `t` through residual arcs. The complement is the
-    /// source side of the *maximal* minimum cut — how the maximum-sized
-    /// densest subgraph is extracted (paper footnote 5 / \[59\]).
-    pub fn can_reach(&self, t: usize) -> Vec<bool> {
-        // Reverse BFS: v can reach t iff some residual arc v → w with w ⇝ t.
-        // Walk reverse arcs: arc e: v → w has residual cap[e] > 0; from w we
-        // must find v, i.e. iterate arcs incident to w and check their pair.
-        let mut seen = vec![false; self.num_nodes()];
-        seen[t] = true;
-        let mut stack = vec![t];
-        while let Some(w) = stack.pop() {
-            self.for_each_arc_from(w, |e| {
-                // Arc e: w → v. Its pair e^1: v → w has residual cap[e^1].
-                let v = self.to[e] as usize;
-                if self.cap[e ^ 1] > 0 && !seen[v] {
-                    seen[v] = true;
-                    stack.push(v);
-                }
-            });
-        }
-        seen
-    }
-
-    /// Residual out-neighbors of `v` (deduplicated), for building the residual
-    /// graph handed to the SCC decomposition.
-    pub fn residual_successors(&self, v: usize) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        self.for_each_arc_from(v, |e| {
-            if self.cap[e] > 0 {
-                out.push(self.to[e]);
-            }
-        });
-        out.sort_unstable();
-        out.dedup();
+    /// The residual graph: an arc `v → w` for every arc with positive
+    /// residual capacity, each row sorted ascending and deduplicated.
+    /// Allocates a fresh [`Csr`]; [`FlowNetwork::residual_graph_into`]
+    /// refills an existing one.
+    pub fn residual_graph(&self) -> Csr {
+        let mut out = Csr::default();
+        self.residual_graph_into(&mut out);
         out
     }
 
-    /// The full residual graph as adjacency lists (deduplicated).
-    pub fn residual_graph(&self) -> Vec<Vec<u32>> {
-        (0..self.num_nodes())
-            .map(|v| self.residual_successors(v))
-            .collect()
+    /// Writes the residual graph into `out`, reusing its buffers. The rows
+    /// are sorted and deduplicated because the SCC numbering downstream
+    /// (and with it the densest-subgraph emission order) follows the row
+    /// order. Reads the arc arrays directly, so the network need not be
+    /// frozen.
+    pub fn residual_graph_into(&self, out: &mut Csr) {
+        let n = self.n;
+        let offsets = &mut out.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for (e, &t) in self.tail.iter().enumerate() {
+            if self.cap[e] > 0 {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Scatter in arc order with `offsets[v]` as row v's cursor; the
+        // cursor ends at the start of row v + 1.
+        let targets = &mut out.targets;
+        targets.clear();
+        targets.resize(offsets[n] as usize, 0);
+        for (e, &t) in self.tail.iter().enumerate() {
+            if self.cap[e] > 0 {
+                let c = &mut offsets[t as usize];
+                targets[*c as usize] = self.to[e];
+                *c += 1;
+            }
+        }
+        // Sort and deduplicate every row, compacting towards the front and
+        // restoring `offsets[v]` to each row's new start.
+        let (mut read, mut write) = (0usize, 0usize);
+        for v in 0..n {
+            let end = offsets[v] as usize;
+            targets[read..end].sort_unstable();
+            offsets[v] = write as u32;
+            let row_start = write;
+            for i in read..end {
+                let x = targets[i];
+                if write == row_start || targets[write - 1] != x {
+                    targets[write] = x;
+                    write += 1;
+                }
+            }
+            read = end;
+        }
+        offsets[n] = write as u32;
+        targets.truncate(write);
     }
 
     /// Resets all residual capacities to the original capacities, undoing any
@@ -380,10 +433,8 @@ mod tests {
         f.add_edge(1, 2, 1, 0); // bottleneck
         f.add_edge(2, 3, 3, 0);
         assert_eq!(f.max_flow(0, 3), 1);
-        let src = f.reachable_from(0);
-        assert_eq!(src, vec![true, true, false, false]);
-        let to_t = f.can_reach(3);
-        assert_eq!(to_t, vec![false, false, true, true]);
+        assert_eq!(f.reachable_from(0), [true, true, false, false]);
+        assert_eq!(f.can_reach(3), [false, false, true, true]);
     }
 
     #[test]
@@ -414,8 +465,51 @@ mod tests {
         f.add_edge(0, 1, 1, 0);
         f.add_edge(1, 2, 5, 0);
         let rg = f.residual_graph();
-        assert_eq!(rg[0], vec![1]);
-        assert_eq!(rg[1], vec![2]);
+        assert_eq!(rg.row(0), [1]);
+        assert_eq!(rg.row(1), [2]);
+    }
+
+    #[test]
+    fn residual_rows_are_sorted_and_match_the_arcs() {
+        // Arcs inserted out of order, with parallels, saturated arcs and a
+        // node without residual arcs.
+        let mut f = FlowNetwork::new(5);
+        f.add_edge(0, 3, 2, 0);
+        f.add_edge(0, 1, 1, 1);
+        f.add_edge(0, 3, 1, 0);
+        f.add_edge(2, 1, 4, 0);
+        f.add_edge(1, 4, 1, 0);
+        f.add_edge(3, 4, 9, 0);
+        f.max_flow(0, 4);
+        let rg = f.residual_graph();
+        assert_eq!(rg.num_nodes(), 5);
+        for v in 0..5 {
+            let mut want: Vec<u32> = (0..f.num_arcs())
+                .filter(|&e| f.tail[e] as usize == v && f.residual(e) > 0)
+                .map(|e| f.to[e])
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(rg.row(v), want, "row {v}");
+        }
+    }
+
+    #[test]
+    fn clear_behaves_like_new() {
+        let mut f = FlowNetwork::new(6);
+        f.add_edge(0, 5, 3, 0);
+        f.max_flow(0, 5);
+        f.reachable_from(0);
+        f.clear(3);
+        assert_eq!((f.num_nodes(), f.num_arcs()), (3, 0));
+        f.add_edge(0, 1, 4, 0);
+        f.add_edge(1, 2, 2, 0);
+        assert_eq!(f.max_flow(0, 2), 2);
+        assert_eq!(f.reachable_from(0), [true, true, false]);
+        assert_eq!(
+            f.residual_graph(),
+            Csr::from_rows(&[vec![1], vec![0], vec![1]])
+        );
     }
 
     #[test]
