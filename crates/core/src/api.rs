@@ -1459,8 +1459,6 @@ struct MpdsAccum {
     /// One world's densest family as packed masks, kept only for the
     /// one-densest ablation's random pick; reused across worlds.
     family: Vec<u64>,
-    /// Decoding buffer for masks of graphs past 64 nodes; reused.
-    decoded: NodeSet,
 }
 
 impl MpdsAccum {
@@ -1473,7 +1471,6 @@ impl MpdsAccum {
             truncated_worlds: 0,
             choice_rng: StdRng::seed_from_u64(q.choice_seed),
             family: Vec::new(),
-            decoded: Vec::new(),
         }
     }
 
@@ -1491,11 +1488,11 @@ impl MpdsAccum {
     /// table (all-densest) or into the reused family buffer (ablation).
     /// Returns the family size.
     fn consume_exact(&mut self, world: &Graph, q: &Query) -> usize {
-        let (table, decoded, family) = (&mut self.candidates, &mut self.decoded, &mut self.family);
+        let (table, family) = (&mut self.candidates, &mut self.family);
         family.clear();
         let streamed = if q.all_densest {
             for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
-                table.credit_mask(mask, decoded)
+                table.credit_mask(mask)
             })
         } else {
             for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
@@ -1511,7 +1508,7 @@ impl MpdsAccum {
             // §VI-D ablation: one uniformly random densest subgraph.
             let width = family.len() / f.count;
             let pick = self.choice_rng.gen_range(0..f.count);
-            table.credit_mask(&family[pick * width..(pick + 1) * width], decoded);
+            table.credit_mask(&family[pick * width..(pick + 1) * width]);
         }
         f.count
     }
@@ -1527,7 +1524,6 @@ impl Accum for MpdsAccum {
             truncated_worlds: 0,
             choice_rng: self.choice_rng.clone(),
             family: Vec::new(),
-            decoded: Vec::new(),
         }
     }
 

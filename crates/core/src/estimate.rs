@@ -97,9 +97,18 @@ impl MpdsResult {
 /// another). Every table a run hands out is fully folded, and
 /// [`CandidateTable::get`] is a binary search in its run.
 ///
-/// Graphs past 64 nodes key a hash map by sorted [`NodeSet`]s instead. The
-/// choice follows from the graph alone; both behave the same through this
-/// API, and tables compare equal by content whatever their key form.
+/// Graphs past 64 nodes key a hash map by a compact byte encoding of each
+/// set's sorted ids instead: every id is stored as its gap from the
+/// previous id (the first id as itself) in LEB128, seven bits a byte, low
+/// group first, the high bit set on every byte but a gap's last. Node sets
+/// of nearby ids, such as dense cores, take about one byte a node rather
+/// than four, and one boxed slice rather than a `Vec`. The encoding is
+/// canonical, so equal sets have equal keys: [`CandidateTable::get`]
+/// encodes its probe, [`CandidateTable::iter`] decodes every key, and
+/// [`CandidateTable::top_k`] decodes only the keys it compares or returns.
+/// The choice of key form follows from the graph alone; both behave the
+/// same through this API, and tables compare equal by content whatever
+/// their key form.
 ///
 /// Ranking ([`CandidateTable::top_k`]) orders by count descending, then
 /// fewer nodes first, then lexicographically on the sorted ids. No two
@@ -132,8 +141,8 @@ pub struct CandidateTable {
 enum Keys {
     /// Graphs of at most 64 nodes: bit `v` of a mask is node `v`.
     Packed(Packed),
-    /// Larger graphs: sorted, duplicate-free id vectors.
-    Sets(HashMap<NodeSet, u32>),
+    /// Larger graphs: compact keys of sorted, duplicate-free id lists.
+    Sets(Sets),
 }
 
 /// Pending credits below this many are never folded early: small tables
@@ -220,6 +229,80 @@ impl Packed {
     }
 }
 
+/// Compact set keys (see [`CandidateTable`]) and their counts.
+#[derive(Debug, Clone, Default)]
+struct Sets {
+    counts: HashMap<Box<[u8]>, u32>,
+    /// Encoding buffer of [`Sets::credit`]; reused.
+    key: Vec<u8>,
+}
+
+impl Sets {
+    /// Counts one more world for the set of ascending, distinct `ids`,
+    /// allocating a key only for a new set.
+    fn credit(&mut self, ids: impl IntoIterator<Item = NodeId>) {
+        self.key.clear();
+        encode_into(&mut self.key, ids);
+        match self.counts.get_mut(self.key.as_slice()) {
+            Some(c) => *c += 1,
+            None => {
+                self.counts.insert(self.key.as_slice().into(), 1);
+            }
+        }
+    }
+}
+
+/// Appends the compact key of ascending, distinct `ids` to `out`.
+fn encode_into(out: &mut Vec<u8>, ids: impl IntoIterator<Item = NodeId>) {
+    let mut prev = 0;
+    for v in ids {
+        let mut gap = v - prev;
+        prev = v;
+        while gap >= 0x80 {
+            out.push(gap as u8 | 0x80);
+            gap >>= 7;
+        }
+        out.push(gap as u8);
+    }
+}
+
+/// The ascending ids of a compact key.
+fn decode(key: &[u8]) -> impl Iterator<Item = NodeId> + '_ {
+    let mut bytes = key.iter();
+    let mut prev: NodeId = 0;
+    std::iter::from_fn(move || {
+        let (mut gap, mut shift) = (0, 0);
+        loop {
+            let &b = bytes.next()?;
+            gap |= NodeId::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        prev += gap;
+        Some(prev)
+    })
+}
+
+/// A compact key in the ranking's place of its id list: ordered
+/// lexicographically on the ids, decoded only as far as a comparison
+/// reads.
+#[derive(PartialEq, Eq)]
+struct ById<'a>(&'a [u8]);
+
+impl Ord for ById<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        decode(self.0).cmp(decode(other.0))
+    }
+}
+
+impl PartialOrd for ById<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// `(mask, repeats)` for each run of equal masks in `sorted`.
 fn run_lengths(sorted: &[u64]) -> impl Iterator<Item = (u64, u32)> + '_ {
     let mut rest = sorted;
@@ -237,7 +320,7 @@ impl CandidateTable {
         let keys = if num_nodes <= 64 {
             Keys::Packed(Packed::default())
         } else {
-            Keys::Sets(HashMap::new())
+            Keys::Sets(Sets::default())
         };
         CandidateTable { keys }
     }
@@ -246,7 +329,7 @@ impl CandidateTable {
     pub(crate) fn empty_like(&self) -> Self {
         let keys = match self.keys {
             Keys::Packed(_) => Keys::Packed(Packed::default()),
-            Keys::Sets(_) => Keys::Sets(HashMap::new()),
+            Keys::Sets(_) => Keys::Sets(Sets::default()),
         };
         CandidateTable { keys }
     }
@@ -255,7 +338,7 @@ impl CandidateTable {
     pub fn len(&self) -> usize {
         match &self.keys {
             Keys::Packed(p) => p.folded().masks.len(),
-            Keys::Sets(m) => m.len(),
+            Keys::Sets(m) => m.counts.len(),
         }
     }
 
@@ -277,8 +360,15 @@ impl CandidateTable {
                 let i = p.masks.binary_search(&mask).ok()?;
                 Some(p.counts[i])
             }
-            Keys::Sets(m) if nodes.windows(2).all(|w| w[0] < w[1]) => m.get(nodes).copied(),
-            Keys::Sets(m) => m.get(&nodeset::canonicalize(nodes.to_vec())).copied(),
+            Keys::Sets(m) => {
+                let mut key = Vec::new();
+                if nodes.windows(2).all(|w| w[0] < w[1]) {
+                    encode_into(&mut key, nodes.iter().copied());
+                } else {
+                    encode_into(&mut key, nodeset::canonicalize(nodes.to_vec()));
+                }
+                m.counts.get(key.as_slice()).copied()
+            }
         }
     }
 
@@ -286,7 +376,7 @@ impl CandidateTable {
     pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
         let entries: Box<dyn Iterator<Item = (NodeSet, u32)> + '_> = match &self.keys {
             Keys::Packed(p) => Box::new(p.folded().entries().map(|(k, c)| (mask_nodes(k), c))),
-            Keys::Sets(m) => Box::new(m.iter().map(|(s, &c)| (s.clone(), c))),
+            Keys::Sets(m) => Box::new(m.counts.iter().map(|(k, &c)| (decode(k).collect(), c))),
         };
         entries
     }
@@ -306,29 +396,29 @@ impl CandidateTable {
             .map(|(Reverse(c), _, key)| (mask_nodes(key), c))
             .collect(),
             Keys::Sets(m) => smallest_k(
-                m.iter().map(|(s, &c)| (Reverse(c), s.len(), s.as_slice())),
+                m.counts.iter().map(|(key, &c)| {
+                    // A key's last byte ends its last gap, so its node
+                    // count is its number of final bytes.
+                    let len = key.iter().filter(|&&b| b < 0x80).count();
+                    (Reverse(c), len, ById(key))
+                }),
                 k,
             )
             .into_iter()
-            .map(|(Reverse(c), _, s)| (s.to_vec(), c))
+            .map(|(Reverse(c), _, ById(key))| (decode(key).collect(), c))
             .collect(),
         }
     }
 
     /// Credits one densest set given as a packed node mask (the layout of
-    /// [`densest::for_each_densest`]). Masks of graphs past 64 nodes are
-    /// decoded into the reused buffer `decoded`.
-    pub(crate) fn credit_mask(&mut self, mask: &[u64], decoded: &mut NodeSet) {
+    /// [`densest::for_each_densest`]).
+    pub(crate) fn credit_mask(&mut self, mask: &[u64]) {
         match &mut self.keys {
             Keys::Packed(p) => {
                 debug_assert!(mask[1..].iter().all(|&w| w == 0));
                 p.credit(mask[0]);
             }
-            Keys::Sets(m) => {
-                decoded.clear();
-                decoded.extend(ones_in(mask).map(|v| v as NodeId));
-                credit_set(m, decoded);
-            }
+            Keys::Sets(m) => m.credit(ones_in(mask).map(|v| v as NodeId)),
         }
     }
 
@@ -336,7 +426,7 @@ impl CandidateTable {
     pub(crate) fn credit_nodes(&mut self, nodes: &[NodeId]) {
         match &mut self.keys {
             Keys::Packed(p) => p.credit(nodes.iter().fold(0u64, |acc, &v| acc | 1 << v)),
-            Keys::Sets(m) => credit_set(m, nodes),
+            Keys::Sets(m) => m.credit(nodes.iter().copied()),
         }
     }
 
@@ -357,8 +447,8 @@ impl CandidateTable {
                 p.fold();
             }
             (Keys::Sets(m), Keys::Sets(o)) => {
-                for (s, c) in o {
-                    *m.entry(s).or_insert(0) += c;
+                for (key, c) in o.counts {
+                    *m.counts.entry(key).or_insert(0) += c;
                 }
             }
             _ => unreachable!("tables of one graph share their key form"),
@@ -373,18 +463,8 @@ impl PartialEq for CandidateTable {
                 let (a, b) = (a.folded(), b.folded());
                 a.masks == b.masks && a.counts == b.counts
             }
-            (Keys::Sets(a), Keys::Sets(b)) => a == b,
+            (Keys::Sets(a), Keys::Sets(b)) => a.counts == b.counts,
             _ => self.len() == other.len() && self.iter().all(|(s, c)| other.get(&s) == Some(c)),
-        }
-    }
-}
-
-/// Counts one more world for `nodes`, allocating a key only for a new set.
-fn credit_set(m: &mut HashMap<NodeSet, u32>, nodes: &[NodeId]) {
-    match m.get_mut(nodes) {
-        Some(c) => *c += 1,
-        None => {
-            m.insert(nodes.to_vec(), 1);
         }
     }
 }
@@ -510,11 +590,62 @@ mod tests {
     }
 
     #[test]
+    fn compact_keys_round_trip_and_rank_by_ids() {
+        // Gaps of one to five bytes, where byte order and id order part:
+        // the keys of [5, 200] and [5, 300] are [05 c3 01] and [05 a7 02],
+        // so compared as bytes the second would rank first. Both get two
+        // credits, and so tie until the ids.
+        let sets: Vec<NodeSet> = vec![
+            vec![5, 200],
+            vec![0],
+            vec![5, 300],
+            vec![127, 128],
+            vec![1 << 14, (1 << 21) + 1],
+            vec![3, 70_000, u32::MAX],
+            vec![u32::MAX],
+        ];
+        for set in &sets {
+            let mut key = Vec::new();
+            encode_into(&mut key, set.iter().copied());
+            assert_eq!(&decode(&key).collect::<NodeSet>(), set);
+            assert_eq!(key.iter().filter(|&&b| b < 0x80).count(), set.len());
+        }
+        let mut t = CandidateTable::for_graph(100);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for (i, set) in sets.iter().enumerate() {
+            t.credit_nodes(set);
+            if i % 2 == 0 {
+                t.credit_nodes(set);
+            }
+        }
+        for _ in 0..500 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let set = nodeset::canonicalize(
+                (0..1 + x % 4)
+                    .map(|j| ((x >> (8 * j + 16)) % 400) as NodeId * 97)
+                    .collect(),
+            );
+            t.credit_nodes(&set);
+        }
+        for set in &sets {
+            let mut shuffled = set.clone();
+            shuffled.reverse();
+            assert!(t.get(&shuffled).is_some_and(|c| c >= 1), "{set:?}");
+        }
+        let full = sorted_reference(&t);
+        for k in [1, 2, 5, 40, full.len()] {
+            assert_eq!(t.top_k(k), full[..k], "k = {k}");
+        }
+    }
+
+    #[test]
     fn lookups_ignore_order_and_repeats() {
         for n in [4, 100] {
             let mut t = CandidateTable::for_graph(n);
             t.credit_nodes(&[1, 3]);
-            t.credit_mask(&[0b1010], &mut Vec::new());
+            t.credit_mask(&[0b1010]);
             t.fold();
             assert_eq!(t.len(), 1);
             assert_eq!(t.get(&[1, 3]), Some(2));
@@ -563,11 +694,10 @@ mod tests {
             .iter()
             .map(|(&m, &c)| (mask_nodes(m), c))
             .collect();
-        let mut decoded = Vec::new();
         for n in [64, 65] {
             let mut t = CandidateTable::for_graph(n);
             for &m in &stream {
-                t.credit_mask(&[m], &mut decoded);
+                t.credit_mask(&[m]);
             }
             if let Keys::Packed(p) = &t.keys {
                 assert!(p.masks.len() > FOLD_FLOOR && !p.pending.is_empty());
@@ -589,7 +719,7 @@ mod tests {
             }
             let mut backwards = CandidateTable::for_graph(64);
             for &m in stream.iter().rev() {
-                backwards.credit_mask(&[m], &mut decoded);
+                backwards.credit_mask(&[m]);
             }
             backwards.fold();
             assert_eq!(t, backwards, "n = {n}");
@@ -603,19 +733,18 @@ mod tests {
             mask_stream(11, 2 * FOLD_FLOOR + 5, 90_000),
             mask_stream(13, FOLD_FLOOR / 2, 90_000),
         );
-        let mut decoded = Vec::new();
         for n in [64, 65] {
             let mut left = CandidateTable::for_graph(n);
             let mut right = CandidateTable::for_graph(n);
             let mut both = CandidateTable::for_graph(n);
             for &m in &a {
-                left.credit_mask(&[m], &mut decoded);
+                left.credit_mask(&[m]);
             }
             for &m in &b {
-                right.credit_mask(&[m], &mut decoded);
+                right.credit_mask(&[m]);
             }
             for &m in b.iter().chain(&a) {
-                both.credit_mask(&[m], &mut decoded);
+                both.credit_mask(&[m]);
             }
             left.merge(right);
             both.fold();

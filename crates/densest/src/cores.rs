@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn bz_matches_generic_peeling_cores() {
-        // The O(m) algorithm and the heap-based instance peeling must agree
+        // The O(m) algorithm and the bucket-queue instance peeling must agree
         // on edge cores for a batch of pseudo-random graphs.
         let mut x = 0x1234_5678u64;
         for _ in 0..10 {

@@ -38,12 +38,18 @@ pub fn heuristic_from_instances(n: usize, instances: &InstanceSet) -> Option<Heu
         return None;
     }
     let peeling = peel(n, instances);
-    let kmax = peeling.core_number.iter().copied().max().unwrap_or(0);
-    let core: Vec<NodeId> = (0..n as NodeId)
-        .filter(|&v| peeling.core_number[v as usize] >= kmax)
-        .collect();
-    let core_cnt = instances.count_within(n, &core);
-    let core_density = Density::new(core_cnt, core.len() as u64);
+    // Core numbers are the running maximum of the removal degrees, so the
+    // innermost core is a suffix of the peeling: the last nodes removed,
+    // all at the largest core number.
+    let order = &peeling.removal_order;
+    let kmax = peeling.core_number[order[0] as usize];
+    let c = order
+        .iter()
+        .take_while(|&&v| peeling.core_number[v as usize] == kmax)
+        .count();
+    let mut core = order[..c].to_vec();
+    core.sort_unstable();
+    let core_density = Density::new(peeling.suffix_counts[n - c], c as u64);
 
     // The innermost core, plus every peeling suffix strictly denser than it.
     let mut candidates: Vec<(Density, Vec<NodeId>)> = vec![(core_density, core)];

@@ -44,6 +44,7 @@ pub mod instances;
 pub mod notion;
 pub mod peeling;
 pub mod solve;
+mod workspace;
 
 pub use density::Density;
 pub use notion::DensityNotion;

@@ -8,6 +8,9 @@
 
 use crate::density::Density;
 use crate::instances::InstanceSet;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use ugraph::NodeId;
 
 /// Outcome of a full peeling pass.
@@ -23,10 +26,10 @@ pub struct Peeling {
     /// Nodes in reverse removal order (the last removed first). Suffixes of
     /// the peeling are prefixes of this list.
     pub removal_order: Vec<NodeId>,
-    /// Instance count of each suffix: `suffix_instances[i]` = number of
+    /// Instance count of each suffix: `suffix_counts[i]` = number of
     /// instances alive just before the `i`-th removal (aligned with
     /// `removal_order` reversed; see [`Peeling::suffixes`]).
-    suffix_counts: Vec<u64>,
+    pub(crate) suffix_counts: Vec<u64>,
 }
 
 impl Peeling {
@@ -42,22 +45,83 @@ impl Peeling {
     }
 }
 
+/// The peeling's reusable buffers: a stream of sampled worlds peels
+/// without allocating anything but its [`Peeling`] once they have grown.
+#[derive(Default)]
+struct Workspace {
+    /// Live instance-degree of every node; `REMOVED` once peeled.
+    degree: Vec<u32>,
+    /// The instances of every node, CSR: node v's are
+    /// `node_insts[inst_start[v]..inst_start[v + 1]]`, ascending.
+    inst_start: Vec<u32>,
+    node_insts: Vec<u32>,
+    alive_inst: Vec<bool>,
+    /// The nodes sorted by (initial degree, id): bucket d's initial run is
+    /// `by_degree[run_start[d]..run_start[d + 1]]`.
+    by_degree: Vec<NodeId>,
+    run_start: Vec<u32>,
+    /// `cursor[d]`: the first entry of bucket d's run not yet consumed.
+    cursor: Vec<u32>,
+    /// `late[d]`: min-heap on id of the nodes whose degree fell to `d`
+    /// after the start.
+    late: Vec<BinaryHeap<Reverse<NodeId>>>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// The degree of a node already peeled: no bucket's.
+const REMOVED: u32 = u32::MAX;
+
 /// Peels `n` nodes by minimum instance-degree.
 ///
-/// Nodes in no instance are removed first (degree 0); ties broken by node id
-/// for determinism. Runs in `O((n + Σ|inst|) log n)` with a lazy binary heap.
+/// Each step removes the live node of minimum instance-degree, ties to the
+/// smaller id; nodes in no instance go first (degree 0, ascending id). The
+/// removal order, and so every field of the [`Peeling`], is fully
+/// determined by that rule.
+///
+/// A degree-bucket queue (Batagelj–Zaversnik) keeps that exact order:
+/// bucket `d` holds its initial members as an ascending run, consumed
+/// through a cursor, and a min-heap on id of the nodes whose degree fell to
+/// `d` later. An entry whose node was removed, or whose degree moved on, is
+/// skipped when it comes up. A removal can lower a degree by more than one
+/// (shared or repeated instances), so the scan restarts at the smallest
+/// degree a removal produced. Runs in
+/// `O(n + d_max + Σ|inst| · log n)`, where only the nodes whose degree
+/// falls pay the logarithm, and reuses a per-thread workspace.
 pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    crate::workspace::with(&WORKSPACE, |ws| peel_in(n, instances, ws))
+}
 
-    let mut degree = instances.degrees(n);
-    // The instances of every node, CSR: node v's are
-    // `node_insts[inst_start[v]..inst_start[v + 1]]`, ascending.
-    let mut inst_start = vec![0u32; n + 1];
-    for v in 0..n {
-        inst_start[v + 1] = inst_start[v] + degree[v] as u32;
+fn peel_in(n: usize, instances: &InstanceSet, ws: &mut Workspace) -> Peeling {
+    let Workspace {
+        degree,
+        inst_start,
+        node_insts,
+        alive_inst,
+        by_degree,
+        run_start,
+        cursor,
+        late,
+    } = ws;
+    let slots = instances.nodes();
+    assert!(
+        u32::try_from(slots.len()).is_ok_and(|s| s < REMOVED),
+        "instance slots are indexed by u32"
+    );
+    degree.clear();
+    degree.resize(n, 0);
+    for &v in slots {
+        degree[v as usize] += 1;
     }
-    let mut node_insts = vec![0u32; instances.nodes().len()];
+    inst_start.clear();
+    inst_start.resize(n + 1, 0);
+    for v in 0..n {
+        inst_start[v + 1] = inst_start[v] + degree[v];
+    }
+    node_insts.clear();
+    node_insts.resize(slots.len(), 0);
     // Fill with `inst_start[v]` as row v's cursor; each cursor ends at the
     // next row's start, so one shift restores the offsets.
     for (i, inst) in instances.iter().enumerate() {
@@ -68,12 +132,36 @@ pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
     }
     inst_start.copy_within(0..n, 1);
     inst_start[0] = 0;
-    let mut alive_inst = vec![true; instances.count()];
-    let mut alive_node = vec![true; n];
+    alive_inst.clear();
+    alive_inst.resize(instances.count(), true);
     let mut live_instances = instances.count() as u64;
 
-    let mut heap: BinaryHeap<Reverse<(u64, NodeId)>> =
-        (0..n).map(|v| Reverse((degree[v], v as NodeId))).collect();
+    // Counting sort by initial degree; ascending ids within each run.
+    let buckets = degree.iter().max().map_or(0, |&d| d as usize + 1);
+    run_start.clear();
+    run_start.resize(buckets + 1, 0);
+    for &d in degree.iter() {
+        run_start[d as usize + 1] += 1;
+    }
+    for d in 0..buckets {
+        run_start[d + 1] += run_start[d];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&run_start[..buckets]);
+    by_degree.clear();
+    by_degree.resize(n, 0);
+    for v in 0..n {
+        let d = degree[v] as usize;
+        by_degree[cursor[d] as usize] = v as NodeId;
+        cursor[d] += 1;
+    }
+    cursor.copy_from_slice(&run_start[..buckets]);
+    if late.len() < buckets {
+        late.resize_with(buckets, BinaryHeap::new);
+    }
+    for heap in &mut late[..buckets] {
+        heap.clear();
+    }
 
     let mut best_density = Density::ZERO;
     let mut best_suffix_len = n;
@@ -81,6 +169,8 @@ pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
     let mut suffix_counts_fwd: Vec<u64> = Vec::with_capacity(n);
     let mut core_number = vec![0u64; n];
     let mut running_max = 0u64;
+    // No live node has a degree below `cur`.
+    let mut cur = 0usize;
 
     for remaining in (1..=n).rev() {
         // Record the density of the current suffix (before this removal).
@@ -90,27 +180,55 @@ pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
             best_density = d;
             best_suffix_len = remaining;
         }
-        // Pop the minimum-degree live node (lazy deletion).
+        // The smallest id among the live nodes of degree `cur`, or the next
+        // bucket when there is none.
         let v = loop {
-            let Reverse((d, v)) = heap.pop().expect("n live nodes remain");
-            if alive_node[v as usize] && degree[v as usize] == d {
-                break v;
+            let here = cur as u32;
+            let (run, end) = (&mut cursor[cur], run_start[cur + 1]);
+            while *run < end && degree[by_degree[*run as usize] as usize] != here {
+                *run += 1;
+            }
+            let heap = &mut late[cur];
+            while heap
+                .peek()
+                .is_some_and(|&Reverse(w)| degree[w as usize] != here)
+            {
+                heap.pop();
+            }
+            let head = (*run < end).then(|| by_degree[*run as usize]);
+            match (head, heap.peek()) {
+                (Some(a), Some(&Reverse(b))) if b < a => {
+                    heap.pop();
+                    break b;
+                }
+                (Some(a), _) => {
+                    *run += 1;
+                    break a;
+                }
+                (None, Some(&Reverse(b))) => {
+                    heap.pop();
+                    break b;
+                }
+                (None, None) => cur += 1,
             }
         };
-        alive_node[v as usize] = false;
-        running_max = running_max.max(degree[v as usize]);
+        running_max = running_max.max(u64::from(degree[v as usize]));
         core_number[v as usize] = running_max;
+        degree[v as usize] = REMOVED;
         removal_rev.push(v);
-        // Kill the instances containing v.
+        // Kill the instances containing v. Every other node of a live
+        // instance is live: a removal kills all the instances it is in.
         let row = inst_start[v as usize] as usize..inst_start[v as usize + 1] as usize;
         for &ii in &node_insts[row] {
             if alive_inst[ii as usize] {
                 alive_inst[ii as usize] = false;
                 live_instances -= 1;
                 for &w in instances.get(ii as usize) {
-                    if alive_node[w as usize] {
-                        degree[w as usize] -= 1;
-                        heap.push(Reverse((degree[w as usize], w)));
+                    if w != v {
+                        let dw = &mut degree[w as usize];
+                        *dw -= 1;
+                        late[*dw as usize].push(Reverse(w));
+                        cur = cur.min(*dw as usize);
                     }
                 }
             }

@@ -31,6 +31,7 @@ use crate::enumerate::{self, for_each_min_cut_subgraph};
 use crate::instances::{enumerate_cliques, enumerate_pattern, InstanceSet};
 use crate::notion::DensityNotion;
 use crate::peeling::peel;
+use crate::workspace;
 use maxflow::{FlowNetwork, INF};
 use std::cell::RefCell;
 use ugraph::bitset::ones_in;
@@ -100,7 +101,7 @@ pub fn for_each_densest(
     cap: usize,
     sink: &mut dyn FnMut(&[u64]),
 ) -> Option<DensestFamily> {
-    with_workspace(|ws| {
+    workspace::with(&WORKSPACE, |ws| {
         let solved = solve(g, notion, true, ws)?;
         let e = for_each_min_cut_subgraph(
             &ws.net,
@@ -124,14 +125,16 @@ pub fn for_each_densest(
 /// The exact maximum density ρ\* of any subgraph of `g`, or `None` if `g`
 /// has no instances.
 pub fn max_density(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    with_workspace(|ws| solve(g, notion, true, ws).map(|r| r.density))
+    workspace::with(&WORKSPACE, |ws| {
+        solve(g, notion, true, ws).map(|r| r.density)
+    })
 }
 
 /// The maximum-sized densest subgraph (and ρ\*), skipping the full
 /// enumeration — this is what the NDS estimator calls per sampled world
 /// (paper Algorithm 5 Line 4).
 pub fn max_sized_densest(g: &Graph, notion: &DensityNotion) -> Option<(Density, Vec<NodeId>)> {
-    with_workspace(|ws| {
+    workspace::with(&WORKSPACE, |ws| {
         let solved = solve(g, notion, true, ws)?;
         let reach_t = ws.net.can_reach(solved.t);
         let max_sized: Vec<NodeId> = ws
@@ -149,7 +152,9 @@ pub fn max_sized_densest(g: &Graph, notion: &DensityNotion) -> Option<(Density, 
 /// the flow networks span the whole graph. Exists only so the ablation bench
 /// can quantify how much the paper's core pruning (Line 2) buys.
 pub fn max_density_unpruned(g: &Graph, notion: &DensityNotion) -> Option<Density> {
-    with_workspace(|ws| solve(g, notion, false, ws).map(|r| r.density))
+    workspace::with(&WORKSPACE, |ws| {
+        solve(g, notion, false, ws).map(|r| r.density)
+    })
 }
 
 /// `Clique(2)` and clique-shaped patterns are routed to the cheaper
@@ -193,21 +198,6 @@ struct Workspace {
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
-}
-
-/// Runs `f` on this thread's workspace, or on a fresh one when it is busy
-/// (a sink that solves another graph) or already torn down (thread exit).
-fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    let mut f = Some(f);
-    let ran = WORKSPACE.try_with(|cell| {
-        let mut ws = cell.try_borrow_mut().ok()?;
-        f.take().map(|f| f(&mut ws))
-    });
-    match ran {
-        Ok(Some(r)) => r,
-        // The closure never got the workspace, so `f` is still there.
-        _ => f.take().expect("f unused")(&mut Workspace::default()),
-    }
 }
 
 /// Where [`solve`] left its answer: `Workspace::net` holds a maximum flow

@@ -1,14 +1,19 @@
-//! Allocation budget of the exact solver per sampled world.
+//! Allocation budgets of the per-world solvers.
 //!
 //! A counting global allocator over [`System`] tallies the allocations the
-//! calling thread makes inside `densest::for_each_densest`, over the 1,536
-//! worlds of the `cold-exact` query shape (Zachary's karate club, θ = 64,
-//! query seeds 0–23, edge density, cap 100,000). The list-based solver made
-//! ≈165 allocations per world; flat instance arrays, CSR residual graphs and
-//! the enumerator's reused scratch bring the mean under the ceiling below.
-//! This binary holds one test so that no other test thread allocates while
-//! it counts (the counter is per thread regardless).
+//! calling thread makes. The exact solver, `densest::for_each_densest`, is
+//! measured over the 1,536 worlds of the `cold-exact` query shape
+//! (Zachary's karate club, θ = 64, query seeds 0–23, edge density, cap
+//! 100,000). The list-based solver made ≈165 allocations per world; flat
+//! instance arrays, CSR residual graphs, the enumerator's reused scratch and
+//! the peeling's reused workspace bring the mean to ≈7.8. The §III-C
+//! heuristic, `heuristic_dense_subgraphs`, is measured over 32 worlds of
+//! `lastfm_like(1)` (query seed 0, edge density): ≈18.4 a world, of which
+//! one per returned subgraph (≈8.4) is its output. Each ceiling below
+//! leaves headroom over its measured mean. The counter is per thread, so
+//! the two tests do not see each other's allocations.
 
+use densest::heuristic::heuristic_dense_subgraphs;
 use densest::{for_each_densest, DensityNotion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +61,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Mean allocations (including reallocations) per `for_each_densest` call.
-const CEILING: f64 = 20.0;
+const CEILING: f64 = 12.0;
+
+/// Mean allocations per `heuristic_dense_subgraphs` call.
+const HEURISTIC_CEILING: f64 = 22.0;
 
 #[test]
 fn exact_solver_allocations_per_world() {
@@ -84,5 +92,30 @@ fn exact_solver_allocations_per_world() {
     assert!(
         mean <= CEILING,
         "{mean:.1} allocations per world, ceiling {CEILING}"
+    );
+}
+
+#[test]
+fn heuristic_allocations_per_world() {
+    let lastfm = datasets::lastfm_like(1).graph;
+    let mut mc = MonteCarlo::new(&lastfm, StdRng::seed_from_u64(0));
+    let worlds: Vec<_> = (0..32)
+        .map(|_| lastfm.world_from_mask(&mc.next_mask()))
+        .collect();
+    let mut subgraphs = 0usize;
+    let before = ALLOCATIONS.with(Cell::get);
+    for world in &worlds {
+        let h = heuristic_dense_subgraphs(world, &DensityNotion::Edge);
+        subgraphs += h.map_or(0, |h| h.subgraphs.len());
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let mean = allocations as f64 / worlds.len() as f64;
+    println!(
+        "{mean:.1} allocations per world over {} worlds, {subgraphs} subgraphs",
+        worlds.len()
+    );
+    assert!(
+        mean <= HEURISTIC_CEILING,
+        "{mean:.1} allocations per world, ceiling {HEURISTIC_CEILING}"
     );
 }
