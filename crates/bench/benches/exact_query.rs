@@ -6,6 +6,9 @@
 //!
 //! * `query` times whole queries: sampling, the exact solve and enumeration
 //!   of every world's densest subgraphs, the candidate tally, and ranking.
+//! * `query_one_helper` times the same queries with one helper thread
+//!   solving worlds beside the calling one (`RunControl::with_helpers(1)`),
+//!   as a server lends a MISS its parked worker; the answers are the same.
 //! * `solve_only` times the solver alone over the same pre-sampled worlds:
 //!   `for_each_densest` streaming each set into a no-op sink.
 //! * `max_density_only` times `max_density` over those worlds: instance
@@ -19,6 +22,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use densest::{for_each_densest, max_density, DensityNotion};
 use mpds::api::Query;
+use mpds::control::RunControl;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sampling::{MonteCarlo, WorldSampler};
@@ -57,6 +61,14 @@ fn bench_exact_query(c: &mut Criterion) {
         b.iter(|| {
             for seed in 0..QUERIES {
                 black_box(query(seed).run(&karate).unwrap());
+            }
+        })
+    });
+    group.bench_function("query_one_helper", |b| {
+        let lent = RunControl::unbounded().with_helpers(1);
+        b.iter(|| {
+            for seed in 0..QUERIES {
+                black_box(query(seed).control(lent.clone()).run(&karate).unwrap());
             }
         })
     });

@@ -18,7 +18,7 @@
 //! | [`Query::seed`] | the run's RNG seed — equal seeds mean equal results |
 //! | [`Query::heuristic`] | the core-based heuristic of §III-C |
 //! | [`Query::all_densest`] | the "all vs one densest per world" ablation (§VI-D) |
-//! | [`Query::exec`] | serial, or θ split across worker threads |
+//! | [`Query::exec`] | serial, or θ split across worker threads (helper lanes, which keep the serial answer, come from [`RunControl::with_helpers`]) |
 //! | [`Query::stop`] | termination policy: fixed θ, or the §VI-I "sample until the top-k stops changing" rule ([`Stop::Stable`]) |
 //! | [`Query::control`] | cooperative deadline / cancellation / graceful time budget ([`crate::control`]) |
 //! | [`Query::progress`] | per-world progress callback ([`ProgressSink`]) |
@@ -63,18 +63,18 @@
 
 pub mod queryset;
 
-use crate::control::{Interrupted, RunControl};
-use crate::estimate::{densest_count_stats, CandidateTable, MpdsResult};
+use crate::control::{InterruptReason, Interrupted, RunControl};
+use crate::estimate::{densest_count_stats, CandidateTable, LaneTally, MpdsResult, Tally};
 use crate::nds::NdsResult;
 use densest::{
     for_each_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
 };
-use mpds_obs::Stage;
+use mpds_obs::{Recorder, Stage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sampling::{stream_seed, LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use ugraph::{EdgeMask, Graph, NodeId, NodeSet, UncertainGraph};
 
@@ -112,6 +112,11 @@ impl SamplerKind {
     /// assert_eq!(s.next_mask().len(), 2);
     /// ```
     pub fn build(self, g: &UncertainGraph, seed: u64) -> Box<dyn WorldSampler> {
+        self.build_shared(g, seed)
+    }
+
+    /// [`SamplerKind::build`] as a sampler that lanes may share.
+    fn build_shared(self, g: &UncertainGraph, seed: u64) -> Box<dyn WorldSampler + Send> {
         match self {
             SamplerKind::MonteCarlo => Box::new(MonteCarlo::new(g, StdRng::seed_from_u64(seed))),
             SamplerKind::Lp => Box::new(LazyPropagation::new(g, StdRng::seed_from_u64(seed))),
@@ -159,6 +164,13 @@ impl SamplerKind {
 }
 
 /// How a [`Query`] executes its θ world samples.
+///
+/// [`Exec::Threads`] changes the answer with its thread count: worker `w`
+/// draws sub-stream `w` of the root seed. Helper *lanes*
+/// ([`RunControl::with_helpers`]) never change it: under [`Exec::Serial`],
+/// a fixed-θ, all-densest MPDS query may solve its one world stream on
+/// several threads, each world drawn in order from the one sampler, and
+/// returns exactly the run it returns on one thread.
 ///
 /// ```
 /// use mpds::api::Exec;
@@ -490,6 +502,9 @@ pub struct RunStats {
     /// as `(mean, std, [q1, median, q3])`, the paper's Table VIII statistic.
     /// `None` for NDS runs (they keep one transaction per world instead).
     pub densest_count_summary: Option<(f64, f64, [usize; 3])>,
+    /// Worlds solved by helper threads ([`RunControl::with_helpers`]). Like
+    /// `wall`, it describes how the run was executed, never its answer.
+    pub helper_worlds: usize,
 }
 
 /// Estimator-specific raw output carried inside a [`Run`].
@@ -1007,6 +1022,7 @@ impl Query {
         self.validate()?;
         let started = Instant::now();
         match self.exec {
+            Exec::Serial if self.solves_in_lanes() => self.run_lanes(g, started),
             Exec::Serial => {
                 let mut sampler = self.sampler.build(g, self.seed);
                 self.run_serial(g, &mut *sampler, started)
@@ -1151,6 +1167,138 @@ impl Query {
         }
     }
 
+    /// Whether the worlds of this query are independent units of one
+    /// order-free tally, so that lanes may solve them: a fixed-θ MPDS run
+    /// crediting all densest sets. Stable stops read the tally after every
+    /// world and the one-densest ablation draws from one choice stream in
+    /// world order, so both keep their one ordered lane.
+    fn solves_in_lanes(&self) -> bool {
+        self.kind == Kind::Mpds && self.all_densest && self.stop == Stop::FixedTheta
+    }
+
+    /// Solves the worlds in lanes: the calling thread and the
+    /// [`RunControl::with_helpers`] helpers claim world indices in order,
+    /// each world drawn from the query's one sampler under its claim (see
+    /// [`Claims`]), and credit one shared table ([`LaneTally`]). Each
+    /// world's densest count lands at its index, so the run equals the
+    /// one-lane run in everything but its wall time; with no helpers it is
+    /// the one-lane run.
+    fn run_lanes(&self, g: &UncertainGraph, started: Instant) -> Result<Run, ApiError> {
+        let progress = self.progress_sink();
+        progress.begin(self.theta);
+        let claims = Mutex::new(Claims {
+            sampler: self.sampler.build_shared(g, self.seed),
+            claimed: 0,
+            stopped: None,
+            densest_counts: vec![0; self.theta],
+        });
+        let mut acc = MpdsAccum::new(self, g.num_nodes());
+        let shared = Mutex::new(acc.candidates.for_lane());
+        // Lanes are made here, so their buffers come from this thread.
+        let count = self.control.helpers() + 1;
+        let mut lanes = (0..count).map(|_| Lane::new(&shared, count));
+        let mut own = lanes.next().expect("the calling thread's lane");
+        let helpers: Vec<Lane> = std::thread::scope(|scope| {
+            let handles: Vec<_> = lanes
+                .map(|mut lane| {
+                    let claims = &claims;
+                    scope.spawn(move || {
+                        self.lane(g, claims, &mut lane, None, progress);
+                        lane
+                    })
+                })
+                .collect();
+            self.lane(g, &claims, &mut own, self.control.recorder(), progress);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("estimator lane panicked"))
+                .collect()
+        });
+        let Claims {
+            claimed,
+            stopped,
+            mut densest_counts,
+            ..
+        } = claims.into_inner().expect("a lane panicked while claiming");
+        let reason = match stopped {
+            Some(Err(reason)) => {
+                return Err(ApiError::Interrupted(Interrupted {
+                    reason,
+                    completed_worlds: claimed,
+                }))
+            }
+            Some(Ok(reason)) => reason,
+            None => StopReason::Completed,
+        };
+        densest_counts.truncate(claimed);
+        acc.densest_counts = densest_counts;
+        let helper_worlds = helpers.iter().map(|lane| lane.worlds).sum();
+        for lane in std::iter::once(own).chain(helpers) {
+            acc.empty_worlds += lane.empty_worlds;
+            acc.truncated_worlds += lane.truncated_worlds;
+        }
+        acc.truncated = acc.truncated_worlds > 0;
+        acc.candidates = shared
+            .into_inner()
+            .expect("a lane panicked while crediting");
+        let mut run = self.finish_mpds(
+            acc,
+            WorldsOutcome {
+                worlds: claimed,
+                reason,
+                converged_at: None,
+            },
+            started,
+        );
+        run.stats.helper_worlds = helper_worlds;
+        Ok(run)
+    }
+
+    /// One lane of [`Query::run_lanes`]: claims the next world and draws it,
+    /// reporting the previous world's densest count under the same lock,
+    /// then solves it outside the lock, until claiming stops; then adds its
+    /// last credits to the shared table. Only a lane given `rec` records
+    /// stage spans.
+    fn lane(
+        &self,
+        g: &UncertainGraph,
+        claims: &Mutex<Claims>,
+        lane: &mut Lane,
+        rec: Option<&Recorder>,
+        progress: &dyn ProgressSink,
+    ) {
+        let mut mask = EdgeMask::new(g.num_edges());
+        let mut world = Graph::default();
+        let mut solved: Option<(usize, usize)> = None;
+        loop {
+            let index = {
+                let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
+                let index = {
+                    let mut c = claims.lock().expect("a lane panicked while claiming");
+                    if let Some((index, count)) = solved.take() {
+                        c.densest_counts[index] = count;
+                    }
+                    let Some(index) = c.claim(&self.control) else {
+                        break;
+                    };
+                    c.sampler.next_mask_into(&mut mask);
+                    index
+                };
+                world = g.world_from_bitmap(&mask, world);
+                index
+            };
+            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+            let (count, truncated) = credit_all(&mut lane.tally, &world, self);
+            lane.empty_worlds += usize::from(count == 0);
+            lane.truncated_worlds += usize::from(truncated);
+            lane.worlds += 1;
+            progress.world_done();
+            solved = Some((index, count));
+        }
+        let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+        lane.tally.finish();
+    }
+
     fn run_threads(
         &self,
         g: &UncertainGraph,
@@ -1291,6 +1439,7 @@ impl Query {
                 truncated: result.truncated,
                 truncated_worlds: acc.truncated_worlds,
                 densest_count_summary: summary,
+                helper_worlds: 0,
             },
             details: RunDetails::Mpds(result),
         }
@@ -1327,6 +1476,7 @@ impl Query {
                 truncated: miner_capped,
                 truncated_worlds: 0,
                 densest_count_summary: None,
+                helper_worlds: 0,
             },
             details: RunDetails::Nds(result),
         }
@@ -1401,6 +1551,82 @@ pub(crate) fn sample_worlds<S: WorldSampler + ?Sized>(
         reason: StopReason::Completed,
         converged_at: None,
     })
+}
+
+/// One lane of [`Query::run_lanes`]: its share of the tally and its
+/// per-world tallies.
+struct Lane<'a> {
+    tally: LaneTally<'a>,
+    empty_worlds: usize,
+    truncated_worlds: usize,
+    /// Worlds this lane solved.
+    worlds: usize,
+}
+
+impl<'a> Lane<'a> {
+    fn new(shared: &'a Mutex<CandidateTable>, lanes: usize) -> Self {
+        Lane {
+            tally: LaneTally::new(shared, lanes),
+            empty_worlds: 0,
+            truncated_worlds: 0,
+            worlds: 0,
+        }
+    }
+}
+
+/// Credits every densest set of `world` to `tally` (every dense set the
+/// §III-C heuristic finds, in heuristic mode). Returns how many there were
+/// and whether the enumeration stopped at the cap.
+fn credit_all(tally: &mut impl Tally, world: &Graph, q: &Query) -> (usize, bool) {
+    if q.heuristic {
+        let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
+        let subgraphs = subgraphs.unwrap_or_default();
+        for sg in &subgraphs {
+            tally.credit_nodes(sg);
+        }
+        return (subgraphs.len(), false);
+    }
+    match for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
+        tally.credit_mask(mask)
+    }) {
+        Some(f) => (f.count, f.truncated),
+        None => (0, false),
+    }
+}
+
+/// What the lanes of [`Query::run_lanes`] share under one lock: the query's
+/// one sampler, how many world indices were claimed, why claiming stopped,
+/// and each world's densest count at its index. A claim polls the
+/// [`RunControl`] as [`sample_worlds`] does before each world, and the
+/// world is drawn under the claim, so the claimed worlds are always a
+/// prefix of the one-lane stream.
+struct Claims {
+    sampler: Box<dyn WorldSampler + Send>,
+    claimed: usize,
+    /// `Ok` for a graceful stop (budget), `Err` for an abortive one.
+    stopped: Option<Result<StopReason, InterruptReason>>,
+    densest_counts: Vec<usize>,
+}
+
+impl Claims {
+    /// The next world index, or `None` once every world is claimed or the
+    /// run stopped (cancellation, then deadline, then budget — never before
+    /// the first world).
+    fn claim(&mut self, ctrl: &RunControl) -> Option<usize> {
+        if self.stopped.is_some() || self.claimed == self.densest_counts.len() {
+            return None;
+        }
+        if let Some(reason) = ctrl.interruption() {
+            self.stopped = Some(Err(reason));
+            return None;
+        }
+        if self.claimed > 0 && ctrl.budget_exhausted() {
+            self.stopped = Some(Ok(StopReason::Budget));
+            return None;
+        }
+        self.claimed += 1;
+        Some(self.claimed - 1)
+    }
 }
 
 /// Watches the per-world top-k under [`Stop::Stable`]: counts how many
@@ -1484,33 +1710,32 @@ impl MpdsAccum {
             .collect()
     }
 
-    /// Exact mode: streams the world's densest family straight into the
-    /// table (all-densest) or into the reused family buffer (ablation).
-    /// Returns the family size.
-    fn consume_exact(&mut self, world: &Graph, q: &Query) -> usize {
-        let (table, family) = (&mut self.candidates, &mut self.family);
-        family.clear();
-        let streamed = if q.all_densest {
-            for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
-                table.credit_mask(mask)
-            })
-        } else {
-            for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
-                family.extend_from_slice(mask)
-            })
-        };
-        let Some(f) = streamed else {
-            return 0;
-        };
-        self.truncated |= f.truncated;
-        self.truncated_worlds += usize::from(f.truncated);
-        if !q.all_densest && f.count > 0 {
-            // §VI-D ablation: one uniformly random densest subgraph.
-            let width = family.len() / f.count;
-            let pick = self.choice_rng.gen_range(0..f.count);
-            table.credit_mask(&family[pick * width..(pick + 1) * width]);
+    /// §VI-D ablation: credits one uniformly random densest set of `world`
+    /// (one random dense set, in heuristic mode). Returns the family size
+    /// and whether its enumeration stopped at the cap.
+    fn credit_one(&mut self, world: &Graph, q: &Query) -> (usize, bool) {
+        if q.heuristic {
+            let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
+            let subgraphs = subgraphs.unwrap_or_default();
+            if !subgraphs.is_empty() {
+                let pick = self.choice_rng.gen_range(0..subgraphs.len());
+                self.candidates.credit_nodes(&subgraphs[pick]);
+            }
+            return (subgraphs.len(), false);
         }
-        f.count
+        let family = &mut self.family;
+        family.clear();
+        let Some(f) = for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
+            family.extend_from_slice(mask)
+        }) else {
+            return (0, false);
+        };
+        if let Some(width) = family.len().checked_div(f.count) {
+            let pick = self.choice_rng.gen_range(0..f.count);
+            self.candidates
+                .credit_mask(&family[pick * width..(pick + 1) * width]);
+        }
+        (f.count, f.truncated)
     }
 }
 
@@ -1528,25 +1753,7 @@ impl Accum for MpdsAccum {
     }
 
     fn consume(&mut self, world: &Graph, q: &Query) {
-        let count = if q.heuristic {
-            let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
-            let subgraphs = subgraphs.unwrap_or_default();
-            if q.all_densest {
-                for sg in &subgraphs {
-                    self.candidates.credit_nodes(sg);
-                }
-            } else if !subgraphs.is_empty() {
-                // §VI-D ablation: one uniformly random dense subgraph.
-                let pick = self.choice_rng.gen_range(0..subgraphs.len());
-                self.candidates.credit_nodes(&subgraphs[pick]);
-            }
-            subgraphs.len()
-        } else {
-            self.consume_exact(world, q)
-        };
-        if count == 0 {
-            self.empty_worlds += 1;
-        }
+        let count = self.consume_world(world, q);
         self.densest_counts.push(count);
     }
 
@@ -1556,6 +1763,25 @@ impl Accum for MpdsAccum {
         self.densest_counts.extend(other.densest_counts);
         self.truncated |= other.truncated;
         self.truncated_worlds += other.truncated_worlds;
+    }
+}
+
+impl MpdsAccum {
+    /// Credits one world's densest (or heuristic dense) sets, or one of
+    /// them under the ablation, and returns how many there were; the
+    /// caller records that count in world order.
+    fn consume_world(&mut self, world: &Graph, q: &Query) -> usize {
+        let (count, truncated) = if q.all_densest {
+            credit_all(&mut self.candidates, world, q)
+        } else {
+            self.credit_one(world, q)
+        };
+        self.truncated |= truncated;
+        self.truncated_worlds += usize::from(truncated);
+        if count == 0 {
+            self.empty_worlds += 1;
+        }
+        count
     }
 }
 

@@ -70,6 +70,7 @@ pub struct RunControl {
     cancel: Option<Arc<AtomicBool>>,
     budget: Option<Instant>,
     recorder: Option<Arc<Recorder>>,
+    helpers: usize,
 }
 
 impl RunControl {
@@ -108,6 +109,39 @@ impl RunControl {
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
+    }
+
+    /// Lend the run up to `helpers` threads besides the calling one. A
+    /// fixed-θ, all-densest MPDS [`crate::api::Query`] under
+    /// [`crate::api::Exec::Serial`] then solves its worlds in *lanes*: the
+    /// calling thread and the helpers claim world indices in order and draw
+    /// each world from the query's one sampler under the claim, so the
+    /// answer, the per-world counts and the budget and interruption
+    /// semantics are those of one lane; only the wall time changes. Other
+    /// runs (NDS, [`crate::api::Stop::Stable`], the one-densest ablation,
+    /// [`crate::api::Exec::Threads`], batches) ignore it. Helpers record no
+    /// stage spans. Default: 0.
+    ///
+    /// ```
+    /// use densest::DensityNotion;
+    /// use mpds::api::Query;
+    /// use mpds::control::RunControl;
+    /// use ugraph::UncertainGraph;
+    ///
+    /// let g = UncertainGraph::from_weighted_edges(3, &[(0, 1, 0.9), (1, 2, 0.4)]);
+    /// let q = Query::mpds(DensityNotion::Edge).theta(50).seed(3);
+    /// let one = q.clone().run(&g).unwrap();
+    /// let two = q.control(RunControl::unbounded().with_helpers(1)).run(&g).unwrap();
+    /// assert_eq!(one.top_k, two.top_k);
+    /// ```
+    pub fn with_helpers(mut self, helpers: usize) -> Self {
+        self.helpers = helpers;
+        self
+    }
+
+    /// Helper threads lent to the run ([`RunControl::with_helpers`]).
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers
     }
 
     /// The attached stage recorder, if any.

@@ -12,6 +12,7 @@
 use densest::DensityNotion;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Mutex;
 use ugraph::bitset::ones_in;
 use ugraph::{nodeset, NodeId, NodeSet};
 
@@ -94,8 +95,12 @@ impl MpdsResult {
 /// small multiple of the distinct sets, and whenever the run is read: at the
 /// end of a run, before each [`crate::api::Stop::Stable`] check, and when
 /// worker tables merge (the same in-place merge of one sorted run into
-/// another). Every table a run hands out is fully folded, and
-/// [`CandidateTable::get`] is a binary search in its run.
+/// another). A fold into an empty run compacts the sorted credits in place
+/// and keeps their buffer as the run. The lanes of one run (see
+/// [`crate::control::RunControl::with_helpers`]) keep only their pending
+/// credits apart and fold them into one shared run. Every table a run hands
+/// out is fully folded, and [`CandidateTable::get`] is a binary search in
+/// its run.
 ///
 /// Graphs past 64 nodes key a hash map by a compact byte encoding of each
 /// set's sorted ids instead: every id is stored as its gap from the
@@ -149,6 +154,9 @@ enum Keys {
 /// fold once, when read.
 const FOLD_FLOOR: usize = 1 << 16;
 
+/// Entries the packed buffers of [`CandidateTable::for_lane`] start with.
+const LANE_RESERVE: usize = 1 << 10;
+
 /// Packed masks as a sorted run plus unsorted pending credits.
 #[derive(Debug, Clone, Default)]
 struct Packed {
@@ -171,50 +179,85 @@ impl Packed {
     /// Sorts the pending credits and merges their per-mask counts into the
     /// run.
     fn fold(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_unstable();
-        self.absorb(run_lengths(&pending));
-        pending.clear();
+        self.add_sorted(&mut pending);
         self.pending = pending;
     }
 
+    /// Adds the ascending credits `sorted` to the run and leaves `sorted`
+    /// empty. Into an empty run, the credits are compacted in place and
+    /// their buffer becomes the run's; `sorted` gets the run's old buffer.
+    fn add_sorted(&mut self, sorted: &mut Vec<u64>) {
+        if sorted.is_empty() {
+            return;
+        }
+        if !self.masks.is_empty() {
+            self.absorb(RunLengths(sorted));
+            sorted.clear();
+            return;
+        }
+        let distinct = 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count();
+        self.counts.clear();
+        self.counts.reserve_exact(distinct);
+        let mut len = 0;
+        for i in 0..sorted.len() {
+            if len > 0 && sorted[len - 1] == sorted[i] {
+                self.counts[len - 1] += 1;
+            } else {
+                sorted[len] = sorted[i];
+                self.counts.push(1);
+                len += 1;
+            }
+        }
+        sorted.truncate(len);
+        std::mem::swap(&mut self.masks, sorted);
+        sorted.clear();
+    }
+
     /// Adds mask-ascending, duplicate-free `(mask, count)` entries to the
-    /// run in two sequential passes: a forward walk adds the counts of masks
-    /// already in the run and sets the new ones aside, then a backward merge
-    /// makes room for them in place, moving each run entry at most once.
-    fn absorb(&mut self, entries: impl Iterator<Item = (u64, u32)>) {
-        let mut fresh = Vec::new();
+    /// run in place, in two sequential passes: a forward walk adds the
+    /// counts of masks already in the run and counts the new ones, then the
+    /// run grows by that many and a backward merge makes room for them,
+    /// moving each run entry at most once.
+    fn absorb<I>(&mut self, entries: I)
+    where
+        I: DoubleEndedIterator<Item = (u64, u32)> + Clone,
+    {
+        let mut fresh = 0;
         let mut i = 0;
-        for (mask, count) in entries {
+        for (mask, count) in entries.clone() {
             while self.masks.get(i).is_some_and(|&m| m < mask) {
                 i += 1;
             }
             match self.masks.get(i) {
                 Some(&m) if m == mask => self.counts[i] += count,
-                _ => fresh.push((mask, count)),
+                _ => fresh += 1,
             }
         }
-        let (mut read, mut write) = (self.masks.len(), self.masks.len() + fresh.len());
+        let (mut read, mut write) = (self.masks.len(), self.masks.len() + fresh);
         self.masks.resize(write, 0);
         self.counts.resize(write, 0);
-        for &(mask, count) in fresh.iter().rev() {
+        for (mask, count) in entries.rev() {
+            if write == read {
+                break;
+            }
             while read > 0 && self.masks[read - 1] > mask {
                 read -= 1;
                 write -= 1;
                 self.masks[write] = self.masks[read];
                 self.counts[write] = self.counts[read];
             }
-            write -= 1;
-            self.masks[write] = mask;
-            self.counts[write] = count;
+            if read == 0 || self.masks[read - 1] != mask {
+                write -= 1;
+                self.masks[write] = mask;
+                self.counts[write] = count;
+            }
         }
     }
 
     /// The folded `(mask, count)` run, ascending by mask.
-    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    fn entries(&self) -> impl DoubleEndedIterator<Item = (u64, u32)> + Clone + '_ {
         self.masks.iter().copied().zip(self.counts.iter().copied())
     }
 
@@ -303,15 +346,29 @@ impl PartialOrd for ById<'_> {
     }
 }
 
-/// `(mask, repeats)` for each run of equal masks in `sorted`.
-fn run_lengths(sorted: &[u64]) -> impl Iterator<Item = (u64, u32)> + '_ {
-    let mut rest = sorted;
-    std::iter::from_fn(move || {
-        let &mask = rest.first()?;
-        let n = rest.iter().take_while(|&&m| m == mask).count();
-        rest = &rest[n..];
+/// `(mask, repeats)` for each run of equal masks in the ascending
+/// `sorted`, from either end.
+#[derive(Clone)]
+struct RunLengths<'a>(&'a [u64]);
+
+impl Iterator for RunLengths<'_> {
+    type Item = (u64, u32);
+
+    fn next(&mut self) -> Option<(u64, u32)> {
+        let &mask = self.0.first()?;
+        let n = self.0.iter().take_while(|&&m| m == mask).count();
+        self.0 = &self.0[n..];
         Some((mask, n as u32))
-    })
+    }
+}
+
+impl DoubleEndedIterator for RunLengths<'_> {
+    fn next_back(&mut self) -> Option<(u64, u32)> {
+        let &mask = self.0.last()?;
+        let n = self.0.iter().rev().take_while(|&&m| m == mask).count();
+        self.0 = &self.0[..self.0.len() - n];
+        Some((mask, n as u32))
+    }
 }
 
 impl CandidateTable {
@@ -332,6 +389,24 @@ impl CandidateTable {
             Keys::Sets(_) => Keys::Sets(Sets::default()),
         };
         CandidateTable { keys }
+    }
+
+    /// An empty table whose packed buffers the calling thread allocates,
+    /// for the lanes of a run: a lane's credits grow these buffers by
+    /// reallocation, which keeps a block in the allocator arena it came
+    /// from, so a helper thread's credits never make its own arena hold a
+    /// second tally.
+    pub(crate) fn for_lane(&self) -> Self {
+        let mut table = self.empty_like();
+        if let Keys::Packed(p) = &mut table.keys {
+            // A fold hands the pending buffer to the run and takes the run's
+            // old one as the next pending buffer, so all three start out
+            // allocated.
+            p.pending.reserve(LANE_RESERVE);
+            p.masks.reserve(LANE_RESERVE);
+            p.counts.reserve(LANE_RESERVE);
+        }
+        table
     }
 
     /// Number of distinct candidate sets.
@@ -442,9 +517,9 @@ impl CandidateTable {
     pub(crate) fn merge(&mut self, other: CandidateTable) {
         match (&mut self.keys, other.keys) {
             (Keys::Packed(p), Keys::Packed(mut o)) => {
+                p.fold();
                 o.fold();
                 p.absorb(o.entries());
-                p.fold();
             }
             (Keys::Sets(m), Keys::Sets(o)) => {
                 for (key, c) in o.counts {
@@ -454,6 +529,109 @@ impl CandidateTable {
             _ => unreachable!("tables of one graph share their key form"),
         }
     }
+}
+
+/// Where a world's densest sets are credited: a run's own table, or one
+/// lane's share of a table that the lanes of a run build together.
+pub(crate) trait Tally {
+    /// Credits one set given as a packed node mask (the layout of
+    /// [`densest::for_each_densest`]).
+    fn credit_mask(&mut self, mask: &[u64]);
+    /// Credits one set given as sorted ids.
+    fn credit_nodes(&mut self, nodes: &[NodeId]);
+}
+
+impl Tally for CandidateTable {
+    fn credit_mask(&mut self, mask: &[u64]) {
+        CandidateTable::credit_mask(self, mask)
+    }
+
+    fn credit_nodes(&mut self, nodes: &[NodeId]) {
+        CandidateTable::credit_nodes(self, nodes)
+    }
+}
+
+/// One lane's share of the one table that the lanes of a run tally into.
+/// Packed credits wait in the lane; once they reach the lane's share of
+/// the shared run's length (or of 65,536), and when the lane finishes, the
+/// lane sorts them on its own thread and adds them to the shared run under
+/// its lock. So the run exists once however many lanes credit it, and the
+/// lanes' pending credits together stay within the bound of one table's.
+/// Compact-key credits (past 64 nodes) go to a map of the lane's own, added
+/// to the shared table when the lane finishes.
+pub(crate) struct LaneTally<'a> {
+    shared: &'a Mutex<CandidateTable>,
+    /// The lane's credits: pending masks only, or its own compact-key map.
+    own: CandidateTable,
+    /// The shared run's length after this lane's last flush.
+    run_len: usize,
+    /// Lanes crediting the shared table.
+    lanes: usize,
+}
+
+impl<'a> LaneTally<'a> {
+    /// One of `lanes` lanes of `shared`, its buffers allocated by the
+    /// calling thread ([`CandidateTable::for_lane`]).
+    pub(crate) fn new(shared: &'a Mutex<CandidateTable>, lanes: usize) -> Self {
+        let own = lock(shared).for_lane();
+        LaneTally {
+            shared,
+            own,
+            run_len: 0,
+            lanes,
+        }
+    }
+
+    /// Adds the lane's pending packed credits to the shared run.
+    fn flush(&mut self) {
+        let Keys::Packed(p) = &mut self.own.keys else {
+            return;
+        };
+        p.pending.sort_unstable();
+        let mut shared = lock(self.shared);
+        let Keys::Packed(run) = &mut shared.keys else {
+            unreachable!("tables of one graph share their key form");
+        };
+        run.add_sorted(&mut p.pending);
+        self.run_len = run.masks.len();
+    }
+
+    /// Adds everything this lane credited to the shared table.
+    pub(crate) fn finish(&mut self) {
+        if let Keys::Sets(_) = self.own.keys {
+            let empty = self.own.empty_like();
+            let own = std::mem::replace(&mut self.own, empty);
+            lock(self.shared).merge(own);
+        }
+        self.flush();
+    }
+}
+
+impl Tally for LaneTally<'_> {
+    fn credit_mask(&mut self, mask: &[u64]) {
+        let Keys::Packed(p) = &mut self.own.keys else {
+            return self.own.credit_mask(mask);
+        };
+        debug_assert!(mask[1..].iter().all(|&w| w == 0));
+        p.pending.push(mask[0]);
+        if p.pending.len() * self.lanes >= self.run_len.max(FOLD_FLOOR) {
+            self.flush();
+        }
+    }
+
+    fn credit_nodes(&mut self, nodes: &[NodeId]) {
+        match self.own.keys {
+            Keys::Packed(_) => self.credit_mask(&[nodes.iter().fold(0u64, |acc, &v| acc | 1 << v)]),
+            Keys::Sets(_) => self.own.credit_nodes(nodes),
+        }
+    }
+}
+
+/// Locks the shared table of a run's lanes.
+fn lock(shared: &Mutex<CandidateTable>) -> std::sync::MutexGuard<'_, CandidateTable> {
+    shared
+        .lock()
+        .expect("a lane panicked while adding to the shared table")
 }
 
 impl PartialEq for CandidateTable {

@@ -193,7 +193,70 @@ struct Workspace {
     /// The current Dinkelbach step's network; after [`solve`] it holds a
     /// maximum flow at α = ρ\*.
     net: FlowNetwork,
+    /// The (h−1)-node facets of the core's h-cliques, flat, `h` per clique
+    /// in member order: the keys of the clique network's Λ nodes.
+    facets: Vec<u32>,
+    /// The Λ (clique facets) or Λ′ (pattern node sets) grouping of the
+    /// current network.
+    groups: Groups,
     enumeration: enumerate::Scratch,
+}
+
+/// Equal keys of a flat key array grouped and numbered by first
+/// appearance, in reused buffers: the Λ and Λ′ nodes of the clique and
+/// pattern networks, found by sorting key indices rather than hashing
+/// keys, so the network's arc order is the same in every process.
+#[derive(Default)]
+struct Groups {
+    /// Key indices ordered by (key, index).
+    order: Vec<u32>,
+    /// The group id of every key.
+    id: Vec<u32>,
+    /// The first key index of every group, in id order.
+    first: Vec<u32>,
+    /// How many keys every group holds.
+    size: Vec<u64>,
+}
+
+impl Groups {
+    /// Groups the `n` keys of `keys`, `width` ids each: key `i` is
+    /// `keys[i * width..(i + 1) * width]`.
+    fn group(&mut self, keys: &[u32], n: usize, width: usize) {
+        let key = |i: u32| &keys[i as usize * width..][..width];
+        let Groups {
+            order,
+            id,
+            first,
+            size,
+        } = self;
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        // Mark every key with the first index of its group...
+        id.clear();
+        id.resize(n, 0);
+        let mut lead = 0;
+        for (pos, &i) in order.iter().enumerate() {
+            if pos == 0 || key(order[pos - 1]) != key(i) {
+                lead = i;
+            }
+            id[i as usize] = lead;
+        }
+        // ...then number the groups as their first keys appear.
+        first.clear();
+        size.clear();
+        for i in 0..n {
+            let lead = id[i] as usize;
+            if lead == i {
+                id[i] = first.len() as u32;
+                first.push(i as u32);
+                size.push(1);
+            } else {
+                id[i] = id[lead];
+                size[id[i] as usize] += 1;
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -234,6 +297,8 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
         local_insts,
         deg,
         net,
+        facets,
+        groups,
         ..
     } = ws;
     core_nodes.clear();
@@ -266,7 +331,7 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
     // the test at α finds nothing denser, α = ρ*.
     let mut alpha = peeling.best_density;
     loop {
-        let (s, t) = build_network(&notion, nc, local_insts, deg, alpha, net);
+        let (s, t) = build_network(&notion, nc, local_insts, deg, alpha, net, facets, groups);
         let flow = net.max_flow(s, t);
         let trivial = (arity as u64)
             .checked_mul(mu)
@@ -300,7 +365,8 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
 /// `b` (paper Example 4 network for edges, Algorithm 6 for cliques,
 /// Algorithm 7 for patterns), over `nc` core nodes, the flat core-local
 /// instances `local_insts` (`notion.arity()` ids each) and their instance
-/// degrees `deg`, into `net` (cleared first). Returns the source and sink.
+/// degrees `deg`, into `net` (cleared first), grouping Λ or Λ′ in `facets`
+/// and `groups`. Returns the source and sink.
 fn build_network(
     notion: &DensityNotion,
     nc: usize,
@@ -308,9 +374,12 @@ fn build_network(
     deg: &[u64],
     alpha: Density,
     net: &mut FlowNetwork,
+    facets: &mut Vec<u32>,
+    groups: &mut Groups,
 ) -> (usize, usize) {
     let (a, b) = (alpha.num, alpha.den);
-    let insts = local_insts.chunks_exact(notion.arity());
+    let arity = notion.arity();
+    let insts = local_insts.chunks_exact(arity);
     match notion {
         DensityNotion::Edge => {
             // Nodes: 0..nc = V, nc = s, nc+1 = t.
@@ -330,21 +399,18 @@ fn build_network(
         DensityNotion::Clique(h) => {
             let h = *h;
             // Λ: distinct (h−1)-cliques contained in h-cliques (paper Line 3
-            // of Algorithm 2), found as the h facets of each h-clique.
-            let mut lambda_of: std::collections::HashMap<Vec<u32>, u32> =
-                std::collections::HashMap::new();
-            // (λ index, completing node) pairs — one per (clique, member).
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for inst in insts {
-                for (i, &v) in inst.iter().enumerate() {
-                    let mut facet = inst.to_vec();
-                    facet.remove(i);
-                    let next_id = lambda_of.len() as u32;
-                    let id = *lambda_of.entry(facet).or_insert(next_id);
-                    pairs.push((id, v));
+            // of Algorithm 2), found as the h facets of each h-clique and
+            // numbered as they first appear. Facet `c * h + i` is clique
+            // `c` without its member `i`.
+            facets.clear();
+            for inst in insts.clone() {
+                for i in 0..h {
+                    facets.extend_from_slice(&inst[..i]);
+                    facets.extend_from_slice(&inst[i + 1..]);
                 }
             }
-            let num_lambda = lambda_of.len();
+            groups.group(facets, local_insts.len(), h - 1);
+            let num_lambda = groups.first.len();
             // Nodes: 0..nc = V, nc..nc+|Λ| = Λ, then s, t.
             let s = nc + num_lambda;
             let t = s + 1;
@@ -354,27 +420,24 @@ fn build_network(
                 net.add_edge(v, t, (h as u64) * a, 0);
             }
             // λ → each member with infinite capacity (Algorithm 6 Line 8).
-            for (facet, &id) in &lambda_of {
-                for &v in facet {
-                    net.add_edge(nc + id as usize, v as usize, INF, 0);
+            for (id, &f) in groups.first.iter().enumerate() {
+                let f = f as usize;
+                for &v in &facets[f * (h - 1)..(f + 1) * (h - 1)] {
+                    net.add_edge(nc + id, v as usize, INF, 0);
                 }
             }
             // v → λ with capacity 1 (scaled: b) per completed h-clique.
-            for &(id, v) in &pairs {
+            for (&v, &id) in local_insts.iter().zip(&groups.id) {
                 net.add_edge(v as usize, nc + id as usize, b, 0);
             }
             (s, t)
         }
         DensityNotion::Pattern(p) => {
             let kp = p.num_nodes() as u64;
-            // Λ′: groups of instances sharing a node set (Algorithm 7 Line 5).
-            let mut groups: std::collections::HashMap<Vec<u32>, u64> =
-                std::collections::HashMap::new();
-            for inst in insts {
-                *groups.entry(inst.to_vec()).or_insert(0) += 1;
-            }
-            let group_list: Vec<(&Vec<u32>, u64)> = groups.iter().map(|(k, &v)| (k, v)).collect();
-            let num_groups = group_list.len();
+            // Λ′: groups of instances sharing a node set (Algorithm 7 Line
+            // 5), numbered as they first appear.
+            groups.group(local_insts, local_insts.len() / arity, arity);
+            let num_groups = groups.first.len();
             let s = nc + num_groups;
             let t = s + 1;
             net.clear(nc + num_groups + 2);
@@ -382,8 +445,9 @@ fn build_network(
                 net.add_edge(s, v, b * deg[v], 0);
                 net.add_edge(v, t, kp * a, 0);
             }
-            for (gi, &(nodes, cnt)) in group_list.iter().enumerate() {
-                for &v in nodes {
+            for (gi, (&f, &cnt)) in groups.first.iter().zip(&groups.size).enumerate() {
+                let f = f as usize;
+                for &v in &local_insts[f * arity..(f + 1) * arity] {
                     // λ′ → v: |g|(|V_ψ|−1); v → λ′: |g| (scaled by b).
                     net.add_edge(nc + gi, v as usize, b * cnt * (kp - 1), 0);
                     net.add_edge(v as usize, nc + gi, b * cnt, 0);

@@ -165,6 +165,9 @@ pub struct TraceRecord {
     pub slow: bool,
     /// Per-stage wall time and invocation counts recorded so far.
     pub totals: StageTotals,
+    /// Helper threads lent to the request's estimator run
+    /// ([`Recorder::set_helpers`]).
+    pub helpers: u64,
 }
 
 /// The calling thread's home in-flight shard. Threads take shards
@@ -255,6 +258,7 @@ impl Slot {
             current_stage: recorder.current_stage(),
             slow: false,
             totals: recorder.totals(),
+            helpers: recorder.helpers(),
         })
     }
 }
@@ -271,11 +275,12 @@ struct Entry {
     wall_us: u64,
     slow: bool,
     totals: StageTotals,
+    helpers: u64,
 }
 
 impl Entry {
     /// Overwrites this entry with `slot`'s request, completed.
-    fn fill(&mut self, slot: &Slot, status: u16, wall_us: u64, slow: bool, totals: StageTotals) {
+    fn fill(&mut self, slot: &Slot, status: u16, wall_us: u64, slow: bool, recorder: &Recorder) {
         self.trace_id = slot.trace_id;
         self.endpoint = slot.endpoint;
         self.method.copy_from(&slot.method);
@@ -283,7 +288,8 @@ impl Entry {
         self.status = status;
         self.wall_us = wall_us;
         self.slow = slow;
-        self.totals = totals;
+        self.totals = recorder.totals();
+        self.helpers = recorder.helpers();
     }
 
     fn record(&self) -> TraceRecord {
@@ -298,6 +304,7 @@ impl Entry {
             current_stage: None,
             slow: self.slow,
             totals: self.totals,
+            helpers: self.helpers,
         }
     }
 }
@@ -495,16 +502,15 @@ impl FlightRecorder {
             .recorder
             .take()
             .expect("an occupied slot has a recorder");
-        let totals = recorder.totals();
         let slow = slow_eligible && wall_us >= self.slow_threshold_us;
         if slow {
             self.slow_promoted.fetch_add(1, Ordering::Relaxed);
             if let Some(e) = self.slow.0.lock().unwrap().push_slot() {
-                e.fill(slot, status, wall_us, slow, totals);
+                e.fill(slot, status, wall_us, slow, &recorder);
             }
         }
         if let Some(e) = self.completed.0.lock().unwrap().push_slot() {
-            e.fill(slot, status, wall_us, slow, totals);
+            e.fill(slot, status, wall_us, slow, &recorder);
         }
         slow
     }

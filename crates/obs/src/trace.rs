@@ -117,6 +117,8 @@ pub struct Recorder {
     // Stage index + 1 of the innermost live span; 0 when idle. Lets the
     // flight recorder report what an in-flight request is doing right now.
     current: AtomicU64,
+    // Helper threads lent to the request's estimator run.
+    helpers: AtomicU64,
 }
 
 impl Default for Recorder {
@@ -136,7 +138,19 @@ impl Recorder {
             total_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             count: std::array::from_fn(|_| AtomicU64::new(0)),
             current: AtomicU64::new(0),
+            helpers: AtomicU64::new(0),
         }
+    }
+
+    /// Notes how many helper threads the request's estimator run was lent
+    /// (they record no spans; the flight recorder reports the count).
+    pub fn set_helpers(&self, helpers: u64) {
+        self.helpers.store(helpers, Ordering::Relaxed);
+    }
+
+    /// The helper count noted by [`Recorder::set_helpers`] (0 if none).
+    pub fn helpers(&self) -> u64 {
+        self.helpers.load(Ordering::Relaxed)
     }
 
     /// Whether spans from this recorder time their stage.

@@ -853,6 +853,49 @@ pub struct EngineObs {
     /// Sampled worlds whose densest-subgraph enumeration hit the cap,
     /// summed over computed MISSes (`/query` and led `/batch` members).
     pub truncated_worlds: Counter,
+    /// Sampled worlds solved by helpers lent from a [`HelperPool`]; a part
+    /// of [`EngineStats::worlds_sampled`].
+    pub helper_worlds: Counter,
+}
+
+/// Idle server threads whose CPU a `/query` MISS may borrow: the estimator
+/// then solves its worlds in lanes, on the computing thread and on helper
+/// threads ([`RunControl::with_helpers`]), with the same answer. The HTTP
+/// front end lends one helper per parked worker.
+pub trait HelperPool: Sync {
+    /// Reserves helpers for one computation and returns how many (0 when
+    /// none is idle).
+    fn lend(&self) -> usize;
+    /// Hands back `helpers` reserved by [`HelperPool::lend`].
+    fn release(&self, helpers: usize);
+}
+
+/// Helpers reserved from a [`HelperPool`], handed back on drop.
+struct Lease<'a> {
+    pool: Option<&'a dyn HelperPool>,
+    helpers: usize,
+}
+
+impl<'a> Lease<'a> {
+    /// Reserves helpers for `req` when its run can use them: a fixed-θ
+    /// MPDS query without `threads=N` (whose workers draw their own
+    /// sub-streams).
+    fn take(pool: Option<&'a dyn HelperPool>, req: &QueryRequest) -> Self {
+        let lanes = req.algo == Algo::Mpds && req.stop == StopSpec::Fixed && req.threads <= 1;
+        let pool = pool.filter(|_| lanes);
+        Lease {
+            pool,
+            helpers: pool.map_or(0, |p| p.lend()),
+        }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.filter(|_| self.helpers > 0) {
+            pool.release(self.helpers);
+        }
+    }
 }
 
 /// A query response with its provenance: the bytes, how they were obtained,
@@ -1016,18 +1059,20 @@ impl QueryEngine {
     /// per-stage timings of this evaluation. Profiled timings are also
     /// absorbed into the engine-wide [`EngineObs::stage_totals`].
     pub fn execute_traced(&self, req: &QueryRequest) -> Result<TracedResponse, QueryError> {
-        self.execute_traced_with(req, None)
+        self.execute_traced_with(req, None, None)
     }
 
     /// [`Self::execute_traced`] against a caller-supplied recorder (the HTTP
     /// front end's per-request flight recorder). When the caller's recorder
     /// is enabled the evaluation is timed into it — so `/debug/trace/<id>`
     /// shows per-stage breakdowns for every request, profiled or not; when
-    /// it is absent or disabled, `?profile=1` still mints its own.
+    /// it is absent or disabled, `?profile=1` still mints its own. A MISS
+    /// borrows helpers from `helpers`, when given, for its run.
     pub fn execute_traced_with(
         &self,
         req: &QueryRequest,
         caller_rec: Option<&Arc<Recorder>>,
+        helpers: Option<&dyn HelperPool>,
     ) -> Result<TracedResponse, QueryError> {
         req.validate().map_err(QueryError::BadRequest)?;
         let profiled;
@@ -1054,7 +1099,8 @@ impl QueryEngine {
         let own_deadline = req
             .timeout_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let (body, source) = self.serve_key(req, &graph, &key, own_deadline, rec, probing)?;
+        let (body, source) =
+            self.serve_key(req, &graph, &key, own_deadline, rec, probing, helpers)?;
         // A flight-only recorder feeds /debug/trace but leaves the profiled
         // aggregates alone: absorb + count only what ?profile=1 asked for.
         let profile = if req.profile {
@@ -1088,6 +1134,7 @@ impl QueryEngine {
         own_deadline: Option<Instant>,
         rec: Option<&Arc<Recorder>>,
         mut probing: Option<Span<'_>>,
+        helpers: Option<&dyn HelperPool>,
     ) -> Result<(Arc<Vec<u8>>, ResponseSource), QueryError> {
         // Bounded retries: each iteration either serves the request or
         // observes a *leader* deadline failure (not cached, entry removed),
@@ -1141,7 +1188,7 @@ impl QueryEngine {
                 flights: std::slice::from_ref(&flight),
                 completed: false,
             };
-            let result = self.compute(req, graph, own_deadline, rec);
+            let result = self.compute(req, graph, own_deadline, rec, helpers);
             guard.finish(std::slice::from_ref(&result));
             return result.map(|b| (b, ResponseSource::Miss));
         }
@@ -1155,21 +1202,28 @@ impl QueryEngine {
         graph: &LoadedGraph,
         deadline: Option<Instant>,
         rec: Option<&Arc<Recorder>>,
+        helpers: Option<&dyn HelperPool>,
     ) -> Result<Arc<Vec<u8>>, QueryError> {
-        let mut ctrl = RunControl::unbounded().with_cancel_flag(self.cancel_flag());
+        let lease = Lease::take(helpers, req);
+        let mut ctrl = RunControl::unbounded()
+            .with_cancel_flag(self.cancel_flag())
+            .with_helpers(lease.helpers);
         if let Some(d) = deadline {
             ctrl = ctrl.with_deadline(d);
         }
         if let Some(r) = rec {
             // The sampling loop times world materialization, estimator
             // accumulation, and stability tracking against this recorder.
+            r.set_helpers(lease.helpers as u64);
             ctrl = ctrl.with_recorder(Arc::clone(r));
         }
         let run = run_core(graph, req, &ctrl, Some(Arc::clone(&self.worlds) as _))?;
+        drop(lease);
         self.computed.fetch_add(1, Ordering::Relaxed);
         self.obs
             .truncated_worlds
             .add(run.stats.truncated_worlds as u64);
+        self.obs.helper_worlds.add(run.stats.helper_worlds as u64);
         let payload = payload_of(graph, run);
         if payload.stop_reason == "budget" {
             self.spawn_refinement(req, graph);
@@ -1317,8 +1371,15 @@ impl QueryEngine {
         // published). This runs after the led computation, so a duplicate
         // never deadlocks on its own batch.
         for i in joined {
-            let (body, source) =
-                self.serve_key(&requests[i], &graph, &keys[i], own_deadline, None, None)?;
+            let (body, source) = self.serve_key(
+                &requests[i],
+                &graph,
+                &keys[i],
+                own_deadline,
+                None,
+                None,
+                None,
+            )?;
             let source = match source {
                 // The member joined someone's in-flight computation or hit
                 // bytes published after classification — both are coalesced

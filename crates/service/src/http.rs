@@ -49,7 +49,7 @@
 //! part of the cache key and the cached bytes are never mutated.
 
 use crate::engine::{
-    Algo, BatchMember, BatchRequest, QueryEngine, QueryError, QueryRequest, StopSpec,
+    Algo, BatchMember, BatchRequest, HelperPool, QueryEngine, QueryError, QueryRequest, StopSpec,
     DEFAULT_STABLE_WINDOW, MAX_BATCH_MEMBERS,
 };
 use crate::json::JsonValue;
@@ -148,14 +148,16 @@ impl Default for ServerConfig {
 }
 
 /// Accepted connections waiting for a worker (each with when it was
-/// queued), how many workers are parked waiting for one, and how many hold
-/// a kept connection that has been idle for at least one [`IDLE_POLL`]
-/// slice.
+/// queued), how many workers are parked waiting for one, how many hold a
+/// kept connection that has been idle for at least one [`IDLE_POLL`]
+/// slice, and how many helpers running MISSes have borrowed (one per
+/// parked worker at the time; see [`HelperPool`]).
 #[derive(Default)]
 struct AdmissionQueue {
     conns: VecDeque<(TcpStream, Instant)>,
     idle_workers: usize,
     idle_kept: usize,
+    lent: usize,
 }
 
 impl AdmissionQueue {
@@ -210,6 +212,22 @@ struct ServerState {
     flight: FlightRecorder,
     /// Burn-rate tracking for the configured objectives.
     slo: SloEngine,
+}
+
+/// A MISS borrows one helper per parked worker that no other MISS has
+/// borrowed. A parked worker stays parked, so it still takes the next
+/// queued connection; until the MISS returns, its CPU is then shared.
+impl HelperPool for ServerState {
+    fn lend(&self) -> usize {
+        let mut queue = self.queue.lock().unwrap();
+        let helpers = queue.idle_workers.saturating_sub(queue.lent);
+        queue.lent += helpers;
+        helpers
+    }
+
+    fn release(&self, helpers: usize) {
+        self.queue.lock().unwrap().lent -= helpers;
+    }
 }
 
 /// A running server; dropping it (or calling [`Server::shutdown`]) stops the
@@ -513,7 +531,10 @@ enum Next {
 /// idle wait between them) gives the connection up. Returns the queued
 /// connection the worker gave it up for, if any.
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> Option<TcpStream> {
-    let _ = stream.set_read_timeout(Some(state.read_timeout));
+    // Reads time out every IDLE_POLL, so the idle wait between requests
+    // needs no second timeout; a request read retries its slices (`Patient`)
+    // until `read_timeout` passes with no byte read.
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(state.read_timeout));
     // Each response is one write; without Nagle's algorithm it leaves at
     // once instead of waiting for the client's delayed ACK of the last one.
@@ -554,7 +575,12 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
     let accept_body = |method: &str, path: &str| {
         method == "POST" && (path == "/batch" || (path == "/update" && state.mutable))
     };
-    let (resp, method, endpoint, keep_alive) = match read_request(stream, carry, accept_body) {
+    let mut patient = Patient {
+        stream,
+        patience: state.read_timeout,
+    };
+    let (resp, method, endpoint, keep_alive) = match read_request(&mut patient, carry, accept_body)
+    {
         Ok(request) => {
             let endpoint = Endpoint::classify(request.target.split('?').next().unwrap_or(""));
             state.flight.begin(
@@ -606,16 +632,35 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
     }
 }
 
+/// A connection's socket, whose reads time out every [`IDLE_POLL`], read as
+/// if its read timeout were `patience`: a read that times out is retried
+/// until `patience` has passed since the read began with no byte read.
+struct Patient<'a> {
+    stream: &'a mut TcpStream,
+    patience: Duration,
+}
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let began = Instant::now();
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && began.elapsed() < self.patience => {}
+                read => return read,
+            }
+        }
+    }
+}
+
 /// Waits for the first byte of a kept connection's next request, in
-/// [`IDLE_POLL`] slices. The worker drops the connection when the client
+/// [`IDLE_POLL`] slices (the socket's read timeout). The worker drops the connection when the client
 /// closes it, at shutdown, after `read_timeout` of idleness, or — yielding —
 /// as soon as a queued connection has no parked worker to take it.
 fn next_request_arrives(stream: &TcpStream, carry: &[u8], state: &ServerState) -> Next {
     if !carry.is_empty() {
         return Next::Continue;
-    }
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return Next::Close;
     }
     let idle_since = Instant::now();
     // Whether this worker counts in the queue's `idle_kept`, which it joins
@@ -649,10 +694,7 @@ fn next_request_arrives(stream: &TcpStream, carry: &[u8], state: &ServerState) -
     if counted {
         state.queue.lock().unwrap().idle_kept -= 1;
     }
-    match next {
-        Next::Continue if stream.set_read_timeout(Some(state.read_timeout)).is_err() => Next::Close,
-        next => next,
-    }
+    next
 }
 
 /// Closes our side of an idle kept connection and discards, for at most
@@ -1037,7 +1079,10 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 if req.timeout_ms.is_none() {
                     req.timeout_ms = state.default_timeout.map(|d| d.as_millis() as u64);
                 }
-                match state.engine.execute_traced_with(&req, Some(rec)) {
+                match state
+                    .engine
+                    .execute_traced_with(&req, Some(rec), Some(state))
+                {
                     Ok(t) => {
                         // A profiled response splices the stage timings
                         // into a fresh buffer; the cached `Arc` keeps
@@ -1150,6 +1195,9 @@ fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
         .field_bool("slow", r.slow);
     if let Some(stage) = r.current_stage {
         w.field_str("current_stage", stage.as_str());
+    }
+    if r.endpoint == Endpoint::Query.as_str() {
+        w.field_uint("helpers", r.helpers);
     }
     crate::engine::write_stages(w, &r.totals);
 }
@@ -1440,6 +1488,11 @@ fn render_metrics_prom(state: &ServerState) -> String {
             "mpds_worlds_sampled_total",
             "Possible worlds fully sampled across all computed queries.",
             s.worlds_sampled,
+        ),
+        (
+            "mpds_helper_worlds_total",
+            "Possible worlds solved by helpers lent from parked workers (part of mpds_worlds_sampled_total).",
+            eobs.helper_worlds.value(),
         ),
         (
             "mpds_worlds_requested_total",

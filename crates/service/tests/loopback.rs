@@ -693,6 +693,22 @@ fn pipelined_requests_are_answered_in_order() {
 }
 
 #[test]
+fn a_request_head_split_across_two_writes_is_served() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let mut conn = RawConn::open(&server);
+    assert_eq!(conn.get("/healthz").status, 200);
+    // The kept socket's reads time out every millisecond; the rest of the
+    // head arriving 5 ms later must still complete the request.
+    conn.send("GET /dataset?name=karate HTTP/1.1\r\nHo");
+    std::thread::sleep(Duration::from_millis(5));
+    conn.send("st: loopback\r\n\r\n");
+    let r = conn.response();
+    assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
+    assert_eq!(r.header("connection"), Some("keep-alive"));
+    assert!(String::from_utf8_lossy(&r.body).contains("\"nodes\":34"));
+}
+
+#[test]
 fn bad_request_closes_the_connection() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());
     let mut conn = RawConn::open(&server);

@@ -427,6 +427,60 @@ fn every_response_carries_a_trace_id_that_resolves_via_debug_trace() {
     assert!(bad.trace_id.is_some());
 }
 
+/// `mpds_helper_worlds_total` from a fresh `/metrics` scrape.
+fn helper_worlds_total(server: &Server) -> f64 {
+    let text = scrape_prom(server);
+    scrape::prom_value(&text, "mpds_helper_worlds_total", &[]).unwrap_or_else(|| panic!("{text}"))
+}
+
+/// The `/debug/trace/<id>` record of a cold karate MISS on a server with
+/// `threads` workers, and how far it moved `mpds_helper_worlds_total`.
+fn cold_miss_trace(threads: usize) -> (mpds_service::json::JsonValue, f64) {
+    let cfg = ServerConfig {
+        threads,
+        ..ServerConfig::default()
+    };
+    let server = start_server(&EngineConfig::default(), &cfg);
+    assert_eq!(get(&server, "/healthz").status, 200);
+    // Give every worker time to park waiting for a connection.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = helper_worlds_total(&server);
+    std::thread::sleep(Duration::from_millis(50));
+    let q = get(&server, "/query?dataset=karate&theta=320&k=3&seed=41");
+    assert_eq!(q.status, 200, "{}", String::from_utf8_lossy(&q.body));
+    assert_eq!(q.x_cache.as_deref(), Some("MISS"));
+    let trace = q.trace_id.expect("X-Trace-Id on /query");
+    let t = get(&server, &format!("/debug/trace/{trace}"));
+    assert_eq!(t.status, 200, "{}", String::from_utf8_lossy(&t.body));
+    let body = String::from_utf8(t.body).unwrap();
+    let record = mpds_service::json::JsonValue::parse(&body).expect("trace parses");
+    (record, helper_worlds_total(&server) - before)
+}
+
+#[test]
+fn a_cold_miss_borrows_the_parked_worker_as_a_helper() {
+    let field = |record: &mpds_service::json::JsonValue, key: &str| {
+        record.get(key).unwrap().unwrap().as_u64(key).unwrap()
+    };
+    let (record, moved) = cold_miss_trace(2);
+    assert_eq!(field(&record, "helpers"), 1, "{record:?}");
+    assert!(moved > 0.0, "the helper solved no world");
+    // Helpers record no spans: the stages still fit in the wall time.
+    let stages = record.get("stages").unwrap().unwrap();
+    let total: u64 = STAGES
+        .iter()
+        .map(|&stage| {
+            let s = stages.get(stage).unwrap().unwrap();
+            s.get("total_us").unwrap().unwrap().as_u64(stage).unwrap()
+        })
+        .sum();
+    assert!(total <= field(&record, "wall_us"), "{record:?}");
+
+    let (record, moved) = cold_miss_trace(1);
+    assert_eq!(field(&record, "helpers"), 0, "{record:?}");
+    assert_eq!(moved, 0.0);
+}
+
 #[test]
 fn profile_stages_agree_with_debug_trace() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());

@@ -7,11 +7,14 @@
 //! the sorted-run table replaced; a change to the table's storage must
 //! reproduce them exactly. Seed 52 truncates one world at the 100k
 //! enumeration cap, so it also pins which prefix of the enumeration order a
-//! truncated world credits. Never regenerate these values to make the test
-//! pass: a difference means the estimator's output changed.
+//! truncated world credits. Every case also runs with 1 and 3 helper
+//! threads, which must reproduce the same values. Never regenerate these
+//! values to make the test pass: a difference means the estimator's output
+//! changed.
 
 use densest::DensityNotion;
 use mpds::api::{Exec, Query, RunDetails};
+use mpds::control::RunControl;
 use ugraph::{datasets, NodeId};
 
 struct Golden {
@@ -35,7 +38,18 @@ fn fingerprint(r: &mpds::MpdsResult) -> u64 {
     })
 }
 
+/// Checks `query` run on the calling thread alone and with 1 and 3 helper
+/// threads ([`RunControl::with_helpers`]): helpers never change the table.
 fn check(label: &str, query: Query, want: &Golden) {
+    for helpers in [0, 1, 3] {
+        let lent = query
+            .clone()
+            .control(RunControl::unbounded().with_helpers(helpers));
+        check_run(&format!("{label}, {helpers} helpers"), lent, want);
+    }
+}
+
+fn check_run(label: &str, query: Query, want: &Golden) {
     let karate = datasets::karate_club();
     let run = query.run(&karate.graph).unwrap();
     assert_eq!(
