@@ -1195,8 +1195,7 @@ impl Query {
         let mut acc = MpdsAccum::new(self, g.num_nodes());
         let shared = Mutex::new(acc.candidates.for_lane());
         // Lanes are made here, so their buffers come from this thread.
-        let count = self.control.helpers() + 1;
-        let mut lanes = (0..count).map(|_| Lane::new(&shared, count));
+        let mut lanes = (0..=self.control.helpers()).map(|_| Lane::new(&shared));
         let mut own = lanes.next().expect("the calling thread's lane");
         let helpers: Vec<Lane> = std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
@@ -1564,9 +1563,9 @@ struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    fn new(shared: &'a Mutex<CandidateTable>, lanes: usize) -> Self {
+    fn new(shared: &'a Mutex<CandidateTable>) -> Self {
         Lane {
-            tally: LaneTally::new(shared, lanes),
+            tally: LaneTally::new(shared),
             empty_worlds: 0,
             truncated_worlds: 0,
             worlds: 0,

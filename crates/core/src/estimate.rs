@@ -552,33 +552,30 @@ impl Tally for CandidateTable {
 }
 
 /// One lane's share of the one table that the lanes of a run tally into.
-/// Packed credits wait in the lane; once they reach the lane's share of
-/// the shared run's length (or of 65,536), and when the lane finishes, the
-/// lane sorts them on its own thread and adds them to the shared run under
-/// its lock. So the run exists once however many lanes credit it, and the
-/// lanes' pending credits together stay within the bound of one table's.
-/// Compact-key credits (past 64 nodes) go to a map of the lane's own, added
-/// to the shared table when the lane finishes.
+/// Packed credits wait in the lane; once they reach the shared run's
+/// length (or 65,536), and when the lane finishes, the lane sorts them on
+/// its own thread and adds them to the shared run under its lock. So the
+/// run exists once however many lanes credit it, and each lane's pending
+/// credits are bounded as one table's are. Compact-key credits (past 64
+/// nodes) go to a map of the lane's own, added to the shared table when the
+/// lane finishes.
 pub(crate) struct LaneTally<'a> {
     shared: &'a Mutex<CandidateTable>,
     /// The lane's credits: pending masks only, or its own compact-key map.
     own: CandidateTable,
     /// The shared run's length after this lane's last flush.
     run_len: usize,
-    /// Lanes crediting the shared table.
-    lanes: usize,
 }
 
 impl<'a> LaneTally<'a> {
-    /// One of `lanes` lanes of `shared`, its buffers allocated by the
-    /// calling thread ([`CandidateTable::for_lane`]).
-    pub(crate) fn new(shared: &'a Mutex<CandidateTable>, lanes: usize) -> Self {
+    /// A lane of `shared`, its buffers allocated by the calling thread
+    /// ([`CandidateTable::for_lane`]).
+    pub(crate) fn new(shared: &'a Mutex<CandidateTable>) -> Self {
         let own = lock(shared).for_lane();
         LaneTally {
             shared,
             own,
             run_len: 0,
-            lanes,
         }
     }
 
@@ -614,7 +611,7 @@ impl Tally for LaneTally<'_> {
         };
         debug_assert!(mask[1..].iter().all(|&w| w == 0));
         p.pending.push(mask[0]);
-        if p.pending.len() * self.lanes >= self.run_len.max(FOLD_FLOOR) {
+        if p.pending.len() >= self.run_len.max(FOLD_FLOOR) {
             self.flush();
         }
     }
