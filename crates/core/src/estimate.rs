@@ -521,7 +521,12 @@ impl CandidateTable {
                 o.fold();
                 p.absorb(o.entries());
             }
-            (Keys::Sets(m), Keys::Sets(o)) => {
+            (Keys::Sets(m), Keys::Sets(mut o)) => {
+                // Add the smaller map into the larger: a lane's map joins an
+                // empty shared table without a re-hash.
+                if m.counts.len() < o.counts.len() {
+                    std::mem::swap(m, &mut o);
+                }
                 for (key, c) in o.counts {
                     *m.counts.entry(key).or_insert(0) += c;
                 }
