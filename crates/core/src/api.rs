@@ -1752,7 +1752,14 @@ impl Accum for MpdsAccum {
     }
 
     fn consume(&mut self, world: &Graph, q: &Query) {
-        let count = self.consume_world(world, q);
+        let (count, truncated) = if q.all_densest {
+            credit_all(&mut self.candidates, world, q)
+        } else {
+            self.credit_one(world, q)
+        };
+        self.truncated |= truncated;
+        self.truncated_worlds += usize::from(truncated);
+        self.empty_worlds += usize::from(count == 0);
         self.densest_counts.push(count);
     }
 
@@ -1762,25 +1769,6 @@ impl Accum for MpdsAccum {
         self.densest_counts.extend(other.densest_counts);
         self.truncated |= other.truncated;
         self.truncated_worlds += other.truncated_worlds;
-    }
-}
-
-impl MpdsAccum {
-    /// Credits one world's densest (or heuristic dense) sets, or one of
-    /// them under the ablation, and returns how many there were; the
-    /// caller records that count in world order.
-    fn consume_world(&mut self, world: &Graph, q: &Query) -> usize {
-        let (count, truncated) = if q.all_densest {
-            credit_all(&mut self.candidates, world, q)
-        } else {
-            self.credit_one(world, q)
-        };
-        self.truncated |= truncated;
-        self.truncated_worlds += usize::from(truncated);
-        if count == 0 {
-            self.empty_worlds += 1;
-        }
-        count
     }
 }
 

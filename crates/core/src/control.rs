@@ -119,8 +119,8 @@ impl RunControl {
     /// answer, the per-world counts and the budget and interruption
     /// semantics are those of one lane; only the wall time changes. Other
     /// runs (NDS, [`crate::api::Stop::Stable`], the one-densest ablation,
-    /// [`crate::api::Exec::Threads`], batches) ignore it. Helpers record no
-    /// stage spans. Default: 0.
+    /// [`crate::api::Exec::Threads`], [`crate::api::Query::run_with_sampler`],
+    /// batches) ignore it. Helpers record no stage spans. Default: 0.
     ///
     /// ```
     /// use densest::DensityNotion;

@@ -500,7 +500,7 @@ impl CandidateTable {
     /// Credits one densest set given as sorted ids.
     pub(crate) fn credit_nodes(&mut self, nodes: &[NodeId]) {
         match &mut self.keys {
-            Keys::Packed(p) => p.credit(nodes.iter().fold(0u64, |acc, &v| acc | 1 << v)),
+            Keys::Packed(p) => p.credit(packed_mask(nodes)),
             Keys::Sets(m) => m.credit(nodes.iter().copied()),
         }
     }
@@ -623,10 +623,15 @@ impl Tally for LaneTally<'_> {
 
     fn credit_nodes(&mut self, nodes: &[NodeId]) {
         match self.own.keys {
-            Keys::Packed(_) => self.credit_mask(&[nodes.iter().fold(0u64, |acc, &v| acc | 1 << v)]),
+            Keys::Packed(_) => self.credit_mask(&[packed_mask(nodes)]),
             Keys::Sets(_) => self.own.credit_nodes(nodes),
         }
     }
+}
+
+/// The one-word mask of `nodes` (ids below 64).
+fn packed_mask(nodes: &[NodeId]) -> u64 {
+    nodes.iter().fold(0, |acc, &v| acc | 1 << v)
 }
 
 /// Locks the shared table of a run's lanes.
