@@ -8,8 +8,9 @@
 //! ```
 //!
 //! The instrumented pipeline calls `control.recorder()` and opens a span at
-//! every stage boundary; with the recorder disabled (the default in every
-//! unprofiled request) the span guard is inert and takes no clock readings.
+//! every stage boundary; with the recorder disabled (every request of a
+//! `serve --no-flight` server) the span guard is inert and takes no clock
+//! readings.
 //! This gate measures that claim: it runs the same `Query::mpds` workload
 //! with **no recorder** and with a **disabled recorder** attached, in
 //! interleaved rounds (so thermal/scheduler drift hits both variants

@@ -1114,8 +1114,8 @@ impl Query {
         progress.begin(limit);
         let mut tracker = self.stable_tracker();
         // Stage recorder (if attached): a disabled recorder hands out inert
-        // spans, so the un-profiled loop pays one branch per stage, no
-        // clock reads.
+        // spans, so an untraced loop pays one branch per stage, no clock
+        // reads.
         let rec = self.control.recorder();
         match self.kind {
             Kind::Mpds => {

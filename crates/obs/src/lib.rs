@@ -13,7 +13,8 @@
 //! * [`Counter`] / [`Gauge`] — single-cell atomic metrics.
 //! * [`trace`] — the [`Recorder`]/[`Span`] stage-timing API: one monotonic
 //!   clock read per span end-point when enabled, no clock reads at all when
-//!   disabled.
+//!   disabled; [`StageHistograms`] folds finished recorders into one
+//!   histogram per stage.
 //! * [`prom`] — deterministic Prometheus text exposition
 //!   (`# HELP`/`# TYPE`, histogram `_bucket`/`_sum`/`_count` series).
 //! * [`scrape`] — the inverse direction: flat-JSON key scans and Prometheus
@@ -58,7 +59,7 @@ pub use hist::{
 };
 pub use prom::PromText;
 pub use slo::{SloEngine, SloKind, SloObjective, SloSnapshot};
-pub use trace::{Recorder, Span, Stage, StageTotals};
+pub use trace::{Recorder, Span, Stage, StageHistograms, StageTotals};
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,14 +1,16 @@
 //! Cheap per-stage tracing: a [`Recorder`] accumulates wall time per
-//! pipeline [`Stage`], and a [`Span`] is an RAII guard that times one stage
-//! invocation.
+//! pipeline [`Stage`], a [`Span`] is an RAII guard that times one stage
+//! invocation, and [`StageHistograms`] folds finished recorders into one
+//! latency histogram per stage.
 //!
 //! The design constraint is the sampling hot loop: when a recorder is
-//! disabled (the default for un-profiled requests), [`Recorder::span`]
+//! disabled (a server run with its flight recorder off), [`Recorder::span`]
 //! returns an inert guard without reading the clock — the whole per-world
 //! cost is one branch. When enabled, each span costs two monotonic clock
 //! reads (adjacent stages chained with [`Span::then`] share one) and two
 //! relaxed `fetch_add`s on drop.
 
+use crate::hist::{BucketExemplars, ExemplarSnapshot, Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -65,9 +67,8 @@ impl Stage {
         Stage::RefineRepublish,
     ];
 
-    /// The stage's stable snake_case name, used in `?profile=1` blocks,
-    /// `/debug/trace/<id>` (and `/debug/requests`, `/debug/slow`) records,
-    /// and Prometheus labels.
+    /// The stage's stable snake_case name, used in `/debug/trace/<id>` (and
+    /// `/debug/requests`, `/debug/slow`) records and Prometheus labels.
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::SnapshotResolve => "snapshot_resolve",
@@ -92,9 +93,7 @@ impl Stage {
 /// Accumulates per-[`Stage`] wall time and invocation counts.
 ///
 /// A recorder is either *enabled* (spans read the clock and record) or
-/// *disabled* (spans are inert). Disabled recorders still accept
-/// [`Recorder::record_ns`] and [`Recorder::absorb`], so one always-on
-/// recorder can serve as a process-wide aggregation sink.
+/// *disabled* (spans are inert).
 ///
 /// ```
 /// use mpds_obs::{Recorder, Stage};
@@ -119,14 +118,6 @@ pub struct Recorder {
     current: AtomicU64,
     // Helper threads lent to the request's estimator run.
     helpers: AtomicU64,
-}
-
-impl Default for Recorder {
-    /// A *disabled* recorder — the right default for aggregation sinks,
-    /// which are fed via [`Recorder::absorb`]/[`Recorder::record_ns`].
-    fn default() -> Self {
-        Recorder::new(false)
-    }
 }
 
 impl Recorder {
@@ -188,21 +179,12 @@ impl Recorder {
     }
 
     /// Directly adds one invocation of `stage` lasting `ns` nanoseconds,
-    /// bypassing the enabled gate (used for aggregation sinks).
+    /// bypassing the enabled gate.
     #[inline]
     pub fn record_ns(&self, stage: Stage, ns: u64) {
         let i = stage.index();
         self.total_ns[i].fetch_add(ns, Ordering::Relaxed);
         self.count[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds a finished request's [`StageTotals`] into this recorder
-    /// (aggregating per-request profiles into process totals).
-    pub fn absorb(&self, totals: &StageTotals) {
-        for i in 0..Stage::COUNT {
-            self.total_ns[i].fetch_add(totals.total_ns[i], Ordering::Relaxed);
-            self.count[i].fetch_add(totals.count[i], Ordering::Relaxed);
-        }
     }
 
     /// Takes a point-in-time copy of the accumulated stage totals.
@@ -262,11 +244,6 @@ pub struct StageTotals {
 }
 
 impl StageTotals {
-    /// Total nanoseconds accumulated for `stage`.
-    pub fn total_ns(&self, stage: Stage) -> u64 {
-        self.total_ns[stage.index()]
-    }
-
     /// Total microseconds accumulated for `stage` (integer division).
     pub fn total_us(&self, stage: Stage) -> u64 {
         self.total_ns[stage.index()] / 1_000
@@ -276,13 +253,58 @@ impl StageTotals {
     pub fn count(&self, stage: Stage) -> u64 {
         self.count[stage.index()]
     }
+}
 
-    /// Sums another totals into this one.
-    pub fn merge(&mut self, other: &StageTotals) {
-        for i in 0..Stage::COUNT {
-            self.total_ns[i] += other.total_ns[i];
-            self.count[i] += other.count[i];
+/// One log2 [`Histogram`] of microseconds per [`Stage`], each paired with a
+/// [`BucketExemplars`] bank keyed by trace id: the process-wide view of
+/// every finished recorder's stage breakdown.
+///
+/// [`StageHistograms::observe`] records one observation per stage that ran
+/// (count ≥ 1), valued at that stage's total microseconds in the recorder,
+/// so a histogram's count is the number of requests that ran the stage and
+/// its sum their summed stage time.
+///
+/// ```
+/// use mpds_obs::{Recorder, Stage, StageHistograms};
+/// let rec = Recorder::new(true);
+/// drop(rec.span(Stage::CacheProbe));
+/// drop(rec.span(Stage::CacheProbe));
+/// let bank = StageHistograms::default();
+/// bank.observe(&rec.totals(), 0x2a);
+/// let series = bank.series();
+/// assert_eq!(series.len(), 1);
+/// let (stage, hist, _exemplars) = &series[0];
+/// assert_eq!((*stage, hist.count()), (Stage::CacheProbe, 1));
+/// ```
+#[derive(Debug, Default)]
+pub struct StageHistograms {
+    hist: [Histogram; Stage::COUNT],
+    exemplars: [BucketExemplars; Stage::COUNT],
+}
+
+impl StageHistograms {
+    /// Folds one finished recorder's totals in, remembering `trace_id` as
+    /// the exemplar of each bucket it lands in (`0` records no exemplar).
+    pub fn observe(&self, totals: &StageTotals, trace_id: u64) {
+        for stage in Stage::ALL {
+            if totals.count(stage) > 0 {
+                let us = totals.total_us(stage);
+                self.hist[stage.index()].record(us);
+                self.exemplars[stage.index()].observe(us, trace_id);
+            }
         }
+    }
+
+    /// Snapshots every stage with at least one observation, in
+    /// [`Stage::ALL`] order, with its exemplars.
+    pub fn series(&self) -> Vec<(Stage, HistogramSnapshot, ExemplarSnapshot)> {
+        Stage::ALL
+            .into_iter()
+            .filter_map(|stage| {
+                let snap = self.hist[stage.index()].snapshot();
+                (snap.count() > 0).then(|| (stage, snap, self.exemplars[stage.index()].snapshot()))
+            })
+            .collect()
     }
 }
 
@@ -320,21 +342,50 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 let local = Arc::clone(local);
                 scope.spawn(move || {
+                    // Whole microseconds, so per-thread totals add exactly.
                     for i in 0..5_000u64 {
                         let stage = Stage::ALL[(i as usize) % Stage::COUNT];
-                        shared.record_ns(stage, i);
-                        local.record_ns(stage, i);
+                        shared.record_ns(stage, i * 1_000);
+                        local.record_ns(stage, i * 1_000);
                     }
                 });
             }
         });
-        let global = Recorder::new(false);
-        for local in &locals {
-            global.absorb(&local.totals());
+        let shared = shared.totals();
+        let locals: Vec<StageTotals> = locals.iter().map(|l| l.totals()).collect();
+        for stage in Stage::ALL {
+            let count: u64 = locals.iter().map(|t| t.count(stage)).sum();
+            let us: u64 = locals.iter().map(|t| t.total_us(stage)).sum();
+            assert_eq!((count, us), (shared.count(stage), shared.total_us(stage)));
         }
-        assert_eq!(global.totals(), shared.totals());
-        let counts: u64 = Stage::ALL.iter().map(|&s| global.totals().count(s)).sum();
+        let counts: u64 = Stage::ALL.iter().map(|&s| shared.count(s)).sum();
         assert_eq!(counts, 20_000);
+    }
+
+    #[test]
+    fn stage_histograms_fold_one_observation_per_stage_that_ran() {
+        let bank = StageHistograms::default();
+        let first = Recorder::new(true);
+        first.record_ns(Stage::WorldMaterialize, 1_500);
+        first.record_ns(Stage::WorldMaterialize, 2_600);
+        first.record_ns(Stage::JsonRender, 700);
+        bank.observe(&first.totals(), 7);
+        let second = Recorder::new(true);
+        second.record_ns(Stage::JsonRender, 9_000);
+        bank.observe(&second.totals(), 0);
+        bank.observe(&Recorder::new(false).totals(), 9);
+
+        let series = bank.series();
+        let stages: Vec<Stage> = series.iter().map(|(s, _, _)| *s).collect();
+        assert_eq!(stages, [Stage::WorldMaterialize, Stage::JsonRender]);
+        // Two spans of one request are one observation of their total.
+        let (_, world, world_ex) = &series[0];
+        assert_eq!((world.count(), world.sum()), (1, 4));
+        assert_eq!(world_ex.get(crate::bucket_index(4)), Some((7, 4)));
+        // A zero trace id records the sample but claims no exemplar.
+        let (_, render, render_ex) = &series[1];
+        assert_eq!((render.count(), render.sum()), (2, 9));
+        assert_eq!(render_ex.get(crate::bucket_index(9)), None);
     }
 
     #[test]

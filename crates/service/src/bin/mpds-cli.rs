@@ -590,7 +590,6 @@ fn run_command(o: &RunOptions) -> Result<(), String> {
         stop: o.stop,
         timeout_ms: None,
         budget_ms: o.budget_ms,
-        profile: false,
     };
     let started = std::time::Instant::now();
     let payload = run_query(&loaded, &req, &RunControl::unbounded()).map_err(|e| e.to_string())?;

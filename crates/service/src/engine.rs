@@ -25,7 +25,7 @@ use mpds::api::queryset::QuerySet;
 use mpds::api::{ApiError, Exec, ProgressCounter, ProgressSink, Query, Run, Stop};
 use mpds::control::{InterruptReason, RunControl};
 use mpds::recompute::Recompute;
-use mpds_obs::{Counter, Gauge, Histogram, Recorder, Span, Stage, StageTotals};
+use mpds_obs::{Counter, Gauge, Histogram, Recorder, Span, Stage, StageHistograms};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -146,14 +146,6 @@ pub struct QueryRequest {
     /// `stop_reason:"budget"`) and the engine refines it to convergence in
     /// the background.
     pub budget_ms: Option<u64>,
-    /// Attach per-stage timings (`?profile=1`): the engine times each
-    /// pipeline stage for this request and the serving layer appends a
-    /// `profile` block to the response. Like `timeout_ms`/`budget_ms` this
-    /// only describes *this evaluation*, not the answer, so it is excluded
-    /// from the cache key — and the profile block is spliced outside the
-    /// cached bytes, which stay identical for profiled and unprofiled
-    /// requests alike.
-    pub profile: bool,
 }
 
 impl QueryRequest {
@@ -172,7 +164,6 @@ impl QueryRequest {
             stop: StopSpec::Fixed,
             timeout_ms: None,
             budget_ms: None,
-            profile: false,
         }
     }
 
@@ -349,7 +340,6 @@ impl BatchRequest {
             stop: self.stop,
             timeout_ms: self.timeout_ms,
             budget_ms: self.budget_ms,
-            profile: false,
         }
     }
 
@@ -642,49 +632,6 @@ fn render_query_body(
     w.finish()
 }
 
-/// Writes a per-stage breakdown as a `"stages"` field: every stage of
-/// [`mpds_obs::Stage::ALL`] in order, each with its invocation count and
-/// total microseconds — zero-count stages included, so the shape is stable
-/// across cache hits (which only exercise the engine-side stages) and
-/// misses. The `?profile=1` block and every `/debug/*` flight record render
-/// their stages through this one function.
-pub(crate) fn write_stages(w: &mut JsonWriter, totals: &StageTotals) {
-    w.key("stages").begin_object();
-    for stage in Stage::ALL {
-        w.key(stage.as_str())
-            .begin_object()
-            .field_uint("count", totals.count(stage))
-            .field_uint("total_us", totals.total_us(stage))
-            .end_object();
-    }
-    w.end_object();
-}
-
-/// Renders the `?profile=1` block: the response source and the stage
-/// breakdown of [`write_stages`].
-fn render_profile_block(totals: &StageTotals, source: ResponseSource) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object().field_str("source", source.as_str());
-    write_stages(&mut w, totals);
-    w.end_object();
-    w.finish()
-}
-
-/// Splices a profile block into an already-rendered query body *without*
-/// touching the cached bytes: the body's closing `}` is replaced by
-/// `,"profile":{...}}` in a fresh buffer, so the `Arc`'d cache entry keeps
-/// serving byte-identical responses to unprofiled requests.
-pub fn splice_profile(body: &[u8], totals: &StageTotals, source: ResponseSource) -> Vec<u8> {
-    debug_assert_eq!(body.last(), Some(&b'}'));
-    let block = render_profile_block(totals, source);
-    let mut out = Vec::with_capacity(body.len() + block.len() + 12);
-    out.extend_from_slice(&body[..body.len().saturating_sub(1)]);
-    out.extend_from_slice(b",\"profile\":");
-    out.extend_from_slice(block.as_bytes());
-    out.push(b'}');
-    out
-}
-
 /// Serializes an applied update (the server's `POST /update` response and
 /// the CLI `update` output). Field order is fixed, like every response.
 pub fn render_update_response(dataset: &str, o: &crate::registry::UpdateOutcome) -> String {
@@ -845,11 +792,10 @@ pub struct EngineObs {
     /// Refinement runs that failed (e.g. cancelled at shutdown); the
     /// truncated answer keeps serving.
     pub refine_failed: Counter,
-    /// Per-stage time totals aggregated across every profiled
-    /// (`?profile=1`) request and every background refinement run.
-    pub stage_totals: Recorder,
-    /// Profiled requests served.
-    pub profiled: Counter,
+    /// One histogram per stage, folded from every traced request's
+    /// recorder (by the HTTP front end) and every background refinement
+    /// run.
+    pub stages: StageHistograms,
     /// Sampled worlds whose densest-subgraph enumeration hit the cap,
     /// summed over computed MISSes (`/query` and led `/batch` members).
     pub truncated_worlds: Counter,
@@ -899,9 +845,7 @@ impl Drop for Lease<'_> {
 }
 
 /// A query response with its provenance: the bytes, how they were obtained,
-/// the dataset generation they were computed against, and — when the
-/// request asked for `?profile=1` — the per-stage timings of *this*
-/// evaluation.
+/// and the dataset generation they were computed against.
 #[derive(Debug, Clone)]
 pub struct TracedResponse {
     /// The JSON response body (shared with the cache).
@@ -910,8 +854,6 @@ pub struct TracedResponse {
     pub source: ResponseSource,
     /// Generation of the dataset snapshot the response is keyed to.
     pub generation: u64,
-    /// Per-stage timings when the request set [`QueryRequest::profile`].
-    pub profile: Option<StageTotals>,
 }
 
 /// One queued unit of background refinement: a budget-truncated query to
@@ -967,9 +909,9 @@ impl QueryEngine {
                     let ctrl = RunControl::unbounded().with_cancel_flag(Arc::clone(&cancel));
                     let sink = Arc::clone(&worlds);
                     // Time the whole refine-and-republish pass as its own
-                    // stage, absorbed into the engine-wide totals so the
-                    // background worker shows up on /metrics alongside the
-                    // request-path stages.
+                    // stage, folded into the stage histograms (no trace, so
+                    // no exemplar) so the background worker shows up on
+                    // /metrics alongside the request-path stages.
                     let rec = Recorder::new(true);
                     {
                         let _span = rec.span(Stage::RefineRepublish);
@@ -985,7 +927,7 @@ impl QueryEngine {
                             Err(_) => obs.refine_failed.inc(),
                         }
                     }
-                    obs.stage_totals.absorb(&rec.totals());
+                    obs.stages.observe(&rec.totals(), 0);
                     obs.refine_hist.record(mpds_obs::micros_since(started));
                     refining.lock().unwrap().remove(&job.key);
                     // Depth counts queued + in-progress jobs; the job is
@@ -1009,7 +951,7 @@ impl QueryEngine {
     }
 
     /// The engine's observability state (refinement gauges/histogram and
-    /// aggregated stage totals), for `/metrics` rendering.
+    /// stage histograms), for `/metrics` rendering.
     pub fn obs(&self) -> &EngineObs {
         &self.obs
     }
@@ -1055,18 +997,15 @@ impl QueryEngine {
     }
 
     /// [`Self::execute`] with provenance: the snapshot generation served
-    /// against and — when the request set [`QueryRequest::profile`] — the
-    /// per-stage timings of this evaluation. Profiled timings are also
-    /// absorbed into the engine-wide [`EngineObs::stage_totals`].
+    /// against.
     pub fn execute_traced(&self, req: &QueryRequest) -> Result<TracedResponse, QueryError> {
         self.execute_traced_with(req, None, None)
     }
 
     /// [`Self::execute_traced`] against a caller-supplied recorder (the HTTP
     /// front end's per-request flight recorder). When the caller's recorder
-    /// is enabled the evaluation is timed into it — so `/debug/trace/<id>`
-    /// shows per-stage breakdowns for every request, profiled or not; when
-    /// it is absent or disabled, `?profile=1` still mints its own. A MISS
+    /// is enabled the evaluation is timed into it, so `/debug/trace/<id>`
+    /// and the stage histograms show every request's breakdown. A MISS
     /// borrows helpers from `helpers`, when given, for its run.
     pub fn execute_traced_with(
         &self,
@@ -1075,15 +1014,7 @@ impl QueryEngine {
         helpers: Option<&dyn HelperPool>,
     ) -> Result<TracedResponse, QueryError> {
         req.validate().map_err(QueryError::BadRequest)?;
-        let profiled;
-        let rec = match caller_rec {
-            Some(r) if r.is_enabled() => Some(r),
-            _ if req.profile => {
-                profiled = Arc::new(Recorder::new(true));
-                Some(&profiled)
-            }
-            _ => None,
-        };
+        let rec = caller_rec.filter(|r| r.is_enabled());
         // Resolve the dataset snapshot up front: its generation is part of
         // the cache key, and the computation below runs against exactly
         // this snapshot even if a writer swaps in a newer generation
@@ -1101,23 +1032,10 @@ impl QueryEngine {
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let (body, source) =
             self.serve_key(req, &graph, &key, own_deadline, rec, probing, helpers)?;
-        // A flight-only recorder feeds /debug/trace but leaves the profiled
-        // aggregates alone: absorb + count only what ?profile=1 asked for.
-        let profile = if req.profile {
-            rec.map(|r| {
-                let totals = r.totals();
-                self.obs.stage_totals.absorb(&totals);
-                self.obs.profiled.inc();
-                totals
-            })
-        } else {
-            None
-        };
         Ok(TracedResponse {
             body,
             source,
             generation: graph.generation,
-            profile,
         })
     }
 

@@ -44,9 +44,8 @@
 //! source, and status class. With [`ServerConfig::access_log`] set, each
 //! request also appends one JSON line (see [`crate::obs::AccessRecord`]);
 //! with [`ServerConfig::slow_ms`] set, requests at or past the threshold
-//! are echoed to stderr. `/query?profile=1` returns the response with a
-//! spliced `"profile"` block of per-stage timings — the parameter is not
-//! part of the cache key and the cached bytes are never mutated.
+//! are echoed to stderr. With the flight recorder on, each request's
+//! per-stage timings also land in one histogram per stage.
 
 use crate::engine::{
     Algo, BatchMember, BatchRequest, HelperPool, QueryEngine, QueryError, QueryRequest, StopSpec,
@@ -101,7 +100,8 @@ pub struct ServerConfig {
     /// Whether the per-request flight recorder runs (the CLI's
     /// `serve --no-flight` turns it off). Trace ids are minted and returned
     /// as `X-Trace-Id` either way; disabling only stops record retention and
-    /// per-stage timing of unprofiled requests.
+    /// per-stage timing of requests, so the stage histograms then hold
+    /// background refinement runs alone.
     pub flight: bool,
     /// Completed-request ring capacity (the CLI's `serve --flight-capacity`).
     pub flight_capacity: usize,
@@ -465,12 +465,10 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// A response body: owned text for small/metadata replies, owned bytes for
-/// per-request variants (profile splices), or the engine's shared cache
-/// bytes written without copying.
+/// A response body: owned text for small/metadata replies, or the engine's
+/// shared cache bytes written without copying.
 enum Body {
     Text(String),
-    Bytes(Vec<u8>),
     Shared(std::sync::Arc<Vec<u8>>),
 }
 
@@ -478,7 +476,6 @@ impl Body {
     fn as_bytes(&self) -> &[u8] {
         match self {
             Body::Text(s) => s.as_bytes(),
-            Body::Bytes(b) => b,
             Body::Shared(b) => b,
         }
     }
@@ -566,7 +563,7 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
     let trace_id = state.trace_ids.mint();
     let trace_hex = format_trace_id(trace_id);
     // The request's own stage recorder; enabled with the flight recorder so
-    // /debug/trace shows per-stage breakdowns without ?profile=1.
+    // /debug/trace and the stage histograms show per-stage breakdowns.
     let rec = Arc::new(Recorder::new(state.flight.is_enabled()));
     // Buffer a request body only for POSTs this server will actually route:
     // /update (when mutable) and /batch. Everything else gets its rejection
@@ -620,6 +617,7 @@ fn serve_request(stream: &mut TcpStream, carry: &mut Vec<u8>, state: &ServerStat
         state,
         id,
         trace_id,
+        &rec,
         started,
         method.as_deref(),
         endpoint,
@@ -709,8 +707,9 @@ fn release_idle(stream: &TcpStream) {
 }
 
 /// Records one finished request: latency (with the trace id as the bucket
-/// exemplar) into the histogram bank, SLO verdicts, the flight-recorder
-/// completion, an optional access-log line, and an optional stderr echo
+/// exemplar) into the histogram bank, its recorder's stage totals into the
+/// stage histograms, SLO verdicts, the flight-recorder completion, an
+/// optional access-log line, and an optional stderr echo
 /// past the slow threshold. `/query` successes are enriched with
 /// `stop_reason` and `worlds_sampled` scraped back out of the response body
 /// through the shared [`mpds_obs::scrape`] parser.
@@ -718,6 +717,7 @@ fn observe_request(
     state: &ServerState,
     id: u64,
     trace_id: u64,
+    rec: &Recorder,
     started: Instant,
     method: Option<&str>,
     endpoint: Endpoint,
@@ -729,6 +729,8 @@ fn observe_request(
         .http_obs
         .record_traced(endpoint, source, resp.status, wall_us, trace_id);
     state.slo.record(endpoint.as_str(), resp.status, wall_us);
+    // A disabled recorder holds no stages, so it folds in nothing.
+    state.engine.obs().stages.observe(&rec.totals(), trace_id);
     // Self-observation traffic (/metrics scrapes, /debug reads) completes
     // its flight record but never competes for the slow-query ring.
     state.flight.finish(
@@ -1083,23 +1085,12 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                     .engine
                     .execute_traced_with(&req, Some(rec), Some(state))
                 {
-                    Ok(t) => {
-                        // A profiled response splices the stage timings
-                        // into a fresh buffer; the cached `Arc` keeps
-                        // serving byte-identical unprofiled bodies.
-                        let body = match &t.profile {
-                            Some(totals) => Body::Bytes(crate::engine::splice_profile(
-                                &t.body, totals, t.source,
-                            )),
-                            None => Body::Shared(t.body),
-                        };
-                        Response {
-                            x_cache: Some(t.source.as_str()),
-                            dataset: Some(req.dataset),
-                            generation: Some(t.generation),
-                            ..Response::json(200, "OK", body)
-                        }
-                    }
+                    Ok(t) => Response {
+                        x_cache: Some(t.source.as_str()),
+                        dataset: Some(req.dataset),
+                        generation: Some(t.generation),
+                        ..Response::json(200, "OK", Body::Shared(t.body))
+                    },
                     Err(e) => query_error_response(&e),
                 }
             }
@@ -1180,8 +1171,10 @@ fn render_trace_list(key: &str, records: &[TraceRecord]) -> String {
 }
 
 /// Writes one flight record's fields (the caller brackets the object):
-/// identity, state, latency, and the per-stage breakdown in the shape
-/// `?profile=1` splices into a response body.
+/// identity, state, latency, and the per-stage breakdown — every stage of
+/// [`Stage::ALL`] in order with its invocation count and total
+/// microseconds, zero-count stages included, so the shape is stable across
+/// cache hits (which only exercise the engine-side stages) and misses.
 fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     w.field_str("trace_id", &format_trace_id(r.trace_id))
         .field_str("state", r.state.as_str())
@@ -1199,7 +1192,15 @@ fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     if r.endpoint == Endpoint::Query.as_str() {
         w.field_uint("helpers", r.helpers);
     }
-    crate::engine::write_stages(w, &r.totals);
+    w.key("stages").begin_object();
+    for stage in Stage::ALL {
+        w.key(stage.as_str())
+            .begin_object()
+            .field_uint("count", r.totals.count(stage))
+            .field_uint("total_us", r.totals.total_us(stage))
+            .end_object();
+    }
+    w.end_object();
 }
 
 fn render_datasets(state: &ServerState) -> String {
@@ -1350,37 +1351,19 @@ fn render_metrics_prom(state: &ServerState) -> String {
         eobs.truncated_worlds.value(),
     );
 
-    let totals = eobs.stage_totals.totals();
     p.family(
-        "mpds_stage_duration_nanoseconds_total",
-        "counter",
-        "Per-stage wall time aggregated over profiled (?profile=1) requests and background refinement runs.",
+        "mpds_stage_duration_microseconds",
+        "histogram",
+        "Per-request wall time in each pipeline stage that ran, over traced requests and background refinement runs.",
     );
-    for stage in Stage::ALL {
-        p.sample_u64(
-            "mpds_stage_duration_nanoseconds_total",
+    for (stage, snap, exemplars) in eobs.stages.series() {
+        p.histogram_with_exemplars(
+            "mpds_stage_duration_microseconds",
             &[("stage", stage.as_str())],
-            totals.total_ns(stage),
+            &snap,
+            &exemplars,
         );
     }
-    p.family(
-        "mpds_stage_invocations_total",
-        "counter",
-        "Per-stage invocation counts aggregated over profiled (?profile=1) requests and background refinement runs.",
-    );
-    for stage in Stage::ALL {
-        p.sample_u64(
-            "mpds_stage_invocations_total",
-            &[("stage", stage.as_str())],
-            totals.count(stage),
-        );
-    }
-    p.family(
-        "mpds_profiled_requests_total",
-        "counter",
-        "Requests served with ?profile=1.",
-    );
-    p.sample_u64("mpds_profiled_requests_total", &[], eobs.profiled.value());
 
     p.family(
         "mpds_slow_queries_total",
@@ -1731,13 +1714,6 @@ fn parse_query_pairs(pairs: &[(String, String)]) -> Result<QueryRequest, String>
                 req.timeout_ms = Some(v.parse().map_err(|e| format!("timeout_ms: {e}"))?)
             }
             "budget_ms" => req.budget_ms = Some(v.parse().map_err(|e| format!("budget_ms: {e}"))?),
-            "profile" => {
-                req.profile = match v.as_str() {
-                    "true" | "1" | "" => true,
-                    "false" | "0" => false,
-                    other => return Err(format!("profile: bad boolean {other:?}")),
-                }
-            }
             "stop" => stop = Some(v.clone()),
             "window" => window = Some(v.parse().map_err(|e| format!("window: {e}"))?),
             other => return Err(format!("unknown parameter {other:?}")),
@@ -1788,13 +1764,6 @@ fn parse_diff_request(query: &str) -> Result<(QueryRequest, String), String> {
                     "diff supports no {k:?}: common random numbers need the same \
                      fixed-θ stream on both snapshots"
                 ))
-            }
-            "profile" => {
-                return Err(
-                    "diff supports no \"profile\": stage timings are per-evaluation \
-                     and a diff runs two"
-                        .to_string(),
-                )
             }
             _ => rest.push((k, v)),
         }
@@ -2071,30 +2040,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_parameter_forms() {
-        assert!(
-            parse_query_request("dataset=karate&profile=1")
-                .unwrap()
-                .profile
-        );
-        assert!(
-            parse_query_request("dataset=karate&profile=true")
-                .unwrap()
-                .profile
-        );
-        assert!(
-            !parse_query_request("dataset=karate&profile=0")
-                .unwrap()
-                .profile
-        );
-        assert!(!parse_query_request("dataset=karate").unwrap().profile);
-        assert!(parse_query_request("dataset=karate&profile=maybe").is_err());
-        assert!(parse_query_request("dataset=karate&profile=1&profile=1")
-            .unwrap_err()
-            .contains("duplicate parameter"));
-        assert!(parse_diff_request("dataset=a&against=b&profile=1")
-            .unwrap_err()
-            .contains("profile"));
+    fn profile_is_an_unknown_parameter() {
+        // Stage timings live on /metrics and /debug/trace, not in bodies.
+        let param = "profile";
+        let unknown = format!("unknown parameter {param:?}");
+        let err = parse_query_request(&format!("dataset=karate&{param}=1")).unwrap_err();
+        assert!(err.contains(&unknown), "{err}");
+        let err = parse_diff_request(&format!("dataset=a&against=b&{param}=1")).unwrap_err();
+        assert!(err.contains(&unknown), "{err}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! End-to-end observability tests: `?profile=1` cache neutrality, the
-//! Prometheus `/metrics` body and its counters, refinement-queue drain, and
+//! End-to-end observability tests: the Prometheus `/metrics` body, its
+//! counters and per-stage histograms (checked against the
+//! `/debug/trace/<id>` records they fold), refinement-queue drain, and
 //! access-log output — all over real loopback HTTP.
 
 use mpds_obs::scrape;
@@ -33,88 +34,136 @@ const STAGES: [&str; 6] = [
     "json_render",
 ];
 
-/// The `count` of `stage` in the `"stages"` object reached through the
-/// object keys `path` of a rendered JSON body: a `/debug/trace/<id>` record
-/// (`["stages"]`) or a `?profile=1` response (`["profile", "stages"]`).
-/// Every stage is rendered, zero-count ones included, so a check that a
-/// stage ran must read its count rather than the presence of its key.
-fn stage_count(body: &str, path: &[&str], stage: &str) -> u64 {
-    let doc = mpds_service::json::JsonValue::parse(body).expect("body parses");
+/// `stage`'s `field` (`count` or `total_us`) in the `"stages"` object of a
+/// rendered `/debug/trace/<id>` record. Every stage is rendered, zero-count
+/// ones included, so a check that a stage ran must read its count rather
+/// than the presence of its key.
+fn stage_field(record: &str, stage: &str, field: &str) -> u64 {
+    let doc = mpds_service::json::JsonValue::parse(record).expect("record parses");
     let mut v = &doc;
-    for key in path.iter().copied().chain(["stages", stage, "count"]) {
+    for key in ["stages", stage, field] {
         v = v
             .get(key)
             .unwrap()
-            .unwrap_or_else(|| panic!("no {key:?} on the way to {stage}: {body}"));
+            .unwrap_or_else(|| panic!("no {key:?} on the way to {stage}: {record}"));
     }
     v.as_u64(stage).unwrap()
 }
 
+/// The rendered `/debug/trace/<id>` record of the request that answered `e`.
+fn trace_record(server: &Server, e: &Exchange) -> String {
+    let trace = e.trace_id.as_deref().expect("X-Trace-Id");
+    let t = get(server, &format!("/debug/trace/{trace}"));
+    assert_eq!(t.status, 200, "{}", String::from_utf8_lossy(&t.body));
+    String::from_utf8(t.body).unwrap()
+}
+
+/// Asserts that between the `/metrics` scrapes `before` and `after`, every
+/// stage's `mpds_stage_duration_microseconds` histogram moved by exactly
+/// what the trace `records` of the requests in between show: its count by
+/// the number of records that ran the stage, its sum by their summed
+/// `total_us`.
+fn assert_stage_histograms_fold(before: &str, after: &str, records: &[String]) {
+    let read = |text: &str, series: &str, stage: &str| {
+        let name = format!("mpds_stage_duration_microseconds_{series}");
+        scrape::prom_value(text, &name, &[("stage", stage)]).unwrap_or(0.0) as u64
+    };
+    for stage in mpds_obs::Stage::ALL.map(|s| s.as_str()) {
+        let ran: Vec<&String> = records
+            .iter()
+            .filter(|r| stage_field(r, stage, "count") >= 1)
+            .collect();
+        let total_us: u64 = ran.iter().map(|r| stage_field(r, stage, "total_us")).sum();
+        let moved = |series| read(after, series, stage) - read(before, series, stage);
+        assert_eq!(moved("count"), ran.len() as u64, "{stage}: {after}");
+        assert_eq!(moved("sum"), total_us, "{stage}: {after}");
+    }
+}
+
 #[test]
-fn profile_block_rides_along_without_perturbing_cached_bytes() {
+fn stage_histograms_fold_every_traced_request() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());
     let path = "/query?dataset=karate&theta=100&k=3&seed=17";
-
-    // Cold profiled request: a MISS that computes, caches the *unprofiled*
-    // bytes, and splices the stage breakdown into its own response only.
-    let profiled = get(&server, &format!("{path}&profile=1"));
+    let before = scrape_prom(&server);
+    let miss = get(&server, path);
+    assert_eq!(miss.status, 200, "{}", String::from_utf8_lossy(&miss.body));
+    assert_eq!(miss.x_cache.as_deref(), Some("MISS"));
+    let hit = get(&server, path);
+    assert_eq!(hit.status, 200, "{}", String::from_utf8_lossy(&hit.body));
+    assert_eq!(hit.x_cache.as_deref(), Some("HIT"));
+    // Recording stages leaves the cached bytes alone: the HIT serves
+    // exactly what the MISS computed.
     assert_eq!(
-        profiled.status,
-        200,
-        "{}",
-        String::from_utf8_lossy(&profiled.body)
+        String::from_utf8_lossy(&hit.body),
+        String::from_utf8_lossy(&miss.body)
     );
-    assert_eq!(profiled.x_cache.as_deref(), Some("MISS"));
-    let profiled_body = String::from_utf8(profiled.body).unwrap();
-    assert!(profiled_body.contains("\"profile\":{"), "{profiled_body}");
-    assert!(profiled_body.contains("\"stages\":{"), "{profiled_body}");
-    for stage in STAGES {
-        assert!(
-            profiled_body.contains(&format!("\"{stage}\":{{")),
-            "missing stage {stage}: {profiled_body}"
-        );
-    }
-    // The splice must still be valid JSON under the server's own parser.
-    mpds_service::json::JsonValue::parse(&profiled_body).expect("profiled body parses");
+    let records = [trace_record(&server, &miss), trace_record(&server, &hit)];
+    let after = scrape_prom(&server);
+    assert_stage_histograms_fold(&before, &after, &records);
 
-    // The unprofiled re-issue is a cache HIT with no trace of the profile.
-    let plain = get(&server, path);
-    assert_eq!(plain.status, 200);
-    assert_eq!(plain.x_cache.as_deref(), Some("HIT"));
-    let plain_body = String::from_utf8(plain.body).unwrap();
-    assert!(!plain_body.contains("profile"), "{plain_body}");
-    // Splice contract: profiled bytes are the cached body minus its closing
-    // brace, plus the appended profile object.
-    assert!(
-        profiled_body.starts_with(&plain_body[..plain_body.len() - 1]),
-        "profiled body is not a suffix-splice of the cached body:\n\
-         profiled: {profiled_body}\nplain: {plain_body}"
-    );
-
-    // A profiled re-issue is itself a HIT (profile is not part of the key)
-    // and says so in its breakdown.
-    let again = get(&server, &format!("{path}&profile=1"));
-    assert_eq!(again.x_cache.as_deref(), Some("HIT"));
-    let again_body = String::from_utf8(again.body).unwrap();
-    assert!(
-        again_body.contains("\"profile\":{\"source\":\"HIT\""),
-        "{again_body}"
-    );
-
-    // Both profiled requests were counted, and their stage timings
-    // aggregated into the Prometheus per-stage totals.
-    let prom_text = scrape_prom(&server);
-    assert_eq!(
-        scrape::prom_value(&prom_text, "mpds_profiled_requests_total", &[]),
-        Some(2.0)
-    );
-    // The MISS ran the estimator: its accumulate stage must show up.
-    let accumulate = scrape::prom_value(
-        &prom_text,
-        "mpds_stage_invocations_total",
+    // Not vacuous: the MISS ran the estimator, and the HIT was folded too.
+    assert!(stage_field(&records[0], "estimator_accumulate", "count") >= 1);
+    assert_eq!(stage_field(&records[1], "estimator_accumulate", "count"), 0);
+    assert!(stage_field(&records[1], "cache_probe", "count") >= 1);
+    // Exemplars point back at the traces: the accumulate histogram's one
+    // exemplar names the MISS.
+    let miss_id = mpds_obs::flight::parse_trace_id(miss.trace_id.as_deref().unwrap());
+    let exemplars = scrape::prom_exemplars(
+        &after,
+        "mpds_stage_duration_microseconds",
         &[("stage", "estimator_accumulate")],
     );
-    assert!(accumulate.is_some_and(|v| v >= 1.0), "{prom_text}");
+    assert!(!exemplars.is_empty(), "{after}");
+    for (_, ex) in exemplars {
+        assert_eq!(ex.trace_id(), miss_id, "{after}");
+    }
+}
+
+#[test]
+fn stage_histograms_agree_with_debug_trace() {
+    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
+    let before = scrape_prom(&server);
+    let e = get(
+        &server,
+        "/query?dataset=karate&theta=200&k=3&seed=37&stop=stable&window=8",
+    );
+    assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
+    assert_eq!(e.x_cache.as_deref(), Some("MISS"));
+    let record = trace_record(&server, &e);
+    let after = scrape_prom(&server);
+
+    // The stable-stop MISS ran every engine-side stage, its tracker
+    // included, and each histogram moved by exactly what its record shows.
+    for stage in STAGES {
+        assert!(
+            stage_field(&record, stage, "count") >= 1,
+            "stage {stage} did not run: {record}"
+        );
+    }
+    assert_stage_histograms_fold(&before, &after, &[record]);
+}
+
+#[test]
+fn without_the_flight_recorder_requests_add_no_stage_samples() {
+    let server = start_server(
+        &EngineConfig::default(),
+        &ServerConfig {
+            flight: false,
+            ..ServerConfig::default()
+        },
+    );
+    let path = "/query?dataset=karate&theta=64&k=3&seed=5";
+    for source in ["MISS", "HIT"] {
+        let e = get(&server, path);
+        assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
+        assert_eq!(e.x_cache.as_deref(), Some(source));
+    }
+    let text = scrape_prom(&server);
+    assert_eq!(
+        scrape::prom_sum(&text, "mpds_stage_duration_microseconds_count", &[]),
+        None,
+        "{text}"
+    );
 }
 
 /// One `GET /metrics` over a raw socket with the given `Accept` header (none
@@ -307,6 +356,16 @@ fn refine_queue_reports_depth_and_drains_to_zero() {
     let refine_hist =
         scrape::prom_histogram(&text, "mpds_refine_duration_microseconds", &[]).unwrap();
     assert_eq!(refine_hist.count(), 1);
+    // Every run, whatever its outcome, is one refine_republish sample.
+    assert_eq!(
+        scrape::prom_value(
+            &text,
+            "mpds_stage_duration_microseconds_count",
+            &[("stage", "refine_republish")]
+        ),
+        scrape::prom_sum(&text, "mpds_refine_runs_total", &[]),
+        "{text}"
+    );
 }
 
 #[test]
@@ -407,7 +466,7 @@ fn every_response_carries_a_trace_id_that_resolves_via_debug_trace() {
     assert!(body.contains("\"wall_us\":"), "{body}");
     for stage in STAGES {
         assert!(
-            stage_count(&body, &[], stage) >= 1,
+            stage_field(&body, stage, "count") >= 1,
             "stage {stage} did not run: {body}"
         );
     }
@@ -479,45 +538,6 @@ fn a_cold_miss_borrows_the_parked_worker_as_a_helper() {
     let (record, moved) = cold_miss_trace(1);
     assert_eq!(field(&record, "helpers"), 0, "{record:?}");
     assert_eq!(moved, 0.0);
-}
-
-#[test]
-fn profile_stages_agree_with_debug_trace() {
-    let server = start_server(&EngineConfig::default(), &ServerConfig::default());
-    let e = get(
-        &server,
-        "/query?dataset=karate&theta=200&k=3&seed=37&stop=stable&window=8&profile=1",
-    );
-    assert_eq!(e.status, 200);
-    let trace = e.trace_id.clone().expect("X-Trace-Id on profiled query");
-    let profiled = String::from_utf8(e.body).unwrap();
-
-    let t = get(&server, &format!("/debug/trace/{trace}"));
-    assert_eq!(t.status, 200, "{}", String::from_utf8_lossy(&t.body));
-    let trace_body = String::from_utf8(t.body).unwrap();
-
-    // Both views of the same request expose the same engine-side stages —
-    // the ?profile=1 splice and the flight record come from one recorder.
-    for stage in STAGES {
-        let key = format!("\"{stage}\":{{\"count\":");
-        assert!(
-            profiled.contains(&key),
-            "profile missing {stage}: {profiled}"
-        );
-        assert!(
-            trace_body.contains(&key),
-            "trace missing {stage}: {trace_body}"
-        );
-        // Every stage is rendered, so agreement means equal counts of a
-        // stage that actually ran.
-        let count = stage_count(&profiled, &["profile"], stage);
-        assert!(count >= 1, "stage {stage} did not run: {profiled}");
-        assert_eq!(
-            count,
-            stage_count(&trace_body, &[], stage),
-            "{stage}: {profiled} vs {trace_body}"
-        );
-    }
 }
 
 #[test]
@@ -593,6 +613,7 @@ fn update_traces_record_wal_and_fsync_stages() {
     )
     .expect("bind ephemeral port");
 
+    let before = scrape_prom(&server);
     let e = mpds_service::client::http_post(
         server.local_addr(),
         "/update?dataset=karate",
@@ -601,18 +622,16 @@ fn update_traces_record_wal_and_fsync_stages() {
     )
     .expect("http_post");
     assert_eq!(e.status, 200, "{}", String::from_utf8_lossy(&e.body));
-    let trace = e.trace_id.clone().expect("X-Trace-Id on /update");
-
-    let t = get(&server, &format!("/debug/trace/{trace}"));
-    assert_eq!(t.status, 200, "{}", String::from_utf8_lossy(&t.body));
-    let body = String::from_utf8(t.body).unwrap();
+    let body = trace_record(&server, &e);
     assert!(body.contains("\"endpoint\":\"update\""), "{body}");
     for stage in STORE_STAGES {
         assert!(
-            stage_count(&body, &[], stage) >= 1,
+            stage_field(&body, stage, "count") >= 1,
             "store stage {stage} did not run: {body}"
         );
     }
+    // The update's WAL stages reach /metrics as one observation each.
+    assert_stage_histograms_fold(&before, &scrape_prom(&server), &[body]);
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
@@ -778,7 +797,8 @@ fn flight_harness_mini_run_resolves_an_exemplar() {
         };
         let hex = mpds_obs::flight::format_trace_id(id);
         let t = get(&server, &format!("/debug/trace/{hex}"));
-        t.status == 200 && stage_count(&String::from_utf8_lossy(&t.body), &[], "cache_probe") >= 1
+        t.status == 200
+            && stage_field(&String::from_utf8_lossy(&t.body), "cache_probe", "count") >= 1
     });
     assert!(
         resolved,
@@ -847,13 +867,4 @@ fn obs_harness_runs_clean_with_server_side_percentiles() {
              around client p50 {client_p50:.3} ms"
         );
     }
-
-    // `?profile=1` on the cached repeat query splices a stage breakdown
-    // into its own body only; the unprofiled re-issue is unchanged.
-    let profiled =
-        String::from_utf8(get(&server, &format!("{repeat_path}&profile=1")).body).unwrap();
-    assert!(profiled.contains("\"profile\":{"), "{profiled}");
-    assert!(profiled.contains("\"stages\":{"), "{profiled}");
-    let plain = String::from_utf8(get(&server, &repeat_path).body).unwrap();
-    assert!(!plain.contains("\"profile\":"), "{plain}");
 }
