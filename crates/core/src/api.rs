@@ -18,9 +18,8 @@
 //! | [`Query::seed`] | the run's RNG seed — equal seeds mean equal results |
 //! | [`Query::heuristic`] | the core-based heuristic of §III-C |
 //! | [`Query::all_densest`] | the "all vs one densest per world" ablation (§VI-D) |
-//! | [`Query::exec`] | serial, or θ split across worker threads (helper lanes, which keep the serial answer, come from [`RunControl::with_helpers`]) |
 //! | [`Query::stop`] | termination policy: fixed θ, or the §VI-I "sample until the top-k stops changing" rule ([`Stop::Stable`]) |
-//! | [`Query::control`] | cooperative deadline / cancellation / graceful time budget ([`crate::control`]) |
+//! | [`Query::control`] | cooperative deadline / cancellation / graceful time budget / helper threads ([`crate::control`]) |
 //! | [`Query::progress`] | per-world progress callback ([`ProgressSink`]) |
 //!
 //! # Example
@@ -48,13 +47,11 @@
 //!
 //! # Determinism contract
 //!
-//! * `Exec::Serial` with sampler kind `K` and seed `s` draws exactly the
+//! * A run with sampler kind `K`, seed `s` and θ draws exactly the first θ
 //!   worlds of `K` seeded with `s` — bit-identical to
-//!   [`Query::run_with_sampler`] over `K::new(g, StdRng::seed_from_u64(s))`.
-//! * `Exec::Threads(n)` gives worker `w` sub-stream `w` of the root seed
-//!   ([`sampling::stream_seed`]), partial results merged in worker order. A
-//!   serial run and a 1-thread run therefore draw *different* (both
-//!   deterministic) world streams.
+//!   [`Query::run_with_sampler`] over `K::new(g, StdRng::seed_from_u64(s))`
+//!   — so its answer depends on sampler, seed and θ, never on the helper
+//!   threads [`RunControl::with_helpers`] lends it.
 //!
 //! Because the world stream depends only on `(sampler kind, seed)` — never
 //! on the estimator — many queries can share one stream: see
@@ -72,7 +69,7 @@ use densest::{
 use mpds_obs::{Recorder, Stage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sampling::{stream_seed, LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
+use sampling::{LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -98,8 +95,8 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    /// Builds the sampler seeded directly with `seed` — the serial-execution
-    /// seeding (see the module-level determinism contract).
+    /// Builds the sampler seeded directly with `seed` — the seeding of
+    /// every run (see the module-level determinism contract).
     ///
     /// ```
     /// use mpds::api::SamplerKind;
@@ -126,29 +123,6 @@ impl SamplerKind {
         }
     }
 
-    /// Builds the sampler for sub-stream `stream` of `root_seed` — the
-    /// per-worker seeding of `Exec::Threads` ([`sampling::stream_seed`]
-    /// decorrelates every `(root, stream)` pair).
-    ///
-    /// ```
-    /// use mpds::api::SamplerKind;
-    /// use sampling::WorldSampler;
-    /// use ugraph::UncertainGraph;
-    ///
-    /// let g = UncertainGraph::from_weighted_edges(3, &[(0, 1, 0.5), (1, 2, 0.5)]);
-    /// let a = SamplerKind::MonteCarlo.build_stream(&g, 1, 0).next_mask();
-    /// let b = SamplerKind::MonteCarlo.build_stream(&g, 1, 0).next_mask();
-    /// assert_eq!(a, b); // reproducible per (root, stream)
-    /// ```
-    pub fn build_stream(
-        self,
-        g: &UncertainGraph,
-        root_seed: u64,
-        stream: u64,
-    ) -> Box<dyn WorldSampler> {
-        self.build(g, stream_seed(root_seed, stream))
-    }
-
     /// Human-readable strategy name (`"MC"`, `"LP"`, `"RSS"`).
     ///
     /// ```
@@ -161,31 +135,6 @@ impl SamplerKind {
             SamplerKind::Rss => "RSS",
         }
     }
-}
-
-/// How a [`Query`] executes its θ world samples.
-///
-/// [`Exec::Threads`] changes the answer with its thread count: worker `w`
-/// draws sub-stream `w` of the root seed. Helper *lanes*
-/// ([`RunControl::with_helpers`]) never change it: under [`Exec::Serial`],
-/// a fixed-θ, all-densest MPDS query may solve its one world stream on
-/// several threads, each world drawn in order from the one sampler, and
-/// returns exactly the run it returns on one thread.
-///
-/// ```
-/// use mpds::api::Exec;
-/// assert_eq!(Exec::default(), Exec::Serial);
-/// assert_ne!(Exec::Threads(4), Exec::Serial);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Exec {
-    /// One thread samples all θ worlds (the paper's setup).
-    #[default]
-    Serial,
-    /// θ split across this many scoped worker threads, each drawing an
-    /// independent sub-stream of the root seed. Deterministic for a fixed
-    /// `(seed, thread count)` pair.
-    Threads(usize),
 }
 
 /// When a [`Query`] stops sampling worlds (the paper's §VI-I: θ is picked
@@ -255,8 +204,8 @@ impl StopReason {
 /// hook a serving layer uses for live progress and a harness for reporting,
 /// without forking the sampling loop.
 ///
-/// Implementations must be `Send + Sync`: under [`Exec::Threads`] all
-/// workers share one sink.
+/// Implementations must be `Send + Sync`: the helper threads of a run
+/// ([`RunControl::with_helpers`]) share its sink.
 ///
 /// ```
 /// use mpds::api::ProgressSink;
@@ -390,13 +339,6 @@ pub enum ApiError {
         /// Human-readable description of the violation.
         message: String,
     },
-    /// The requested combination is not supported (e.g. the one-densest
-    /// ablation under `Exec::Threads`, whose tie-breaking RNG is a single
-    /// serial stream).
-    Unsupported {
-        /// Human-readable description of the unsupported combination.
-        message: String,
-    },
     /// The run's [`RunControl`] deadline passed or its cancellation flag was
     /// raised before all θ worlds were sampled.
     Interrupted(Interrupted),
@@ -408,7 +350,6 @@ impl std::fmt::Display for ApiError {
             ApiError::InvalidParameter { param, message } => {
                 write!(f, "invalid {param}: {message}")
             }
-            ApiError::Unsupported { message } => write!(f, "unsupported: {message}"),
             ApiError::Interrupted(i) => write!(f, "{i}"),
         }
     }
@@ -598,7 +539,8 @@ enum Kind {
 ///
 /// ```
 /// use densest::DensityNotion;
-/// use mpds::api::{Exec, Query, SamplerKind};
+/// use mpds::api::{Query, SamplerKind};
+/// use mpds::control::RunControl;
 /// use ugraph::UncertainGraph;
 ///
 /// let g = UncertainGraph::from_weighted_edges(
@@ -609,7 +551,7 @@ enum Kind {
 ///     .min_size(2)
 ///     .sampler(SamplerKind::MonteCarlo)
 ///     .seed(7)
-///     .exec(Exec::Threads(2))
+///     .control(RunControl::unbounded().with_helpers(1))
 ///     .run(&g)
 ///     .expect("valid query");
 /// assert!(run.top_k.len() <= 3);
@@ -628,7 +570,6 @@ pub struct Query {
     enumeration_cap: usize,
     choice_seed: u64,
     miner_node_cap: usize,
-    exec: Exec,
     stop: Stop,
     control: RunControl,
     progress: Option<Arc<dyn ProgressSink>>,
@@ -649,7 +590,6 @@ impl std::fmt::Debug for Query {
             .field("enumeration_cap", &self.enumeration_cap)
             .field("choice_seed", &self.choice_seed)
             .field("miner_node_cap", &self.miner_node_cap)
-            .field("exec", &self.exec)
             .field("stop", &self.stop)
             .field("control", &self.control)
             .field("progress", &self.progress.as_ref().map(|_| "<sink>"))
@@ -672,7 +612,6 @@ impl Query {
             enumeration_cap: 100_000,
             choice_seed: 0x5eed,
             miner_node_cap: 5_000_000,
-            exec: Exec::Serial,
             stop: Stop::FixedTheta,
             control: RunControl::unbounded(),
             progress: None,
@@ -774,7 +713,7 @@ impl Query {
     }
 
     /// Sets the run's RNG seed (default 42). Equal seeds ⇒ equal worlds ⇒
-    /// equal results, per execution mode (see the module docs).
+    /// equal results (see the module docs).
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -870,20 +809,6 @@ impl Query {
         self
     }
 
-    /// Chooses serial or multi-threaded execution (default
-    /// [`Exec::Serial`]).
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::{Exec, Query};
-    /// let q = Query::mpds(DensityNotion::Edge).exec(Exec::Threads(4));
-    /// assert!(format!("{q:?}").contains("Threads(4)"));
-    /// ```
-    pub fn exec(mut self, exec: Exec) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Chooses the termination policy (default [`Stop::FixedTheta`]).
     /// [`Stop::Stable`] samples until the top-k ranking is unchanged for a
     /// window of consecutive worlds — the paper's §VI-I convergence rule,
@@ -913,7 +838,8 @@ impl Query {
     /// per sampled world (default: unbounded). [`RunControl::with_deadline`]
     /// aborts with [`ApiError::Interrupted`]; [`RunControl::with_budget`]
     /// instead finishes gracefully with the worlds sampled so far and
-    /// [`StopReason::Budget`] in the stats.
+    /// [`StopReason::Budget`] in the stats; [`RunControl::with_helpers`]
+    /// lends the run threads that never change its answer.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -934,7 +860,7 @@ impl Query {
     }
 
     /// Attaches a [`ProgressSink`], notified once per sampled world
-    /// (default: none). Under [`Exec::Threads`] all workers share the sink.
+    /// (default: none). A run's helper threads share the sink.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -977,31 +903,6 @@ impl Query {
                     format!("Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"),
                 );
             }
-            if let Exec::Threads(_) = self.exec {
-                return Err(ApiError::Unsupported {
-                    message: "Stop::Stable watches one ordered world stream; \
-                              run it with Exec::Serial"
-                        .to_string(),
-                });
-            }
-        }
-        if let Exec::Threads(workers) = self.exec {
-            if workers == 0 {
-                return invalid("exec", "Threads(0) has no workers".to_string());
-            }
-            if self.theta < workers {
-                return invalid(
-                    "exec",
-                    format!("theta {} < {workers} worker threads", self.theta),
-                );
-            }
-            if self.kind == Kind::Mpds && !self.all_densest {
-                return Err(ApiError::Unsupported {
-                    message: "the one-densest-per-world ablation draws from a single \
-                              serial tie-breaking RNG stream; run it with Exec::Serial"
-                        .to_string(),
-                });
-            }
         }
         Ok(())
     }
@@ -1021,20 +922,16 @@ impl Query {
     pub fn run(&self, g: &UncertainGraph) -> Result<Run, ApiError> {
         self.validate()?;
         let started = Instant::now();
-        match self.exec {
-            Exec::Serial if self.solves_in_lanes() => self.run_lanes(g, started),
-            Exec::Serial => {
-                let mut sampler = self.sampler.build(g, self.seed);
-                self.run_serial(g, &mut *sampler, started)
-            }
-            Exec::Threads(workers) => self.run_threads(g, workers, started),
+        if self.solves_in_lanes() {
+            return self.run_lanes(g, started);
         }
+        let mut sampler = self.sampler.build(g, self.seed);
+        self.run_serial(g, &mut *sampler, started)
     }
 
     /// Runs the query with a caller-supplied sampler instead of resolving
-    /// one from [`Query::sampler`] + [`Query::seed`]. Serial only: an
-    /// external sampler is a single mutable stream, so [`Exec::Threads`]
-    /// returns [`ApiError::Unsupported`].
+    /// one from [`Query::sampler`] + [`Query::seed`]. The run keeps one
+    /// ordered lane and ignores [`RunControl::with_helpers`].
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -1057,13 +954,6 @@ impl Query {
         sampler: &mut S,
     ) -> Result<Run, ApiError> {
         self.validate()?;
-        if let Exec::Threads(_) = self.exec {
-            return Err(ApiError::Unsupported {
-                message: "an external sampler is a single mutable stream; \
-                          Exec::Threads needs per-worker sub-streams (use Query::run)"
-                    .to_string(),
-            });
-        }
         self.run_serial(g, sampler, Instant::now())
     }
 
@@ -1168,55 +1058,120 @@ impl Query {
     }
 
     /// Whether the worlds of this query are independent units of one
-    /// order-free tally, so that lanes may solve them: a fixed-θ MPDS run
-    /// crediting all densest sets. Stable stops read the tally after every
-    /// world and the one-densest ablation draws from one choice stream in
-    /// world order, so both keep their one ordered lane.
+    /// order-free estimate, so that lanes may solve them: a fixed-θ NDS
+    /// run, or a fixed-θ MPDS run crediting all densest sets. Stable stops
+    /// read the estimate after every world and the one-densest ablation
+    /// draws from one choice stream in world order, so both keep their one
+    /// ordered lane.
     fn solves_in_lanes(&self) -> bool {
-        self.kind == Kind::Mpds && self.all_densest && self.stop == Stop::FixedTheta
+        self.stop == Stop::FixedTheta && (self.kind == Kind::Nds || self.all_densest)
     }
 
-    /// Solves the worlds in lanes: the calling thread and the
-    /// [`RunControl::with_helpers`] helpers claim world indices in order,
-    /// each world drawn from the query's one sampler under its claim (see
-    /// [`Claims`]), and credit one shared table ([`LaneTally`]). Each
-    /// world's densest count lands at its index, so the run equals the
-    /// one-lane run in everything but its wall time; with no helpers it is
-    /// the one-lane run.
+    /// Solves the worlds in lanes ([`Query::lanes`]) and finishes the
+    /// estimate. MPDS lanes credit one shared table ([`LaneTally`]) and
+    /// leave each world's densest count at its index; NDS lanes leave each
+    /// world's max-sized densest set there, and the miner reads them in
+    /// world order. So the run equals the one-lane run in everything but
+    /// its wall time; with no helpers it is the one-lane run. A run of θ
+    /// worlds takes at most θ − 1 helpers.
     fn run_lanes(&self, g: &UncertainGraph, started: Instant) -> Result<Run, ApiError> {
-        let progress = self.progress_sink();
-        progress.begin(self.theta);
+        let lanes = 1 + self.control.helpers().min(self.theta - 1);
+        let (mut run, helper_worlds) = match self.kind {
+            Kind::Mpds => {
+                let mut acc = MpdsAccum::new(self, g.num_nodes());
+                let shared = Mutex::new(acc.candidates.for_lane());
+                let truncated_worlds = AtomicUsize::new(0);
+                // Lanes are made here, so their buffers come from this thread.
+                let tallies = (0..lanes).map(|_| LaneTally::new(&shared)).collect();
+                let solved = self.lanes(
+                    g,
+                    tallies,
+                    |tally, world| {
+                        let (count, truncated) = credit_all(tally, world, self);
+                        if truncated {
+                            truncated_worlds.fetch_add(1, Ordering::Relaxed);
+                        }
+                        count
+                    },
+                    LaneTally::finish,
+                )?;
+                acc.empty_worlds = solved.slots.iter().filter(|&&count| count == 0).count();
+                acc.densest_counts = solved.slots;
+                acc.truncated_worlds = truncated_worlds.into_inner();
+                acc.truncated = acc.truncated_worlds > 0;
+                acc.candidates = shared
+                    .into_inner()
+                    .expect("a lane panicked while crediting");
+                (
+                    self.finish_mpds(acc, solved.outcome, started),
+                    solved.helper_worlds,
+                )
+            }
+            Kind::Nds => {
+                let solved = self.lanes(
+                    g,
+                    vec![(); lanes],
+                    |_, world| max_sized(world, self),
+                    |_| {},
+                )?;
+                let empty_worlds = solved.slots.iter().filter(|set| set.is_none()).count();
+                let acc = NdsAccum {
+                    transactions: solved.slots.into_iter().flatten().collect(),
+                    empty_worlds,
+                };
+                (
+                    self.finish_nds(acc, solved.outcome, started),
+                    solved.helper_worlds,
+                )
+            }
+        };
+        run.stats.helper_worlds = helper_worlds;
+        Ok(run)
+    }
+
+    /// Runs one lane per entry of `lanes`, the first on the calling thread
+    /// and each other on a helper thread. The lanes claim world indices in
+    /// order, each world drawn from the query's one sampler under its claim
+    /// (see [`Claims`]), and `solve` returns what a world leaves at its
+    /// index. Once claiming stops, each lane runs `finish` on its own
+    /// thread.
+    fn lanes<L: Send, T: Default + Send>(
+        &self,
+        g: &UncertainGraph,
+        lanes: Vec<L>,
+        solve: impl Fn(&mut L, &Graph) -> T + Sync,
+        finish: impl Fn(&mut L) + Sync,
+    ) -> Result<Solved<T>, ApiError> {
+        self.progress_sink().begin(self.theta);
         let claims = Mutex::new(Claims {
             sampler: self.sampler.build_shared(g, self.seed),
             claimed: 0,
             stopped: None,
-            densest_counts: vec![0; self.theta],
+            slots: std::iter::repeat_with(T::default)
+                .take(self.theta)
+                .collect(),
         });
-        let mut acc = MpdsAccum::new(self, g.num_nodes());
-        let shared = Mutex::new(acc.candidates.for_lane());
-        // Lanes are made here, so their buffers come from this thread.
-        let mut lanes = (0..=self.control.helpers()).map(|_| Lane::new(&shared));
+        let (solve, finish) = (&solve, &finish);
+        let mut lanes = lanes.into_iter();
         let mut own = lanes.next().expect("the calling thread's lane");
-        let helpers: Vec<Lane> = std::thread::scope(|scope| {
+        let helper_worlds: usize = std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .map(|mut lane| {
                     let claims = &claims;
-                    scope.spawn(move || {
-                        self.lane(g, claims, &mut lane, None, progress);
-                        lane
-                    })
+                    scope.spawn(move || self.lane(g, claims, &mut lane, None, solve, finish))
                 })
                 .collect();
-            self.lane(g, &claims, &mut own, self.control.recorder(), progress);
+            let rec = self.control.recorder();
+            self.lane(g, &claims, &mut own, rec, solve, finish);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("estimator lane panicked"))
-                .collect()
+                .sum()
         });
         let Claims {
             claimed,
             stopped,
-            mut densest_counts,
+            mut slots,
             ..
         } = claims.into_inner().expect("a lane panicked while claiming");
         let reason = match stopped {
@@ -1229,53 +1184,44 @@ impl Query {
             Some(Ok(reason)) => reason,
             None => StopReason::Completed,
         };
-        densest_counts.truncate(claimed);
-        acc.densest_counts = densest_counts;
-        let helper_worlds = helpers.iter().map(|lane| lane.worlds).sum();
-        for lane in std::iter::once(own).chain(helpers) {
-            acc.empty_worlds += lane.empty_worlds;
-            acc.truncated_worlds += lane.truncated_worlds;
-        }
-        acc.truncated = acc.truncated_worlds > 0;
-        acc.candidates = shared
-            .into_inner()
-            .expect("a lane panicked while crediting");
-        let mut run = self.finish_mpds(
-            acc,
-            WorldsOutcome {
+        slots.truncate(claimed);
+        Ok(Solved {
+            slots,
+            outcome: WorldsOutcome {
                 worlds: claimed,
                 reason,
                 converged_at: None,
             },
-            started,
-        );
-        run.stats.helper_worlds = helper_worlds;
-        Ok(run)
+            helper_worlds,
+        })
     }
 
-    /// One lane of [`Query::run_lanes`]: claims the next world and draws it,
-    /// reporting the previous world's densest count under the same lock,
-    /// then solves it outside the lock, until claiming stops; then adds its
-    /// last credits to the shared table. Only a lane given `rec` records
-    /// stage spans.
-    fn lane(
+    /// One lane of [`Query::lanes`]: claims the next world and draws it,
+    /// leaving the previous world's slot under the same lock, then solves
+    /// it outside the lock, until claiming stops; then finishes. Returns
+    /// how many worlds it solved. Only a lane given `rec` records stage
+    /// spans.
+    fn lane<L, T>(
         &self,
         g: &UncertainGraph,
-        claims: &Mutex<Claims>,
-        lane: &mut Lane,
+        claims: &Mutex<Claims<T>>,
+        lane: &mut L,
         rec: Option<&Recorder>,
-        progress: &dyn ProgressSink,
-    ) {
+        solve: &impl Fn(&mut L, &Graph) -> T,
+        finish: &impl Fn(&mut L),
+    ) -> usize {
+        let progress = self.progress_sink();
         let mut mask = EdgeMask::new(g.num_edges());
         let mut world = Graph::default();
-        let mut solved: Option<(usize, usize)> = None;
+        let mut solved: Option<(usize, T)> = None;
+        let mut worlds = 0;
         loop {
             let index = {
                 let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
                 let index = {
                     let mut c = claims.lock().expect("a lane panicked while claiming");
-                    if let Some((index, count)) = solved.take() {
-                        c.densest_counts[index] = count;
+                    if let Some((index, slot)) = solved.take() {
+                        c.slots[index] = slot;
                     }
                     let Some(index) = c.claim(&self.control) else {
                         break;
@@ -1287,119 +1233,13 @@ impl Query {
                 index
             };
             let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-            let (count, truncated) = credit_all(&mut lane.tally, &world, self);
-            lane.empty_worlds += usize::from(count == 0);
-            lane.truncated_worlds += usize::from(truncated);
-            lane.worlds += 1;
+            solved = Some((index, solve(lane, &world)));
+            worlds += 1;
             progress.world_done();
-            solved = Some((index, count));
         }
         let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-        lane.tally.finish();
-    }
-
-    fn run_threads(
-        &self,
-        g: &UncertainGraph,
-        workers: usize,
-        started: Instant,
-    ) -> Result<Run, ApiError> {
-        let progress = self.progress_sink();
-        progress.begin(self.theta);
-        match self.kind {
-            Kind::Mpds => {
-                let (acc, outcome) =
-                    self.run_workers(g, workers, progress, MpdsAccum::new(self, g.num_nodes()))?;
-                Ok(self.finish_mpds(acc, outcome, started))
-            }
-            Kind::Nds => {
-                let (acc, outcome) = self.run_workers(g, workers, progress, NdsAccum::new(self))?;
-                Ok(self.finish_nds(acc, outcome, started))
-            }
-        }
-    }
-
-    /// Splits θ across `workers` scoped threads (worker `w` gets sub-stream
-    /// `w` of the root seed and an even share of θ, the first `θ mod n`
-    /// workers one extra), then merges the partial accumulators in worker
-    /// order — so the merged state is position-for-position the state one
-    /// worker would have produced from the concatenated streams.
-    fn run_workers<A: Accum>(
-        &self,
-        g: &UncertainGraph,
-        workers: usize,
-        progress: &dyn ProgressSink,
-        seed_acc: A,
-    ) -> Result<(A, WorldsOutcome), ApiError> {
-        let per = self.theta / workers;
-        let extra = self.theta % workers;
-        let results: Vec<(A, Result<WorldsOutcome, Interrupted>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let quota = per + usize::from(w < extra);
-                    let mut acc = seed_acc.fresh();
-                    scope.spawn(move || {
-                        let rec = self.control.recorder();
-                        let mut sampler = self.sampler.build_stream(g, self.seed, w as u64);
-                        let outcome = sample_worlds(
-                            g,
-                            &mut *sampler,
-                            quota,
-                            &self.control,
-                            progress,
-                            |world| {
-                                let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                                acc.consume(world, self);
-                                true
-                            },
-                        );
-                        (acc, outcome)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("estimator worker panicked"))
-                .collect()
-        });
-        let completed: usize = results
-            .iter()
-            .map(|(_, r)| match r {
-                Ok(o) => o.worlds,
-                Err(i) => i.completed_worlds,
-            })
-            .sum();
-        if let Some(reason) = results
-            .iter()
-            .find_map(|(_, r)| r.as_ref().err().map(|i| i.reason))
-        {
-            return Err(ApiError::Interrupted(Interrupted {
-                reason,
-                completed_worlds: completed,
-            }));
-        }
-        // Workers stop gracefully at different counts when a shared budget
-        // expires; the merged run is Budget if any worker was.
-        let reason = if results
-            .iter()
-            .any(|(_, r)| matches!(r, Ok(o) if o.reason == StopReason::Budget))
-        {
-            StopReason::Budget
-        } else {
-            StopReason::Completed
-        };
-        let mut merged = seed_acc;
-        for (partial, _) in results {
-            merged.merge(partial);
-        }
-        Ok((
-            merged,
-            WorldsOutcome {
-                worlds: completed,
-                reason,
-                converged_at: None,
-            },
-        ))
+        finish(lane);
+        worlds
     }
 
     fn finish_mpds(&self, mut acc: MpdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
@@ -1495,9 +1335,9 @@ pub(crate) struct WorldsOutcome {
     pub converged_at: Option<usize>,
 }
 
-/// THE sampling loop: every estimator, sampler, and execution mode runs
-/// through this one function (serial runs call it once, `Exec::Threads`
-/// workers once each). Per iteration: poll the [`RunControl`] (abortive
+/// The one-lane sampling loop: stable stops, the one-densest ablation,
+/// external samplers and batches run through this one function. Per
+/// iteration: poll the [`RunControl`] (abortive
 /// deadline / cancellation), check the graceful time budget, draw a world
 /// into the recycled mask + CSR storage (zero steady-state allocation),
 /// hand it to the accumulator, notify the [`ProgressSink`]. The
@@ -1552,25 +1392,12 @@ pub(crate) fn sample_worlds<S: WorldSampler + ?Sized>(
     })
 }
 
-/// One lane of [`Query::run_lanes`]: its share of the tally and its
-/// per-world tallies.
-struct Lane<'a> {
-    tally: LaneTally<'a>,
-    empty_worlds: usize,
-    truncated_worlds: usize,
-    /// Worlds this lane solved.
-    worlds: usize,
-}
-
-impl<'a> Lane<'a> {
-    fn new(shared: &'a Mutex<CandidateTable>) -> Self {
-        Lane {
-            tally: LaneTally::new(shared),
-            empty_worlds: 0,
-            truncated_worlds: 0,
-            worlds: 0,
-        }
-    }
+/// What [`Query::lanes`] hands back: each claimed world's slot in world
+/// order, how the run stopped, and how many worlds the helpers solved.
+struct Solved<T> {
+    slots: Vec<T>,
+    outcome: WorldsOutcome,
+    helper_worlds: usize,
 }
 
 /// Credits every densest set of `world` to `tally` (every dense set the
@@ -1593,26 +1420,26 @@ fn credit_all(tally: &mut impl Tally, world: &Graph, q: &Query) -> (usize, bool)
     }
 }
 
-/// What the lanes of [`Query::run_lanes`] share under one lock: the query's
-/// one sampler, how many world indices were claimed, why claiming stopped,
-/// and each world's densest count at its index. A claim polls the
+/// What the lanes of [`Query::lanes`] share under one lock: the query's one
+/// sampler, how many world indices were claimed, why claiming stopped, and
+/// each world's slot at its index. A claim polls the
 /// [`RunControl`] as [`sample_worlds`] does before each world, and the
 /// world is drawn under the claim, so the claimed worlds are always a
 /// prefix of the one-lane stream.
-struct Claims {
+struct Claims<T> {
     sampler: Box<dyn WorldSampler + Send>,
     claimed: usize,
     /// `Ok` for a graceful stop (budget), `Err` for an abortive one.
     stopped: Option<Result<StopReason, InterruptReason>>,
-    densest_counts: Vec<usize>,
+    slots: Vec<T>,
 }
 
-impl Claims {
+impl<T> Claims<T> {
     /// The next world index, or `None` once every world is claimed or the
     /// run stopped (cancellation, then deadline, then budget — never before
     /// the first world).
     fn claim(&mut self, ctrl: &RunControl) -> Option<usize> {
-        if self.stopped.is_some() || self.claimed == self.densest_counts.len() {
+        if self.stopped.is_some() || self.claimed == self.slots.len() {
             return None;
         }
         if let Some(reason) = ctrl.interruption() {
@@ -1662,16 +1489,6 @@ impl StableTracker {
         self.prev = Some(current);
         self.worlds >= self.min_theta && self.streak >= self.window
     }
-}
-
-/// A per-worker partial result: consumes worlds, merges in worker order.
-trait Accum: Send + Sized {
-    /// An empty accumulator with the same configuration.
-    fn fresh(&self) -> Self;
-    /// Processes one sampled world.
-    fn consume(&mut self, world: &Graph, q: &Query);
-    /// Appends another worker's partial state (worker order!).
-    fn merge(&mut self, other: Self);
 }
 
 struct MpdsAccum {
@@ -1736,21 +1553,8 @@ impl MpdsAccum {
         }
         (f.count, f.truncated)
     }
-}
 
-impl Accum for MpdsAccum {
-    fn fresh(&self) -> Self {
-        MpdsAccum {
-            candidates: self.candidates.empty_like(),
-            empty_worlds: 0,
-            densest_counts: Vec::new(),
-            truncated: false,
-            truncated_worlds: 0,
-            choice_rng: self.choice_rng.clone(),
-            family: Vec::new(),
-        }
-    }
-
+    /// Processes one sampled world.
     fn consume(&mut self, world: &Graph, q: &Query) {
         let (count, truncated) = if q.all_densest {
             credit_all(&mut self.candidates, world, q)
@@ -1761,14 +1565,6 @@ impl Accum for MpdsAccum {
         self.truncated_worlds += usize::from(truncated);
         self.empty_worlds += usize::from(count == 0);
         self.densest_counts.push(count);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.candidates.merge(other.candidates);
-        self.empty_worlds += other.empty_worlds;
-        self.densest_counts.extend(other.densest_counts);
-        self.truncated |= other.truncated;
-        self.truncated_worlds += other.truncated_worlds;
     }
 }
 
@@ -1784,32 +1580,24 @@ impl NdsAccum {
             empty_worlds: 0,
         }
     }
-}
 
-impl Accum for NdsAccum {
-    fn fresh(&self) -> Self {
-        NdsAccum {
-            transactions: Vec::new(),
-            empty_worlds: 0,
-        }
-    }
-
+    /// Processes one sampled world.
     fn consume(&mut self, world: &Graph, q: &Query) {
-        let max_sized: Option<NodeSet> = if q.heuristic {
-            // Heuristic stand-in: the densest subgraph found by core peeling.
-            heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs[0].clone())
-        } else {
-            max_sized_densest(world, &q.notion).map(|(_, ms)| ms)
-        };
-        match max_sized {
+        match max_sized(world, q) {
             Some(ms) => self.transactions.push(ms),
             None => self.empty_worlds += 1,
         }
     }
+}
 
-    fn merge(&mut self, other: Self) {
-        self.transactions.extend(other.transactions);
-        self.empty_worlds += other.empty_worlds;
+/// The max-sized densest set of `world` — NDS's transaction for it — or
+/// `None` when the world holds no instance of the density notion.
+fn max_sized(world: &Graph, q: &Query) -> Option<NodeSet> {
+    if q.heuristic {
+        // Heuristic stand-in: the densest subgraph found by core peeling.
+        heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs[0].clone())
+    } else {
+        max_sized_densest(world, &q.notion).map(|(_, ms)| ms)
     }
 }
 
@@ -1846,8 +1634,8 @@ mod tests {
         #[allow(unused_imports)]
         use crate::api::{
             queryset::{BatchRun, BatchStats, QuerySet},
-            ApiError, Exec, NoProgress, ProgressCounter, ProgressSink, Query, Run, RunDetails,
-            RunStats, SamplerKind, Score, Stop, StopReason,
+            ApiError, NoProgress, ProgressCounter, ProgressSink, Query, Run, RunDetails, RunStats,
+            SamplerKind, Score, Stop, StopReason,
         };
         // Constructor and terminal signatures are part of the contract.
         let _mpds: fn(DensityNotion) -> Query = Query::mpds;
@@ -1860,7 +1648,6 @@ mod tests {
         let _batch: fn(&QuerySet, &UncertainGraph) -> Result<BatchRun, ApiError> = QuerySet::run;
         let _amortized: fn(&BatchStats) -> f64 = BatchStats::worlds_per_member;
         let _variants = [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss];
-        let _modes = [Exec::Serial, Exec::Threads(2)];
         let _scores = [Score::TauHat, Score::GammaHat];
         let _stops = [
             Stop::FixedTheta,
@@ -1894,49 +1681,6 @@ mod tests {
         assert_eq!(internal.empty_worlds, external.empty_worlds);
     }
 
-    /// `Exec::Threads(n)` merges worker sub-streams in worker order: worker
-    /// `w`'s contribution equals a serial run over MC sub-stream `w` with
-    /// its quota, and the merged top-k is the ranking of the summed
-    /// candidate tables.
-    #[test]
-    fn threads_mpds_merges_worker_substreams_in_order() {
-        let g = fig1();
-        let (seed, theta, workers) = (42u64, 500usize, 3usize);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_candidates = CandidateTable::for_graph(g.num_nodes());
-        let mut expected_counts: Vec<usize> = Vec::new();
-        for w in 0..workers {
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&g, seed, w as u64);
-            let part = mpds_details(
-                Query::mpds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(3)
-                    .run_with_sampler(&g, &mut mc)
-                    .unwrap(),
-            );
-            expected_candidates.merge(part.candidates);
-            expected_counts.extend(part.densest_counts);
-        }
-        let expected_top_k: Vec<(NodeSet, f64)> = expected_candidates
-            .top_k(3)
-            .into_iter()
-            .map(|(set, c)| (set, c as f64 / theta as f64))
-            .collect();
-        let run = Query::mpds(DensityNotion::Edge)
-            .theta(theta)
-            .k(3)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&g)
-            .unwrap();
-        assert_eq!(run.top_k, expected_top_k);
-        let details = mpds_details(run);
-        assert_eq!(details.candidates, expected_candidates);
-        assert_eq!(details.densest_counts, expected_counts);
-    }
-
     /// The serial seeding contract for NDS (the behavior the deleted
     /// `top_k_nds` free function pinned).
     #[test]
@@ -1952,60 +1696,27 @@ mod tests {
         assert_eq!(internal.empty_worlds, external.empty_worlds);
     }
 
-    #[test]
-    fn threads_nds_concatenates_worker_streams_in_order() {
-        let g = fig1();
-        let (seed, theta, workers) = (9u64, 90usize, 4usize);
-        // Expected: worker w's transactions are a serial run over MC
-        // sub-stream w with its quota.
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected: Vec<NodeSet> = Vec::new();
-        for w in 0..workers {
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&g, seed, w as u64);
-            let part = nds_details(
-                Query::nds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(4)
-                    .min_size(2)
-                    .run_with_sampler(&g, &mut mc)
-                    .unwrap(),
-            );
-            expected.extend(part.transactions);
-        }
-        let run = Query::nds(DensityNotion::Edge)
-            .theta(theta)
-            .k(4)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&g)
-            .unwrap();
-        assert_eq!(nds_details(run).transactions, expected);
-    }
-
-    /// Regression carried over from the deleted `parallel` module: with the
-    /// old `seed + w` worker seeding, a 2-worker run rooted at seed 1 shared
-    /// worker 1's entire world stream with a run rooted at seed 2 (its
-    /// worker 0). The decorrelated sub-streams must make adjacent-seed runs
-    /// draw genuinely different world multisets.
+    /// Regression carried over from the deleted `parallel` module, whose
+    /// `seed + w` worker seeding let a run rooted at seed 1 share half its
+    /// world stream with a run rooted at seed 2. Adjacent seeds must draw
+    /// genuinely different world multisets, helpers or not.
     #[test]
     fn adjacent_root_seeds_draw_different_worlds() {
         let g = fig1();
         let q = Query::mpds(DensityNotion::Edge)
             .theta(64)
             .k(3)
-            .exec(Exec::Threads(2));
+            .control(RunControl::unbounded().with_helpers(1));
         let a = mpds_details(q.clone().seed(1).run(&g).unwrap());
         let b = mpds_details(q.seed(2).run(&g).unwrap());
         // Identical per-world densest counts in order would mean shared
-        // streams; the halves must not line up under any worker alignment.
+        // streams; the halves must not line up under any shift either.
         assert_ne!(a.densest_counts[..32], b.densest_counts[..32]);
         assert_ne!(a.densest_counts[32..], b.densest_counts[..32]);
     }
 
-    /// Carried over from the deleted `parallel` module: the threaded
-    /// estimator stays unbiased — it converges to the exact MPDS.
+    /// Carried over from the deleted `parallel` module: the estimator with
+    /// helper threads stays unbiased — it converges to the exact MPDS.
     #[test]
     fn threads_converge_to_exact() {
         let g = fig1();
@@ -2013,7 +1724,7 @@ mod tests {
             .theta(8000)
             .k(1)
             .seed(3)
-            .exec(Exec::Threads(4))
+            .control(RunControl::unbounded().with_helpers(3))
             .run(&g)
             .unwrap();
         assert_eq!(run.top_k[0].0, vec![1, 3]);
@@ -2030,21 +1741,27 @@ mod tests {
         };
         bad(Query::mpds(DensityNotion::Edge).theta(0), "theta");
         bad(
-            Query::mpds(DensityNotion::Edge).exec(Exec::Threads(0)),
-            "exec",
+            Query::nds(DensityNotion::Edge)
+                .theta(0)
+                .control(RunControl::unbounded().with_helpers(2)),
+            "theta",
         );
-        bad(
-            Query::mpds(DensityNotion::Edge)
-                .theta(2)
-                .exec(Exec::Threads(3)),
-            "exec",
-        );
-        let unsupported = Query::mpds(DensityNotion::Edge)
+        // No helper count is invalid: more helpers than worlds, or the
+        // one-densest ablation (which keeps its one ordered lane), still run.
+        let many = Query::mpds(DensityNotion::Edge)
+            .theta(2)
+            .control(RunControl::unbounded().with_helpers(3));
+        assert!(many.run(&g).unwrap().stats.helper_worlds <= 1);
+        let one_densest = Query::mpds(DensityNotion::Edge)
             .theta(10)
-            .all_densest(false)
-            .exec(Exec::Threads(2))
-            .run(&g);
-        assert!(matches!(unsupported, Err(ApiError::Unsupported { .. })));
+            .all_densest(false);
+        let lent = one_densest
+            .clone()
+            .control(RunControl::unbounded().with_helpers(2))
+            .run(&g)
+            .unwrap();
+        assert_eq!(lent.stats.helper_worlds, 0);
+        assert_eq!(lent.top_k, one_densest.run(&g).unwrap().top_k);
     }
 
     /// The builder accepts degenerate `k = 0` ("rank nothing") and NDS
@@ -2069,16 +1786,22 @@ mod tests {
         assert!(run.top_k.len() <= 2);
     }
 
+    /// An external sampler is one mutable stream: its run keeps one lane
+    /// and turns helper threads away.
     #[test]
     fn external_sampler_rejects_threads() {
         let g = fig1();
+        let q = Query::mpds(DensityNotion::Edge).theta(10);
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
-        let err = Query::mpds(DensityNotion::Edge)
-            .theta(10)
-            .exec(Exec::Threads(2))
+        let lent = q
+            .clone()
+            .control(RunControl::unbounded().with_helpers(2))
             .run_with_sampler(&g, &mut mc)
-            .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }));
+            .unwrap();
+        assert_eq!(lent.stats.helper_worlds, 0);
+        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
+        let alone = q.run_with_sampler(&g, &mut mc).unwrap();
+        assert_eq!(lent.top_k, alone.top_k);
     }
 
     #[test]
@@ -2087,11 +1810,10 @@ mod tests {
         let g = fig1();
         let expired =
             RunControl::unbounded().with_deadline(Instant::now() - Duration::from_millis(1));
-        for exec in [Exec::Serial, Exec::Threads(2)] {
+        for helpers in [0, 2] {
             let err = Query::mpds(DensityNotion::Edge)
                 .theta(1000)
-                .control(expired.clone())
-                .exec(exec)
+                .control(expired.clone().with_helpers(helpers))
                 .run(&g)
                 .unwrap_err();
             match err {
@@ -2107,17 +1829,21 @@ mod tests {
     #[test]
     fn progress_counts_worlds_under_both_exec_modes() {
         let g = fig1();
-        for exec in [Exec::Serial, Exec::Threads(3)] {
+        let mut runs = Vec::new();
+        for helpers in [0, 2] {
             let counter = ProgressCounter::new();
-            Query::mpds(DensityNotion::Edge)
+            let run = Query::mpds(DensityNotion::Edge)
                 .theta(60)
                 .progress(counter.clone())
-                .exec(exec)
+                .control(RunControl::unbounded().with_helpers(helpers))
                 .run(&g)
                 .unwrap();
-            assert_eq!(counter.done(), 60, "{exec:?}");
-            assert_eq!(counter.requested(), 60, "{exec:?}");
+            assert_eq!(counter.done(), 60, "{helpers} helpers");
+            assert_eq!(counter.requested(), 60, "{helpers} helpers");
+            runs.push(mpds_details(run));
         }
+        assert_eq!(runs[0].candidates, runs[1].candidates);
+        assert_eq!(runs[0].densest_counts, runs[1].densest_counts);
     }
 
     #[test]
@@ -2143,9 +1869,12 @@ mod tests {
         let q = Query::mpds(DensityNotion::Edge)
             .theta(200)
             .k(2)
-            .heuristic(true)
-            .exec(Exec::Threads(2));
-        let a = q.run(&g).unwrap();
+            .heuristic(true);
+        let a = q
+            .clone()
+            .control(RunControl::unbounded().with_helpers(2))
+            .run(&g)
+            .unwrap();
         let b = q.run(&g).unwrap();
         assert_eq!(a.top_k, b.top_k);
         assert!(!a.top_k.is_empty());
@@ -2179,8 +1908,8 @@ mod tests {
         assert_eq!(mpds_details(run).candidates, mpds_details(one).candidates);
     }
 
-    /// A threaded run under an expired budget still merges one world per
-    /// worker instead of aborting.
+    /// A run with helper threads under an expired budget still returns its
+    /// first world instead of aborting, as one lane does.
     #[test]
     fn expired_budget_under_threads_is_graceful() {
         use std::time::Duration;
@@ -2189,12 +1918,11 @@ mod tests {
         let run = Query::mpds(DensityNotion::Edge)
             .theta(1000)
             .k(3)
-            .control(spent)
-            .exec(Exec::Threads(2))
+            .control(spent.with_helpers(1))
             .run(&g)
             .unwrap();
         assert_eq!(run.stats.stop_reason, StopReason::Budget);
-        assert_eq!(run.stats.worlds_sampled, 2); // one world per worker
+        assert_eq!(run.stats.worlds_sampled, 1);
     }
 
     /// The tentpole guarantee: a `Stop::Stable` run that stops at `t`
@@ -2331,15 +2059,20 @@ mod tests {
             min_theta: 20,
             theta_cap: 10,
         });
-        let err = Query::mpds(DensityNotion::Edge)
-            .stop(Stop::Stable {
-                window: 8,
-                min_theta: 8,
-                theta_cap: 100,
-            })
-            .exec(Exec::Threads(2))
-            .run(&g);
-        assert!(matches!(err, Err(ApiError::Unsupported { .. })));
+        // A stable stop watches one ordered world stream: it turns helper
+        // threads away.
+        let stable = Query::mpds(DensityNotion::Edge).stop(Stop::Stable {
+            window: 8,
+            min_theta: 8,
+            theta_cap: 100,
+        });
+        let lent = stable
+            .clone()
+            .control(RunControl::unbounded().with_helpers(2))
+            .run(&g)
+            .unwrap();
+        assert_eq!(lent.stats.helper_worlds, 0);
+        assert_eq!(lent.top_k, stable.run(&g).unwrap().top_k);
     }
 
     /// Fixed-θ runs report `Completed` and the full θ — the default stats

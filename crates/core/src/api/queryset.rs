@@ -28,10 +28,11 @@
 //!
 //! # Execution model
 //!
-//! A `QuerySet` is strictly serial: [`Exec::Threads`] splits θ into
-//! per-worker sub-streams that members cannot share, so members configured
-//! with it are rejected with a typed [`ApiError::Unsupported`] (the same
-//! precedent as [`Query::run_with_sampler`] and [`crate::recompute`]).
+//! A `QuerySet` runs on one ordered lane, the calling thread: every member
+//! reads each world as it is drawn, and the set's stable stop reads the
+//! members after every world, so it ignores
+//! [`RunControl::with_helpers`] (as [`Query::run_with_sampler`] and
+//! [`crate::recompute`] do).
 //!
 //! # Example
 //!
@@ -64,8 +65,8 @@
 //! ```
 
 use super::{
-    sample_worlds, Accum, ApiError, Exec, Kind, MpdsAccum, NdsAccum, NoProgress, ProgressSink,
-    Query, Run, SamplerKind, StableTracker, Stop, StopReason,
+    sample_worlds, ApiError, Kind, MpdsAccum, NdsAccum, NoProgress, ProgressSink, Query, Run,
+    SamplerKind, StableTracker, Stop, StopReason,
 };
 use crate::control::RunControl;
 use sampling::WorldSampler;
@@ -362,15 +363,6 @@ impl QuerySet {
         }
         let mut members = Vec::with_capacity(self.members.len());
         for member in &self.members {
-            if let Exec::Threads(_) = member.exec {
-                return Err(ApiError::Unsupported {
-                    message: "QuerySet members share one serial world stream; \
-                              Exec::Threads splits θ into per-worker sub-streams no \
-                              batch member can share — run threaded queries standalone \
-                              via Query::run"
-                        .to_string(),
-                });
-            }
             let mut q = member.clone();
             q.sampler = self.sampler;
             q.theta = self.theta;
@@ -722,18 +714,6 @@ mod tests {
             .unwrap();
         assert_eq!(batch.runs[0].top_k, alone.top_k);
         assert_eq!(batch.runs[0].stats.worlds_sampled, 80);
-    }
-
-    #[test]
-    fn threads_member_is_rejected_with_unsupported() {
-        let g = fig1();
-        let err = QuerySet::new()
-            .theta(40)
-            .push(Query::mpds(DensityNotion::Edge).exec(Exec::Threads(2)))
-            .run(&g)
-            .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }), "{err}");
-        assert!(err.to_string().contains("serial world stream"), "{err}");
     }
 
     #[test]

@@ -112,15 +112,18 @@ impl RunControl {
     }
 
     /// Lend the run up to `helpers` threads besides the calling one. A
-    /// fixed-θ, all-densest MPDS [`crate::api::Query`] under
-    /// [`crate::api::Exec::Serial`] then solves its worlds in *lanes*: the
-    /// calling thread and the helpers claim world indices in order and draw
-    /// each world from the query's one sampler under the claim, so the
-    /// answer, the per-world counts and the budget and interruption
-    /// semantics are those of one lane; only the wall time changes. Other
-    /// runs (NDS, [`crate::api::Stop::Stable`], the one-densest ablation,
-    /// [`crate::api::Exec::Threads`], [`crate::api::Query::run_with_sampler`],
-    /// batches) ignore it. Helpers record no stage spans. Default: 0.
+    /// fixed-θ [`crate::api::Query`] — NDS, or MPDS crediting all densest
+    /// sets — then solves its worlds in *lanes*: the calling thread and the
+    /// helpers claim world indices in order and draw each world from the
+    /// query's one sampler under the claim, so the answer, the per-world
+    /// results and the budget and interruption semantics are those of one
+    /// lane; only the wall time changes. A run of θ worlds uses at most
+    /// θ − 1 helpers. Runs that keep one ordered lane ignore it:
+    /// [`crate::api::Stop::Stable`], the one-densest ablation,
+    /// [`crate::api::Query::run_with_sampler`],
+    /// [`crate::api::queryset::QuerySet`] batches and
+    /// [`crate::recompute::Recompute`]. Helpers record no stage spans.
+    /// Default: 0.
     ///
     /// ```
     /// use densest::DensityNotion;

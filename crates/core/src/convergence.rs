@@ -200,11 +200,12 @@ mod tests {
     #[test]
     fn step_errors_propagate_instead_of_panicking() {
         let err = run_schedule(10, 80, 0.9, |_| {
-            Err(ApiError::Unsupported {
+            Err(ApiError::InvalidParameter {
+                param: "theta",
                 message: "injected".to_string(),
             })
         })
         .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }));
+        assert!(matches!(err, ApiError::InvalidParameter { .. }));
     }
 }

@@ -93,10 +93,9 @@ impl MpdsResult {
 /// entry at most once. A fold happens when the pending list outgrows the run
 /// (or 65,536 masks, whichever is larger), so memory stays bounded by a
 /// small multiple of the distinct sets, and whenever the run is read: at the
-/// end of a run, before each [`crate::api::Stop::Stable`] check, and when
-/// worker tables merge (the same in-place merge of one sorted run into
-/// another). A fold into an empty run compacts the sorted credits in place
-/// and keeps their buffer as the run. The lanes of one run (see
+/// end of a run and before each [`crate::api::Stop::Stable`] check. A fold
+/// into an empty run compacts the sorted credits in place and keeps their
+/// buffer as the run. The lanes of one run (see
 /// [`crate::control::RunControl::with_helpers`]) keep only their pending
 /// credits apart and fold them into one shared run. Every table a run hands
 /// out is fully folded, and [`CandidateTable::get`] is a binary search in
@@ -257,7 +256,7 @@ impl Packed {
     }
 
     /// The folded `(mask, count)` run, ascending by mask.
-    fn entries(&self) -> impl DoubleEndedIterator<Item = (u64, u32)> + Clone + '_ {
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.masks.iter().copied().zip(self.counts.iter().copied())
     }
 
@@ -512,26 +511,19 @@ impl CandidateTable {
         }
     }
 
-    /// Adds another table's counts (same graph, so the same key form) and
-    /// leaves the result folded.
+    /// Adds another compact-key table's counts (a lane's map, see
+    /// [`LaneTally`]) to this one.
     pub(crate) fn merge(&mut self, other: CandidateTable) {
-        match (&mut self.keys, other.keys) {
-            (Keys::Packed(p), Keys::Packed(mut o)) => {
-                p.fold();
-                o.fold();
-                p.absorb(o.entries());
-            }
-            (Keys::Sets(m), Keys::Sets(mut o)) => {
-                // Add the smaller map into the larger: a lane's map joins an
-                // empty shared table without a re-hash.
-                if m.counts.len() < o.counts.len() {
-                    std::mem::swap(m, &mut o);
-                }
-                for (key, c) in o.counts {
-                    *m.counts.entry(key).or_insert(0) += c;
-                }
-            }
-            _ => unreachable!("tables of one graph share their key form"),
+        let (Keys::Sets(m), Keys::Sets(mut o)) = (&mut self.keys, other.keys) else {
+            unreachable!("only compact-key tables merge");
+        };
+        // Add the smaller map into the larger: a lane's map joins an empty
+        // shared table without a re-hash.
+        if m.counts.len() < o.counts.len() {
+            std::mem::swap(m, &mut o);
+        }
+        for (key, c) in o.counts {
+            *m.counts.entry(key).or_insert(0) += c;
         }
     }
 }
@@ -918,25 +910,23 @@ mod tests {
             mask_stream(11, 2 * FOLD_FLOOR + 5, 90_000),
             mask_stream(13, FOLD_FLOOR / 2, 90_000),
         );
-        for n in [64, 65] {
-            let mut left = CandidateTable::for_graph(n);
-            let mut right = CandidateTable::for_graph(n);
-            let mut both = CandidateTable::for_graph(n);
-            for &m in &a {
-                left.credit_mask(&[m]);
-            }
-            for &m in &b {
-                right.credit_mask(&[m]);
-            }
-            for &m in b.iter().chain(&a) {
-                both.credit_mask(&[m]);
-            }
-            left.merge(right);
-            both.fold();
-            assert_eq!(left, both, "n = {n}");
-            assert_eq!(left.len(), both.len(), "n = {n}");
-            assert_eq!(left.top_k(5), both.top_k(5), "n = {n}");
+        // Only compact-key tables (past 64 nodes) merge.
+        let mut left = CandidateTable::for_graph(65);
+        let mut right = CandidateTable::for_graph(65);
+        let mut both = CandidateTable::for_graph(65);
+        for &m in &a {
+            left.credit_mask(&[m]);
         }
+        for &m in &b {
+            right.credit_mask(&[m]);
+        }
+        for &m in b.iter().chain(&a) {
+            both.credit_mask(&[m]);
+        }
+        left.merge(right);
+        assert_eq!(left, both);
+        assert_eq!(left.len(), both.len());
+        assert_eq!(left.top_k(5), both.top_k(5));
     }
 
     /// The builder query equivalent to a legacy `MpdsConfig` invocation.

@@ -66,7 +66,7 @@ pub mod single;
 pub mod theory;
 
 pub use api::queryset::{BatchRun, BatchStats, QuerySet};
-pub use api::{ApiError, Exec, ProgressSink, Query, Run, SamplerKind, Stop, StopReason};
+pub use api::{ApiError, ProgressSink, Query, Run, SamplerKind, Stop, StopReason};
 pub use control::{InterruptReason, Interrupted, RunControl};
 pub use estimate::{CandidateTable, MpdsConfig, MpdsResult};
 pub use nds::{NdsConfig, NdsResult};

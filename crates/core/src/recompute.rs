@@ -15,9 +15,8 @@
 //! [`CommonRandomNumbers`] sampler therefore derives each edge's draw
 //! *counter-based*, from a hash of `(stream seed, world index, endpoints)`:
 //! presence depends only on the edge's own identity and probability, never
-//! on which other edges exist. Sub-streams use the same
-//! [`sampling::stream_seed`] derivation as `Exec::Threads` workers, so
-//! batch-splitting stays decorrelated.
+//! on which other edges exist. Sub-streams of one root seed come from
+//! [`sampling::stream_seed`], so they stay decorrelated from each other.
 //!
 //! [`Recompute`] packages the pattern: one [`Query`] run over the *before*
 //! and *after* snapshots with per-snapshot CRN samplers, returning both
@@ -90,10 +89,9 @@ impl CommonRandomNumbers {
         CommonRandomNumbers::with_stream(g, root_seed, 0)
     }
 
-    /// Builds the sampler for sub-stream `stream` of `root_seed` — the same
-    /// [`stream_seed`] derivation `Exec::Threads` workers use, so CRN
-    /// batches split across workers stay decorrelated from each other while
-    /// remaining comparable world-for-world across graph versions.
+    /// Builds the sampler for sub-stream `stream` of `root_seed` through
+    /// [`stream_seed`], so sub-streams stay decorrelated from each other
+    /// while remaining comparable world-for-world across graph versions.
     ///
     /// ```
     /// use mpds::recompute::CommonRandomNumbers;
@@ -276,10 +274,10 @@ pub struct RecomputeReport {
 /// Runs one [`Query`] over two graph versions under common random numbers
 /// and diffs the top-k rankings.
 ///
-/// Serial execution only: CRN sampling is a single per-snapshot stream, so
-/// a query configured with `Exec::Threads` is rejected as `Unsupported`
-/// (the same rule as [`Query::run_with_sampler`]). The query's
-/// [`RunControl`] is polled per world in both runs.
+/// CRN sampling is one ordered stream per snapshot, so both runs keep one
+/// lane and ignore [`RunControl::with_helpers`] (the same rule as
+/// [`Query::run_with_sampler`]). The query's [`RunControl`] is polled per
+/// world in both runs.
 ///
 /// ```
 /// use densest::DensityNotion;
@@ -372,7 +370,6 @@ impl Recompute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Exec;
     use crate::control::InterruptReason;
     use densest::DensityNotion;
     use std::time::{Duration, Instant};
@@ -525,13 +522,16 @@ mod tests {
             }
             other => panic!("expected interruption, got {other:?}"),
         }
-        let err = Recompute::new(
-            Query::mpds(DensityNotion::Edge)
-                .theta(100)
-                .exec(Exec::Threads(2)),
-        )
-        .run(&g, &g)
-        .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }));
+        // Helper threads are turned away: both CRN runs keep one lane.
+        let query = Query::mpds(DensityNotion::Edge).theta(100);
+        let lent = Recompute::new(query.clone())
+            .control(RunControl::unbounded().with_helpers(2))
+            .run(&g, &g)
+            .unwrap();
+        let alone = Recompute::new(query).run(&g, &g).unwrap();
+        for (got, want) in [(&lent.before, &alone.before), (&lent.after, &alone.after)] {
+            assert_eq!(got.stats.helper_worlds, 0);
+            assert_eq!(got.top_k, want.top_k);
+        }
     }
 }

@@ -21,7 +21,8 @@
 //!   --density D     edge | Nclique | 2star | 3star | c3star | diamond
 //!                                                   [default edge]
 //!   --seed N        sampler seed                    [default 42]
-//!   --threads N     estimator worker threads        [default 1 = serial]
+//!   --threads N     threads solving worlds, 1..=64  [default 1]
+//!                   (the answer is the same on any number)
 //!   --heuristic     use the core-based heuristic per world
 //!   --stop P        termination policy: fixed | stable    [default fixed]
 //!   --window N      stable-stop window (requires --stop stable) [default 32]
@@ -275,8 +276,8 @@ fn parse_run_args(
                 o.threads = val("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
-                if o.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
+                if !(1..=64).contains(&o.threads) {
+                    return Err(format!("--threads {} outside 1..=64", o.threads));
                 }
             }
             "--density" => {
@@ -586,13 +587,13 @@ fn run_command(o: &RunOptions) -> Result<(), String> {
         lm: o.lm,
         seed: o.seed,
         heuristic: o.heuristic,
-        threads: o.threads,
         stop: o.stop,
         timeout_ms: None,
         budget_ms: o.budget_ms,
     };
     let started = std::time::Instant::now();
-    let payload = run_query(&loaded, &req, &RunControl::unbounded()).map_err(|e| e.to_string())?;
+    let ctrl = RunControl::unbounded().with_helpers(o.threads - 1);
+    let payload = run_query(&loaded, &req, &ctrl).map_err(|e| e.to_string())?;
     let wall_ms = started.elapsed().as_millis() as u64;
     if o.json {
         println!(
@@ -1026,12 +1027,16 @@ mod tests {
 
     #[test]
     fn run_threads_flag_is_parsed_and_validated() {
-        // Previously parallel execution was unreachable from the CLI;
-        // --threads wires Exec::Threads through the query engine.
+        // --threads N lends the run N - 1 helper threads; parsing alone
+        // bounds it, so no out-of-range count ever starts a thread.
         let o = parse_run(&["mpds", "g.txt", "--threads", "4"]).unwrap();
         assert_eq!(o.threads, 4);
-        let e = parse_run(&["mpds", "g.txt", "--threads", "0"]).unwrap_err();
-        assert!(e.contains("at least 1"), "{e}");
+        let o = parse_run(&["nds", "g.txt", "--threads", "64"]).unwrap();
+        assert_eq!(o.threads, 64);
+        for n in ["0", "65"] {
+            let e = parse_run(&["mpds", "g.txt", "--threads", n]).unwrap_err();
+            assert!(e.contains("outside 1..=64"), "{e}");
+        }
         let e = parse_run(&["nds", "g.txt", "--threads", "x"]).unwrap_err();
         assert!(e.contains("--threads"), "{e}");
         let e = parse_run(&["mpds", "g.txt", "--threads", "2", "--threads", "3"]).unwrap_err();

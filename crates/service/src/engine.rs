@@ -3,8 +3,8 @@
 //!
 //! The contract that makes serving these estimators worthwhile is
 //! **determinism**: a query is fully described by
-//! `(dataset, generation, algo, notion, θ, k, l_m, seed, heuristic,
-//! threads)`, and two evaluations of the same key produce bytewise-identical
+//! `(dataset, generation, algo, notion, θ, k, l_m, seed, heuristic, stop)`,
+//! and two evaluations of the same key produce bytewise-identical
 //! JSON. The engine exploits that twice — a sharded LRU keyed on the tuple
 //! serves repeats from memory, and an in-flight table coalesces concurrent
 //! identical queries so N simultaneous arrivals cost one computation, all N
@@ -22,7 +22,7 @@ use crate::json::JsonWriter;
 use crate::registry::{GraphRegistry, LoadedGraph};
 use densest::DensityNotion;
 use mpds::api::queryset::QuerySet;
-use mpds::api::{ApiError, Exec, ProgressCounter, ProgressSink, Query, Run, Stop};
+use mpds::api::{ApiError, ProgressCounter, ProgressSink, Query, Run, Stop};
 use mpds::control::{InterruptReason, RunControl};
 use mpds::recompute::Recompute;
 use mpds_obs::{Counter, Gauge, Histogram, Recorder, Span, Stage, StageHistograms};
@@ -132,10 +132,6 @@ pub struct QueryRequest {
     pub seed: u64,
     /// Use the §III-C heuristic per world.
     pub heuristic: bool,
-    /// Worker threads for this query's sampling loop (1 = serial, the
-    /// default). Parallel runs draw per-worker sub-streams of `seed`, so
-    /// the thread count is response-affecting and part of the cache key.
-    pub threads: usize,
     /// Stop policy (see [`StopSpec`]).
     pub stop: StopSpec,
     /// Per-request *hard* deadline, if any: exceeding it aborts the query
@@ -160,7 +156,6 @@ impl QueryRequest {
             lm: 2,
             seed: 42,
             heuristic: false,
-            threads: 1,
             stop: StopSpec::Fixed,
             timeout_ms: None,
             budget_ms: None,
@@ -179,26 +174,12 @@ impl QueryRequest {
         if self.lm == 0 {
             return Err("lm must be at least 1".to_string());
         }
-        if self.threads == 0 || self.threads > 64 {
-            return Err(format!("threads {} outside 1..=64", self.threads));
-        }
-        if self.threads > self.theta {
-            return Err(format!(
-                "threads {} exceeds theta {}",
-                self.threads, self.theta
-            ));
-        }
         if let StopSpec::Stable { window } = self.stop {
             if window == 0 || window > 10_000 {
                 return Err(format!("window {window} outside 1..=10000"));
             }
             if window as usize > self.theta {
                 return Err(format!("window {window} exceeds theta {}", self.theta));
-            }
-            if self.threads > 1 {
-                return Err(
-                    "stop=stable watches one ordered world stream; drop threads".to_string()
-                );
             }
         }
         parse_notion(&self.notion)
@@ -225,7 +206,6 @@ impl QueryRequest {
             },
             seed: self.seed,
             heuristic: self.heuristic,
-            threads: self.threads,
             stop: self.stop,
         }
     }
@@ -243,7 +223,6 @@ pub struct QueryKey {
     lm: usize,
     seed: u64,
     heuristic: bool,
-    threads: usize,
     stop: StopSpec,
 }
 
@@ -336,7 +315,6 @@ impl BatchRequest {
             lm: m.lm,
             seed: self.seed,
             heuristic: m.heuristic,
-            threads: 1,
             stop: self.stop,
             timeout_ms: self.timeout_ms,
             budget_ms: self.budget_ms,
@@ -455,11 +433,6 @@ fn build_query(req: &QueryRequest, notion: DensityNotion, ctrl: &RunControl) -> 
         .k(req.k)
         .seed(req.seed)
         .heuristic(req.heuristic)
-        .exec(if req.threads > 1 {
-            Exec::Threads(req.threads)
-        } else {
-            Exec::Serial
-        })
         .stop(stop_of(req.stop, req.theta))
         .control(ctrl)
 }
@@ -517,9 +490,8 @@ fn run_core(
 }
 
 /// Maps a core-API failure onto the service's error vocabulary: cooperative
-/// interruptions become deadline/cancellation errors, and bounds the engine
-/// can't pre-check (e.g. threads > theta interplay) surface as client
-/// errors, never as panics.
+/// interruptions become deadline/cancellation errors, and any other
+/// rejection of the query surfaces as a client error, never as a panic.
 fn api_error_to_query_error(e: ApiError) -> QueryError {
     match e {
         ApiError::Interrupted(i) => match i.reason {
@@ -594,13 +566,7 @@ fn render_query_body(
     }
     w.field_uint("seed", req.seed)
         .field_bool("heuristic", req.heuristic);
-    // Serial responses keep the historical byte layout; parallel runs draw
-    // different worlds, so the thread count is surfaced in the body.
-    if req.threads > 1 {
-        w.field_uint("threads", req.threads as u64);
-    }
-    // Same rule for the stop policy: fixed-θ responses keep the historical
-    // layout, stable stops are echoed.
+    // Fixed-θ responses keep the historical layout; stable stops are echoed.
     if let StopSpec::Stable { window } = req.stop {
         w.field_str("stop", "stable")
             .field_uint("window", window as u64);
@@ -824,11 +790,9 @@ struct Lease<'a> {
 
 impl<'a> Lease<'a> {
     /// Reserves helpers for `req` when its run can use them: a fixed-θ
-    /// MPDS query without `threads=N` (whose workers draw their own
-    /// sub-streams).
+    /// query, MPDS or NDS.
     fn take(pool: Option<&'a dyn HelperPool>, req: &QueryRequest) -> Self {
-        let lanes = req.algo == Algo::Mpds && req.stop == StopSpec::Fixed && req.threads <= 1;
-        let pool = pool.filter(|_| lanes);
+        let pool = pool.filter(|_| req.stop == StopSpec::Fixed);
         Lease {
             pool,
             helpers: pool.map_or(0, |p| p.lend()),
@@ -1341,9 +1305,7 @@ impl QueryEngine {
         for &i in led {
             let r = &requests[i];
             let notion = r.validate().map_err(QueryError::BadRequest)?;
-            // Batch members are serial by construction (threads = 1), so
-            // this never trips the QuerySet Exec::Threads rejection. The
-            // stop policy and budget are set-owned; whatever the member
+            // The stop policy and budget are set-owned; whatever the member
             // query carries is normalized away by the QuerySet.
             set = set.push(build_query(r, notion, &RunControl::unbounded()));
         }
@@ -1372,11 +1334,6 @@ impl QueryEngine {
     /// (the two-dataset key space is unbounded and diffs are rare).
     pub fn execute_diff(&self, req: &QueryRequest, against: &str) -> Result<Vec<u8>, QueryError> {
         let notion = req.validate().map_err(QueryError::BadRequest)?;
-        if req.threads > 1 {
-            return Err(QueryError::BadRequest(
-                "diff runs serially (CRN is one per-snapshot stream); drop threads".to_string(),
-            ));
-        }
         if req.stop != StopSpec::Fixed || req.budget_ms.is_some() {
             return Err(QueryError::BadRequest(
                 "diff supports neither stop=stable nor budget_ms: common random numbers \
@@ -1677,41 +1634,6 @@ mod tests {
         let (rb, _) = e.execute(&b).unwrap();
         assert_ne!(ra, rb, "different seeds must not alias in the cache");
         assert_eq!(e.stats().computed, 2);
-    }
-
-    #[test]
-    fn threads_affect_the_cache_key_and_compute() {
-        // Parallel runs draw different worlds (per-worker sub-streams), so a
-        // threads=2 request must not alias the serial entry — and it must
-        // actually run (previously parallel execution was unreachable here).
-        let e = engine();
-        let serial = karate_req();
-        let mut par = karate_req();
-        par.threads = 2;
-        let (a, _) = e.execute(&serial).unwrap();
-        let (b, src) = e.execute(&par).unwrap();
-        assert_eq!(src, ResponseSource::Miss);
-        assert_ne!(a, b, "parallel body must differ (worlds + threads field)");
-        assert!(String::from_utf8(b.to_vec())
-            .unwrap()
-            .contains("\"threads\":2"));
-        assert_eq!(e.stats().computed, 2);
-        // And the engine's live progress fed by the ProgressSink advanced.
-        assert_eq!(e.stats().worlds_sampled, 128);
-        assert_eq!(e.stats().worlds_requested, 128);
-    }
-
-    #[test]
-    fn invalid_threads_is_a_bad_request() {
-        let e = engine();
-        let mut req = karate_req();
-        req.threads = 0;
-        assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.threads = 65;
-        assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.threads = 100; // > theta (64) as well
-        assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        assert_eq!(e.stats().computed, 0);
     }
 
     #[test]
@@ -2078,15 +2000,11 @@ mod tests {
     }
 
     #[test]
-    fn stable_with_threads_or_bad_window_is_a_bad_request() {
+    fn stable_with_a_bad_window_is_a_bad_request() {
         let e = engine();
         let mut req = karate_req();
         req.stop = StopSpec::Stable { window: 0 };
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.stop = StopSpec::Stable { window: 8 };
-        req.threads = 2;
-        assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.threads = 1;
         req.stop = StopSpec::Stable { window: 100 }; // > theta (64)
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
         assert_eq!(e.stats().computed, 0);
@@ -2143,12 +2061,8 @@ mod tests {
     }
 
     #[test]
-    fn diff_rejects_threads_and_unknown_baselines() {
+    fn diff_rejects_unknown_baselines() {
         let e = engine();
-        let mut req = karate_req();
-        req.threads = 2;
-        let err = e.execute_diff(&req, "karate").unwrap_err();
-        assert!(matches!(&err, QueryError::BadRequest(m) if m.contains("serially")));
         let err = e
             .execute_diff(&karate_req(), "no-such-dataset")
             .unwrap_err();

@@ -1709,7 +1709,6 @@ fn parse_query_pairs(pairs: &[(String, String)]) -> Result<QueryRequest, String>
                     other => return Err(format!("heuristic: bad boolean {other:?}")),
                 }
             }
-            "threads" => req.threads = parse_usize()?,
             "timeout_ms" => {
                 req.timeout_ms = Some(v.parse().map_err(|e| format!("timeout_ms: {e}"))?)
             }
@@ -1742,8 +1741,8 @@ fn parse_stop(stop: Option<&str>, window: Option<u32>) -> Result<StopSpec, Strin
 }
 
 /// Parses `/diff` parameters: the `/query` grammar plus a required
-/// `against` (the baseline dataset), minus `threads` (diffs are serial —
-/// common random numbers are one per-snapshot stream).
+/// `against` (the baseline dataset), minus the anytime parameters (common
+/// random numbers need the same fixed-θ stream on both snapshots).
 fn parse_diff_request(query: &str) -> Result<(QueryRequest, String), String> {
     let mut against = None;
     let mut rest = Vec::new();
@@ -1753,11 +1752,6 @@ fn parse_diff_request(query: &str) -> Result<(QueryRequest, String), String> {
                 if against.replace(v).is_some() {
                     return Err("duplicate parameter \"against\"".to_string());
                 }
-            }
-            "threads" => {
-                return Err(
-                    "diff runs serially (CRN is one per-snapshot stream); drop threads".to_string(),
-                )
             }
             "stop" | "window" | "budget_ms" => {
                 return Err(format!(
@@ -1887,20 +1881,6 @@ mod tests {
         assert_eq!(req.algo, Algo::Nds);
         assert_eq!(req.lm, 3);
         assert!(!req.heuristic);
-        assert_eq!(req.threads, 1);
-    }
-
-    #[test]
-    fn threads_parameter_is_parsed_and_bounded() {
-        let req = parse_query_request("dataset=karate&threads=4").unwrap();
-        assert_eq!(req.threads, 4);
-        assert!(req.validate().is_ok());
-        let req = parse_query_request("dataset=karate&threads=0").unwrap();
-        assert!(req.validate().unwrap_err().contains("threads"));
-        assert!(parse_query_request("dataset=karate&threads=x").is_err());
-        assert!(parse_query_request("dataset=karate&threads=2&threads=3")
-            .unwrap_err()
-            .contains("duplicate parameter"));
     }
 
     #[test]
@@ -1937,9 +1917,6 @@ mod tests {
         assert!(parse_diff_request("dataset=a&against=b&against=c")
             .unwrap_err()
             .contains("duplicate parameter \"against\""));
-        assert!(parse_diff_request("dataset=a&against=b&threads=2")
-            .unwrap_err()
-            .contains("serially"));
         assert!(parse_diff_request("dataset=a&against=b&bogus=1")
             .unwrap_err()
             .contains("unknown parameter"));
@@ -2041,13 +2018,16 @@ mod tests {
 
     #[test]
     fn profile_is_an_unknown_parameter() {
-        // Stage timings live on /metrics and /debug/trace, not in bodies.
-        let param = "profile";
-        let unknown = format!("unknown parameter {param:?}");
-        let err = parse_query_request(&format!("dataset=karate&{param}=1")).unwrap_err();
-        assert!(err.contains(&unknown), "{err}");
-        let err = parse_diff_request(&format!("dataset=a&against=b&{param}=1")).unwrap_err();
-        assert!(err.contains(&unknown), "{err}");
+        // Stage timings live on /metrics and /debug/trace, not in bodies;
+        // helper threads never change a body, so no request names them.
+        for (param, value) in [("profile", 1), ("threads", 2)] {
+            let unknown = format!("unknown parameter {param:?}");
+            let err = parse_query_request(&format!("dataset=karate&{param}={value}")).unwrap_err();
+            assert!(err.contains(&unknown), "{err}");
+            let err =
+                parse_diff_request(&format!("dataset=a&against=b&{param}={value}")).unwrap_err();
+            assert!(err.contains(&unknown), "{err}");
+        }
     }
 
     #[test]

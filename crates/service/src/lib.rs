@@ -5,7 +5,7 @@
 //! full θ-world estimator run per invocation. This crate turns that into a
 //! serving layer exploiting the estimators' central operational property:
 //! **results are deterministic given `(dataset, algo, notion, θ, k, l_m,
-//! seed, heuristic, threads)`** — so repeats are cacheable forever and
+//! seed, heuristic, stop)`** — so repeats are cacheable forever and
 //! identical concurrent queries are coalesceable into one computation.
 //!
 //! Layers (each usable on its own):

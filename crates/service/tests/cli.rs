@@ -97,42 +97,49 @@ fn mpds_command_finds_bd() {
     assert!(text.contains("{2, 4}"), "{text}");
 }
 
+/// A `--json` body without its CLI-only `wall_ms` stats entry.
+fn strip_wall(bytes: Vec<u8>) -> String {
+    let text = String::from_utf8(bytes).unwrap();
+    let i = text
+        .find("\"wall_ms\":")
+        .unwrap_or_else(|| panic!("stats block must carry wall_ms: {text}"));
+    let tail = &text[i + "\"wall_ms\":".len()..];
+    let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+    assert!(digits > 0, "wall_ms must be a number: {text}");
+    format!("{}{}", &text[..i], &tail[digits..])
+}
+
+/// Runs `mpds-cli` with `args` and `--threads threads --json`; returns the
+/// body without `wall_ms`.
+fn json_run(args: &[&str], threads: &str) -> String {
+    let out = cli()
+        .args(args)
+        .args(["--threads", threads, "--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    strip_wall(out.stdout)
+}
+
 #[test]
 fn mpds_json_flag_is_deterministic() {
     let path = demo_file();
-    let run = || {
-        let out = cli()
-            .args([
-                "mpds",
-                path.as_str(),
-                "--theta",
-                "500",
-                "--k",
-                "2",
-                "--seed",
-                "7",
-                "--json",
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        out.stdout
-    };
+    let args = [
+        "mpds",
+        path.as_str(),
+        "--theta",
+        "500",
+        "--k",
+        "2",
+        "--seed",
+        "7",
+    ];
     // `--json` adds a CLI-only `wall_ms` to the stats block; everything
-    // else must be byte-identical across runs with the same seed.
-    let strip_wall = |bytes: Vec<u8>| {
-        let text = String::from_utf8(bytes).unwrap();
-        let i = text
-            .find("\"wall_ms\":")
-            .unwrap_or_else(|| panic!("stats block must carry wall_ms: {text}"));
-        let tail = &text[i + "\"wall_ms\":".len()..];
-        let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
-        assert!(digits > 0, "wall_ms must be a number: {text}");
-        format!("{}{}", &text[..i], &tail[digits..])
-    };
-    let a = strip_wall(run());
-    let b = strip_wall(run());
-    assert_eq!(a, b, "same seed must give identical JSON modulo wall_ms");
+    // else must be byte-identical across runs with the same seed, on any
+    // number of threads.
+    let a = json_run(&args, "1");
+    assert_eq!(a, json_run(&args, "1"), "same seed, same JSON");
+    assert_eq!(a, json_run(&args, "3"), "3 threads, same JSON");
     let text = a;
     assert!(text.contains("\"algo\":\"mpds\""), "{text}");
     assert!(text.contains("\"score\":\"tau_hat\""), "{text}");
@@ -216,12 +223,9 @@ fn nds_command_runs() {
 #[test]
 fn nds_json_flag() {
     let path = demo_file();
-    let out = cli()
-        .args(["nds", path.as_str(), "--theta", "200", "--json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
+    let args = ["nds", path.as_str(), "--theta", "200"];
+    let text = json_run(&args, "1");
+    assert_eq!(text, json_run(&args, "3"), "3 threads, same JSON");
     assert!(text.contains("\"score\":\"gamma_hat\""), "{text}");
     assert!(text.contains("\"lm\":2"), "{text}");
 }

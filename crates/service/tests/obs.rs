@@ -494,7 +494,7 @@ fn helper_worlds_total(server: &Server) -> f64 {
 
 /// The `/debug/trace/<id>` record of a cold karate MISS on a server with
 /// `threads` workers, and how far it moved `mpds_helper_worlds_total`.
-fn cold_miss_trace(threads: usize) -> (mpds_service::json::JsonValue, f64) {
+fn cold_miss_trace(threads: usize, path: &str) -> (mpds_service::json::JsonValue, f64) {
     let cfg = ServerConfig {
         threads,
         ..ServerConfig::default()
@@ -505,7 +505,7 @@ fn cold_miss_trace(threads: usize) -> (mpds_service::json::JsonValue, f64) {
     std::thread::sleep(Duration::from_millis(50));
     let before = helper_worlds_total(&server);
     std::thread::sleep(Duration::from_millis(50));
-    let q = get(&server, "/query?dataset=karate&theta=320&k=3&seed=41");
+    let q = get(&server, path);
     assert_eq!(q.status, 200, "{}", String::from_utf8_lossy(&q.body));
     assert_eq!(q.x_cache.as_deref(), Some("MISS"));
     let trace = q.trace_id.expect("X-Trace-Id on /query");
@@ -521,21 +521,24 @@ fn a_cold_miss_borrows_the_parked_worker_as_a_helper() {
     let field = |record: &mpds_service::json::JsonValue, key: &str| {
         record.get(key).unwrap().unwrap().as_u64(key).unwrap()
     };
-    let (record, moved) = cold_miss_trace(2);
-    assert_eq!(field(&record, "helpers"), 1, "{record:?}");
-    assert!(moved > 0.0, "the helper solved no world");
-    // Helpers record no spans: the stages still fit in the wall time.
-    let stages = record.get("stages").unwrap().unwrap();
-    let total: u64 = STAGES
-        .iter()
-        .map(|&stage| {
-            let s = stages.get(stage).unwrap().unwrap();
-            s.get("total_us").unwrap().unwrap().as_u64(stage).unwrap()
-        })
-        .sum();
-    assert!(total <= field(&record, "wall_us"), "{record:?}");
+    let mpds = "/query?dataset=karate&theta=320&k=3&seed=41";
+    for path in [mpds, "/query?dataset=karate&algo=nds&theta=320&k=3&seed=41"] {
+        let (record, moved) = cold_miss_trace(2, path);
+        assert_eq!(field(&record, "helpers"), 1, "{path}: {record:?}");
+        assert!(moved > 0.0, "{path}: the helper solved no world");
+        // Helpers record no spans: the stages still fit in the wall time.
+        let stages = record.get("stages").unwrap().unwrap();
+        let total: u64 = STAGES
+            .iter()
+            .map(|&stage| {
+                let s = stages.get(stage).unwrap().unwrap();
+                s.get("total_us").unwrap().unwrap().as_u64(stage).unwrap()
+            })
+            .sum();
+        assert!(total <= field(&record, "wall_us"), "{path}: {record:?}");
+    }
 
-    let (record, moved) = cold_miss_trace(1);
+    let (record, moved) = cold_miss_trace(1, mpds);
     assert_eq!(field(&record, "helpers"), 0, "{record:?}");
     assert_eq!(moved, 0.0);
 }

@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full Algorithm 1 / Algorithm 5
 //! pipelines against exact ground truth on small uncertain graphs, across
-//! density notions, sampling strategies, and execution modes — all driven
+//! density notions, sampling strategies, and helper thread counts — all driven
 //! through the `mpds::api` builder.
 
 use densest::DensityNotion;
-use mpds::api::{Exec, Query, SamplerKind};
+use mpds::api::{Query, SamplerKind};
+use mpds::control::RunControl;
 use mpds::exact::{average_f1_across_ranks, exact_gamma, exact_top_k_mpds};
 use ugraph::{datasets, Pattern, UncertainGraph};
 
@@ -78,23 +79,22 @@ fn all_three_samplers_agree_on_the_mpds() {
 
 #[test]
 fn parallel_execution_agrees_on_the_mpds() {
-    // Exec::Threads draws different (per-worker) world streams but must
-    // converge to the same top-1 as the serial run at this θ.
+    // Helper threads solve worlds of the one stream, so the run is the
+    // one-thread run.
     let g = ba7();
-    let serial = Query::mpds(DensityNotion::Edge)
-        .theta(2500)
-        .k(1)
-        .seed(5)
-        .run(&g)
-        .unwrap();
-    let parallel = Query::mpds(DensityNotion::Edge)
-        .theta(2500)
-        .k(1)
-        .seed(5)
-        .exec(Exec::Threads(4))
-        .run(&g)
-        .unwrap();
-    assert_eq!(serial.top_k[0].0, parallel.top_k[0].0);
+    let runs: Vec<_> = [0, 2]
+        .map(|helpers| {
+            Query::mpds(DensityNotion::Edge)
+                .theta(2500)
+                .k(1)
+                .seed(5)
+                .control(RunControl::unbounded().with_helpers(helpers))
+                .run(&g)
+                .unwrap()
+        })
+        .into();
+    assert_eq!(runs[0].top_k, runs[1].top_k);
+    assert_eq!(runs[0].stats.empty_worlds, runs[1].stats.empty_worlds);
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! changed.
 
 use densest::DensityNotion;
-use mpds::api::{Exec, Query, RunDetails};
+use mpds::api::{Query, RunDetails};
 use mpds::control::RunControl;
 use ugraph::{datasets, NodeId};
 
@@ -126,25 +126,6 @@ fn karate_seed_52_truncates_one_world_at_the_cap() {
                 (&[23, 29, 32, 33], 3),
                 (&[31, 32, 33], 2),
                 (&[0, 1, 2, 3], 2),
-            ],
-        },
-    );
-}
-
-#[test]
-fn karate_seed_52_two_threads() {
-    check(
-        "seed 52, two threads",
-        cold_exact(52).exec(Exec::Threads(2)),
-        &Golden {
-            len: 23_465,
-            sum: 23_526,
-            fingerprint: 0xf1e7_52bc_e24c_53dc,
-            truncated_worlds: 0,
-            top: &[
-                (&[0, 1, 2, 3, 7, 13], 5),
-                (&[0, 1, 2, 3, 13], 4),
-                (&[0, 1, 2, 13], 3),
             ],
         },
     );

@@ -1,9 +1,10 @@
-//! Lanes never change the answer: a fixed-θ, all-densest MPDS query run
-//! with helper threads ([`RunControl::with_helpers`]) equals the same query
-//! run on the calling thread alone in everything but its wall time — the
-//! top-k, the candidate table, the per-world densest counts in world order,
-//! the truncation and empty-world tallies, the world count and the stop
-//! reason.
+//! Lanes never change the answer: a fixed-θ query run with helper threads
+//! ([`RunControl::with_helpers`]) equals the same query run on the calling
+//! thread alone in everything but its wall time. For all-densest MPDS that
+//! is the top-k, the candidate table, the per-world densest counts in world
+//! order, the truncation and empty-world tallies, the world count and the
+//! stop reason; for NDS the top-k, the transactions in world order, the
+//! empty-world tally, the world count and the stop reason.
 //!
 //! The graphs have 4 to 80 nodes, so both candidate-key forms (packed masks
 //! up to 64 nodes, compact keys past) are exercised, under edge, triangle
@@ -15,7 +16,7 @@
 use densest::DensityNotion;
 use mpds::api::{ApiError, Query, Run, RunDetails};
 use mpds::control::{InterruptReason, RunControl};
-use mpds::{MpdsResult, StopReason};
+use mpds::StopReason;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -48,13 +49,6 @@ fn notion(i: usize) -> DensityNotion {
     }
 }
 
-fn mpds(run: &Run) -> &MpdsResult {
-    match &run.details {
-        RunDetails::Mpds(r) => r,
-        RunDetails::Nds(_) => unreachable!("Query::mpds yields MPDS details"),
-    }
-}
-
 fn lent(helpers: usize) -> RunControl {
     RunControl::unbounded().with_helpers(helpers)
 }
@@ -63,14 +57,22 @@ fn lent(helpers: usize) -> RunControl {
 /// why they stopped.
 fn assert_same_answer(label: &str, got: &Run, want: &Run, same_stop: bool) {
     assert_eq!(got.top_k, want.top_k, "{label}: top-k");
-    let (g, w) = (mpds(got), mpds(want));
-    assert!(g.candidates == w.candidates, "{label}: candidate tables");
-    assert_eq!(
-        g.densest_counts, w.densest_counts,
-        "{label}: densest counts"
-    );
-    assert_eq!(g.truncated, w.truncated, "{label}: truncated");
-    assert_eq!(g.empty_worlds, w.empty_worlds, "{label}: empty worlds");
+    match (&got.details, &want.details) {
+        (RunDetails::Mpds(g), RunDetails::Mpds(w)) => {
+            assert!(g.candidates == w.candidates, "{label}: candidate tables");
+            assert_eq!(
+                g.densest_counts, w.densest_counts,
+                "{label}: densest counts"
+            );
+            assert_eq!(g.truncated, w.truncated, "{label}: truncated");
+            assert_eq!(g.empty_worlds, w.empty_worlds, "{label}: empty worlds");
+        }
+        (RunDetails::Nds(g), RunDetails::Nds(w)) => {
+            assert_eq!(g.transactions, w.transactions, "{label}: transactions");
+            assert_eq!(g.empty_worlds, w.empty_worlds, "{label}: empty worlds");
+        }
+        _ => unreachable!("{label}: both runs come from one query"),
+    }
     let (gs, ws) = (&got.stats, &want.stats);
     assert_eq!(gs.truncated_worlds, ws.truncated_worlds, "{label}");
     assert_eq!(gs.empty_worlds, ws.empty_worlds, "{label}");
@@ -84,7 +86,7 @@ fn assert_same_answer(label: &str, got: &Run, want: &Run, same_stop: bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any helper count gives the 0-helper run.
+    /// Any helper count gives the 0-helper run, MPDS and NDS.
     #[test]
     fn helpers_leave_the_run_unchanged(
         g in arb_uncertain(),
@@ -95,27 +97,34 @@ proptest! {
     ) {
         let (notion_index, heuristic, cap_index) = setting;
         let cap = [1, 7, 100_000][cap_index];
-        let query = Query::mpds(notion(notion_index))
-            .theta(theta)
-            .k(5)
-            .seed(seed)
-            .heuristic(heuristic)
-            .enumeration_cap(cap);
-        let one = query.clone().run(&g).unwrap();
-        prop_assert_eq!(one.stats.helper_worlds, 0);
-        let lanes = query.control(lent(helpers)).run(&g).unwrap();
-        assert_same_answer(&format!("{helpers} helpers"), &lanes, &one, true);
+        let mpds = Query::mpds(notion(notion_index)).enumeration_cap(cap);
+        let nds = Query::nds(notion(notion_index)).min_size(2);
+        for (name, query) in [("mpds", mpds), ("nds", nds)] {
+            let query = query.theta(theta).k(5).seed(seed).heuristic(heuristic);
+            let one = query.clone().run(&g).unwrap();
+            prop_assert_eq!(one.stats.helper_worlds, 0);
+            let lanes = query.control(lent(helpers)).run(&g).unwrap();
+            assert_same_answer(&format!("{name}, {helpers} helpers"), &lanes, &one, true);
+        }
     }
 }
 
 #[test]
 fn a_budgeted_run_with_helpers_is_the_fixed_theta_run_it_reached() {
     let karate = datasets::karate_club().graph;
-    for helpers in [1, 3] {
+    let queries = [
+        ("mpds", Query::mpds(DensityNotion::Edge)),
+        ("nds", Query::nds(DensityNotion::Edge)),
+        (
+            "nds heuristic",
+            Query::nds(DensityNotion::Edge).heuristic(true),
+        ),
+    ];
+    for ((name, query), helpers) in queries.into_iter().flat_map(|q| [(q.clone(), 1), (q, 3)]) {
         let budget = RunControl::unbounded()
             .with_helpers(helpers)
             .with_budget(Instant::now() + Duration::from_millis(25));
-        let query = Query::mpds(DensityNotion::Edge).k(3).seed(11);
+        let query = query.k(3).seed(11);
         let budgeted = query
             .clone()
             .theta(5_000)
@@ -132,7 +141,7 @@ fn a_budgeted_run_with_helpers_is_the_fixed_theta_run_it_reached() {
         assert_eq!(budgeted.stats.stop_reason, want);
         let fixed = query.theta(reached).run(&karate).unwrap();
         assert_same_answer(
-            &format!("budget, {helpers} helpers"),
+            &format!("{name}, budget, {helpers} helpers"),
             &budgeted,
             &fixed,
             false,
@@ -143,22 +152,28 @@ fn a_budgeted_run_with_helpers_is_the_fixed_theta_run_it_reached() {
 #[test]
 fn an_interrupted_run_with_helpers_fails_as_one_lane_does() {
     let karate = datasets::karate_club().graph;
-    let query = Query::mpds(DensityNotion::Edge).theta(64).seed(3);
-    let past = RunControl::unbounded()
-        .with_helpers(3)
-        .with_deadline(Instant::now() - Duration::from_millis(1));
-    match query.clone().control(past).run(&karate) {
-        Err(ApiError::Interrupted(i)) => {
-            assert_eq!(i.reason, InterruptReason::DeadlineExceeded);
-            assert_eq!(i.completed_worlds, 0);
+    for query in [
+        Query::mpds(DensityNotion::Edge),
+        Query::nds(DensityNotion::Edge),
+        Query::nds(DensityNotion::Edge).heuristic(true),
+    ] {
+        let query = query.theta(64).seed(3);
+        let past = RunControl::unbounded()
+            .with_helpers(3)
+            .with_deadline(Instant::now() - Duration::from_millis(1));
+        match query.clone().control(past).run(&karate) {
+            Err(ApiError::Interrupted(i)) => {
+                assert_eq!(i.reason, InterruptReason::DeadlineExceeded);
+                assert_eq!(i.completed_worlds, 0);
+            }
+            other => panic!("expected a deadline interruption, got {other:?}"),
         }
-        other => panic!("expected a deadline interruption, got {other:?}"),
-    }
-    let cancelled = RunControl::unbounded()
-        .with_helpers(2)
-        .with_cancel_flag(Arc::new(AtomicBool::new(true)));
-    match query.control(cancelled).run(&karate) {
-        Err(ApiError::Interrupted(i)) => assert_eq!(i.reason, InterruptReason::Cancelled),
-        other => panic!("expected a cancellation, got {other:?}"),
+        let cancelled = RunControl::unbounded()
+            .with_helpers(2)
+            .with_cancel_flag(Arc::new(AtomicBool::new(true)));
+        match query.control(cancelled).run(&karate) {
+            Err(ApiError::Interrupted(i)) => assert_eq!(i.reason, InterruptReason::Cancelled),
+            other => panic!("expected a cancellation, got {other:?}"),
+        }
     }
 }

@@ -4,9 +4,6 @@
 //! * `.run()` at seed `s` is bit-identical to `.run_with_sampler` over an
 //!   externally-constructed sampler seeded with `s` — the contract the
 //!   legacy wrappers used to witness;
-//! * `Exec::Threads(n)` is bit-identical to composing the per-worker
-//!   sub-streams by hand (worker `w` draws from sub-stream `w`, partial
-//!   results merged in worker order);
 //! * a single-member [`mpds::QuerySet`] is bit-identical to the equivalent
 //!   standalone [`Query`] run, for MPDS and NDS under all three samplers;
 //! * recorded-baseline values (bit-exact `f64`s captured from the legacy
@@ -16,7 +13,8 @@
 //!   sorted id vectors beyond) give the same answers on the same worlds.
 
 use densest::DensityNotion;
-use mpds::api::{Exec, Query, Run, RunDetails, SamplerKind};
+use mpds::api::{Query, Run, RunDetails, SamplerKind};
+use mpds::control::RunControl;
 use mpds::{MpdsResult, NdsResult, QuerySet, Stop, StopReason};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -91,60 +89,6 @@ proptest! {
         prop_assert_eq!(details.truncated, external.truncated);
     }
 
-    /// Threaded MPDS: `Exec::Threads(n)` ≡ composing the per-worker MC
-    /// sub-streams by hand — worker `w` samples its quota from sub-stream
-    /// `w`, candidate counts summed and densest counts concatenated in
-    /// worker order, ranks re-derivable from the merged table.
-    #[test]
-    fn threads_mpds_equals_composed_worker_streams(
-        ug in arb_uncertain(),
-        seed in 0u64..512,
-        theta in 3usize..40,
-        workers in 1usize..4,
-    ) {
-        prop_assume!(theta >= workers);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_candidates: HashMap<NodeSet, u32> = HashMap::new();
-        let mut expected_counts: Vec<usize> = Vec::new();
-        let mut expected_empty = 0usize;
-        for w in 0..workers {
-            // theta >= workers, so every quota is at least 1.
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&ug, seed, w as u64);
-            let r = mpds_details(
-                Query::mpds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(3)
-                    .run_with_sampler(&ug, &mut mc)
-                    .unwrap()
-                    .details,
-            );
-            for (set, count) in r.candidates.iter() {
-                *expected_candidates.entry(set).or_insert(0) += count;
-            }
-            expected_counts.extend(r.densest_counts);
-            expected_empty += r.empty_worlds;
-        }
-        let run = Query::mpds(DensityNotion::Edge)
-            .theta(theta)
-            .k(3)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&ug)
-            .unwrap();
-        // Every ranked entry's tau must be the merged count over theta.
-        for (set, tau) in &run.top_k {
-            let count = *expected_candidates.get(set).unwrap_or(&0);
-            prop_assert_eq!(*tau, count as f64 / theta as f64);
-        }
-        let details = mpds_details(run.details);
-        let merged: HashMap<NodeSet, u32> = details.candidates.iter().collect();
-        prop_assert_eq!(merged, expected_candidates);
-        prop_assert_eq!(details.densest_counts, expected_counts);
-        prop_assert_eq!(details.empty_worlds, expected_empty);
-    }
-
     /// Serial NDS: `.run()` at seed `s` ≡ `.run_with_sampler` over an
     /// equally-seeded MC sampler.
     #[test]
@@ -165,56 +109,6 @@ proptest! {
         let details = nds_details(run.details);
         prop_assert_eq!(details.transactions, external.transactions);
         prop_assert_eq!(details.empty_worlds, external.empty_worlds);
-    }
-
-    /// Threaded NDS: worker `w` must behave exactly like a serial run over
-    /// MC sub-stream `w` with its quota, transactions concatenated in worker
-    /// order and mined once.
-    #[test]
-    fn threads_nds_equals_composed_worker_streams(
-        ug in arb_uncertain(),
-        seed in 0u64..512,
-        theta in 3usize..40,
-        workers in 1usize..4,
-    ) {
-        prop_assume!(theta >= workers);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_transactions: Vec<NodeSet> = Vec::new();
-        let mut expected_empty = 0usize;
-        for w in 0..workers {
-            // theta >= workers, so every quota is at least 1.
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&ug, seed, w as u64);
-            let r = nds_details(
-                Query::nds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(4)
-                    .min_size(2)
-                    .run_with_sampler(&ug, &mut mc)
-                    .unwrap()
-                    .details,
-            );
-            expected_transactions.extend(r.transactions);
-            expected_empty += r.empty_worlds;
-        }
-        let (mined, _) = itemset::top_k_closed(&expected_transactions, 4, 2, 5_000_000);
-        let expected_top_k: Vec<(NodeSet, f64)> = mined
-            .into_iter()
-            .map(|c| (c.items, c.support as f64 / theta as f64))
-            .collect();
-        let run = Query::nds(DensityNotion::Edge)
-            .theta(theta)
-            .k(4)
-            .min_size(2)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&ug)
-            .unwrap();
-        prop_assert_eq!(&run.top_k, &expected_top_k);
-        let details = nds_details(run.details);
-        prop_assert_eq!(details.transactions, expected_transactions);
-        prop_assert_eq!(details.empty_worlds, expected_empty);
     }
 
     /// The anytime contract, MPDS side: a `Stop::Stable` run that stops
@@ -505,7 +399,8 @@ fn observe(run: Run, offset: u32) -> Observed {
 /// The packed-mask key path (≤ 64 nodes) and the sorted-set key path
 /// (> 64 nodes) agree: padding a graph past 64 nodes with isolated nodes
 /// changes no world, so it must change no answer — exact and heuristic,
-/// all-densest and the one-densest ablation, serial and threaded. The
+/// all-densest and the one-densest ablation, with 0 and 2 helper threads
+/// (which change no answer either). The
 /// 5-edge perfect matching under `enumeration_cap(5)` truncates every
 /// world with 3 or more edges, pinning that the cap keeps the same prefix
 /// of each family under both key forms.
@@ -532,7 +427,8 @@ fn packed_and_sorted_set_keys_agree_past_64_nodes() {
     for (name, g, cap, theta) in cases {
         for heuristic in [false, true] {
             for all in [true, false] {
-                for exec in [Exec::Serial, Exec::Threads(2)] {
+                let mut alone = None;
+                for helpers in [0, 2] {
                     let query = || {
                         Query::mpds(DensityNotion::Edge)
                             .theta(theta)
@@ -541,19 +437,15 @@ fn packed_and_sorted_set_keys_agree_past_64_nodes() {
                             .heuristic(heuristic)
                             .all_densest(all)
                             .enumeration_cap(cap)
-                            .exec(exec)
+                            .control(RunControl::unbounded().with_helpers(helpers))
                     };
-                    let label = format!("{name} heuristic={heuristic} all={all} {exec:?}");
-                    let plain = match query().run(g) {
-                        Ok(run) => run,
-                        Err(e) => {
-                            // The ablation is serial-only on every graph.
-                            assert!(!all && exec != Exec::Serial, "{label}: {e}");
-                            assert!(query().run(&padded(g, 64, false)).is_err(), "{label}");
-                            continue;
-                        }
-                    };
-                    let plain = observe(plain, 0);
+                    let label = format!("{name} heuristic={heuristic} all={all} helpers={helpers}");
+                    let plain = observe(query().run(g).unwrap(), 0);
+                    assert_eq!(
+                        &plain,
+                        alone.get_or_insert_with(|| plain.clone()),
+                        "{label}"
+                    );
                     truncating_worlds += plain.4;
                     for shift in [false, true] {
                         let big = padded(g, 64, shift);
