@@ -1,4 +1,4 @@
-//! Core-pruning ablation (DESIGN.md §5.5): the `(⌈ρ̃⌉, ·)`-core reduction of
+//! Core-pruning ablation: the `(⌈ρ̃⌉, ·)`-core reduction of
 //! paper Line 2 vs running the flow machinery on the whole world; and the
 //! greedy peeling that both the reduction and the §III-C heuristic start
 //! from, timed alone and inside the heuristic over 32 pre-sampled worlds of

@@ -2,7 +2,7 @@
 //! Zachary's karate club at θ = 64, k = 3, edge density, over a fixed set of
 //! query seeds, with no server in the way.
 //!
-//! Three timings split a query three ways:
+//! Four timings split a query:
 //!
 //! * `query` times whole queries: sampling, the exact solve and enumeration
 //!   of every world's densest subgraphs, the candidate tally, and ranking.

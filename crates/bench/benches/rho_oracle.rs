@@ -1,4 +1,4 @@
-//! ρ\* oracle ablation (DESIGN.md §5.2): exact Dinkelbach flow iteration vs
+//! ρ\* oracle ablation: exact Dinkelbach flow iteration vs
 //! the Frank–Wolfe/kclist++ iterative solver of \[57\].
 
 use criterion::{criterion_group, criterion_main, Criterion};

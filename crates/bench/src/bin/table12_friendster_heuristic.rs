@@ -1,6 +1,6 @@
 //! Paper Table XII: approximate vs heuristic Edge-NDS on the largest dataset
-//! (Friendster-like, scaled; see DESIGN.md §4) — containment probability and
-//! running time.
+//! (Friendster-like, scaled; see `ugraph::datasets::friendster_like`) —
+//! containment probability and running time.
 
 use densest::DensityNotion;
 use mpds_bench::{default_theta, fmt, fmt_secs, setup, Table};

@@ -3,8 +3,8 @@
 //! edge, 3-clique, and diamond densities.
 //!
 //! Note: ER9 uses m = 22 instead of the paper's m = 30 so the exact sweep
-//! stays laptop-feasible (DESIGN.md §4); the orders-of-magnitude gap the
-//! paper reports is preserved.
+//! stays laptop-feasible (see `ugraph::datasets::synthetic_accuracy_graph`);
+//! the orders-of-magnitude gap the paper reports is preserved.
 
 use densest::DensityNotion;
 use mpds::exact::exact_top_k_mpds;

@@ -1,7 +1,7 @@
 //! Shared experiment harness for the per-table / per-figure binaries.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper's §VI
-//! (see DESIGN.md §3 for the full index) and prints a markdown table with
+//! (README.md, "Workspace map", lists the crates) and prints a markdown table with
 //! the measured values next to the paper's reported ones where applicable.
 
 pub mod legacy;

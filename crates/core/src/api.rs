@@ -61,7 +61,7 @@
 pub mod queryset;
 
 use crate::control::{InterruptReason, Interrupted, RunControl};
-use crate::estimate::{densest_count_stats, CandidateTable, LaneTally, MpdsResult, Tally};
+use crate::estimate::{densest_count_stats, CandidateTable, MpdsResult};
 use crate::nds::NdsResult;
 use densest::{
     for_each_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
@@ -1068,8 +1068,9 @@ impl Query {
     }
 
     /// Solves the worlds in lanes ([`Query::lanes`]) and finishes the
-    /// estimate. MPDS lanes credit one shared table ([`LaneTally`]) and
-    /// leave each world's densest count at its index; NDS lanes leave each
+    /// estimate. Each MPDS lane credits a table of its own, added to the
+    /// run's table when the lane finishes, and leaves each world's densest
+    /// count at its index; NDS lanes leave each
     /// world's max-sized densest set there, and the miner reads them in
     /// world order. So the run equals the one-lane run in everything but
     /// its wall time; with no helpers it is the one-lane run. A run of θ
@@ -1079,29 +1080,32 @@ impl Query {
         let (mut run, helper_worlds) = match self.kind {
             Kind::Mpds => {
                 let mut acc = MpdsAccum::new(self, g.num_nodes());
-                let shared = Mutex::new(acc.candidates.for_lane());
-                let truncated_worlds = AtomicUsize::new(0);
                 // Lanes are made here, so their buffers come from this thread.
-                let tallies = (0..lanes).map(|_| LaneTally::new(&shared)).collect();
+                let tables = (0..lanes).map(|_| acc.candidates.for_lane()).collect();
+                let shared = Mutex::new(acc.candidates);
+                let truncated_worlds = AtomicUsize::new(0);
                 let solved = self.lanes(
                     g,
-                    tallies,
-                    |tally, world| {
-                        let (count, truncated) = credit_all(tally, world, self);
+                    tables,
+                    |table, world| {
+                        let (count, truncated) = credit_all(table, world, self);
                         if truncated {
                             truncated_worlds.fetch_add(1, Ordering::Relaxed);
                         }
                         count
                     },
-                    LaneTally::finish,
+                    |table| {
+                        shared
+                            .lock()
+                            .expect("a lane panicked while merging")
+                            .merge(table)
+                    },
                 )?;
                 acc.empty_worlds = solved.slots.iter().filter(|&&count| count == 0).count();
                 acc.densest_counts = solved.slots;
                 acc.truncated_worlds = truncated_worlds.into_inner();
                 acc.truncated = acc.truncated_worlds > 0;
-                acc.candidates = shared
-                    .into_inner()
-                    .expect("a lane panicked while crediting");
+                acc.candidates = shared.into_inner().expect("a lane panicked while merging");
                 (
                     self.finish_mpds(acc, solved.outcome, started),
                     solved.helper_worlds,
@@ -1112,7 +1116,7 @@ impl Query {
                     g,
                     vec![(); lanes],
                     |_, world| max_sized(world, self),
-                    |_| {},
+                    |()| {},
                 )?;
                 let empty_worlds = solved.slots.iter().filter(|set| set.is_none()).count();
                 let acc = NdsAccum {
@@ -1140,7 +1144,7 @@ impl Query {
         g: &UncertainGraph,
         lanes: Vec<L>,
         solve: impl Fn(&mut L, &Graph) -> T + Sync,
-        finish: impl Fn(&mut L) + Sync,
+        finish: impl Fn(L) + Sync,
     ) -> Result<Solved<T>, ApiError> {
         self.progress_sink().begin(self.theta);
         let claims = Mutex::new(Claims {
@@ -1153,16 +1157,16 @@ impl Query {
         });
         let (solve, finish) = (&solve, &finish);
         let mut lanes = lanes.into_iter();
-        let mut own = lanes.next().expect("the calling thread's lane");
+        let own = lanes.next().expect("the calling thread's lane");
         let helper_worlds: usize = std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
-                .map(|mut lane| {
+                .map(|lane| {
                     let claims = &claims;
-                    scope.spawn(move || self.lane(g, claims, &mut lane, None, solve, finish))
+                    scope.spawn(move || self.lane(g, claims, lane, None, solve, finish))
                 })
                 .collect();
             let rec = self.control.recorder();
-            self.lane(g, &claims, &mut own, rec, solve, finish);
+            self.lane(g, &claims, own, rec, solve, finish);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("estimator lane panicked"))
@@ -1205,10 +1209,10 @@ impl Query {
         &self,
         g: &UncertainGraph,
         claims: &Mutex<Claims<T>>,
-        lane: &mut L,
+        mut lane: L,
         rec: Option<&Recorder>,
         solve: &impl Fn(&mut L, &Graph) -> T,
-        finish: &impl Fn(&mut L),
+        finish: &impl Fn(L),
     ) -> usize {
         let progress = self.progress_sink();
         let mut mask = EdgeMask::new(g.num_edges());
@@ -1233,7 +1237,7 @@ impl Query {
                 index
             };
             let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-            solved = Some((index, solve(lane, &world)));
+            solved = Some((index, solve(&mut lane, &world)));
             worlds += 1;
             progress.world_done();
         }
@@ -1246,13 +1250,14 @@ impl Query {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
-        acc.candidates.fold();
-        let top_k: Vec<(NodeSet, f64)> = acc
-            .candidates
-            .top_k(self.k)
-            .into_iter()
-            .map(|(set, c)| (set, c as f64 / worlds as f64))
-            .collect();
+        let top_k: Vec<(NodeSet, f64)> = {
+            let _span = self.control.recorder().map(|r| r.span(Stage::RankSelect));
+            acc.candidates.resolve();
+            acc.candidates.top_k(self.k)
+        }
+        .into_iter()
+        .map(|(set, c)| (set, c as f64 / worlds as f64))
+        .collect();
         let summary = if acc.densest_counts.is_empty() {
             None
         } else {
@@ -1400,20 +1405,20 @@ struct Solved<T> {
     helper_worlds: usize,
 }
 
-/// Credits every densest set of `world` to `tally` (every dense set the
+/// Credits every densest set of `world` to `table` (every dense set the
 /// §III-C heuristic finds, in heuristic mode). Returns how many there were
 /// and whether the enumeration stopped at the cap.
-fn credit_all(tally: &mut impl Tally, world: &Graph, q: &Query) -> (usize, bool) {
+fn credit_all(table: &mut CandidateTable, world: &Graph, q: &Query) -> (usize, bool) {
     if q.heuristic {
         let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
         let subgraphs = subgraphs.unwrap_or_default();
         for sg in &subgraphs {
-            tally.credit_nodes(sg);
+            table.credit_nodes(sg);
         }
         return (subgraphs.len(), false);
     }
     match for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
-        tally.credit_mask(mask)
+        table.credit_mask(mask)
     }) {
         Some(f) => (f.count, f.truncated),
         None => (0, false),

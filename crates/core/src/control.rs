@@ -115,9 +115,12 @@ impl RunControl {
     /// fixed-θ [`crate::api::Query`] — NDS, or MPDS crediting all densest
     /// sets — then solves its worlds in *lanes*: the calling thread and the
     /// helpers claim world indices in order and draw each world from the
-    /// query's one sampler under the claim, so the answer, the per-world
-    /// results and the budget and interruption semantics are those of one
-    /// lane; only the wall time changes. A run of θ worlds uses at most
+    /// query's one sampler under the claim. Each MPDS lane credits a
+    /// candidate table of its own and adds it to the run's table, the
+    /// smaller into the larger, when claiming stops; the run's table is then
+    /// ranked on the calling thread. So the answer, the per-world results
+    /// and the budget and interruption semantics are those of one lane;
+    /// only the wall time changes. A run of θ worlds uses at most
     /// θ − 1 helpers. Runs that keep one ordered lane ignore it:
     /// [`crate::api::Stop::Stable`], the one-densest ablation,
     /// [`crate::api::Query::run_with_sampler`],

@@ -12,7 +12,6 @@
 use densest::DensityNotion;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Mutex;
 use ugraph::bitset::ones_in;
 use ugraph::{nodeset, NodeId, NodeSet};
 
@@ -87,19 +86,29 @@ impl MpdsResult {
 /// densest subgraph in some sampled world, with the number of such worlds.
 ///
 /// On graphs of at most 64 nodes a set is a packed `u64` node mask (bit `v`
-/// = node `v`). Credits are appended, unsorted, to a pending list; a *fold*
-/// sorts that list, counts its runs of equal masks and merges them into one
-/// run of `(mask, count)` pairs sorted by mask, in place, moving each run
-/// entry at most once. A fold happens when the pending list outgrows the run
-/// (or 65,536 masks, whichever is larger), so memory stays bounded by a
-/// small multiple of the distinct sets, and whenever the run is read: at the
-/// end of a run and before each [`crate::api::Stop::Stable`] check. A fold
-/// into an empty run compacts the sorted credits in place and keeps their
-/// buffer as the run. The lanes of one run (see
-/// [`crate::control::RunControl::with_helpers`]) keep only their pending
-/// credits apart and fold them into one shared run. Every table a run hands
-/// out is fully folded, and [`CandidateTable::get`] is a binary search in
-/// its run.
+/// = node `v`), and credits pass a *sieve*, because nearly every set a run
+/// credits is credited once. A filter bitmap, one bit per multiplicative
+/// hash of a mask, sends a mask whose bit is unset to an unsorted list of
+/// *singles* (and sets the bit); any other mask, a repeat or a first
+/// sighting whose bit another mask set, goes to an unsorted list of
+/// *repeats*. Once the singles exceed 1/16 of its bits, the filter doubles
+/// and is rebuilt from them. A *fold* sorts only the repeats, counts their
+/// runs of equal masks and merges them, in place, into one counted run of
+/// `(mask, count)` pairs sorted by mask; then it moves every single that the
+/// run holds into it (+1), found through a small bitmap over the run. So
+/// the singles are pairwise distinct, absent from the run and count 1 each,
+/// and every count is exact whatever the filter's collisions. A fold happens
+/// when the repeats reach the number of sets held (or 65,536 masks,
+/// whichever is larger), so memory stays bounded by a small multiple of the
+/// distinct sets, and whenever the table is read: at the end of a run and
+/// before each [`crate::api::Stop::Stable`] check. Each lane of a run (see
+/// [`crate::control::RunControl::with_helpers`]) owns a whole table and,
+/// when it finishes, adds it to the run's table, the smaller into the
+/// larger: the smaller table's singles are credited again through the
+/// larger's filter, its repeats appended and its counted run merged in.
+/// Every table a run hands out is folded and keeps no filter.
+/// [`CandidateTable::get`] is a binary search in the counted run, then, for
+/// a set credited once, a linear scan of the singles.
 ///
 /// Graphs past 64 nodes key a hash map by a compact byte encoding of each
 /// set's sorted ids instead: every id is stored as its gap from the
@@ -149,39 +158,135 @@ enum Keys {
     Sets(Sets),
 }
 
-/// Pending credits below this many are never folded early: small tables
-/// fold once, when read.
+/// Repeats below this many are never folded early: small tables fold once,
+/// when read.
 const FOLD_FLOOR: usize = 1 << 16;
+
+/// Words (of 64 bits) in a packed table's first filter.
+const FILTER_WORDS: usize = 1 << 12;
 
 /// Entries the packed buffers of [`CandidateTable::for_lane`] start with.
 const LANE_RESERVE: usize = 1 << 10;
 
-/// Packed masks as a sorted run plus unsorted pending credits.
+/// Packed masks as a counted run, masks credited once, and repeats not yet
+/// counted (see [`CandidateTable`]).
 #[derive(Debug, Clone, Default)]
 struct Packed {
-    /// Distinct folded masks, ascending.
+    /// Counted masks, ascending.
     masks: Vec<u64>,
     /// `counts[i]` is the number of credits of `masks[i]`.
     counts: Vec<u32>,
-    /// Credits not yet folded, in arrival order.
-    pending: Vec<u64>,
+    /// Masks credited once, pairwise distinct, in no particular order.
+    singles: Vec<u64>,
+    /// How many leading singles are known to be absent from the run.
+    settled: usize,
+    /// Credits whose filter bit was set, in arrival order.
+    repeats: Vec<u64>,
+    /// The bit of every single is set. Allocated by the first credit (or
+    /// [`CandidateTable::for_lane`]), freed once the table is handed out.
+    filter: Bitmap,
+}
+
+/// A bitmap of a power-of-two number of words, one bit per multiplicative
+/// hash of a mask.
+#[derive(Debug, Clone, Default)]
+struct Bitmap(Vec<u64>);
+
+impl Bitmap {
+    fn new(words: usize) -> Self {
+        Bitmap(vec![0; words])
+    }
+
+    /// The word and bit of `mask`.
+    fn at(&self, mask: u64) -> (usize, u64) {
+        let shift = 64 - (self.0.len() * 64).trailing_zeros();
+        let bit = mask.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift;
+        (bit as usize / 64, 1 << (bit % 64))
+    }
+
+    /// Sets the bit of `mask`; returns whether it was unset.
+    fn insert(&mut self, mask: u64) -> bool {
+        let (word, bit) = self.at(mask);
+        let unset = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        unset
+    }
+
+    fn contains(&self, mask: u64) -> bool {
+        let (word, bit) = self.at(mask);
+        self.0[word] & bit != 0
+    }
 }
 
 impl Packed {
     fn credit(&mut self, mask: u64) {
-        self.pending.push(mask);
-        if self.pending.len() >= self.masks.len().max(FOLD_FLOOR) {
-            self.fold();
+        if self.filter.0.is_empty() {
+            self.filter = Bitmap::new(FILTER_WORDS);
+        }
+        if self.filter.insert(mask) {
+            self.singles.push(mask);
+            if self.singles.len() > self.filter.0.len() * 4 {
+                // Past 1/16 of the bits: double the filter in place.
+                let words = 2 * self.filter.0.len();
+                self.filter.0.clear();
+                self.filter.0.resize(words, 0);
+                for &single in &self.singles {
+                    self.filter.insert(single);
+                }
+            }
+        } else {
+            self.repeats.push(mask);
+            if self.repeats.len() >= (self.masks.len() + self.singles.len()).max(FOLD_FLOOR) {
+                self.fold();
+            }
         }
     }
 
-    /// Sorts the pending credits and merges their per-mask counts into the
-    /// run.
+    /// Counts the repeats into the run, then moves every unsettled single
+    /// that the run holds into it, found through a bitmap of at least 32
+    /// bits per run mask, so the table can be read. A fold after new repeats
+    /// scans every single, so repeats wait until they reach the sets held,
+    /// not only the run.
     fn fold(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_unstable();
-        self.add_sorted(&mut pending);
-        self.pending = pending;
+        if !self.repeats.is_empty() {
+            let mut repeats = std::mem::take(&mut self.repeats);
+            repeats.sort_unstable();
+            self.add_sorted(&mut repeats);
+            self.repeats = repeats;
+            self.settled = 0;
+        }
+        if self.settled == self.singles.len() {
+            return;
+        }
+        let mut held = Bitmap::new((self.masks.len() / 2).next_power_of_two());
+        for &mask in &self.masks {
+            held.insert(mask);
+        }
+        let mut i = self.settled;
+        while let Some(&mask) = self.singles.get(i) {
+            match held.contains(mask).then(|| self.masks.binary_search(&mask)) {
+                Some(Ok(j)) => {
+                    self.counts[j] += 1;
+                    self.singles.swap_remove(i);
+                }
+                _ => i += 1,
+            }
+        }
+        self.settled = i;
+    }
+
+    /// Adds another table's credits to this one: its run is merged into
+    /// this run, its repeats appended and its singles credited again
+    /// through this table's filter.
+    fn add(&mut self, other: Packed) {
+        if !other.masks.is_empty() {
+            self.absorb(other.entries());
+            self.settled = 0;
+        }
+        self.repeats.extend_from_slice(&other.repeats);
+        for &mask in &other.singles {
+            self.credit(mask);
+        }
     }
 
     /// Adds the ascending credits `sorted` to the run and leaves `sorted`
@@ -256,15 +361,15 @@ impl Packed {
     }
 
     /// The folded `(mask, count)` run, ascending by mask.
-    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    fn entries(&self) -> impl DoubleEndedIterator<Item = (u64, u32)> + Clone + '_ {
         self.masks.iter().copied().zip(self.counts.iter().copied())
     }
 
-    /// The folded run, for reading; a table with pending credits has not
-    /// been handed out yet.
+    /// The folded table, for reading; a table with credits still to fold
+    /// has not been handed out yet.
     fn folded(&self) -> &Self {
         assert!(
-            self.pending.is_empty(),
+            self.repeats.is_empty() && self.settled == self.singles.len(),
             "candidate table read before its fold"
         );
         self
@@ -381,37 +486,39 @@ impl CandidateTable {
         CandidateTable { keys }
     }
 
-    /// An empty table with the same key form.
-    pub(crate) fn empty_like(&self) -> Self {
+    /// An empty table of the same key form whose packed buffers the calling
+    /// thread allocates, for a lane of a run: a lane's credits grow these
+    /// buffers by reallocation, which keeps a block in the allocator arena
+    /// it came from, so a helper thread's credits never make its own arena
+    /// hold a second tally.
+    pub(crate) fn for_lane(&self) -> Self {
         let keys = match self.keys {
-            Keys::Packed(_) => Keys::Packed(Packed::default()),
+            Keys::Packed(_) => {
+                let mut p = Packed {
+                    filter: Bitmap::new(FILTER_WORDS),
+                    ..Packed::default()
+                };
+                // A fold hands the repeats' buffer to an empty run and takes
+                // the run's old one for the next repeats, so all four start
+                // out allocated.
+                for buf in [&mut p.masks, &mut p.singles, &mut p.repeats] {
+                    buf.reserve(LANE_RESERVE);
+                }
+                p.counts.reserve(LANE_RESERVE);
+                Keys::Packed(p)
+            }
             Keys::Sets(_) => Keys::Sets(Sets::default()),
         };
         CandidateTable { keys }
     }
 
-    /// An empty table whose packed buffers the calling thread allocates,
-    /// for the lanes of a run: a lane's credits grow these buffers by
-    /// reallocation, which keeps a block in the allocator arena it came
-    /// from, so a helper thread's credits never make its own arena hold a
-    /// second tally.
-    pub(crate) fn for_lane(&self) -> Self {
-        let mut table = self.empty_like();
-        if let Keys::Packed(p) = &mut table.keys {
-            // A fold hands the pending buffer to the run and takes the run's
-            // old one as the next pending buffer, so all three start out
-            // allocated.
-            p.pending.reserve(LANE_RESERVE);
-            p.masks.reserve(LANE_RESERVE);
-            p.counts.reserve(LANE_RESERVE);
-        }
-        table
-    }
-
     /// Number of distinct candidate sets.
     pub fn len(&self) -> usize {
         match &self.keys {
-            Keys::Packed(p) => p.folded().masks.len(),
+            Keys::Packed(p) => {
+                let p = p.folded();
+                p.masks.len() + p.singles.len()
+            }
             Keys::Sets(m) => m.counts.len(),
         }
     }
@@ -422,7 +529,8 @@ impl CandidateTable {
     }
 
     /// The count of one node set (ids in any order, repeats allowed), or
-    /// `None` if it never was a densest subgraph.
+    /// `None` if it never was a densest subgraph. On a graph of at most 64
+    /// nodes, a set credited once is found by a linear scan.
     pub fn get(&self, nodes: &[NodeId]) -> Option<u32> {
         match &self.keys {
             Keys::Packed(p) => {
@@ -431,8 +539,10 @@ impl CandidateTable {
                     mask |= 1u64.checked_shl(v)?;
                 }
                 let p = p.folded();
-                let i = p.masks.binary_search(&mask).ok()?;
-                Some(p.counts[i])
+                match p.masks.binary_search(&mask) {
+                    Ok(i) => Some(p.counts[i]),
+                    Err(_) => p.singles.contains(&mask).then_some(1),
+                }
             }
             Keys::Sets(m) => {
                 let mut key = Vec::new();
@@ -449,7 +559,11 @@ impl CandidateTable {
     /// Every `(sorted node set, count)` entry, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
         let entries: Box<dyn Iterator<Item = (NodeSet, u32)> + '_> = match &self.keys {
-            Keys::Packed(p) => Box::new(p.folded().entries().map(|(k, c)| (mask_nodes(k), c))),
+            Keys::Packed(p) => {
+                let p = p.folded();
+                let singles = p.singles.iter().map(|&k| (k, 1));
+                Box::new(p.entries().chain(singles).map(|(k, c)| (mask_nodes(k), c)))
+            }
             Keys::Sets(m) => Box::new(m.counts.iter().map(|(k, &c)| (decode(k).collect(), c))),
         };
         entries
@@ -457,18 +571,22 @@ impl CandidateTable {
 
     /// The `k` highest-ranked entries in ranking order (see the type docs):
     /// one pass through a bounded heap, `O(len · log k)`, never a sort of
-    /// the whole table.
+    /// the whole table. On a graph of at most 64 nodes the pass reads the
+    /// sets credited once only while the `k`-th count so far is at most 1.
     pub fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
         match &self.keys {
-            Keys::Packed(p) => smallest_k(
-                p.folded()
-                    .entries()
-                    .map(|(key, c)| (Reverse(c), packed_rank(key), key)),
-                k,
-            )
-            .into_iter()
-            .map(|(Reverse(c), _, key)| (mask_nodes(key), c))
-            .collect(),
+            Keys::Packed(p) => {
+                let p = p.folded();
+                let rank = |(key, c): (u64, u32)| (Reverse(c), packed_rank(key), key);
+                let mut best = smallest_k(p.entries().map(rank), k);
+                if best.len() < k || best.last().is_some_and(|&(Reverse(c), ..)| c <= 1) {
+                    let singles = p.singles.iter().map(|&key| rank((key, 1)));
+                    best = smallest_k(best.into_iter().chain(singles), k);
+                }
+                best.into_iter()
+                    .map(|(Reverse(c), _, key)| (mask_nodes(key), c))
+                    .collect()
+            }
             Keys::Sets(m) => smallest_k(
                 m.counts.iter().map(|(key, &c)| {
                     // A key's last byte ends its last gap, so its node
@@ -504,119 +622,47 @@ impl CandidateTable {
         }
     }
 
-    /// Folds pending credits into the sorted run, so the table can be read.
+    /// Folds the packed credits (see the type docs), so the table can be
+    /// read; crediting may go on.
     pub(crate) fn fold(&mut self) {
         if let Keys::Packed(p) = &mut self.keys {
             p.fold();
         }
     }
 
-    /// Adds another compact-key table's counts (a lane's map, see
-    /// [`LaneTally`]) to this one.
-    pub(crate) fn merge(&mut self, other: CandidateTable) {
-        let (Keys::Sets(m), Keys::Sets(mut o)) = (&mut self.keys, other.keys) else {
-            unreachable!("only compact-key tables merge");
-        };
-        // Add the smaller map into the larger: a lane's map joins an empty
-        // shared table without a re-hash.
-        if m.counts.len() < o.counts.len() {
-            std::mem::swap(m, &mut o);
-        }
-        for (key, c) in o.counts {
-            *m.counts.entry(key).or_insert(0) += c;
-        }
-    }
-}
-
-/// Where a world's densest sets are credited: a run's own table, or one
-/// lane's share of a table that the lanes of a run build together.
-pub(crate) trait Tally {
-    /// Credits one set given as a packed node mask (the layout of
-    /// [`densest::for_each_densest`]).
-    fn credit_mask(&mut self, mask: &[u64]);
-    /// Credits one set given as sorted ids.
-    fn credit_nodes(&mut self, nodes: &[NodeId]);
-}
-
-impl Tally for CandidateTable {
-    fn credit_mask(&mut self, mask: &[u64]) {
-        CandidateTable::credit_mask(self, mask)
-    }
-
-    fn credit_nodes(&mut self, nodes: &[NodeId]) {
-        CandidateTable::credit_nodes(self, nodes)
-    }
-}
-
-/// One lane's share of the one table that the lanes of a run tally into.
-/// Packed credits wait in the lane; once they reach the shared run's
-/// length (or 65,536), and when the lane finishes, the lane sorts them on
-/// its own thread and adds them to the shared run under its lock. So the
-/// run exists once however many lanes credit it, and each lane's pending
-/// credits are bounded as one table's are. Compact-key credits (past 64
-/// nodes) go to a map of the lane's own, added to the shared table when the
-/// lane finishes.
-pub(crate) struct LaneTally<'a> {
-    shared: &'a Mutex<CandidateTable>,
-    /// The lane's credits: pending masks only, or its own compact-key map.
-    own: CandidateTable,
-    /// The shared run's length after this lane's last flush.
-    run_len: usize,
-}
-
-impl<'a> LaneTally<'a> {
-    /// A lane of `shared`, its buffers allocated by the calling thread
-    /// ([`CandidateTable::for_lane`]).
-    pub(crate) fn new(shared: &'a Mutex<CandidateTable>) -> Self {
-        let own = lock(shared).for_lane();
-        LaneTally {
-            shared,
-            own,
-            run_len: 0,
+    /// Folds the table for good, before a run hands it out: the filter and
+    /// the repeats' buffer are freed.
+    pub(crate) fn resolve(&mut self) {
+        if let Keys::Packed(p) = &mut self.keys {
+            p.fold();
+            p.filter = Bitmap::default();
+            p.repeats = Vec::new();
         }
     }
 
-    /// Adds the lane's pending packed credits to the shared run.
-    fn flush(&mut self) {
-        let Keys::Packed(p) = &mut self.own.keys else {
-            return;
-        };
-        p.pending.sort_unstable();
-        let mut shared = lock(self.shared);
-        let Keys::Packed(run) = &mut shared.keys else {
-            unreachable!("tables of one graph share their key form");
-        };
-        run.add_sorted(&mut p.pending);
-        self.run_len = run.masks.len();
-    }
-
-    /// Adds everything this lane credited to the shared table.
-    pub(crate) fn finish(&mut self) {
-        if let Keys::Sets(_) = self.own.keys {
-            let empty = self.own.empty_like();
-            let own = std::mem::replace(&mut self.own, empty);
-            lock(self.shared).merge(own);
+    /// Adds another table's counts (a lane's, see
+    /// [`crate::control::RunControl::with_helpers`]) to this one, the
+    /// smaller into the larger.
+    pub(crate) fn merge(&mut self, mut other: CandidateTable) {
+        if self.size() < other.size() {
+            std::mem::swap(self, &mut other);
         }
-        self.flush();
-    }
-}
-
-impl Tally for LaneTally<'_> {
-    fn credit_mask(&mut self, mask: &[u64]) {
-        let Keys::Packed(p) = &mut self.own.keys else {
-            return self.own.credit_mask(mask);
-        };
-        debug_assert!(mask[1..].iter().all(|&w| w == 0));
-        p.pending.push(mask[0]);
-        if p.pending.len() >= self.run_len.max(FOLD_FLOOR) {
-            self.flush();
+        match (&mut self.keys, other.keys) {
+            (Keys::Packed(p), Keys::Packed(o)) => p.add(o),
+            (Keys::Sets(m), Keys::Sets(o)) => {
+                for (key, c) in o.counts {
+                    *m.counts.entry(key).or_insert(0) += c;
+                }
+            }
+            _ => unreachable!("tables of one graph share their key form"),
         }
     }
 
-    fn credit_nodes(&mut self, nodes: &[NodeId]) {
-        match self.own.keys {
-            Keys::Packed(_) => self.credit_mask(&[packed_mask(nodes)]),
-            Keys::Sets(_) => self.own.credit_nodes(nodes),
+    /// Entries held, whether folded or not.
+    fn size(&self) -> usize {
+        match &self.keys {
+            Keys::Packed(p) => p.masks.len() + p.singles.len() + p.repeats.len(),
+            Keys::Sets(m) => m.counts.len(),
         }
     }
 }
@@ -626,22 +672,18 @@ fn packed_mask(nodes: &[NodeId]) -> u64 {
     nodes.iter().fold(0, |acc, &v| acc | 1 << v)
 }
 
-/// Locks the shared table of a run's lanes.
-fn lock(shared: &Mutex<CandidateTable>) -> std::sync::MutexGuard<'_, CandidateTable> {
-    shared
-        .lock()
-        .expect("a lane panicked while adding to the shared table")
-}
-
 impl PartialEq for CandidateTable {
     fn eq(&self, other: &Self) -> bool {
         match (&self.keys, &other.keys) {
-            (Keys::Packed(a), Keys::Packed(b)) => {
-                let (a, b) = (a.folded(), b.folded());
-                a.masks == b.masks && a.counts == b.counts
-            }
             (Keys::Sets(a), Keys::Sets(b)) => a.counts == b.counts,
-            _ => self.len() == other.len() && self.iter().all(|(s, c)| other.get(&s) == Some(c)),
+            _ => {
+                let sorted = |t: &Self| {
+                    let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
+                    all.sort_unstable();
+                    all
+                };
+                sorted(self) == sorted(other)
+            }
         }
     }
 }
@@ -698,6 +740,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sampling::MonteCarlo;
+    use std::collections::BTreeMap;
     use ugraph::UncertainGraph;
 
     /// The paper's Fig. 1 running example (matches Table I's probabilities).
@@ -708,7 +751,11 @@ mod tests {
     /// The ranking order by full sort: count descending, then fewer nodes,
     /// then lexicographic.
     fn sorted_reference(table: &CandidateTable) -> Vec<(NodeSet, u32)> {
-        let mut all: Vec<(NodeSet, u32)> = table.iter().collect();
+        ranked(table.iter().collect())
+    }
+
+    /// `all` in ranking order.
+    fn ranked(mut all: Vec<(NodeSet, u32)>) -> Vec<(NodeSet, u32)> {
         all.sort_by(|a, b| {
             b.1.cmp(&a.1)
                 .then(a.0.len().cmp(&b.0.len()))
@@ -859,9 +906,8 @@ mod tests {
     #[test]
     fn tables_match_a_hash_map_across_several_folds() {
         // More than three floors' worth of credits over a pool larger than
-        // the floor. Folds happen at 65,536 and 131,072 credits, then, once
-        // the run has outgrown the floor, at ≈210,900 on the run's length;
-        // the last ≈51,400 credits are still pending when the loop ends.
+        // the floor: the repeats fold once they reach the ≈104,000 sets
+        // held, and the last ones are still unfolded when the loop ends.
         let stream = mask_stream(7, 4 * FOLD_FLOOR + 123, 120_000);
         let mut reference: HashMap<u64, u32> = HashMap::new();
         for &m in &stream {
@@ -877,7 +923,7 @@ mod tests {
                 t.credit_mask(&[m]);
             }
             if let Keys::Packed(p) = &t.keys {
-                assert!(p.masks.len() > FOLD_FLOOR && !p.pending.is_empty());
+                assert!(!p.masks.is_empty() && !p.repeats.is_empty());
             }
             t.fold();
             assert_eq!(t.len(), reference.len(), "n = {n}");
@@ -910,23 +956,164 @@ mod tests {
             mask_stream(11, 2 * FOLD_FLOOR + 5, 90_000),
             mask_stream(13, FOLD_FLOOR / 2, 90_000),
         );
-        // Only compact-key tables (past 64 nodes) merge.
-        let mut left = CandidateTable::for_graph(65);
-        let mut right = CandidateTable::for_graph(65);
-        let mut both = CandidateTable::for_graph(65);
-        for &m in &a {
-            left.credit_mask(&[m]);
+        for n in [64, 65] {
+            let mut left = CandidateTable::for_graph(n);
+            let mut right = CandidateTable::for_graph(n);
+            let mut both = CandidateTable::for_graph(n);
+            for &m in &a {
+                left.credit_mask(&[m]);
+            }
+            for &m in &b {
+                right.credit_mask(&[m]);
+            }
+            for &m in b.iter().chain(&a) {
+                both.credit_mask(&[m]);
+            }
+            left.merge(right);
+            left.fold();
+            both.fold();
+            assert_eq!(left, both, "n = {n}");
+            assert_eq!(left.len(), both.len(), "n = {n}");
+            assert_eq!(left.top_k(5), both.top_k(5), "n = {n}");
         }
-        for &m in &b {
-            right.credit_mask(&[m]);
+    }
+
+    /// A packed table whose filter starts at one word, so that first
+    /// sightings collide and the filter grows within a few credits.
+    fn tiny_filter_table() -> CandidateTable {
+        CandidateTable {
+            keys: Keys::Packed(Packed {
+                filter: Bitmap::new(1),
+                ..Packed::default()
+            }),
         }
-        for &m in b.iter().chain(&a) {
-            both.credit_mask(&[m]);
+    }
+
+    #[test]
+    fn the_sieve_counts_exactly_across_collisions_lanes_and_reads() {
+        // Whether some stream took each route: a filter that grew, a single
+        // that a later repeat moved into the run, and a first sighting sent
+        // to the repeats by a collision.
+        let (mut grew, mut moved, mut collided) = (false, false, false);
+        let mut x = 0x51e7_e5ee_d0c0_ffeeu64;
+        let mut next = |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        for seed in 0..60 {
+            // Up to 2,400 credits from a pool of at most 401 sets.
+            let pool = 2 + next(400);
+            let lanes = 1 + seed % 3;
+            let mut worlds: Vec<Vec<u64>> = Vec::new();
+            for _ in 0..1 + next(40) {
+                let len = next(60);
+                worlds.push((0..len).map(|_| sparse_mask(next(pool))).collect());
+            }
+            // World w goes to lane w % lanes. Each lane reads its table after
+            // every world but its last, as a `Stop::Stable` run does, so
+            // the tables merge with credits still unfolded.
+            let mut tables: Vec<CandidateTable> = (0..lanes).map(|_| tiny_filter_table()).collect();
+            let mut counts = vec![BTreeMap::<u64, u32>::new(); lanes];
+            for (w, world) in worlds.iter().enumerate() {
+                let (t, c) = (&mut tables[w % lanes], &mut counts[w % lanes]);
+                for &m in world {
+                    t.credit_mask(&[m]);
+                    *c.entry(m).or_insert(0) += 1;
+                }
+                if w + lanes < worlds.len() {
+                    let Keys::Packed(p) = &t.keys else {
+                        unreachable!()
+                    };
+                    let singles = p.singles.clone();
+                    t.fold();
+                    let Keys::Packed(p) = &t.keys else {
+                        unreachable!()
+                    };
+                    moved |= singles.iter().any(|m| p.masks.binary_search(m).is_ok());
+                    let want = ranked(c.iter().map(|(&m, &n)| (mask_nodes(m), n)).collect());
+                    assert_eq!(t.len(), c.len(), "seed {seed}, world {w}");
+                    assert_eq!(
+                        t.top_k(3),
+                        want[..want.len().min(3)],
+                        "seed {seed}, world {w}"
+                    );
+                }
+            }
+            for t in &tables {
+                let Keys::Packed(p) = &t.keys else {
+                    unreachable!()
+                };
+                grew |= p.filter.0.len() > 1;
+            }
+            let mut reference = BTreeMap::<u64, u32>::new();
+            for (&m, &n) in counts.iter().flatten() {
+                *reference.entry(m).or_insert(0) += n;
+            }
+            let mut entries: Vec<(NodeSet, u32)> = reference
+                .iter()
+                .map(|(&m, &n)| (mask_nodes(m), n))
+                .collect();
+            entries.sort_unstable();
+            let want = ranked(entries.clone());
+            let merge_all = |order: Vec<CandidateTable>| {
+                let mut merged = order.into_iter().reduce(|mut a, b| {
+                    a.merge(b);
+                    a
+                });
+                merged.as_mut().unwrap().resolve();
+                merged.unwrap()
+            };
+            let forward = merge_all(tables.clone());
+            let backward = merge_all(tables.into_iter().rev().collect());
+            assert!(forward == backward, "seed {seed}");
+            for t in [forward, backward] {
+                assert_eq!(t.len(), reference.len(), "seed {seed}");
+                for (&m, &n) in &reference {
+                    assert_eq!(t.get(&mask_nodes(m)), Some(n), "seed {seed}, {m:#x}");
+                }
+                let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
+                all.sort_unstable();
+                assert_eq!(all, entries, "seed {seed}");
+                for k in [0, 1, 3, want.len() + 1] {
+                    assert_eq!(
+                        t.top_k(k),
+                        want[..k.min(want.len())],
+                        "seed {seed}, k = {k}"
+                    );
+                }
+                let Keys::Packed(p) = &t.keys else {
+                    unreachable!()
+                };
+                let single = p.singles.first();
+                let repeat = p.counts.iter().position(|&n| n >= 2);
+                let collision = p.counts.iter().position(|&n| n == 1);
+                if let Some(&m) = single {
+                    assert_eq!(t.get(&mask_nodes(m)), Some(1), "seed {seed}, single");
+                }
+                if let Some(i) = repeat {
+                    let m = p.masks[i];
+                    assert_eq!(
+                        t.get(&mask_nodes(m)),
+                        Some(reference[&m]),
+                        "seed {seed}, repeat"
+                    );
+                }
+                if let Some(i) = collision {
+                    collided = true;
+                    assert_eq!(
+                        t.get(&mask_nodes(p.masks[i])),
+                        Some(1),
+                        "seed {seed}, collision"
+                    );
+                }
+                let absent: NodeSet = (0..64).collect();
+                assert_eq!(t.get(&absent), None, "seed {seed}, absent");
+                assert_eq!(t.get(&[]), None, "seed {seed}, empty");
+            }
         }
-        left.merge(right);
-        assert_eq!(left, both);
-        assert_eq!(left.len(), both.len());
-        assert_eq!(left.top_k(5), both.top_k(5));
+        assert!(grew && moved && collided, "{grew} {moved} {collided}");
     }
 
     /// The builder query equivalent to a legacy `MpdsConfig` invocation.

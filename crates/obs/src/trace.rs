@@ -19,7 +19,8 @@ use std::time::Instant;
 /// `SnapshotResolve`, `CacheProbe`, and `JsonRender` are timed once per
 /// request by the serving engine; `WorldMaterialize`,
 /// `EstimatorAccumulate`, and `StableTracker` are timed once per sampled
-/// world inside the core sampling loop. `WalAppend`, `WalFsync`, and
+/// world inside the core sampling loop, and `RankSelect` once per
+/// estimator run after it. `WalAppend`, `WalFsync`, and
 /// `StoreCheckpoint` time the durable-store halves of a mutating request;
 /// `RefineRepublish` times the background refinement worker's recompute +
 /// cache republish for a budget-truncated query.
@@ -36,6 +37,9 @@ pub enum Stage {
     EstimatorAccumulate,
     /// Checking top-k stability for early stopping.
     StableTracker,
+    /// Ranking at the end of an estimator run, on the calling thread:
+    /// folding the candidate table and selecting its top k.
+    RankSelect,
     /// Rendering the response body JSON.
     JsonRender,
     /// Framing and writing an update batch into the dataset WAL.
@@ -51,7 +55,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of [`Stage::ALL`]).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every stage, in execution order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -60,6 +64,7 @@ impl Stage {
         Stage::WorldMaterialize,
         Stage::EstimatorAccumulate,
         Stage::StableTracker,
+        Stage::RankSelect,
         Stage::JsonRender,
         Stage::WalAppend,
         Stage::WalFsync,
@@ -76,6 +81,7 @@ impl Stage {
             Stage::WorldMaterialize => "world_materialize",
             Stage::EstimatorAccumulate => "estimator_accumulate",
             Stage::StableTracker => "stable_tracker",
+            Stage::RankSelect => "rank_select",
             Stage::JsonRender => "json_render",
             Stage::WalAppend => "wal_append",
             Stage::WalFsync => "wal_fsync",
@@ -442,6 +448,7 @@ mod tests {
                 "world_materialize",
                 "estimator_accumulate",
                 "stable_tracker",
+                "rank_select",
                 "json_render",
                 "wal_append",
                 "wal_fsync",

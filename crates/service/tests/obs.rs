@@ -25,12 +25,13 @@ fn scrape_prom(server: &Server) -> String {
     String::from_utf8(get(server, "/metrics").body).unwrap()
 }
 
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 7] = [
     "snapshot_resolve",
     "cache_probe",
     "world_materialize",
     "estimator_accumulate",
     "stable_tracker",
+    "rank_select",
     "json_render",
 ];
 
@@ -104,6 +105,9 @@ fn stage_histograms_fold_every_traced_request() {
     // Not vacuous: the MISS ran the estimator, and the HIT was folded too.
     assert!(stage_field(&records[0], "estimator_accumulate", "count") >= 1);
     assert_eq!(stage_field(&records[1], "estimator_accumulate", "count"), 0);
+    // The MISS ranked its candidates once; the HIT ranked nothing.
+    assert!(stage_field(&records[0], "rank_select", "count") >= 1);
+    assert_eq!(stage_field(&records[1], "rank_select", "count"), 0);
     assert!(stage_field(&records[1], "cache_probe", "count") >= 1);
     // Exemplars point back at the traces: the accumulate histogram's one
     // exemplar names the MISS.

@@ -11,7 +11,7 @@
 //! group-level graphs with exactly the structural properties the case study
 //! measures: ASD = local occipital over-connectivity + high L/R symmetry;
 //! TD = connectivity spanning occipital, temporal and cerebellar ROIs with
-//! mild asymmetry (see DESIGN.md §4). ROI metadata (lobe, hemisphere, mirror
+//! mild asymmetry (see [`simulate_group_graph`]). ROI metadata (lobe, hemisphere, mirror
 //! pairing) is faithful in spirit to the AAL-116 atlas layout.
 
 use crate::graph::{Graph, NodeId};

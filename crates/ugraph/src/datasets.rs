@@ -5,7 +5,8 @@
 //! Biomine, Twitter, and Friendster. Only Karate Club is small and public
 //! enough to embed; the others are replaced by generators matched on density
 //! structure and edge-probability distribution, scaled down for the two
-//! largest (see DESIGN.md §4). Every dataset is deterministic given its seed.
+//! largest (see [`friendster_like`] and [`twitter_like`]). Every dataset is
+//! deterministic given its seed.
 
 use crate::generators;
 use crate::graph::{Graph, NodeId};
@@ -363,7 +364,7 @@ pub fn friendster_like(seed: u64) -> Dataset {
 /// uniformly random edge probabilities. `BA 7` has m = 11 edges and `BA 9`
 /// m = 21, close to the paper's Table XV (13 and 21). `ER 7` / `ER 9` use
 /// m = 20 / 22 (the paper used 20 / 30; we cap at 22 so that the exact
-/// solver's 2^m sweep stays laptop-feasible, as recorded in DESIGN.md §4).
+/// solver's 2^m sweep stays laptop-feasible).
 pub fn synthetic_accuracy_graph(kind: &str, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = match kind {

@@ -2,7 +2,7 @@
 //!
 //! Used both for the paper's synthetic accuracy experiments (Erdős–Rényi and
 //! Barabási–Albert graphs of §VI-H) and for the scaled stand-ins of the
-//! paper's large real datasets (see `datasets` and DESIGN.md §4).
+//! paper's large real datasets (see [`crate::datasets`]).
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use rand::seq::SliceRandom;

@@ -4,7 +4,7 @@
 //! are counted in subgraphs. The paper's experiments use four patterns —
 //! `2-star`, `3-star`, `c3-star`, `diamond` — plus `h`-cliques (of which the
 //! edge is the `h = 2` special case). `c3-star` is modelled as the tailed
-//! triangle ("paw"); see DESIGN.md §2 for the rationale.
+//! triangle ("paw"); see [`Pattern::c3_star`].
 
 /// A small connected pattern graph with nodes `0..k` (`k ≤ 16`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -2,7 +2,7 @@
 //! MPDSs on uncertain brain networks (paper §VI-F, Figs. 8–15).
 //!
 //! The cohorts are simulated with the structural properties the paper's
-//! ABIDE-derived case study measures (see DESIGN.md §4): the ASD group graph
+//! ABIDE-derived case study measures (see `ugraph::brain`): the ASD group graph
 //! has a strong, symmetric occipital core; the TD graph's strong connectivity
 //! also reaches the temporal lobe and cerebellum.
 //!
