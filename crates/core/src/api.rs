@@ -63,9 +63,7 @@ pub mod queryset;
 use crate::control::{InterruptReason, Interrupted, RunControl};
 use crate::estimate::{densest_count_stats, CandidateTable, MpdsResult};
 use crate::nds::NdsResult;
-use densest::{
-    for_each_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
-};
+use densest::{for_each_densest, heuristic::with_candidates, max_sized_densest, DensityNotion};
 use mpds_obs::{Recorder, Stage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1410,12 +1408,14 @@ struct Solved<T> {
 /// and whether the enumeration stopped at the cap.
 fn credit_all(table: &mut CandidateTable, world: &Graph, q: &Query) -> (usize, bool) {
     if q.heuristic {
-        let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
-        let subgraphs = subgraphs.unwrap_or_default();
-        for sg in &subgraphs {
-            table.credit_nodes(sg);
-        }
-        return (subgraphs.len(), false);
+        let count = with_candidates(world, &q.notion, |c| {
+            let Some(c) = c else { return 0 };
+            for i in 0..c.len() {
+                table.credit_nodes(c.nodes(i));
+            }
+            c.len()
+        });
+        return (count, false);
     }
     match for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
         table.credit_mask(mask)
@@ -1536,13 +1536,13 @@ impl MpdsAccum {
     /// and whether its enumeration stopped at the cap.
     fn credit_one(&mut self, world: &Graph, q: &Query) -> (usize, bool) {
         if q.heuristic {
-            let subgraphs = heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs);
-            let subgraphs = subgraphs.unwrap_or_default();
-            if !subgraphs.is_empty() {
-                let pick = self.choice_rng.gen_range(0..subgraphs.len());
-                self.candidates.credit_nodes(&subgraphs[pick]);
-            }
-            return (subgraphs.len(), false);
+            let count = with_candidates(world, &q.notion, |c| {
+                let Some(c) = c else { return 0 };
+                let pick = self.choice_rng.gen_range(0..c.len());
+                self.candidates.credit_nodes(c.nodes(c.ranked()[pick]));
+                c.len()
+            });
+            return (count, false);
         }
         let family = &mut self.family;
         family.clear();
@@ -1600,7 +1600,7 @@ impl NdsAccum {
 fn max_sized(world: &Graph, q: &Query) -> Option<NodeSet> {
     if q.heuristic {
         // Heuristic stand-in: the densest subgraph found by core peeling.
-        heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs[0].clone())
+        with_candidates(world, &q.notion, |c| c.map(|c| c.collect(c.densest())))
     } else {
         max_sized_densest(world, &q.notion).map(|(_, ms)| ms)
     }

@@ -111,14 +111,25 @@ impl MpdsResult {
 /// a set credited once, a linear scan of the singles.
 ///
 /// Graphs past 64 nodes key a hash map by a compact byte encoding of each
-/// set's sorted ids instead: every id is stored as its gap from the
-/// previous id (the first id as itself) in LEB128, seven bits a byte, low
-/// group first, the high bit set on every byte but a gap's last. Node sets
-/// of nearby ids, such as dense cores, take about one byte a node rather
-/// than four, and one boxed slice rather than a `Vec`. The encoding is
-/// canonical, so equal sets have equal keys: [`CandidateTable::get`]
-/// encodes its probe, [`CandidateTable::iter`] decodes every key, and
-/// [`CandidateTable::top_k`] decodes only the keys it compares or returns.
+/// set's sorted ids instead, one boxed slice a set, in one of two forms:
+///
+/// * *gaps*: every id as its gap from the previous id (the first id as
+///   itself) in LEB128, seven bits a byte, low group first, the high bit
+///   set on every byte but a gap's last. Sets of nearby ids take about one
+///   byte a node rather than four.
+/// * *bitmap*: the first id in LEB128, then one bit per id from the first
+///   to the last (bit `j` of byte `i` is id `first + 8 i + j`), then a
+///   final `0xff` byte. A gap key's last byte ends a gap and is below
+///   `0x80`, so the two forms never collide.
+///
+/// A set takes the bitmap form exactly when it is the shorter one: from
+/// four consecutive ids on, and for the large nested suffixes of the
+/// §III-C heuristic (a 2,300-of-6,899-node suffix is 864 bytes against
+/// about 2.4 KiB of gaps). The choice follows from the set alone, so the
+/// encoding is canonical and equal sets have equal keys:
+/// [`CandidateTable::get`] encodes its probe, [`CandidateTable::iter`]
+/// decodes every key, and [`CandidateTable::top_k`] decodes only the keys
+/// it compares or returns.
 /// The choice of key form follows from the graph alone; both behave the
 /// same through this API, and tables compare equal by content whatever
 /// their key form.
@@ -388,7 +399,6 @@ impl Sets {
     /// Counts one more world for the set of ascending, distinct `ids`,
     /// allocating a key only for a new set.
     fn credit(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        self.key.clear();
         encode_into(&mut self.key, ids);
         match self.counts.get_mut(self.key.as_slice()) {
             Some(c) => *c += 1,
@@ -399,37 +409,140 @@ impl Sets {
     }
 }
 
-/// Appends the compact key of ascending, distinct `ids` to `out`.
+/// The last byte of a bitmap key. A gap key's last byte ends a gap, so it
+/// is below 0x80, and no key of one form is a key of the other.
+const BITMAP_KEY: u8 = 0xff;
+
+/// Appends `x` in LEB128: seven bits a byte, low group first, the high
+/// bit set on every byte but the last.
+fn push_leb128(out: &mut Vec<u8>, mut x: NodeId) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Bytes of `x` in LEB128.
+fn leb128_len(x: NodeId) -> usize {
+    (NodeId::BITS - x.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// Writes the compact key of ascending, distinct `ids` into `out` (see
+/// [`CandidateTable`]): the LEB128 gaps, or the bitmap form when that is
+/// shorter.
 fn encode_into(out: &mut Vec<u8>, ids: impl IntoIterator<Item = NodeId>) {
-    let mut prev = 0;
+    out.clear();
+    let (mut first, mut prev) = (None, 0);
     for v in ids {
-        let mut gap = v - prev;
+        push_leb128(out, v - prev);
+        first.get_or_insert(v);
         prev = v;
-        while gap >= 0x80 {
-            out.push(gap as u8 | 0x80);
-            gap >>= 7;
-        }
-        out.push(gap as u8);
+    }
+    let Some(first) = first else {
+        return;
+    };
+    let header = leb128_len(first);
+    let bytes = ((prev - first) as usize + 1).div_ceil(8);
+    let gaps = out.len();
+    if header + bytes + 1 >= gaps {
+        return;
+    }
+    // Build the bitmap key behind the gaps, from them, then drop them.
+    push_leb128(out, first);
+    out.resize(gaps + header + bytes, 0);
+    let (src, bitmap) = out.split_at_mut(gaps + header);
+    for v in decode(&src[..gaps]) {
+        let bit = (v - first) as usize;
+        bitmap[bit / 8] |= 1 << (bit % 8);
+    }
+    out.push(BITMAP_KEY);
+    out.drain(..gaps);
+}
+
+/// A bitmap key's first id and bitmap bytes, or `None` for a gap key.
+fn bitmap_of(key: &[u8]) -> Option<(NodeId, &[u8])> {
+    let (&BITMAP_KEY, key) = key.split_last()? else {
+        return None;
+    };
+    let header = key.iter().position(|&b| b < 0x80)? + 1;
+    let first = key[..header]
+        .iter()
+        .rev()
+        .fold(0, |x, &b| x << 7 | NodeId::from(b & 0x7f));
+    Some((first, &key[header..]))
+}
+
+/// Number of ids in a compact key.
+fn key_len(key: &[u8]) -> usize {
+    match bitmap_of(key) {
+        Some((_, bitmap)) => bitmap.iter().map(|b| b.count_ones() as usize).sum(),
+        // A gap's last byte ends it, so a gap key has one per id.
+        None => key.iter().filter(|&&b| b < 0x80).count(),
     }
 }
 
-/// The ascending ids of a compact key.
-fn decode(key: &[u8]) -> impl Iterator<Item = NodeId> + '_ {
-    let mut bytes = key.iter();
-    let mut prev: NodeId = 0;
-    std::iter::from_fn(move || {
-        let (mut gap, mut shift) = (0, 0);
-        loop {
-            let &b = bytes.next()?;
-            gap |= NodeId::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                break;
+/// The ascending ids of a compact key, of either form.
+fn decode(key: &[u8]) -> Decode<'_> {
+    match bitmap_of(key) {
+        Some((first, bitmap)) => Decode::Bitmap {
+            rest: bitmap,
+            base: first.wrapping_sub(8),
+            bits: 0,
+        },
+        None => Decode::Gaps {
+            bytes: key.iter(),
+            prev: 0,
+        },
+    }
+}
+
+/// Iterator of [`decode`].
+enum Decode<'a> {
+    /// LEB128 gaps; `prev` is the last id decoded.
+    Gaps {
+        bytes: std::slice::Iter<'a, u8>,
+        prev: NodeId,
+    },
+    /// The bitmap bytes after the current one, the id of the current
+    /// byte's bit 0, and its bits not yet decoded.
+    Bitmap {
+        rest: &'a [u8],
+        base: NodeId,
+        bits: u8,
+    },
+}
+
+impl Iterator for Decode<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        match self {
+            Decode::Gaps { bytes, prev } => {
+                let (mut gap, mut shift) = (0, 0);
+                loop {
+                    let &b = bytes.next()?;
+                    gap |= NodeId::from(b & 0x7f) << shift;
+                    if b < 0x80 {
+                        break;
+                    }
+                    shift += 7;
+                }
+                *prev += gap;
+                Some(*prev)
             }
-            shift += 7;
+            Decode::Bitmap { rest, base, bits } => {
+                while *bits == 0 {
+                    let (&b, tail) = rest.split_first()?;
+                    (*bits, *rest) = (b, tail);
+                    *base = base.wrapping_add(8);
+                }
+                let bit = bits.trailing_zeros();
+                *bits &= *bits - 1;
+                Some(*base + bit)
+            }
         }
-        prev += gap;
-        Some(prev)
-    })
+    }
 }
 
 /// A compact key in the ranking's place of its id list: ordered
@@ -588,12 +701,9 @@ impl CandidateTable {
                     .collect()
             }
             Keys::Sets(m) => smallest_k(
-                m.counts.iter().map(|(key, &c)| {
-                    // A key's last byte ends its last gap, so its node
-                    // count is its number of final bytes.
-                    let len = key.iter().filter(|&&b| b < 0x80).count();
-                    (Reverse(c), len, ById(key))
-                }),
+                m.counts
+                    .iter()
+                    .map(|(key, &c)| (Reverse(c), key_len(key), ById(key))),
                 k,
             )
             .into_iter()
@@ -614,11 +724,11 @@ impl CandidateTable {
         }
     }
 
-    /// Credits one densest set given as sorted ids.
-    pub(crate) fn credit_nodes(&mut self, nodes: &[NodeId]) {
+    /// Credits one densest set given as ascending, distinct ids.
+    pub(crate) fn credit_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
         match &mut self.keys {
-            Keys::Packed(p) => p.credit(packed_mask(nodes)),
-            Keys::Sets(m) => m.credit(nodes.iter().copied()),
+            Keys::Packed(p) => p.credit(nodes.into_iter().fold(0, |acc, v| acc | 1 << v)),
+            Keys::Sets(m) => m.credit(nodes),
         }
     }
 
@@ -665,11 +775,6 @@ impl CandidateTable {
             Keys::Sets(m) => m.counts.len(),
         }
     }
-}
-
-/// The one-word mask of `nodes` (ids below 64).
-fn packed_mask(nodes: &[NodeId]) -> u64 {
-    nodes.iter().fold(0, |acc, &v| acc | 1 << v)
 }
 
 impl PartialEq for CandidateTable {
@@ -779,8 +884,8 @@ mod tests {
             let len = 1 + (x % 4) as u32;
             let set = nodeset::canonicalize((0..len).map(|j| (i + j * 7) % 64).collect());
             for _ in 0..(x >> 32) % 5 + 1 {
-                packed.credit_nodes(&set);
-                sets.credit_nodes(&set);
+                packed.credit_nodes(set.iter().copied());
+                sets.credit_nodes(set.iter().copied());
             }
         }
         packed.fold();
@@ -837,9 +942,9 @@ mod tests {
         let mut t = CandidateTable::for_graph(100);
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for (i, set) in sets.iter().enumerate() {
-            t.credit_nodes(set);
+            t.credit_nodes(set.iter().copied());
             if i % 2 == 0 {
-                t.credit_nodes(set);
+                t.credit_nodes(set.iter().copied());
             }
         }
         for _ in 0..500 {
@@ -851,7 +956,7 @@ mod tests {
                     .map(|j| ((x >> (8 * j + 16)) % 400) as NodeId * 97)
                     .collect(),
             );
-            t.credit_nodes(&set);
+            t.credit_nodes(set.iter().copied());
         }
         for set in &sets {
             let mut shuffled = set.clone();
@@ -864,11 +969,140 @@ mod tests {
         }
     }
 
+    /// Whether `key` took the bitmap form.
+    fn is_bitmap(key: &[u8]) -> bool {
+        bitmap_of(key).is_some()
+    }
+
+    /// The key of `set`, checked to round-trip.
+    fn key_of(set: &[NodeId]) -> Vec<u8> {
+        let mut key = Vec::new();
+        encode_into(&mut key, set.iter().copied());
+        assert_eq!(decode(&key).collect::<NodeSet>(), set);
+        assert_eq!(key_len(&key), set.len());
+        key
+    }
+
+    #[test]
+    fn keys_switch_to_a_bitmap_where_it_is_shorter() {
+        // A run of consecutive ids from 10 takes one gap byte an id, and
+        // 1 + ⌈len / 8⌉ + 1 bytes as a bitmap: three ids stay gaps (3
+        // bytes against 3), four switch (4 against 3).
+        assert!(!is_bitmap(&key_of(&[10, 11, 12])));
+        assert!(is_bitmap(&key_of(&[10, 11, 12, 13])));
+        assert_eq!(key_of(&[10, 11, 12, 13]), [10, 0b1111, BITMAP_KEY]);
+        // A first id past one LEB128 byte costs both forms a byte more, so
+        // the switch stays at four.
+        assert!(!is_bitmap(&key_of(&[300, 301, 302])));
+        assert_eq!(
+            key_of(&[300, 301, 302, 303]),
+            [0xac, 0x02, 0b1111, BITMAP_KEY]
+        );
+        // Sparse ids stay gaps; a dense suffix of a large graph (the size
+        // of a heuristic candidate on lastfm) is a bitmap of n / 8 bytes.
+        assert!(!is_bitmap(&key_of(&[0, 200, 400, 600])));
+        let suffix: NodeSet = (0..6_899).filter(|v| v % 3 == 0).collect();
+        let key = key_of(&suffix);
+        assert!(is_bitmap(&key));
+        assert_eq!(key.len(), 1 + 6_897usize.div_ceil(8) + 1);
+        // Empty and single sets, and ids at the top of the range.
+        assert!(key_of(&[]).is_empty());
+        assert!(!is_bitmap(&key_of(&[u32::MAX])));
+        let top: NodeSet = (u32::MAX - 20..=u32::MAX).collect();
+        assert!(is_bitmap(&key_of(&top)));
+    }
+
+    #[test]
+    fn tables_mixing_key_forms_match_a_btree_map() {
+        let n = 5_000u32;
+        let mut x = 0x0dd_c0ffee_u64;
+        let mut next = |bound: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        // Runs (bitmaps), sparse sets (gaps), random subsets of every
+        // density in between, and the switch lengths; then pairs that tie
+        // on count and length across the forms, in both lexicographic
+        // directions.
+        let mut sets: Vec<NodeSet> = Vec::new();
+        for _ in 0..300 {
+            let first = next(u64::from(n) - 600) as NodeId;
+            let set: NodeSet = match next(4) {
+                0 => (first..first + 1 + next(500) as NodeId).collect(),
+                1 => (0..1 + next(12) as NodeId)
+                    .map(|i| first + 47 * i)
+                    .collect(),
+                2 => {
+                    let keep = 1 + next(16);
+                    (first..first + 600).filter(|_| next(16) < keep).collect()
+                }
+                _ => (first..first + 3 + next(3) as NodeId).collect(),
+            };
+            if !set.is_empty() {
+                sets.push(set);
+            }
+        }
+        let ties = [
+            (vec![0, 1, 2, 3], vec![0, 1_000, 2_000, 3_000]),
+            (vec![5, 6, 7, 8], vec![4, 900, 1_800, 2_700]),
+        ];
+        let mut reference: BTreeMap<NodeSet, u32> = BTreeMap::new();
+        let mut t = CandidateTable::for_graph(n as usize);
+        for (bitmap, gaps) in &ties {
+            assert!(is_bitmap(&key_of(bitmap)) && !is_bitmap(&key_of(gaps)));
+            for set in [bitmap, gaps] {
+                for _ in 0..7 {
+                    t.credit_nodes(set.iter().copied());
+                    *reference.entry(set.clone()).or_insert(0) += 1;
+                }
+            }
+        }
+        let (mut bitmaps, mut gaps) = (0, 0);
+        for set in &sets {
+            if is_bitmap(&key_of(set)) {
+                bitmaps += 1;
+            } else {
+                gaps += 1;
+            }
+            for _ in 0..1 + next(3) {
+                t.credit_nodes(set.iter().copied());
+                *reference.entry(set.clone()).or_insert(0) += 1;
+            }
+        }
+        assert!(bitmaps > 50 && gaps > 50, "{bitmaps} bitmaps, {gaps} gaps");
+        assert_eq!(t.len(), reference.len());
+        assert_eq!(t.iter().collect::<BTreeMap<_, _>>(), reference);
+        for (set, &count) in &reference {
+            let mut probe = set.clone();
+            probe.reverse();
+            probe.push(set[0]);
+            assert_eq!(t.get(&probe), Some(count), "{set:?}");
+            let mut missing = set.clone();
+            missing.push(n + 1);
+            assert_eq!(t.get(&missing), None);
+        }
+        let full = ranked(reference.into_iter().collect());
+        assert_eq!(
+            full[..4],
+            [
+                (vec![0, 1, 2, 3], 7),
+                (vec![0, 1_000, 2_000, 3_000], 7),
+                (vec![4, 900, 1_800, 2_700], 7),
+                (vec![5, 6, 7, 8], 7),
+            ]
+        );
+        for k in [1, 2, 3, 4, 10, full.len()] {
+            assert_eq!(t.top_k(k), full[..k], "k = {k}");
+        }
+    }
+
     #[test]
     fn lookups_ignore_order_and_repeats() {
         for n in [4, 100] {
             let mut t = CandidateTable::for_graph(n);
-            t.credit_nodes(&[1, 3]);
+            t.credit_nodes([1, 3]);
             t.credit_mask(&[0b1010]);
             t.fold();
             assert_eq!(t.len(), 1);

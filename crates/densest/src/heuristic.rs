@@ -10,8 +10,10 @@
 use crate::density::Density;
 use crate::instances::InstanceSet;
 use crate::notion::DensityNotion;
-use crate::peeling::peel;
-use crate::solve::instances_of;
+use crate::peeling::{with_peel, Peeled, Rows};
+use crate::solve::{instances_of, normalize};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use ugraph::{Graph, NodeId};
 
 /// Result of the heuristic extraction on one deterministic graph.
@@ -20,15 +22,139 @@ pub struct HeuristicDense {
     /// The densest of the returned subgraphs (exact density of that set).
     pub best_density: Density,
     /// Candidate dense node sets: the innermost core plus all denser peeling
-    /// suffixes, deduplicated, sorted by density descending.
+    /// suffixes, sorted by density descending, then lexicographically on
+    /// the sorted ids. The sets are distinct: they are suffixes of one
+    /// removal order of distinct sizes.
     pub subgraphs: Vec<Vec<NodeId>>,
+}
+
+/// One world's heuristic candidates, read in place from per-thread buffers
+/// (see [`with_candidates`]).
+///
+/// Every candidate is a suffix of one peeling order, so the candidates are
+/// nested. The widest one is kept once, sorted by id, with each node's
+/// removal index; candidate `i` of size `s` is the entries removed at
+/// index `n - s` or later, so its ids come out ascending with no copy and
+/// no sort.
+pub struct Candidates<'a> {
+    n: usize,
+    /// The widest candidate's nodes, ascending id, each with its removal
+    /// index.
+    members: &'a [(NodeId, u32)],
+    /// `(size, instance count)` of every candidate: the innermost core
+    /// first, then the denser suffixes, largest first.
+    sets: &'a [(u32, u32)],
+}
+
+impl<'a> Candidates<'a> {
+    /// Number of candidates (at least one: the innermost core).
+    pub fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// Always `false`: a world with instances has an innermost core.
+    pub fn is_empty(&self) -> bool {
+        self.sets.is_empty()
+    }
+
+    /// Candidate `i`'s exact density.
+    pub fn density(&self, i: usize) -> Density {
+        let (size, count) = self.sets[i];
+        Density::new(u64::from(count), u64::from(size))
+    }
+
+    /// Candidate `i`'s node count.
+    pub fn size(&self, i: usize) -> usize {
+        self.sets[i].0 as usize
+    }
+
+    /// Candidate `i`'s node ids, ascending.
+    pub fn nodes(&self, i: usize) -> impl Iterator<Item = NodeId> + Clone + 'a {
+        let from = (self.n - self.size(i)) as u32;
+        self.members
+            .iter()
+            .filter(move |&&(_, removed)| removed >= from)
+            .map(|&(v, _)| v)
+    }
+
+    /// The heuristic's ranking of two candidates: density descending,
+    /// then lexicographic on the sorted ids.
+    fn rank(&self, i: usize, j: usize) -> Ordering {
+        self.density(j)
+            .cmp(&self.density(i))
+            .then_with(|| self.nodes(i).cmp(self.nodes(j)))
+    }
+
+    /// The candidate indices in ranking order (see
+    /// [`HeuristicDense::subgraphs`]).
+    pub fn ranked(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&i, &j| self.rank(i, j));
+        order
+    }
+
+    /// The first candidate in ranking order: the densest, ties to the
+    /// lexicographically smallest.
+    pub fn densest(&self) -> usize {
+        (0..self.len())
+            .min_by(|&i, &j| self.rank(i, j))
+            .expect("a world with instances has an innermost core")
+    }
+
+    /// Candidate `i` as a sorted id list, allocated once at its size.
+    pub fn collect(&self, i: usize) -> Vec<NodeId> {
+        let mut nodes = Vec::with_capacity(self.size(i));
+        nodes.extend(self.nodes(i));
+        nodes
+    }
+
+    fn to_dense(&self) -> HeuristicDense {
+        let ranked = self.ranked();
+        HeuristicDense {
+            best_density: self.density(ranked[0]),
+            subgraphs: ranked.into_iter().map(|i| self.collect(i)).collect(),
+        }
+    }
+}
+
+/// The candidates' reusable buffers.
+#[derive(Default)]
+struct Scratch {
+    members: Vec<(NodeId, u32)>,
+    sets: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` on the heuristic candidates of `g` under `notion`, or on `None`
+/// when `g` has no instance. Edge density peels `g`'s own CSR rows; other
+/// notions peel their instance list. The peel and the candidates live in
+/// per-thread buffers, so once those have grown a world allocates nothing
+/// here beyond its instance list (none for edge density).
+pub fn with_candidates<R>(
+    g: &Graph,
+    notion: &DensityNotion,
+    f: impl FnOnce(Option<Candidates<'_>>) -> R,
+) -> R {
+    match normalize(notion) {
+        DensityNotion::Edge if g.num_edges() == 0 => f(None),
+        DensityNotion::Edge => candidates_in(g.num_nodes(), Rows::Csr(g), f),
+        notion => {
+            let instances = instances_of(g, &notion);
+            if instances.count() == 0 {
+                return f(None);
+            }
+            candidates_in(g.num_nodes(), Rows::Instances(&instances), f)
+        }
+    }
 }
 
 /// Runs the heuristic for `notion` on `g`. Returns `None` when `g` has no
 /// instances (consistent with [`crate::solve::all_densest`]).
 pub fn heuristic_dense_subgraphs(g: &Graph, notion: &DensityNotion) -> Option<HeuristicDense> {
-    let instances = instances_of(g, notion);
-    heuristic_from_instances(g.num_nodes(), &instances)
+    with_candidates(g, notion, |c| c.map(|c| c.to_dense()))
 }
 
 /// Same as [`heuristic_dense_subgraphs`] but over pre-enumerated instances
@@ -37,37 +163,51 @@ pub fn heuristic_from_instances(n: usize, instances: &InstanceSet) -> Option<Heu
     if instances.count() == 0 {
         return None;
     }
-    let peeling = peel(n, instances);
-    // Core numbers are the running maximum of the removal degrees, so the
-    // innermost core is a suffix of the peeling: the last nodes removed,
-    // all at the largest core number.
-    let order = &peeling.removal_order;
-    let kmax = peeling.core_number[order[0] as usize];
-    let c = order
-        .iter()
-        .take_while(|&&v| peeling.core_number[v as usize] == kmax)
-        .count();
-    let mut core = order[..c].to_vec();
-    core.sort_unstable();
-    let core_density = Density::new(peeling.suffix_counts[n - c], c as u64);
+    candidates_in(n, Rows::Instances(instances), |c| c.map(|c| c.to_dense()))
+}
 
-    // The innermost core, plus every peeling suffix strictly denser than it.
-    let mut candidates: Vec<(Density, Vec<NodeId>)> = vec![(core_density, core)];
-    for (nodes, cnt) in peeling.suffixes() {
-        let d = Density::new(cnt, nodes.len() as u64);
-        if d > core_density {
-            let mut sorted = nodes.to_vec();
-            sorted.sort_unstable();
-            candidates.push((d, sorted));
+/// Peels `rows` (at least one instance) and hands `f` the candidates.
+fn candidates_in<R>(n: usize, rows: Rows<'_>, f: impl FnOnce(Option<Candidates<'_>>) -> R) -> R {
+    with_peel(n, rows, |p| {
+        crate::workspace::with(&SCRATCH, |scratch| {
+            collect(n, &p, scratch);
+            f(Some(Candidates {
+                n,
+                members: &scratch.members,
+                sets: &scratch.sets,
+            }))
+        })
+    })
+}
+
+/// The innermost core, plus every peeling suffix strictly denser than it.
+fn collect(n: usize, p: &Peeled<'_>, scratch: &mut Scratch) {
+    let Scratch { members, sets } = scratch;
+    // Core numbers are the running maximum of the removal degrees, so the
+    // innermost core is a suffix of the peeling: the nodes removed from the
+    // first removal at the largest core number on.
+    let kmax = p.degrees.iter().copied().max().unwrap_or(0);
+    let start = p.core_start(u64::from(kmax));
+    let core = ((n - start) as u32, p.counts[start]);
+    let core_density = Density::new(u64::from(core.1), u64::from(core.0));
+    sets.clear();
+    sets.push(core);
+    for (i, &count) in p.counts.iter().enumerate() {
+        let size = (n - i) as u32;
+        if Density::new(u64::from(count), u64::from(size)) > core_density {
+            sets.push((size, count));
         }
     }
-    candidates.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    candidates.dedup_by(|a, b| a.1 == b.1);
-    let best_density = candidates[0].0;
-    Some(HeuristicDense {
-        best_density,
-        subgraphs: candidates.into_iter().map(|(_, s)| s).collect(),
-    })
+    let widest = sets.iter().map(|&(size, _)| size).max().unwrap_or(0);
+    let from = (n - widest as usize) as u32;
+    members.clear();
+    members.extend(
+        p.position
+            .iter()
+            .enumerate()
+            .filter(|&(_, &removed)| removed >= from)
+            .map(|(v, &removed)| (v as NodeId, removed)),
+    );
 }
 
 #[cfg(test)]

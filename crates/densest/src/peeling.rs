@@ -11,7 +11,7 @@ use crate::instances::InstanceSet;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use ugraph::NodeId;
+use ugraph::{Graph, NodeId};
 
 /// Outcome of a full peeling pass.
 #[derive(Debug, Clone)]
@@ -45,211 +45,459 @@ impl Peeling {
     }
 }
 
-/// The peeling's reusable buffers: a stream of sampled worlds peels
-/// without allocating anything but its [`Peeling`] once they have grown.
+/// Where a peel reads the instances of each node from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Edge density: node `v`'s instances are the edges of its CSR row, and
+    /// an edge is alive while its other end is.
+    Csr(&'a Graph),
+    /// Any notion: an incidence CSR built from the instance list, and one
+    /// alive flag per instance.
+    Instances(&'a InstanceSet),
+}
+
+/// A finished peel, read from the per-thread workspace (see
+/// [`with_peel`]).
+pub(crate) struct Peeled<'a> {
+    /// Best suffix density ρ̃: the first (largest) suffix attaining it.
+    pub(crate) best_density: Density,
+    /// Size of that suffix.
+    pub(crate) best_len: usize,
+    /// `order[i]` is the `i`-th node removed.
+    pub(crate) order: &'a [NodeId],
+    /// `counts[i]`: the instances alive just before the `i`-th removal.
+    pub(crate) counts: &'a [u32],
+    /// `degrees[i]`: the instance-degree of `order[i]` when it was removed.
+    /// A node's core number is the running maximum of these up to its
+    /// removal.
+    pub(crate) degrees: &'a [u32],
+    /// `position[v]`: the removal index of node `v`.
+    pub(crate) position: &'a [u32],
+}
+
+impl Peeled<'_> {
+    /// The first removal index whose core number reaches `k`: the nodes of
+    /// core number `>= k`, the `(k, ψ)`-core, are `order[start..]`.
+    pub(crate) fn core_start(&self, k: u64) -> usize {
+        self.degrees
+            .iter()
+            .position(|&d| u64::from(d) >= k)
+            .unwrap_or(self.order.len())
+    }
+
+    fn to_peeling(&self) -> Peeling {
+        let n = self.order.len();
+        let mut core_number = vec![0u64; n];
+        let mut running_max = 0;
+        for (&v, &d) in self.order.iter().zip(self.degrees) {
+            running_max = running_max.max(u64::from(d));
+            core_number[v as usize] = running_max;
+        }
+        let removal_order: Vec<NodeId> = self.order.iter().rev().copied().collect();
+        let mut best_subgraph = removal_order[..self.best_len].to_vec();
+        best_subgraph.sort_unstable();
+        Peeling {
+            best_density: self.best_density,
+            best_subgraph,
+            core_number,
+            removal_order,
+            suffix_counts: self.counts.iter().map(|&c| u64::from(c)).collect(),
+        }
+    }
+}
+
+/// Degrees below this keep their bucket as a two-level bitset over node
+/// ids; higher degrees keep an ascending run and a min-heap (see [`peel`]).
+const SMALL: usize = 64;
+
+/// The degree of a node already peeled: no bucket's.
+const REMOVED: u32 = u32::MAX;
+
+/// The degree-bucket queue of [`peel`].
 #[derive(Default)]
-struct Workspace {
+struct Buckets {
     /// Live instance-degree of every node; `REMOVED` once peeled.
     degree: Vec<u32>,
-    /// The instances of every node, CSR: node v's are
-    /// `node_insts[inst_start[v]..inst_start[v + 1]]`, ascending.
+    /// Words of one small bucket's leaf bitset: `⌈n / 64⌉`.
+    words: usize,
+    /// Words of one small bucket's summary bitset: `⌈words / 64⌉`.
+    tops: usize,
+    /// Small bucket `d`'s leaves, `leaves[d * words..][..words]`: bit `v`
+    /// is set when node `v` has degree `d`.
+    leaves: Vec<u64>,
+    /// Small bucket `d`'s summary, `summary[d * tops..][..tops]`: bit `i`
+    /// is set when its leaf word `i` is nonzero.
+    summary: Vec<u64>,
+    /// `first[d]`: no summary word of small bucket `d` below it is
+    /// nonzero.
+    first: Vec<usize>,
+    /// Whether every small bucket is empty, as a finished peel leaves them,
+    /// so the next peel of the same `words` need not clear them.
+    clean: bool,
+    /// The nodes of initial degree `>= SMALL`, sorted by (degree, id):
+    /// bucket `d`'s initial run is
+    /// `by_degree[run_start[d - SMALL]..run_start[d - SMALL + 1]]`.
+    by_degree: Vec<NodeId>,
+    run_start: Vec<u32>,
+    /// `cursor[d - SMALL]`: the first entry of bucket d's run not yet
+    /// consumed.
+    cursor: Vec<u32>,
+    /// `late[d - SMALL]`: min-heap on id of the nodes whose degree fell to
+    /// `d` after the start.
+    late: Vec<BinaryHeap<Reverse<NodeId>>>,
+}
+
+impl Buckets {
+    /// Files every node of `degree` (already filled, `n` entries) in its
+    /// bucket.
+    fn fill(&mut self) {
+        let n = self.degree.len();
+        let words = n.div_ceil(64);
+        if !self.clean || words != self.words {
+            self.words = words;
+            self.tops = words.div_ceil(64);
+            self.leaves.clear();
+            self.leaves.resize(SMALL * words, 0);
+            self.summary.clear();
+            self.summary.resize(SMALL * self.tops, 0);
+        }
+        self.clean = false;
+        // Leaf bits first, then the summaries of the buckets in use.
+        let mut max = 0;
+        for (v, &d) in self.degree.iter().enumerate() {
+            max = max.max(d as usize);
+            if d < SMALL as u32 {
+                self.leaves[d as usize * words + v / 64] |= 1 << (v % 64);
+            }
+        }
+        for d in 0..SMALL.min(max + 1) {
+            let leaves = &self.leaves[d * words..(d + 1) * words];
+            let summary = &mut self.summary[d * self.tops..(d + 1) * self.tops];
+            for (i, &leaf) in leaves.iter().enumerate() {
+                summary[i / 64] |= u64::from(leaf != 0) << (i % 64);
+            }
+        }
+        self.first.clear();
+        self.first.resize(SMALL, 0);
+        // Counting sort of the large degrees; ascending ids within a run.
+        let buckets = (max + 1).saturating_sub(SMALL);
+        self.run_start.clear();
+        self.run_start.resize(buckets + 1, 0);
+        self.by_degree.clear();
+        if buckets > 0 {
+            for &d in &self.degree {
+                if let Some(h) = (d as usize).checked_sub(SMALL) {
+                    self.run_start[h + 1] += 1;
+                }
+            }
+            for h in 0..buckets {
+                self.run_start[h + 1] += self.run_start[h];
+            }
+            self.cursor.clear();
+            self.cursor.extend_from_slice(&self.run_start[..buckets]);
+            self.by_degree.resize(self.run_start[buckets] as usize, 0);
+            for v in 0..n {
+                if let Some(h) = (self.degree[v] as usize).checked_sub(SMALL) {
+                    self.by_degree[self.cursor[h] as usize] = v as NodeId;
+                    self.cursor[h] += 1;
+                }
+            }
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.run_start[..buckets]);
+        if self.late.len() < buckets {
+            self.late.resize_with(buckets, BinaryHeap::new);
+        }
+        for heap in &mut self.late[..buckets] {
+            heap.clear();
+        }
+    }
+
+    // Both updates are branch-free: which summary bits change depends on
+    // the ids, so a branch on it would be mispredicted often.
+    #[inline]
+    fn insert(&mut self, d: usize, v: NodeId) {
+        let i = v as usize / 64;
+        self.leaves[d * self.words + i] |= 1 << (v % 64);
+        self.summary[d * self.tops + i / 64] |= 1 << (i % 64);
+        self.first[d] = self.first[d].min(i / 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, d: usize, v: NodeId) {
+        let i = v as usize / 64;
+        let leaf = &mut self.leaves[d * self.words + i];
+        *leaf &= !(1 << (v % 64));
+        self.summary[d * self.tops + i / 64] &= !(u64::from(*leaf == 0) << (i % 64));
+    }
+
+    /// Takes the smallest id out of small bucket `d`, if any.
+    #[inline]
+    fn take_smallest(&mut self, d: usize) -> Option<NodeId> {
+        let summary = &mut self.summary[d * self.tops..(d + 1) * self.tops];
+        let Some(j) = (self.first[d]..summary.len()).find(|&j| summary[j] != 0) else {
+            self.first[d] = summary.len();
+            return None;
+        };
+        self.first[d] = j;
+        let i = j * 64 + summary[j].trailing_zeros() as usize;
+        let leaf = &mut self.leaves[d * self.words + i];
+        let v = i * 64 + leaf.trailing_zeros() as usize;
+        *leaf &= *leaf - 1;
+        summary[j] &= !(u64::from(*leaf == 0) << (i % 64));
+        Some(v as NodeId)
+    }
+
+    /// Takes the live node of minimum (degree, id) out of its bucket. No
+    /// live node has a degree below `*cur`; the scan moves `*cur` up to the
+    /// node's degree.
+    #[inline]
+    fn pop_min(&mut self, cur: &mut usize) -> NodeId {
+        loop {
+            if *cur < SMALL {
+                if let Some(v) = self.take_smallest(*cur) {
+                    return v;
+                }
+                *cur += 1;
+                continue;
+            }
+            // A large bucket: its run's head or its heap's top, whichever
+            // is smaller, once the entries whose degree moved on are
+            // skipped.
+            let (here, h) = (*cur as u32, *cur - SMALL);
+            let (run, end) = (&mut self.cursor[h], self.run_start[h + 1]);
+            while *run < end && self.degree[self.by_degree[*run as usize] as usize] != here {
+                *run += 1;
+            }
+            let heap = &mut self.late[h];
+            while heap
+                .peek()
+                .is_some_and(|&Reverse(w)| self.degree[w as usize] != here)
+            {
+                heap.pop();
+            }
+            let head = (*run < end).then(|| self.by_degree[*run as usize]);
+            match (head, heap.peek()) {
+                (Some(a), Some(&Reverse(b))) if b < a => {
+                    heap.pop();
+                    return b;
+                }
+                (Some(a), _) => {
+                    *run += 1;
+                    return a;
+                }
+                (None, Some(&Reverse(b))) => {
+                    heap.pop();
+                    return b;
+                }
+                (None, None) => *cur += 1,
+            }
+        }
+    }
+
+    /// Lowers live node `w`'s degree by one, moving it between buckets;
+    /// returns its new degree.
+    #[inline]
+    fn lower(&mut self, w: NodeId) -> usize {
+        let old = self.degree[w as usize] as usize;
+        let new = old - 1;
+        self.degree[w as usize] = new as u32;
+        if old < SMALL {
+            self.remove(old, w);
+        }
+        if new < SMALL {
+            self.insert(new, w);
+        } else {
+            self.late[new - SMALL].push(Reverse(w));
+        }
+        new
+    }
+}
+
+/// The peeling's reusable buffers: a stream of sampled worlds peels
+/// without allocating once they have grown.
+#[derive(Default)]
+struct Workspace {
+    buckets: Buckets,
+    /// The instances of every node, CSR ([`Rows::Instances`] only): node
+    /// v's are `node_insts[inst_start[v]..inst_start[v + 1]]`, ascending.
     inst_start: Vec<u32>,
     node_insts: Vec<u32>,
     alive_inst: Vec<bool>,
-    /// The nodes sorted by (initial degree, id): bucket d's initial run is
-    /// `by_degree[run_start[d]..run_start[d + 1]]`.
-    by_degree: Vec<NodeId>,
-    run_start: Vec<u32>,
-    /// `cursor[d]`: the first entry of bucket d's run not yet consumed.
-    cursor: Vec<u32>,
-    /// `late[d]`: min-heap on id of the nodes whose degree fell to `d`
-    /// after the start.
-    late: Vec<BinaryHeap<Reverse<NodeId>>>,
+    /// The fields of [`Peeled`].
+    order: Vec<NodeId>,
+    counts: Vec<u32>,
+    degrees: Vec<u32>,
+    position: Vec<u32>,
 }
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
 }
 
-/// The degree of a node already peeled: no bucket's.
-const REMOVED: u32 = u32::MAX;
-
 /// Peels `n` nodes by minimum instance-degree.
 ///
 /// Each step removes the live node of minimum instance-degree, ties to the
 /// smaller id; nodes in no instance go first (degree 0, ascending id). The
 /// removal order, and so every field of the [`Peeling`], is fully
-/// determined by that rule.
+/// determined by that rule (Charikar's greedy peeling, kept in
+/// Batagelj–Zaversnik's bucket order).
 ///
-/// A degree-bucket queue (Batagelj–Zaversnik) keeps that exact order:
-/// bucket `d` holds its initial members as an ascending run, consumed
-/// through a cursor, and a min-heap on id of the nodes whose degree fell to
-/// `d` later. An entry whose node was removed, or whose degree moved on, is
+/// Every degree has a bucket. A bucket below degree 64 is a two-level
+/// bitset over node ids: a leaf bit per node and a summary bit per
+/// nonzero leaf word, so its smallest id is two word scans away, and a
+/// degree change clears one bit and sets another. A bucket of degree 64
+/// or more holds its initial members as an ascending run, consumed through
+/// a cursor, and a min-heap on id of the nodes whose degree fell to it
+/// later; an entry whose node was removed, or whose degree moved on, is
 /// skipped when it comes up. A removal can lower a degree by more than one
 /// (shared or repeated instances), so the scan restarts at the smallest
-/// degree a removal produced. Runs in
-/// `O(n + d_max + Σ|inst| · log n)`, where only the nodes whose degree
-/// falls pay the logarithm, and reuses a per-thread workspace.
+/// degree a removal produced.
+///
+/// Cost: `O(n + d_max + Σ|inst|)` plus a logarithm for each degree drop
+/// that lands at 64 or above, and the summary scans (`n / 4096` words a
+/// bucket at worst). Memory: a per-thread workspace of `O(n + m)` words —
+/// 64 bitsets of `n` bits, a few `u32` arrays of `n`, the large buckets'
+/// runs and heaps (at most one entry per degree drop), and, for instance
+/// lists, an incidence CSR of `Σ|inst|` entries. The edge-density peel of
+/// a world ([`peel_edges`]) reads the world's own CSR instead.
 pub fn peel(n: usize, instances: &InstanceSet) -> Peeling {
-    crate::workspace::with(&WORKSPACE, |ws| peel_in(n, instances, ws))
+    with_peel(n, Rows::Instances(instances), |p| p.to_peeling())
 }
 
-fn peel_in(n: usize, instances: &InstanceSet, ws: &mut Workspace) -> Peeling {
+/// The edge-density [`peel`] of `g`, reading each node's edges from `g`'s
+/// CSR rows instead of an instance list; the same [`Peeling`] as
+/// `peel(g.num_nodes(), &enumerate_cliques(g, 2))`.
+pub fn peel_edges(g: &Graph) -> Peeling {
+    with_peel(g.num_nodes(), Rows::Csr(g), |p| p.to_peeling())
+}
+
+/// Peels `n` nodes over `rows` in this thread's workspace and hands `f`
+/// the result.
+pub(crate) fn with_peel<R>(n: usize, rows: Rows<'_>, f: impl FnOnce(Peeled<'_>) -> R) -> R {
+    crate::workspace::with(&WORKSPACE, |ws| {
+        let (best_density, best_len) = peel_in(n, rows, ws);
+        f(Peeled {
+            best_density,
+            best_len,
+            order: &ws.order,
+            counts: &ws.counts,
+            degrees: &ws.degrees,
+            position: &ws.position,
+        })
+    })
+}
+
+/// The peel itself; returns the best suffix density and length.
+fn peel_in(n: usize, rows: Rows<'_>, ws: &mut Workspace) -> (Density, usize) {
     let Workspace {
-        degree,
+        buckets,
         inst_start,
         node_insts,
         alive_inst,
-        by_degree,
-        run_start,
-        cursor,
-        late,
+        order,
+        counts,
+        degrees,
+        position,
     } = ws;
-    let slots = instances.nodes();
-    assert!(
-        u32::try_from(slots.len()).is_ok_and(|s| s < REMOVED),
-        "instance slots are indexed by u32"
-    );
+    let degree = &mut buckets.degree;
     degree.clear();
-    degree.resize(n, 0);
-    for &v in slots {
-        degree[v as usize] += 1;
-    }
-    inst_start.clear();
-    inst_start.resize(n + 1, 0);
-    for v in 0..n {
-        inst_start[v + 1] = inst_start[v] + degree[v];
-    }
-    node_insts.clear();
-    node_insts.resize(slots.len(), 0);
-    // Fill with `inst_start[v]` as row v's cursor; each cursor ends at the
-    // next row's start, so one shift restores the offsets.
-    for (i, inst) in instances.iter().enumerate() {
-        for &v in inst {
-            node_insts[inst_start[v as usize] as usize] = i as u32;
-            inst_start[v as usize] += 1;
+    let live = match rows {
+        Rows::Csr(g) => {
+            assert_eq!(g.num_nodes(), n, "one row per node");
+            degree.extend(g.offsets().windows(2).map(|w| w[1] - w[0]));
+            g.num_edges()
         }
-    }
-    inst_start.copy_within(0..n, 1);
-    inst_start[0] = 0;
-    alive_inst.clear();
-    alive_inst.resize(instances.count(), true);
-    let mut live_instances = instances.count() as u64;
+        Rows::Instances(instances) => {
+            let slots = instances.nodes();
+            assert!(
+                u32::try_from(slots.len()).is_ok_and(|s| s < REMOVED),
+                "instance slots are indexed by u32"
+            );
+            degree.resize(n, 0);
+            for &v in slots {
+                degree[v as usize] += 1;
+            }
+            inst_start.clear();
+            inst_start.resize(n + 1, 0);
+            for v in 0..n {
+                inst_start[v + 1] = inst_start[v] + degree[v];
+            }
+            node_insts.clear();
+            node_insts.resize(slots.len(), 0);
+            // Fill with `inst_start[v]` as row v's cursor; each cursor ends
+            // at the next row's start, so one shift restores the offsets.
+            for (i, inst) in instances.iter().enumerate() {
+                for &v in inst {
+                    node_insts[inst_start[v as usize] as usize] = i as u32;
+                    inst_start[v as usize] += 1;
+                }
+            }
+            inst_start.copy_within(0..n, 1);
+            inst_start[0] = 0;
+            alive_inst.clear();
+            alive_inst.resize(instances.count(), true);
+            instances.count()
+        }
+    };
+    let mut live = u32::try_from(live).expect("instances are indexed by u32");
+    buckets.fill();
 
-    // Counting sort by initial degree; ascending ids within each run.
-    let buckets = degree.iter().max().map_or(0, |&d| d as usize + 1);
-    run_start.clear();
-    run_start.resize(buckets + 1, 0);
-    for &d in degree.iter() {
-        run_start[d as usize + 1] += 1;
-    }
-    for d in 0..buckets {
-        run_start[d + 1] += run_start[d];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&run_start[..buckets]);
-    by_degree.clear();
-    by_degree.resize(n, 0);
-    for v in 0..n {
-        let d = degree[v] as usize;
-        by_degree[cursor[d] as usize] = v as NodeId;
-        cursor[d] += 1;
-    }
-    cursor.copy_from_slice(&run_start[..buckets]);
-    if late.len() < buckets {
-        late.resize_with(buckets, BinaryHeap::new);
-    }
-    for heap in &mut late[..buckets] {
-        heap.clear();
-    }
-
-    let mut best_density = Density::ZERO;
-    let mut best_suffix_len = n;
-    let mut removal_rev: Vec<NodeId> = Vec::with_capacity(n); // removal order
-    let mut suffix_counts_fwd: Vec<u64> = Vec::with_capacity(n);
-    let mut core_number = vec![0u64; n];
-    let mut running_max = 0u64;
+    order.clear();
+    counts.clear();
+    degrees.clear();
+    position.clear();
+    position.resize(n, 0);
+    // The best suffix so far, as (instances, nodes); both fit in u32, so
+    // densities compare exactly by u64 cross-multiplication.
+    let (mut best_live, mut best_len) = (0u32, n);
     // No live node has a degree below `cur`.
     let mut cur = 0usize;
-
     for remaining in (1..=n).rev() {
         // Record the density of the current suffix (before this removal).
-        let d = Density::new(live_instances, remaining as u64);
-        suffix_counts_fwd.push(live_instances);
-        if d > best_density {
-            best_density = d;
-            best_suffix_len = remaining;
+        counts.push(live);
+        if u64::from(live) * best_len as u64 > u64::from(best_live) * remaining as u64 {
+            (best_live, best_len) = (live, remaining);
         }
-        // The smallest id among the live nodes of degree `cur`, or the next
-        // bucket when there is none.
-        let v = loop {
-            let here = cur as u32;
-            let (run, end) = (&mut cursor[cur], run_start[cur + 1]);
-            while *run < end && degree[by_degree[*run as usize] as usize] != here {
-                *run += 1;
-            }
-            let heap = &mut late[cur];
-            while heap
-                .peek()
-                .is_some_and(|&Reverse(w)| degree[w as usize] != here)
-            {
-                heap.pop();
-            }
-            let head = (*run < end).then(|| by_degree[*run as usize]);
-            match (head, heap.peek()) {
-                (Some(a), Some(&Reverse(b))) if b < a => {
-                    heap.pop();
-                    break b;
-                }
-                (Some(a), _) => {
-                    *run += 1;
-                    break a;
-                }
-                (None, Some(&Reverse(b))) => {
-                    heap.pop();
-                    break b;
-                }
-                (None, None) => cur += 1,
-            }
-        };
-        running_max = running_max.max(u64::from(degree[v as usize]));
-        core_number[v as usize] = running_max;
-        degree[v as usize] = REMOVED;
-        removal_rev.push(v);
+        let v = buckets.pop_min(&mut cur);
+        position[v as usize] = order.len() as u32;
+        order.push(v);
+        degrees.push(buckets.degree[v as usize]);
+        buckets.degree[v as usize] = REMOVED;
         // Kill the instances containing v. Every other node of a live
         // instance is live: a removal kills all the instances it is in.
-        let row = inst_start[v as usize] as usize..inst_start[v as usize + 1] as usize;
-        for &ii in &node_insts[row] {
-            if alive_inst[ii as usize] {
-                alive_inst[ii as usize] = false;
-                live_instances -= 1;
-                for &w in instances.get(ii as usize) {
-                    if w != v {
-                        let dw = &mut degree[w as usize];
-                        *dw -= 1;
-                        late[*dw as usize].push(Reverse(w));
-                        cur = cur.min(*dw as usize);
+        match rows {
+            Rows::Csr(g) => {
+                for &w in &g.arc_targets()[g.arc_range(v)] {
+                    if buckets.degree[w as usize] != REMOVED {
+                        live -= 1;
+                        cur = cur.min(buckets.lower(w));
+                    }
+                }
+            }
+            Rows::Instances(instances) => {
+                let row = inst_start[v as usize] as usize..inst_start[v as usize + 1] as usize;
+                for &ii in &node_insts[row] {
+                    if alive_inst[ii as usize] {
+                        alive_inst[ii as usize] = false;
+                        live -= 1;
+                        for &w in instances.get(ii as usize) {
+                            if w != v {
+                                cur = cur.min(buckets.lower(w));
+                            }
+                        }
                     }
                 }
             }
         }
     }
-    debug_assert_eq!(live_instances, 0);
-
-    // removal_order: last removed first.
-    removal_rev.reverse();
-    let best_subgraph: Vec<NodeId> = {
-        let mut s = removal_rev[..best_suffix_len].to_vec();
-        s.sort_unstable();
-        s
+    debug_assert_eq!(live, 0);
+    buckets.clean = true;
+    let best_density = match best_live {
+        0 => Density::ZERO,
+        live => Density::new(u64::from(live), best_len as u64),
     };
-    Peeling {
-        best_density,
-        best_subgraph,
-        core_number,
-        removal_order: removal_rev,
-        suffix_counts: suffix_counts_fwd,
-    }
+    (best_density, best_len)
 }
 
 #[cfg(test)]

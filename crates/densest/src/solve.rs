@@ -30,7 +30,7 @@ use crate::density::Density;
 use crate::enumerate::{self, for_each_min_cut_subgraph};
 use crate::instances::{enumerate_cliques, enumerate_pattern, InstanceSet};
 use crate::notion::DensityNotion;
-use crate::peeling::peel;
+use crate::peeling::{with_peel, Rows};
 use crate::workspace;
 use maxflow::{FlowNetwork, INF};
 use std::cell::RefCell;
@@ -159,7 +159,7 @@ pub fn max_density_unpruned(g: &Graph, notion: &DensityNotion) -> Option<Density
 
 /// `Clique(2)` and clique-shaped patterns are routed to the cheaper
 /// specialized networks.
-fn normalize(notion: &DensityNotion) -> DensityNotion {
+pub(crate) fn normalize(notion: &DensityNotion) -> DensityNotion {
     match notion {
         DensityNotion::Clique(2) => DensityNotion::Edge,
         DensityNotion::Pattern(p) if p.is_clique() && p.num_nodes() == 2 => DensityNotion::Edge,
@@ -280,17 +280,6 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
         return None;
     }
     let n = g.num_nodes();
-    let peeling = peel(n, &instances);
-    debug_assert!(peeling.best_density > Density::ZERO);
-
-    // (⌈ρ̃⌉, ·)-core reduction (paper Line 2). The densest subgraph survives
-    // (Lemma 2), and so do all its instances. With pruning disabled (ablation
-    // only) every node that touches an instance is kept.
-    let k = if prune {
-        peeling.best_density.ceil()
-    } else {
-        1
-    };
     let Workspace {
         core_nodes,
         local_of,
@@ -301,8 +290,22 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
         groups,
         ..
     } = ws;
-    core_nodes.clear();
-    core_nodes.extend((0..n as NodeId).filter(|&v| peeling.core_number[v as usize] >= k));
+    // (⌈ρ̃⌉, ·)-core reduction (paper Line 2). The densest subgraph survives
+    // (Lemma 2), and so do all its instances. With pruning disabled (ablation
+    // only) every node that touches an instance is kept. Edge density peels
+    // the world's own CSR rows.
+    let rows = match notion {
+        DensityNotion::Edge => Rows::Csr(g),
+        _ => Rows::Instances(&instances),
+    };
+    let best_density = with_peel(n, rows, |peeled| {
+        debug_assert!(peeled.best_density > Density::ZERO);
+        let k = if prune { peeled.best_density.ceil() } else { 1 };
+        let start = peeled.core_start(k) as u32;
+        core_nodes.clear();
+        core_nodes.extend((0..n as NodeId).filter(|&v| peeled.position[v as usize] >= start));
+        peeled.best_density
+    });
     debug_assert!(!core_nodes.is_empty());
     local_of.clear();
     local_of.resize(n, u32::MAX);
@@ -329,7 +332,7 @@ fn solve(g: &Graph, notion: &DensityNotion, prune: bool, ws: &mut Workspace) -> 
 
     // Dinkelbach iteration: α is always an achieved subgraph density; when
     // the test at α finds nothing denser, α = ρ*.
-    let mut alpha = peeling.best_density;
+    let mut alpha = best_density;
     loop {
         let (s, t) = build_network(&notion, nc, local_insts, deg, alpha, net, facets, groups);
         let flow = net.max_flow(s, t);

@@ -3,12 +3,23 @@
 
 use crate::{stream_seed, WorldSampler};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 use ugraph::{EdgeMask, UncertainGraph};
 
 /// Independent per-edge Bernoulli sampler.
+///
+/// Edge `e` is present when `rng.gen_bool(p(e))` would say so, and the
+/// sampler draws exactly the same stream: one `next_u64` per edge, in edge
+/// order. It flips the coin in integers. `gen_bool(p)` tests
+/// `(x >> 11) · 2⁻⁵³ < p` for the draw `x`. The left side is an exact
+/// multiple of 2⁻⁵³, so the test holds exactly when
+/// `(x >> 11) < ⌈p · 2⁵³⌉`, the edge's
+/// [`UncertainGraph::presence_thresholds`] entry. Those thresholds are
+/// built once per graph and shared by all its samplers, and a world's mask
+/// is written 64 edges a word.
 pub struct MonteCarlo {
-    probs: Vec<f64>,
+    thresholds: Arc<[u64]>,
     rng: StdRng,
 }
 
@@ -16,7 +27,7 @@ impl MonteCarlo {
     /// Builds a sampler over `g`'s edge probabilities, consuming `rng`.
     pub fn new(g: &UncertainGraph, rng: StdRng) -> Self {
         MonteCarlo {
-            probs: g.probs().to_vec(),
+            thresholds: g.presence_thresholds(),
             rng,
         }
     }
@@ -35,22 +46,25 @@ impl MonteCarlo {
 
 impl WorldSampler for MonteCarlo {
     fn num_edges(&self) -> usize {
-        self.probs.len()
+        self.thresholds.len()
     }
 
     fn next_mask_into(&mut self, mask: &mut EdgeMask) {
-        mask.reset(self.probs.len());
-        for (i, &p) in self.probs.iter().enumerate() {
-            if self.rng.gen_bool(p) {
-                mask.insert(i);
+        let (thresholds, rng) = (&self.thresholds, &mut self.rng);
+        mask.refill_words(thresholds.len(), |w| {
+            let chunk = &thresholds[64 * w..thresholds.len().min(64 * w + 64)];
+            let mut word = 0u64;
+            for (bit, &t) in chunk.iter().enumerate() {
+                word |= u64::from((rng.next_u64() >> 11) < t) << bit;
             }
-        }
+            word
+        });
     }
 
     fn aux_memory_bytes(&self) -> usize {
-        // Only the probability copy (counted for comparability across
-        // samplers, which all hold one).
-        self.probs.len() * std::mem::size_of::<f64>()
+        // The graph's threshold table (counted for comparability across
+        // samplers, which all hold one per-edge array).
+        self.thresholds.len() * std::mem::size_of::<u64>()
     }
 
     fn name(&self) -> &'static str {
@@ -61,6 +75,8 @@ impl WorldSampler for MonteCarlo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn deterministic_per_seed() {
@@ -93,6 +109,72 @@ mod tests {
         for _ in 0..200 {
             a.next_mask_into(&mut mask);
             assert_eq!(mask.to_bools(), b.next_mask());
+        }
+    }
+
+    /// The probabilities the threshold identity is most likely to get
+    /// wrong: the smallest, an exact half, the largest below 1, and 1.
+    const EDGE_CASES: [f64; 4] = [
+        1.0 / (1u64 << 60) as f64,
+        0.5,
+        1.0 - 1.0 / (1u64 << 53) as f64,
+        1.0,
+    ];
+
+    /// The first `m` pairs `u < v` in lexicographic order, with one
+    /// probability each: half of them edge cases, the rest uniform 53-bit
+    /// fractions, some one ulp off a multiple of 2⁻⁵³.
+    fn universe(m: usize, seed: u64) -> UncertainGraph {
+        let n = (1..).find(|&n: &usize| n * (n - 1) / 2 >= m).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pairs = (0..n as u32).flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)));
+        let edges: Vec<(u32, u32, f64)> = pairs
+            .take(m)
+            .map(|(u, v)| {
+                let draw = rng.next_u64();
+                let k = (draw >> 11).max(1) as f64;
+                let p = match draw % 8 {
+                    0..=3 => EDGE_CASES[(draw % 4) as usize],
+                    4 => f64::from_bits((k / (1u64 << 53) as f64).to_bits() + 1).min(1.0),
+                    _ => k / (1u64 << 53) as f64,
+                };
+                (u, v, p)
+            })
+            .collect();
+        UncertainGraph::from_weighted_edges(n, &edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The integer-threshold masks are the `gen_bool` masks, bit for
+        /// bit, over universes on both sides of a word boundary and the
+        /// size of lastfm.
+        #[test]
+        fn threshold_masks_equal_gen_bool_masks(
+            which in 0usize..5,
+            graph_seed in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let m = [1, 63, 64, 65, 20_231][which];
+            let g = universe(m, graph_seed);
+            prop_assert_eq!(g.num_edges(), m);
+            // Each threshold is the exact boundary of `gen_bool`'s test:
+            // the draw below it passes, the draw at it fails.
+            let unit = |k: u64| k as f64 / (1u64 << 53) as f64;
+            for (&t, &p) in g.presence_thresholds().iter().zip(g.probs()) {
+                prop_assert!(t >= 1 && unit(t - 1) < p);
+                prop_assert!(t == 1 << 53 || unit(t) >= p);
+            }
+            let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(seed));
+            let mut reference = StdRng::seed_from_u64(seed);
+            let mut mask = EdgeMask::new(0);
+            for _ in 0..4 {
+                mc.next_mask_into(&mut mask);
+                let expected: Vec<bool> =
+                    g.probs().iter().map(|&p| reference.gen_bool(p)).collect();
+                prop_assert_eq!(mask.to_bools(), expected);
+            }
         }
     }
 

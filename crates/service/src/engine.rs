@@ -1713,7 +1713,19 @@ mod tests {
         // leader's full computation.
         let e = engine();
         let mut leader_req = karate_req();
-        leader_req.theta = 600; // several seconds of work in a debug build
+        // Size the leader to about 1.5 s of serial work in this
+        // build, so it is still running when the follower joins 150 ms in:
+        // a fixed θ (600) once took seconds, but faster solvers and release
+        // builds finish it first. One θ = 64 MISS on a separate engine
+        // (after a first query loads the dataset) times a world.
+        let calibrate = engine();
+        calibrate.execute(&karate_req()).unwrap();
+        let mut probe = karate_req();
+        probe.seed += 1;
+        let started = std::time::Instant::now();
+        calibrate.execute(&probe).unwrap();
+        let per_world = started.elapsed().as_secs_f64() / probe.theta as f64;
+        leader_req.theta = ((1.5 / per_world) as usize).clamp(600, 1_000_000);
         let mut follower_req = leader_req.clone();
         follower_req.timeout_ms = Some(100);
         std::thread::scope(|s| {

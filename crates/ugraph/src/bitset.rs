@@ -84,6 +84,22 @@ impl DenseBitSet {
         self.words.resize(universe.div_ceil(64), 0);
     }
 
+    /// Re-targets the set to `0..universe` and sets every word in ascending
+    /// order: word `i`, the elements `64 i .. 64 i + 64`, becomes `word(i)`.
+    /// Bits at or past the universe are dropped. Reuses the allocation, as
+    /// [`DenseBitSet::reset`] does.
+    pub fn refill_words(&mut self, universe: usize, mut word: impl FnMut(usize) -> u64) {
+        self.reset(universe);
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w = word(i);
+        }
+        if let Some(last) = self.words.last_mut() {
+            if universe % 64 != 0 {
+                *last &= (1u64 << (universe % 64)) - 1;
+            }
+        }
+    }
+
     /// Whether `i` is in the set. Out-of-universe queries return `false`.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
@@ -230,6 +246,19 @@ mod tests {
         assert!(s.is_empty());
         s.insert(63);
         assert!(s.contains(63));
+    }
+
+    #[test]
+    fn refill_words_drops_bits_past_the_universe() {
+        let mut s = DenseBitSet::new(3);
+        s.refill_words(70, |i| if i == 0 { 1 << 63 } else { u64::MAX });
+        assert_eq!(s.universe(), 70);
+        assert_eq!(
+            s.ones().collect::<Vec<_>>(),
+            vec![63, 64, 65, 66, 67, 68, 69]
+        );
+        s.refill_words(64, |_| 5);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::bitset::{EdgeMask, NodeBitSet};
 use crate::graph::{Graph, NodeId};
+use std::sync::{Arc, OnceLock};
 
 /// An uncertain graph: every edge `e` of the underlying deterministic graph
 /// exists independently with probability `p(e) ∈ (0, 1]`.
@@ -19,6 +20,8 @@ pub struct UncertainGraph {
     /// [`Graph::arc_targets`]), so neighborhood-with-probability scans are
     /// one contiguous slice pair instead of per-edge binary searches.
     arc_probs: Vec<f64>,
+    /// [`UncertainGraph::presence_thresholds`], built on first use.
+    thresholds: OnceLock<Arc<[u64]>>,
 }
 
 impl UncertainGraph {
@@ -48,6 +51,7 @@ impl UncertainGraph {
             graph,
             probs,
             arc_probs,
+            thresholds: OnceLock::new(),
         }
     }
 
@@ -95,6 +99,24 @@ impl UncertainGraph {
     #[inline]
     pub fn probs(&self) -> &[f64] {
         &self.probs
+    }
+
+    /// The integer form of every edge probability, parallel to
+    /// [`Graph::edges`]: `⌈p(e) · 2⁵³⌉`. A uniform 53-bit draw `k` satisfies
+    /// `k · 2⁻⁵³ < p(e)` exactly when `k` is below this threshold, so a
+    /// Bernoulli flip is one integer comparison. Built on the first call
+    /// and shared by every later caller (and every clone of this graph).
+    pub fn presence_thresholds(&self) -> Arc<[u64]> {
+        self.thresholds
+            .get_or_init(|| {
+                // p · 2⁵³ is exact (a power-of-two scaling of a normal
+                // double), so the ceiling is the exact integer bound.
+                self.probs
+                    .iter()
+                    .map(|&p| (p * (1u64 << 53) as f64).ceil() as u64)
+                    .collect()
+            })
+            .clone()
     }
 
     /// Probability of edge `(u, v)`, if the edge exists in `E`.
