@@ -11,10 +11,17 @@
 //! threads, which must reproduce the same values. Never regenerate these
 //! values to make the test pass: a difference means the estimator's output
 //! changed.
+//!
+//! Three further pins were recorded from the two-loop estimator (a lane
+//! loop for fixed-θ runs, a serial loop for the rest) before one lane loop
+//! replaced both: a `Stop::Stable` run (seed 5, window 16, cap 640), the
+//! one-densest ablation at seed 5, and a three-member `QuerySet`
+//! (all-densest MPDS, NDS, ablation MPDS) at seed 5.
 
 use densest::DensityNotion;
-use mpds::api::{Query, RunDetails};
+use mpds::api::{Query, Run, RunDetails};
 use mpds::control::RunControl;
+use mpds::{QuerySet, Stop, StopReason};
 use ugraph::{datasets, NodeId};
 
 struct Golden {
@@ -25,16 +32,22 @@ struct Golden {
     top: &'static [(&'static [NodeId], u32)],
 }
 
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn mask_of(set: &[NodeId]) -> u64 {
+    set.iter().fold(0u64, |m, &v| m | 1 << v)
+}
+
 /// Sum over entries of `count × splitmix64(mask)`: equal for equal tables
 /// whatever order the entries are visited in.
 fn fingerprint(r: &mpds::MpdsResult) -> u64 {
     r.candidates.iter().fold(0u64, |acc, (set, c)| {
-        let mask = set.iter().fold(0u64, |m, &v| m | 1 << v);
-        let mut z = mask.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        acc.wrapping_add(z.wrapping_mul(u64::from(c)))
+        acc.wrapping_add(splitmix64(mask_of(&set)).wrapping_mul(u64::from(c)))
     })
 }
 
@@ -51,7 +64,10 @@ fn check(label: &str, query: Query, want: &Golden) {
 
 fn check_run(label: &str, query: Query, want: &Golden) {
     let karate = datasets::karate_club();
-    let run = query.run(&karate.graph).unwrap();
+    check_table(label, &query.run(&karate.graph).unwrap(), want);
+}
+
+fn check_table(label: &str, run: &Run, want: &Golden) {
     assert_eq!(
         run.stats.truncated_worlds, want.truncated_worlds,
         "{label}: truncated worlds"
@@ -144,4 +160,137 @@ fn karate_seed_52_one_densest_per_world() {
             top: &[(&[0, 1, 2, 6], 1), (&[0, 2, 3, 7], 1), (&[0, 2, 3, 13], 1)],
         },
     );
+}
+
+#[test]
+fn karate_seed_5_one_densest_per_world() {
+    check(
+        "seed 5, one densest per world",
+        cold_exact(5).all_densest(false),
+        &Golden {
+            len: 64,
+            sum: 64,
+            fingerprint: 0x65d7_e108_e0be_a46e,
+            truncated_worlds: 0,
+            top: &[
+                (&[0, 1, 2, 3], 1),
+                (&[0, 2, 3, 8], 1),
+                (&[8, 15, 32, 33], 1),
+            ],
+        },
+    );
+}
+
+/// A `Stop::Stable` run stops where the pin says, with the table the
+/// fixed-θ run at that θ has; helpers never move the stop.
+#[test]
+fn karate_seed_5_stable_stop() {
+    let karate = datasets::karate_club();
+    let query = Query::mpds(DensityNotion::Edge)
+        .k(3)
+        .seed(5)
+        .stop(Stop::Stable {
+            window: 16,
+            min_theta: 16,
+            theta_cap: 640,
+        });
+    let want = Golden {
+        len: 14_220,
+        sum: 14_250,
+        fingerprint: 0x0681_d212_016a_6497,
+        truncated_worlds: 0,
+        top: &[
+            (&[0, 1, 2, 3, 7, 13], 3),
+            (&[14, 32, 33], 2),
+            (&[0, 1, 3, 13], 2),
+        ],
+    };
+    for helpers in [0, 1, 3] {
+        let label = format!("seed 5, stable, {helpers} helpers");
+        let run = query
+            .clone()
+            .control(RunControl::unbounded().with_helpers(helpers))
+            .run(&karate.graph)
+            .unwrap();
+        let stats = &run.stats;
+        assert_eq!(stats.stop_reason, StopReason::Stable, "{label}");
+        assert_eq!(
+            (stats.worlds_sampled, stats.converged_at),
+            (49, Some(33)),
+            "{label}: stop point"
+        );
+        check_table(&label, &run, &want);
+    }
+}
+
+/// Sum over transactions of `splitmix64(mask | index << 40)`: equal for
+/// equal transaction lists in equal order.
+fn nds_fingerprint(r: &mpds::NdsResult) -> u64 {
+    r.transactions
+        .iter()
+        .enumerate()
+        .fold(0u64, |acc, (i, set)| {
+            acc.wrapping_add(splitmix64(mask_of(set) | (i as u64) << 40))
+        })
+}
+
+/// A three-member batch over one stream: all-densest MPDS, NDS and the
+/// one-densest ablation. The ablation keeps the batch on one lane, so
+/// helpers change nothing.
+#[test]
+fn karate_seed_5_three_member_batch() {
+    let karate = datasets::karate_club();
+    let all = Golden {
+        len: 23_373,
+        sum: 23_408,
+        fingerprint: 0xcb8f_a24b_5095_f8cd,
+        truncated_worlds: 0,
+        top: &[
+            (&[0, 1, 2, 3, 7, 13], 3),
+            (&[14, 32, 33], 2),
+            (&[0, 1, 2, 13], 2),
+        ],
+    };
+    let one = Golden {
+        len: 64,
+        sum: 64,
+        fingerprint: 0x65d7_e108_e0be_a46e,
+        truncated_worlds: 0,
+        top: &[
+            (&[0, 1, 2, 3], 1),
+            (&[0, 2, 3, 8], 1),
+            (&[8, 15, 32, 33], 1),
+        ],
+    };
+    // Supports out of 64 transactions.
+    let nds_top: &[(&[NodeId], u32)] = &[(&[32, 33], 36), (&[0, 2], 35), (&[0, 1], 31)];
+    for helpers in [0, 1, 3] {
+        let label = format!("seed 5, batch, {helpers} helpers");
+        let batch = QuerySet::new()
+            .theta(64)
+            .seed(5)
+            .control(RunControl::unbounded().with_helpers(helpers))
+            .push(Query::mpds(DensityNotion::Edge).k(3))
+            .push(Query::nds(DensityNotion::Edge).k(3))
+            .push(Query::mpds(DensityNotion::Edge).k(3).all_densest(false))
+            .run(&karate.graph)
+            .unwrap();
+        assert_eq!(batch.stats.worlds_sampled, 64, "{label}");
+        check_table(&format!("{label}, all densest"), &batch.runs[0], &all);
+        check_table(&format!("{label}, one densest"), &batch.runs[2], &one);
+        let nds = &batch.runs[1];
+        let RunDetails::Nds(r) = &nds.details else {
+            unreachable!("Query::nds produces NDS details")
+        };
+        let top: Vec<(Vec<NodeId>, f64)> = nds_top
+            .iter()
+            .map(|&(s, c)| (s.to_vec(), f64::from(c) / 64.0))
+            .collect();
+        assert_eq!(nds.top_k, top, "{label}: NDS top 3");
+        assert_eq!(
+            (r.transactions.len(), r.empty_worlds, nds_fingerprint(r)),
+            (64, 0, 0x8ff6_4f33_415b_03a0),
+            "{label}: NDS transactions"
+        );
+    }
 }

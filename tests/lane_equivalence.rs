@@ -11,12 +11,15 @@
 //! and two-star density, exact and heuristic, at enumeration caps of 1, 7
 //! and 100,000. A budgeted run with helpers must equal the fixed-θ run at
 //! the θ it reached, and an interrupted one must fail as one lane does.
+//! The same holds for a run over a caller's sampler and for a fixed-θ
+//! `QuerySet` of an MPDS and an NDS member.
 //! (`karate_golden.rs` runs its recorded cases with 0, 1 and 3 helpers.)
 
 use densest::DensityNotion;
 use mpds::api::{ApiError, Query, Run, RunDetails};
 use mpds::control::{InterruptReason, RunControl};
-use mpds::StopReason;
+use mpds::recompute::CommonRandomNumbers;
+use mpds::{QuerySet, StopReason};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -105,6 +108,62 @@ proptest! {
             prop_assert_eq!(one.stats.helper_worlds, 0);
             let lanes = query.control(lent(helpers)).run(&g).unwrap();
             assert_same_answer(&format!("{name}, {helpers} helpers"), &lanes, &one, true);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A caller's sampler (here the common-random-numbers stream) gives the
+    /// same run with and without helpers, MPDS and NDS.
+    #[test]
+    fn helpers_leave_an_external_sampler_run_unchanged(
+        g in arb_uncertain(),
+        seed in 0u64..1_000_000,
+        theta in 1usize..97,
+        notion_index in 0usize..3,
+    ) {
+        let mpds = Query::mpds(notion(notion_index));
+        let nds = Query::nds(notion(notion_index)).min_size(2);
+        for (name, query) in [("mpds", mpds), ("nds", nds)] {
+            let query = query.theta(theta).k(5);
+            let one = query
+                .clone()
+                .run_with_sampler(&g, &mut CommonRandomNumbers::new(&g, seed))
+                .unwrap();
+            let lanes = query
+                .control(lent(2))
+                .run_with_sampler(&g, &mut CommonRandomNumbers::new(&g, seed))
+                .unwrap();
+            assert_same_answer(&format!("{name}, external sampler"), &lanes, &one, true);
+        }
+    }
+
+    /// A fixed-θ batch of an all-densest MPDS member and an NDS member gives
+    /// the same member runs with and without helpers.
+    #[test]
+    fn helpers_leave_a_fixed_theta_batch_unchanged(
+        g in arb_uncertain(),
+        seed in 0u64..1_000_000,
+        theta in 1usize..97,
+        notion_index in 0usize..3,
+    ) {
+        let batch = |helpers| {
+            QuerySet::new()
+                .theta(theta)
+                .seed(seed)
+                .control(lent(helpers))
+                .push(Query::mpds(notion(notion_index)).k(5))
+                .push(Query::nds(notion(notion_index)).k(5).min_size(2))
+                .run(&g)
+                .unwrap()
+        };
+        let (one, lanes) = (batch(0), batch(2));
+        prop_assert_eq!(one.stats.worlds_sampled, lanes.stats.worlds_sampled);
+        prop_assert_eq!(one.stats.stop_reason, lanes.stats.stop_reason);
+        for (i, (got, want)) in lanes.runs.iter().zip(&one.runs).enumerate() {
+            assert_same_answer(&format!("batch member {i}"), got, want, true);
         }
     }
 }

@@ -16,12 +16,18 @@
 //! `heuristic_dense_subgraphs`, is measured over 32 worlds of
 //! `lastfm_like(1)` (query seed 0, edge density): ≈12.1 a world (≈18.4
 //! while it listed the edges and copied and sorted every suffix), of which
-//! one per returned subgraph (≈8.4) and two more are its output. Each
+//! one per returned subgraph (≈8.4) and two more are its output. A whole
+//! `cold-exact` query, `Query::mpds(Edge).theta(64).k(3).run` with no
+//! helpers over seeds 0–23, made 4.46 a world (sampling, candidate tally
+//! and ranking included, per-query buffers spread over its 64 worlds) when
+//! its fixed-θ and serial runs still had separate loops; its ceiling of 6.5
+//! leaves about the headroom of the exact solver's (6.0 over 3.8). Each
 //! ceiling below leaves headroom over its measured mean. The counter is per
-//! thread, so the two tests do not see each other's allocations.
+//! thread, so the tests do not see each other's allocations.
 
 use densest::heuristic::heuristic_dense_subgraphs;
 use densest::{for_each_densest, DensityNotion};
+use mpds::api::Query;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sampling::{MonteCarlo, WorldSampler};
@@ -75,6 +81,9 @@ const CLIQUE3_CEILING: f64 = 6.0;
 
 /// The same, under two-star pattern density.
 const TWO_STAR_CEILING: f64 = 250.0;
+
+/// Mean allocations per world of a whole `cold-exact` query.
+const QUERY_CEILING: f64 = 6.5;
 
 /// Mean allocations per `heuristic_dense_subgraphs` call.
 const HEURISTIC_CEILING: f64 = 14.0;
@@ -135,6 +144,30 @@ fn clique_and_pattern_solver_allocations_per_world() {
             "{notion:?}: {mean:.1} allocations per world, ceiling {ceiling}"
         );
     }
+}
+
+#[test]
+fn whole_query_allocations_per_world() {
+    let karate = datasets::karate_club().graph;
+    let mut worlds = 0usize;
+    let before = ALLOCATIONS.with(Cell::get);
+    for seed in 0..24u64 {
+        let run = Query::mpds(DensityNotion::Edge)
+            .theta(64)
+            .k(3)
+            .seed(seed)
+            .run(&karate)
+            .unwrap();
+        worlds += run.stats.worlds_sampled;
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let mean = allocations as f64 / worlds as f64;
+    println!("{mean:.2} allocations per world over {worlds} worlds");
+    assert_eq!(worlds, 1_536);
+    assert!(
+        mean <= QUERY_CEILING,
+        "{mean:.2} allocations per world, ceiling {QUERY_CEILING}"
+    );
 }
 
 #[test]
