@@ -106,12 +106,7 @@ impl SamplerKind {
     /// assert_eq!(s.num_edges(), 2);
     /// assert_eq!(s.next_mask().len(), 2);
     /// ```
-    pub fn build(self, g: &UncertainGraph, seed: u64) -> Box<dyn WorldSampler> {
-        self.build_shared(g, seed)
-    }
-
-    /// [`SamplerKind::build`] as a sampler that lanes may share.
-    fn build_shared(self, g: &UncertainGraph, seed: u64) -> Box<dyn WorldSampler + Send> {
+    pub fn build(self, g: &UncertainGraph, seed: u64) -> Box<dyn WorldSampler + Send> {
         match self {
             SamplerKind::MonteCarlo => Box::new(MonteCarlo::new(g, StdRng::seed_from_u64(seed))),
             SamplerKind::Lp => Box::new(LazyPropagation::new(g, StdRng::seed_from_u64(seed))),
@@ -153,8 +148,8 @@ pub enum Stop {
     /// `window` consecutive worlds (compared with
     /// [`ugraph::nodeset::set_family_similarity`] == 1.0), after at least
     /// `min_theta` worlds; give up and finish at `theta_cap` worlds if the
-    /// ranking never settles. [`Query::theta`] is ignored. Serial only: the
-    /// rule watches one ordered world stream.
+    /// ranking never settles. [`Query::theta`] is ignored. The run keeps one
+    /// lane: the rule reads the estimate after every world, in order.
     Stable {
         /// Consecutive unchanged-top-k worlds required to stop.
         window: usize,
@@ -875,36 +870,6 @@ impl Query {
         self
     }
 
-    /// Validates every knob once; the single checkpoint before execution.
-    fn validate(&self) -> Result<(), ApiError> {
-        let invalid = |param: &'static str, message: String| {
-            Err(ApiError::InvalidParameter { param, message })
-        };
-        if self.theta == 0 {
-            return invalid("theta", "need at least one sampled world".to_string());
-        }
-        if let Stop::Stable {
-            window,
-            min_theta,
-            theta_cap,
-        } = self.stop
-        {
-            if window == 0 {
-                return invalid("stop", "Stable window must be at least 1".to_string());
-            }
-            if theta_cap == 0 {
-                return invalid("stop", "Stable theta_cap must be at least 1".to_string());
-            }
-            if min_theta > theta_cap {
-                return invalid(
-                    "stop",
-                    format!("Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"),
-                );
-            }
-        }
-        Ok(())
-    }
-
     /// Validates, resolves the execution plan, and runs the query, building
     /// the sampler internally from [`Query::sampler`] + [`Query::seed`].
     ///
@@ -918,18 +883,15 @@ impl Query {
     /// assert_eq!(run.top_k[0].0, vec![0, 1]);
     /// ```
     pub fn run(&self, g: &UncertainGraph) -> Result<Run, ApiError> {
-        self.validate()?;
-        let started = Instant::now();
-        if self.solves_in_lanes() {
-            return self.run_lanes(g, started);
-        }
-        let mut sampler = self.sampler.build(g, self.seed);
-        self.run_serial(g, &mut *sampler, started)
+        self.run_on(g, Stream::Shared(&mut *self.sampler.build(g, self.seed)))
     }
 
     /// Runs the query with a caller-supplied sampler instead of resolving
-    /// one from [`Query::sampler`] + [`Query::seed`]. The run keeps one
-    /// ordered lane and ignores [`RunControl::with_helpers`].
+    /// one from [`Query::sampler`] + [`Query::seed`]: world *i* of the run is
+    /// the sampler's *i*-th draw. The sampler need not be `Send`, so it stays
+    /// on the calling thread, and the run keeps one lane whatever
+    /// [`RunControl::with_helpers`] lends it; its answer is the one helpers
+    /// would give.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -949,325 +911,62 @@ impl Query {
     pub fn run_with_sampler<S: WorldSampler + ?Sized>(
         &self,
         g: &UncertainGraph,
-        sampler: &mut S,
+        mut sampler: &mut S,
     ) -> Result<Run, ApiError> {
-        self.validate()?;
-        self.run_serial(g, sampler, Instant::now())
+        self.run_on(g, Stream::Local(&mut sampler))
     }
 
-    fn progress_sink(&self) -> &dyn ProgressSink {
-        match &self.progress {
-            Some(sink) => sink.as_ref(),
-            None => &NoProgress,
-        }
+    /// Runs the query as a set of one member over `stream`.
+    pub(crate) fn run_on(&self, g: &UncertainGraph, stream: Stream<'_>) -> Result<Run, ApiError> {
+        let (mut runs, _) = run_members(
+            std::slice::from_ref(self),
+            g,
+            stream,
+            self.stop,
+            self.theta,
+            &self.control,
+            self.progress.as_deref(),
+        )?;
+        Ok(runs.pop().expect("one member, one run"))
     }
 
-    /// The sampling loop's iteration ceiling: θ under [`Stop::FixedTheta`],
-    /// `theta_cap` under [`Stop::Stable`].
-    fn world_limit(&self) -> usize {
-        match self.stop {
-            Stop::FixedTheta => self.theta,
-            Stop::Stable { theta_cap, .. } => theta_cap,
-        }
-    }
-
-    /// A fresh [`StableTracker`] when this query early-stops on stability.
-    fn stable_tracker(&self) -> Option<StableTracker> {
-        match self.stop {
-            Stop::FixedTheta => None,
-            Stop::Stable {
-                window, min_theta, ..
-            } => Some(StableTracker::new(window, min_theta)),
-        }
-    }
-
-    /// Stamps `converged_at` once the outcome is known: a stable stop at
-    /// `worlds` means the top-k last changed at `worlds - window`.
-    fn note_convergence(&self, outcome: &mut WorldsOutcome) {
-        if outcome.reason == StopReason::Stable {
-            if let Stop::Stable { window, .. } = self.stop {
-                outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
-            }
-        }
-    }
-
-    fn run_serial<S: WorldSampler + ?Sized>(
+    fn finish_mpds<'s>(
         &self,
-        g: &UncertainGraph,
-        sampler: &mut S,
+        mut table: CandidateTable,
+        slots: impl Iterator<Item = &'s mut Slot>,
+        outcome: WorldsOutcome,
+        ctrl: &RunControl,
         started: Instant,
-    ) -> Result<Run, ApiError> {
-        let progress = self.progress_sink();
-        let limit = self.world_limit();
-        progress.begin(limit);
-        let mut tracker = self.stable_tracker();
-        // Stage recorder (if attached): a disabled recorder hands out inert
-        // spans, so an untraced loop pays one branch per stage, no clock
-        // reads.
-        let rec = self.control.recorder();
-        match self.kind {
-            Kind::Mpds => {
-                let mut acc = MpdsAccum::new(self, g.num_nodes());
-                let mut outcome =
-                    sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-                        {
-                            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                            acc.consume(world, self);
-                        }
-                        match &mut tracker {
-                            None => true,
-                            Some(t) => {
-                                let _span = rec.map(|r| r.span(Stage::StableTracker));
-                                !t.observe(acc.top_k_sets(self.k))
-                            }
-                        }
-                    })?;
-                self.note_convergence(&mut outcome);
-                Ok(self.finish_mpds(acc, outcome, started))
-            }
-            Kind::Nds => {
-                let mut acc = NdsAccum::new(self);
-                let mut outcome =
-                    sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-                        {
-                            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                            acc.consume(world, self);
-                        }
-                        match &mut tracker {
-                            None => true,
-                            Some(t) => {
-                                let _span = rec.map(|r| r.span(Stage::StableTracker));
-                                let (mined, _) = itemset::top_k_closed(
-                                    &acc.transactions,
-                                    self.k,
-                                    self.min_size,
-                                    self.miner_node_cap,
-                                );
-                                let current: Vec<NodeSet> =
-                                    mined.into_iter().map(|c| c.items).collect();
-                                !t.observe(current)
-                            }
-                        }
-                    })?;
-                self.note_convergence(&mut outcome);
-                Ok(self.finish_nds(acc, outcome, started))
-            }
-        }
-    }
-
-    /// Whether the worlds of this query are independent units of one
-    /// order-free estimate, so that lanes may solve them: a fixed-θ NDS
-    /// run, or a fixed-θ MPDS run crediting all densest sets. Stable stops
-    /// read the estimate after every world and the one-densest ablation
-    /// draws from one choice stream in world order, so both keep their one
-    /// ordered lane.
-    fn solves_in_lanes(&self) -> bool {
-        self.stop == Stop::FixedTheta && (self.kind == Kind::Nds || self.all_densest)
-    }
-
-    /// Solves the worlds in lanes ([`Query::lanes`]) and finishes the
-    /// estimate. Each MPDS lane credits a table of its own, added to the
-    /// run's table when the lane finishes, and leaves each world's densest
-    /// count at its index; NDS lanes leave each
-    /// world's max-sized densest set there, and the miner reads them in
-    /// world order. So the run equals the one-lane run in everything but
-    /// its wall time; with no helpers it is the one-lane run. A run of θ
-    /// worlds takes at most θ − 1 helpers.
-    fn run_lanes(&self, g: &UncertainGraph, started: Instant) -> Result<Run, ApiError> {
-        let lanes = 1 + self.control.helpers().min(self.theta - 1);
-        let (mut run, helper_worlds) = match self.kind {
-            Kind::Mpds => {
-                let mut acc = MpdsAccum::new(self, g.num_nodes());
-                // Lanes are made here, so their buffers come from this thread.
-                let tables = (0..lanes).map(|_| acc.candidates.for_lane()).collect();
-                let shared = Mutex::new(acc.candidates);
-                let truncated_worlds = AtomicUsize::new(0);
-                let solved = self.lanes(
-                    g,
-                    tables,
-                    |table, world| {
-                        let (count, truncated) = credit_all(table, world, self);
-                        if truncated {
-                            truncated_worlds.fetch_add(1, Ordering::Relaxed);
-                        }
-                        count
-                    },
-                    |table| {
-                        shared
-                            .lock()
-                            .expect("a lane panicked while merging")
-                            .merge(table)
-                    },
-                )?;
-                acc.empty_worlds = solved.slots.iter().filter(|&&count| count == 0).count();
-                acc.densest_counts = solved.slots;
-                acc.truncated_worlds = truncated_worlds.into_inner();
-                acc.truncated = acc.truncated_worlds > 0;
-                acc.candidates = shared.into_inner().expect("a lane panicked while merging");
-                (
-                    self.finish_mpds(acc, solved.outcome, started),
-                    solved.helper_worlds,
-                )
-            }
-            Kind::Nds => {
-                let solved = self.lanes(
-                    g,
-                    vec![(); lanes],
-                    |_, world| max_sized(world, self),
-                    |()| {},
-                )?;
-                let empty_worlds = solved.slots.iter().filter(|set| set.is_none()).count();
-                let acc = NdsAccum {
-                    transactions: solved.slots.into_iter().flatten().collect(),
-                    empty_worlds,
-                };
-                (
-                    self.finish_nds(acc, solved.outcome, started),
-                    solved.helper_worlds,
-                )
-            }
-        };
-        run.stats.helper_worlds = helper_worlds;
-        Ok(run)
-    }
-
-    /// Runs one lane per entry of `lanes`, the first on the calling thread
-    /// and each other on a helper thread. The lanes claim world indices in
-    /// order, each world drawn from the query's one sampler under its claim
-    /// (see [`Claims`]), and `solve` returns what a world leaves at its
-    /// index. Once claiming stops, each lane runs `finish` on its own
-    /// thread.
-    fn lanes<L: Send, T: Default + Send>(
-        &self,
-        g: &UncertainGraph,
-        lanes: Vec<L>,
-        solve: impl Fn(&mut L, &Graph) -> T + Sync,
-        finish: impl Fn(L) + Sync,
-    ) -> Result<Solved<T>, ApiError> {
-        self.progress_sink().begin(self.theta);
-        let claims = Mutex::new(Claims {
-            sampler: self.sampler.build_shared(g, self.seed),
-            claimed: 0,
-            stopped: None,
-            slots: std::iter::repeat_with(T::default)
-                .take(self.theta)
-                .collect(),
-        });
-        let (solve, finish) = (&solve, &finish);
-        let mut lanes = lanes.into_iter();
-        let own = lanes.next().expect("the calling thread's lane");
-        let helper_worlds: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .map(|lane| {
-                    let claims = &claims;
-                    scope.spawn(move || self.lane(g, claims, lane, None, solve, finish))
-                })
-                .collect();
-            let rec = self.control.recorder();
-            self.lane(g, &claims, own, rec, solve, finish);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("estimator lane panicked"))
-                .sum()
-        });
-        let Claims {
-            claimed,
-            stopped,
-            mut slots,
-            ..
-        } = claims.into_inner().expect("a lane panicked while claiming");
-        let reason = match stopped {
-            Some(Err(reason)) => {
-                return Err(ApiError::Interrupted(Interrupted {
-                    reason,
-                    completed_worlds: claimed,
-                }))
-            }
-            Some(Ok(reason)) => reason,
-            None => StopReason::Completed,
-        };
-        slots.truncate(claimed);
-        Ok(Solved {
-            slots,
-            outcome: WorldsOutcome {
-                worlds: claimed,
-                reason,
-                converged_at: None,
-            },
-            helper_worlds,
-        })
-    }
-
-    /// One lane of [`Query::lanes`]: claims the next world and draws it,
-    /// leaving the previous world's slot under the same lock, then solves
-    /// it outside the lock, until claiming stops; then finishes. Returns
-    /// how many worlds it solved. Only a lane given `rec` records stage
-    /// spans.
-    fn lane<L, T>(
-        &self,
-        g: &UncertainGraph,
-        claims: &Mutex<Claims<T>>,
-        mut lane: L,
-        rec: Option<&Recorder>,
-        solve: &impl Fn(&mut L, &Graph) -> T,
-        finish: &impl Fn(L),
-    ) -> usize {
-        let progress = self.progress_sink();
-        let mut mask = EdgeMask::new(g.num_edges());
-        let mut world = Graph::default();
-        let mut solved: Option<(usize, T)> = None;
-        let mut worlds = 0;
-        loop {
-            let index = {
-                let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
-                let index = {
-                    let mut c = claims.lock().expect("a lane panicked while claiming");
-                    if let Some((index, slot)) = solved.take() {
-                        c.slots[index] = slot;
-                    }
-                    let Some(index) = c.claim(&self.control) else {
-                        break;
-                    };
-                    c.sampler.next_mask_into(&mut mask);
-                    index
-                };
-                world = g.world_from_bitmap(&mask, world);
-                index
-            };
-            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-            solved = Some((index, solve(&mut lane, &world)));
-            worlds += 1;
-            progress.world_done();
-        }
-        let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-        finish(lane);
-        worlds
-    }
-
-    fn finish_mpds(&self, mut acc: MpdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
+    ) -> Run {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
         let top_k: Vec<(NodeSet, f64)> = {
-            let _span = self.control.recorder().map(|r| r.span(Stage::RankSelect));
-            acc.candidates.resolve();
-            acc.candidates.top_k(self.k)
+            let _span = ctrl.recorder().map(|r| r.span(Stage::RankSelect));
+            table.resolve();
+            table.top_k(self.k)
         }
         .into_iter()
         .map(|(set, c)| (set, c as f64 / worlds as f64))
         .collect();
-        let summary = if acc.densest_counts.is_empty() {
+        let mut densest_counts = Vec::with_capacity(worlds);
+        let mut truncated_worlds = 0;
+        for slot in slots {
+            densest_counts.push(slot.count);
+            truncated_worlds += usize::from(slot.truncated);
+        }
+        let summary = if densest_counts.is_empty() {
             None
         } else {
-            Some(densest_count_stats(&acc.densest_counts))
+            Some(densest_count_stats(&densest_counts))
         };
         let result = MpdsResult {
             top_k: top_k.clone(),
-            candidates: acc.candidates,
+            candidates: table,
             theta: worlds,
-            empty_worlds: acc.empty_worlds,
-            densest_counts: acc.densest_counts,
-            truncated: acc.truncated,
+            empty_worlds: densest_counts.iter().filter(|&&count| count == 0).count(),
+            densest_counts,
+            truncated: truncated_worlds > 0,
         };
         Run {
             top_k,
@@ -1279,7 +978,7 @@ impl Query {
                 empty_worlds: result.empty_worlds,
                 wall: started.elapsed(),
                 truncated: result.truncated,
-                truncated_worlds: acc.truncated_worlds,
+                truncated_worlds,
                 densest_count_summary: summary,
                 helper_worlds: 0,
             },
@@ -1287,23 +986,32 @@ impl Query {
         }
     }
 
-    fn finish_nds(&self, acc: NdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
+    fn finish_nds<'s>(
+        &self,
+        slots: impl Iterator<Item = &'s mut Slot>,
+        outcome: WorldsOutcome,
+        started: Instant,
+    ) -> Run {
         let worlds = outcome.worlds;
-        let (mined, miner_capped) = itemset::top_k_closed(
-            &acc.transactions,
-            self.k,
-            self.min_size,
-            self.miner_node_cap,
-        );
+        let mut transactions = Vec::with_capacity(worlds);
+        let mut empty_worlds = 0;
+        for slot in slots {
+            match slot.nucleus.take() {
+                Some(set) => transactions.push(set),
+                None => empty_worlds += 1,
+            }
+        }
+        let (mined, miner_capped) =
+            itemset::top_k_closed(&transactions, self.k, self.min_size, self.miner_node_cap);
         let top_k: Vec<(NodeSet, f64)> = mined
             .into_iter()
             .map(|c| (c.items, c.support as f64 / worlds as f64))
             .collect();
         let result = NdsResult {
             top_k: top_k.clone(),
-            transactions: acc.transactions,
+            transactions,
             theta: worlds,
-            empty_worlds: acc.empty_worlds,
+            empty_worlds,
             miner_capped,
         };
         Run {
@@ -1313,7 +1021,7 @@ impl Query {
                 worlds_sampled: worlds,
                 stop_reason: outcome.reason,
                 converged_at: outcome.converged_at,
-                empty_worlds: result.empty_worlds,
+                empty_worlds,
                 wall: started.elapsed(),
                 truncated: miner_capped,
                 truncated_worlds: 0,
@@ -1325,12 +1033,150 @@ impl Query {
     }
 }
 
-/// How a [`sample_worlds`] loop ended: how many worlds it drew and why it
-/// stopped. `converged_at` is stamped by the caller (only it knows the
-/// stable window).
+/// Validates the stream knobs θ and [`Stop`] of a query or a set; the one
+/// checkpoint before a run.
+fn check_stream(theta: usize, stop: Stop) -> Result<(), ApiError> {
+    let invalid =
+        |param: &'static str, message: String| Err(ApiError::InvalidParameter { param, message });
+    if theta == 0 {
+        return invalid("theta", "need at least one sampled world".to_string());
+    }
+    if let Stop::Stable {
+        window,
+        min_theta,
+        theta_cap,
+    } = stop
+    {
+        if window == 0 {
+            return invalid("stop", "Stable window must be at least 1".to_string());
+        }
+        if theta_cap == 0 {
+            return invalid("stop", "Stable theta_cap must be at least 1".to_string());
+        }
+        if min_theta > theta_cap {
+            return invalid(
+                "stop",
+                format!("Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"),
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Runs `members` over one world stream and finishes each member's
+/// [`Run`]: the one member dispatch behind [`Query::run`],
+/// [`queryset::QuerySet`] and [`crate::recompute::Recompute`] (a query runs
+/// as a set of one). Every member's run is the run it would get alone.
+///
+/// The worlds are solved in `1 + min(helpers, θ − 1)` lanes
+/// ([`WorldLoop`]) when the stream is shared, the stop is fixed-θ and every
+/// member is NDS or all-densest MPDS: the worlds are then independent units
+/// of order-free estimates. Otherwise one lane solves them in order: a
+/// stable stop reads every member's estimate after each world, and the
+/// one-densest ablation draws from one choice stream in world order.
+fn run_members(
+    members: &[Query],
+    g: &UncertainGraph,
+    stream: Stream<'_>,
+    stop: Stop,
+    theta: usize,
+    ctrl: &RunControl,
+    progress: Option<&dyn ProgressSink>,
+) -> Result<(Vec<Run>, WorldsOutcome), ApiError> {
+    check_stream(theta, stop)?;
+    let started = Instant::now();
+    let (limit, mut tracker) = match stop {
+        Stop::FixedTheta => (theta, None),
+        Stop::Stable {
+            window,
+            min_theta,
+            theta_cap,
+        } => (
+            theta_cap,
+            Some(StableTracker::new(window, min_theta, members.len())),
+        ),
+    };
+    let order_free = members.iter().all(|q| q.kind == Kind::Nds || q.all_densest);
+    let lanes = match stream {
+        Stream::Shared(_) if tracker.is_none() && order_free => 1 + ctrl.helpers().min(limit - 1),
+        _ => 1,
+    };
+    let tables: Vec<Option<CandidateTable>> = members
+        .iter()
+        .map(|q| (q.kind == Kind::Mpds).then(|| CandidateTable::for_graph(g.num_nodes())))
+        .collect();
+    // Lanes are made here, so their buffers come from this thread.
+    let lanes: Vec<Vec<Tally>> = (0..lanes)
+        .map(|_| {
+            members
+                .iter()
+                .zip(&tables)
+                .map(|(q, table)| Tally::new(q, table.as_ref()))
+                .collect()
+        })
+        .collect();
+    let tables = Mutex::new(tables);
+    let mut observe = tracker
+        .as_mut()
+        .map(|t| |lane: &mut Vec<Tally>, solved: &[Slot]| t.observe(members, lane, solved));
+    let solved = WorldLoop {
+        g,
+        limit,
+        stride: members.len(),
+        ctrl,
+        progress: progress.unwrap_or(&NoProgress),
+    }
+    .run(
+        stream,
+        lanes,
+        |lane: &mut Vec<Tally>, world, out| {
+            for ((tally, q), slot) in lane.iter_mut().zip(members).zip(out) {
+                *slot = tally.solve(world, q);
+            }
+        },
+        observe.as_mut().map(|o| o as _),
+        |lane| {
+            let mut tables = tables.lock().expect("a lane panicked while merging");
+            for (table, tally) in tables.iter_mut().zip(lane) {
+                if let (Some(table), Some(credited)) = (table, tally.table) {
+                    table.merge(credited);
+                }
+            }
+        },
+    )?;
+    let Solved {
+        mut slots,
+        mut outcome,
+        helper_worlds,
+    } = solved;
+    if let (StopReason::Stable, Stop::Stable { window, .. }) = (outcome.reason, stop) {
+        // The top-k last changed `window` worlds before the stop.
+        outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
+    }
+    let tables = tables.into_inner().expect("a lane panicked while merging");
+    let runs = members
+        .iter()
+        .zip(tables)
+        .enumerate()
+        .map(|(m, (q, table))| {
+            let slots = slots.iter_mut().skip(m).step_by(members.len());
+            let mut run = match table {
+                Some(table) => q.finish_mpds(table, slots, outcome, ctrl, started),
+                None => q.finish_nds(slots, outcome, started),
+            };
+            run.stats.helper_worlds = helper_worlds;
+            run
+        })
+        .collect();
+    Ok((runs, outcome))
+}
+
+/// How a run's world loop ended: how many worlds it drew and why it
+/// stopped, and for a stable stop the world count after which the top-k
+/// was frozen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WorldsOutcome {
-    /// Worlds fully sampled and consumed.
+    /// Worlds fully sampled and solved.
     pub worlds: usize,
     /// Why the loop stopped.
     pub reason: StopReason,
@@ -1338,69 +1184,275 @@ pub(crate) struct WorldsOutcome {
     pub converged_at: Option<usize>,
 }
 
-/// The one-lane sampling loop: stable stops, the one-densest ablation,
-/// external samplers and batches run through this one function. Per
-/// iteration: poll the [`RunControl`] (abortive
-/// deadline / cancellation), check the graceful time budget, draw a world
-/// into the recycled mask + CSR storage (zero steady-state allocation),
-/// hand it to the accumulator, notify the [`ProgressSink`]. The
-/// accumulator's `per_world` return steers early stopping: `false` ends the
-/// loop with [`StopReason::Stable`]. An exhausted budget ends it with
-/// [`StopReason::Budget`] — but never before the first world, so a budgeted
-/// run always returns a (minimal) estimate.
-pub(crate) fn sample_worlds<S: WorldSampler + ?Sized>(
-    g: &UncertainGraph,
-    sampler: &mut S,
-    limit: usize,
-    ctrl: &RunControl,
-    progress: &dyn ProgressSink,
-    mut per_world: impl FnMut(&Graph) -> bool,
-) -> Result<WorldsOutcome, Interrupted> {
-    let mut mask = EdgeMask::new(g.num_edges());
-    let mut world = Graph::default();
-    let rec = ctrl.recorder();
-    for completed in 0..limit {
-        if let Some(reason) = ctrl.interruption() {
-            return Err(Interrupted {
-                reason,
-                completed_worlds: completed,
-            });
-        }
-        if completed > 0 && ctrl.budget_exhausted() {
-            return Ok(WorldsOutcome {
-                worlds: completed,
-                reason: StopReason::Budget,
-                converged_at: None,
-            });
-        }
-        {
-            let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
-            sampler.next_mask_into(&mut mask);
-            world = g.world_from_bitmap(&mask, world);
-        }
-        let keep_going = per_world(&world);
-        progress.world_done();
-        if !keep_going {
-            return Ok(WorldsOutcome {
-                worlds: completed + 1,
-                reason: StopReason::Stable,
-                converged_at: None,
-            });
-        }
-    }
-    Ok(WorldsOutcome {
-        worlds: limit,
-        reason: StopReason::Completed,
-        converged_at: None,
-    })
+/// The sampler a run draws its worlds from.
+pub(crate) enum Stream<'s> {
+    /// A sampler that the run's helper lanes may draw from.
+    Shared(&'s mut (dyn WorldSampler + Send)),
+    /// A caller's sampler, which stays on the calling thread: one lane.
+    Local(&'s mut dyn WorldSampler),
 }
 
-/// What [`Query::lanes`] hands back: each claimed world's slot in world
+/// The one loop that draws worlds: every estimator run in this crate,
+/// fixed-θ or stable, one member or many, goes through [`WorldLoop::run`].
+pub(crate) struct WorldLoop<'a> {
+    /// The uncertain graph the worlds are drawn from.
+    pub g: &'a UncertainGraph,
+    /// The most worlds the run draws.
+    pub limit: usize,
+    /// Slots each world leaves.
+    pub stride: usize,
+    /// Polled before each world is claimed.
+    pub ctrl: &'a RunControl,
+    /// Told the limit, then each solved world.
+    pub progress: &'a dyn ProgressSink,
+}
+
+impl WorldLoop<'_> {
+    /// Runs one lane per entry of `lanes`, the first on the calling thread
+    /// and each other on a helper thread (a [`Stream::Local`] run takes one
+    /// lane). The lanes claim world indices in order, each world drawn
+    /// from the one sampler under its claim, so world *i* is the sampler's
+    /// *i*-th draw whatever the lane count. `solve` writes what a world
+    /// leaves into its `stride` slots, which land at its index. On the
+    /// calling thread, `stop` sees the lane and those slots after each
+    /// world; `true` ends the run with [`StopReason::Stable`], which wins
+    /// over an interruption or budget polled before the next world. Once
+    /// claiming stops, each lane runs `finish` on its own thread.
+    pub fn run<L: Send, T: Default + Send>(
+        &self,
+        stream: Stream<'_>,
+        lanes: Vec<L>,
+        solve: impl Fn(&mut L, &Graph, &mut [T]) + Sync,
+        stop: Option<StopHook<'_, L, T>>,
+        finish: impl Fn(L) + Sync,
+    ) -> Result<Solved<T>, Interrupted> {
+        self.progress.begin(self.limit);
+        let slots = std::iter::repeat_with(T::default)
+            .take(self.limit * self.stride)
+            .collect();
+        let mut lanes = lanes.into_iter();
+        let own = lanes.next().expect("the calling thread's lane");
+        let rec = self.ctrl.recorder();
+        let (ended, helper_worlds) = match stream {
+            Stream::Shared(sampler) => {
+                let claims = Mutex::new(Claims::new(sampler, self.limit, slots));
+                let helper_worlds = std::thread::scope(|scope| {
+                    let handles: Vec<_> = lanes
+                        .map(|lane| {
+                            let (claims, solve, finish) = (&claims, &solve, &finish);
+                            scope.spawn(move || self.lane(claims, lane, None, solve, None, finish))
+                        })
+                        .collect();
+                    self.lane(&claims, own, rec, &solve, stop, &finish);
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("estimator lane panicked"))
+                        .sum()
+                });
+                (Claims::end(claims), helper_worlds)
+            }
+            Stream::Local(sampler) => {
+                debug_assert_eq!(lanes.len(), 0, "a caller's sampler keeps one lane");
+                let claims = Mutex::new(Claims::new(sampler, self.limit, slots));
+                self.lane(&claims, own, rec, &solve, stop, &finish);
+                (Claims::end(claims), 0)
+            }
+        };
+        let (mut slots, outcome) = ended?;
+        slots.truncate(outcome.worlds * self.stride);
+        Ok(Solved {
+            slots,
+            outcome,
+            helper_worlds,
+        })
+    }
+
+    /// One lane of [`WorldLoop::run`]: claims the next world and draws it,
+    /// leaving the previous world's slots under the same lock, then solves
+    /// it outside the lock, until claiming stops; then finishes. Returns how
+    /// many worlds it solved. Only a lane given `rec` records stage spans.
+    fn lane<W: WorldSampler + ?Sized, L, T: Default>(
+        &self,
+        claims: &Mutex<Claims<'_, W, T>>,
+        mut lane: L,
+        rec: Option<&Recorder>,
+        solve: &impl Fn(&mut L, &Graph, &mut [T]),
+        mut stop: Option<StopHook<'_, L, T>>,
+        finish: &impl Fn(L),
+    ) -> usize {
+        let stride = self.stride;
+        let mut out: Vec<T> = std::iter::repeat_with(T::default).take(stride).collect();
+        let mut mask = EdgeMask::new(self.g.num_edges());
+        let mut world = Graph::default();
+        let mut solved = None;
+        let mut stable = false;
+        let mut worlds = 0;
+        loop {
+            let index = {
+                let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
+                let index = {
+                    let mut c = claims.lock().expect("a lane panicked while claiming");
+                    if let Some(index) = solved.take() {
+                        c.slots[index * stride..][..stride].swap_with_slice(&mut out);
+                    }
+                    if stable {
+                        c.stopped = Some(Ok(StopReason::Stable));
+                    }
+                    let Some(index) = c.claim(self.ctrl) else {
+                        break;
+                    };
+                    c.sampler.next_mask_into(&mut mask);
+                    index
+                };
+                world = self.g.world_from_bitmap(&mask, world);
+                index
+            };
+            {
+                let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+                solve(&mut lane, &world, &mut out);
+            }
+            if let Some(stop) = stop.as_mut() {
+                let _span = rec.map(|r| r.span(Stage::StableTracker));
+                stable = stop(&mut lane, &out);
+            }
+            solved = Some(index);
+            worlds += 1;
+            self.progress.world_done();
+        }
+        let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+        finish(lane);
+        worlds
+    }
+}
+
+/// Reads a one-lane run after each world: the lane and the world's slots;
+/// `true` stops the run as stable.
+pub(crate) type StopHook<'h, L, T> = &'h mut dyn FnMut(&mut L, &[T]) -> bool;
+
+/// What [`WorldLoop::run`] hands back: each claimed world's slots in world
 /// order, how the run stopped, and how many worlds the helpers solved.
-struct Solved<T> {
+pub(crate) struct Solved<T> {
+    pub slots: Vec<T>,
+    pub outcome: WorldsOutcome,
+    pub helper_worlds: usize,
+}
+
+/// What the lanes of [`WorldLoop::run`] share under one lock: the run's one
+/// sampler, how many world indices were claimed, why claiming stopped, and
+/// each world's slots at its index.
+struct Claims<'s, W: ?Sized, T> {
+    sampler: &'s mut W,
+    limit: usize,
+    claimed: usize,
+    /// `Ok` for a graceful stop (stable, budget), `Err` for an abortive one.
+    stopped: Option<Result<StopReason, InterruptReason>>,
     slots: Vec<T>,
-    outcome: WorldsOutcome,
-    helper_worlds: usize,
+}
+
+impl<'s, W: ?Sized, T> Claims<'s, W, T> {
+    fn new(sampler: &'s mut W, limit: usize, slots: Vec<T>) -> Self {
+        Claims {
+            sampler,
+            limit,
+            claimed: 0,
+            stopped: None,
+            slots,
+        }
+    }
+
+    /// The next world index, or `None` once every world is claimed or the
+    /// run stopped (stable, then cancellation, then deadline, then budget —
+    /// never before the first world).
+    fn claim(&mut self, ctrl: &RunControl) -> Option<usize> {
+        if self.stopped.is_some() || self.claimed == self.limit {
+            return None;
+        }
+        if let Some(reason) = ctrl.interruption() {
+            self.stopped = Some(Err(reason));
+            return None;
+        }
+        if self.claimed > 0 && ctrl.budget_exhausted() {
+            self.stopped = Some(Ok(StopReason::Budget));
+            return None;
+        }
+        self.claimed += 1;
+        Some(self.claimed - 1)
+    }
+
+    /// The slots and how the run ended, or how it was interrupted.
+    fn end(claims: Mutex<Self>) -> Result<(Vec<T>, WorldsOutcome), Interrupted> {
+        let c = claims.into_inner().expect("a lane panicked while claiming");
+        let reason = match c.stopped {
+            Some(Err(reason)) => {
+                return Err(Interrupted {
+                    reason,
+                    completed_worlds: c.claimed,
+                })
+            }
+            Some(Ok(reason)) => reason,
+            None => StopReason::Completed,
+        };
+        Ok((
+            c.slots,
+            WorldsOutcome {
+                worlds: c.claimed,
+                reason,
+                converged_at: None,
+            },
+        ))
+    }
+}
+
+/// What one world leaves for one member at the world's index: for MPDS how
+/// many densest sets it credited and whether their enumeration stopped at
+/// the cap, for NDS its max-sized densest set (`None` for an empty world).
+#[derive(Default)]
+struct Slot {
+    count: usize,
+    truncated: bool,
+    nucleus: Option<NodeSet>,
+}
+
+/// A lane's state for one member: an MPDS member's candidate table, added
+/// to the run's table when the lane finishes, and for the one-densest
+/// ablation its choice stream; neither for NDS, whose worlds leave their
+/// sets in slots.
+struct Tally {
+    table: Option<CandidateTable>,
+    pick: Option<Pick>,
+}
+
+impl Tally {
+    /// A lane's tally for member `q`, crediting a lane table of the run's
+    /// `table` (MPDS members have one).
+    fn new(q: &Query, table: Option<&CandidateTable>) -> Self {
+        Tally {
+            table: table.map(CandidateTable::for_lane),
+            pick: (table.is_some() && !q.all_densest).then(|| Pick {
+                rng: StdRng::seed_from_u64(q.choice_seed),
+                family: Vec::new(),
+            }),
+        }
+    }
+
+    /// Solves one world for member `q`.
+    fn solve(&mut self, world: &Graph, q: &Query) -> Slot {
+        let (count, truncated) = match (&mut self.table, &mut self.pick) {
+            (Some(table), None) => credit_all(table, world, q),
+            (Some(table), Some(pick)) => pick.credit_one(table, world, q),
+            (None, _) => {
+                return Slot {
+                    nucleus: max_sized(world, q),
+                    ..Slot::default()
+                }
+            }
+        };
+        Slot {
+            count,
+            truncated,
+            nucleus: None,
+        }
+    }
 }
 
 /// Credits every densest set of `world` to `table` (every dense set the
@@ -1425,121 +1477,28 @@ fn credit_all(table: &mut CandidateTable, world: &Graph, q: &Query) -> (usize, b
     }
 }
 
-/// What the lanes of [`Query::lanes`] share under one lock: the query's one
-/// sampler, how many world indices were claimed, why claiming stopped, and
-/// each world's slot at its index. A claim polls the
-/// [`RunControl`] as [`sample_worlds`] does before each world, and the
-/// world is drawn under the claim, so the claimed worlds are always a
-/// prefix of the one-lane stream.
-struct Claims<T> {
-    sampler: Box<dyn WorldSampler + Send>,
-    claimed: usize,
-    /// `Ok` for a graceful stop (budget), `Err` for an abortive one.
-    stopped: Option<Result<StopReason, InterruptReason>>,
-    slots: Vec<T>,
-}
-
-impl<T> Claims<T> {
-    /// The next world index, or `None` once every world is claimed or the
-    /// run stopped (cancellation, then deadline, then budget — never before
-    /// the first world).
-    fn claim(&mut self, ctrl: &RunControl) -> Option<usize> {
-        if self.stopped.is_some() || self.claimed == self.slots.len() {
-            return None;
-        }
-        if let Some(reason) = ctrl.interruption() {
-            self.stopped = Some(Err(reason));
-            return None;
-        }
-        if self.claimed > 0 && ctrl.budget_exhausted() {
-            self.stopped = Some(Ok(StopReason::Budget));
-            return None;
-        }
-        self.claimed += 1;
-        Some(self.claimed - 1)
-    }
-}
-
-/// Watches the per-world top-k under [`Stop::Stable`]: counts how many
-/// consecutive worlds left the ranking unchanged (family similarity 1.0)
-/// and says stop once the streak reaches the window past `min_theta`.
-struct StableTracker {
-    window: usize,
-    min_theta: usize,
-    worlds: usize,
-    streak: usize,
-    prev: Option<Vec<NodeSet>>,
-}
-
-impl StableTracker {
-    fn new(window: usize, min_theta: usize) -> Self {
-        StableTracker {
-            window,
-            min_theta,
-            worlds: 0,
-            streak: 0,
-            prev: None,
-        }
-    }
-
-    /// Feeds the top-k after one more world; `true` means stop now.
-    fn observe(&mut self, current: Vec<NodeSet>) -> bool {
-        self.worlds += 1;
-        match &self.prev {
-            Some(prev) if ugraph::nodeset::set_family_similarity(prev, &current) >= 1.0 => {
-                self.streak += 1;
-            }
-            _ => self.streak = 0,
-        }
-        self.prev = Some(current);
-        self.worlds >= self.min_theta && self.streak >= self.window
-    }
-}
-
-struct MpdsAccum {
-    candidates: CandidateTable,
-    empty_worlds: usize,
-    densest_counts: Vec<usize>,
-    truncated: bool,
-    truncated_worlds: usize,
-    choice_rng: StdRng,
-    /// One world's densest family as packed masks, kept only for the
-    /// one-densest ablation's random pick; reused across worlds.
+/// The §VI-D ablation's choice stream, and one world's densest family as
+/// packed masks (reused across worlds) to pick from.
+struct Pick {
+    rng: StdRng,
     family: Vec<u64>,
 }
 
-impl MpdsAccum {
-    fn new(q: &Query, num_nodes: usize) -> Self {
-        MpdsAccum {
-            candidates: CandidateTable::for_graph(num_nodes),
-            empty_worlds: 0,
-            densest_counts: Vec::with_capacity(q.theta),
-            truncated: false,
-            truncated_worlds: 0,
-            choice_rng: StdRng::seed_from_u64(q.choice_seed),
-            family: Vec::new(),
-        }
-    }
-
-    /// The current top-k sets, for the `Stop::Stable` trackers.
-    fn top_k_sets(&mut self, k: usize) -> Vec<NodeSet> {
-        self.candidates.fold();
-        self.candidates
-            .top_k(k)
-            .into_iter()
-            .map(|(set, _)| set)
-            .collect()
-    }
-
-    /// §VI-D ablation: credits one uniformly random densest set of `world`
-    /// (one random dense set, in heuristic mode). Returns the family size
-    /// and whether its enumeration stopped at the cap.
-    fn credit_one(&mut self, world: &Graph, q: &Query) -> (usize, bool) {
+impl Pick {
+    /// Credits one uniformly random densest set of `world` to `table` (one
+    /// random dense set, in heuristic mode). Returns the family size and
+    /// whether its enumeration stopped at the cap.
+    fn credit_one(
+        &mut self,
+        table: &mut CandidateTable,
+        world: &Graph,
+        q: &Query,
+    ) -> (usize, bool) {
         if q.heuristic {
             let count = with_candidates(world, &q.notion, |c| {
                 let Some(c) = c else { return 0 };
-                let pick = self.choice_rng.gen_range(0..c.len());
-                self.candidates.credit_nodes(c.nodes(c.ranked()[pick]));
+                let pick = self.rng.gen_range(0..c.len());
+                table.credit_nodes(c.nodes(c.ranked()[pick]));
                 c.len()
             });
             return (count, false);
@@ -1552,46 +1511,73 @@ impl MpdsAccum {
             return (0, false);
         };
         if let Some(width) = family.len().checked_div(f.count) {
-            let pick = self.choice_rng.gen_range(0..f.count);
-            self.candidates
-                .credit_mask(&family[pick * width..(pick + 1) * width]);
+            let pick = self.rng.gen_range(0..f.count);
+            table.credit_mask(&family[pick * width..(pick + 1) * width]);
         }
         (f.count, f.truncated)
     }
-
-    /// Processes one sampled world.
-    fn consume(&mut self, world: &Graph, q: &Query) {
-        let (count, truncated) = if q.all_densest {
-            credit_all(&mut self.candidates, world, q)
-        } else {
-            self.credit_one(world, q)
-        };
-        self.truncated |= truncated;
-        self.truncated_worlds += usize::from(truncated);
-        self.empty_worlds += usize::from(count == 0);
-        self.densest_counts.push(count);
-    }
 }
 
-struct NdsAccum {
-    transactions: Vec<NodeSet>,
-    empty_worlds: usize,
+/// Watches every member's top-k under [`Stop::Stable`]: counts, per member,
+/// how many consecutive worlds left its ranking unchanged (family
+/// similarity 1.0), and says stop once every streak reaches the window past
+/// `min_theta`. It reads the one lane's tallies after each world.
+struct StableTracker {
+    window: usize,
+    min_theta: usize,
+    worlds: usize,
+    /// Per member: the streak and the top-k after the last world.
+    streaks: Vec<(usize, Option<Vec<NodeSet>>)>,
+    /// Per member: the NDS transactions so far, in world order.
+    nuclei: Vec<Vec<NodeSet>>,
 }
 
-impl NdsAccum {
-    fn new(q: &Query) -> Self {
-        NdsAccum {
-            transactions: Vec::with_capacity(q.theta),
-            empty_worlds: 0,
+impl StableTracker {
+    fn new(window: usize, min_theta: usize, members: usize) -> Self {
+        StableTracker {
+            window,
+            min_theta,
+            worlds: 0,
+            streaks: vec![(0, None); members],
+            nuclei: vec![Vec::new(); members],
         }
     }
 
-    /// Processes one sampled world.
-    fn consume(&mut self, world: &Graph, q: &Query) {
-        match max_sized(world, q) {
-            Some(ms) => self.transactions.push(ms),
-            None => self.empty_worlds += 1,
+    /// Feeds every member's top-k after one more world; `true` means stop
+    /// now.
+    fn observe(&mut self, members: &[Query], lane: &mut [Tally], solved: &[Slot]) -> bool {
+        self.worlds += 1;
+        let mut stable = self.worlds >= self.min_theta;
+        let per_member = members
+            .iter()
+            .zip(lane)
+            .zip(solved)
+            .zip(self.streaks.iter_mut().zip(&mut self.nuclei));
+        for (((q, tally), slot), ((streak, prev), nuclei)) in per_member {
+            let current: Vec<NodeSet> = match &mut tally.table {
+                Some(table) => {
+                    table.fold();
+                    table.top_k(q.k).into_iter().map(|(set, _)| set).collect()
+                }
+                None => {
+                    nuclei.extend(slot.nucleus.clone());
+                    itemset::top_k_closed(nuclei, q.k, q.min_size, q.miner_node_cap)
+                        .0
+                        .into_iter()
+                        .map(|c| c.items)
+                        .collect()
+                }
+            };
+            match prev {
+                Some(prev) if ugraph::nodeset::set_family_similarity(prev, &current) >= 1.0 => {
+                    *streak += 1;
+                }
+                _ => *streak = 0,
+            }
+            *prev = Some(current);
+            stable &= *streak >= self.window;
         }
+        stable
     }
 }
 
@@ -1646,7 +1632,7 @@ mod tests {
         let _mpds: fn(DensityNotion) -> Query = Query::mpds;
         let _nds: fn(DensityNotion) -> Query = Query::nds;
         let _run: fn(&Query, &UncertainGraph) -> Result<Run, ApiError> = Query::run;
-        let _build: fn(SamplerKind, &UncertainGraph, u64) -> Box<dyn WorldSampler> =
+        let _build: fn(SamplerKind, &UncertainGraph, u64) -> Box<dyn WorldSampler + Send> =
             SamplerKind::build;
         let _set: fn() -> QuerySet = QuerySet::new;
         let _push: fn(QuerySet, Query) -> QuerySet = QuerySet::push;
@@ -1791,8 +1777,8 @@ mod tests {
         assert!(run.top_k.len() <= 2);
     }
 
-    /// An external sampler is one mutable stream: its run keeps one lane
-    /// and turns helper threads away.
+    /// A caller's sampler need not be `Send`: its run keeps one lane and
+    /// turns helper threads away.
     #[test]
     fn external_sampler_rejects_threads() {
         let g = fig1();

@@ -15,7 +15,7 @@
 //!
 //! # Bit-identity contract
 //!
-//! A standalone serial [`Query::run`] builds its sampler from the query's
+//! A standalone [`Query::run`] builds its sampler from the query's
 //! `(sampler kind, seed)` pair — the world stream does not depend on the
 //! estimator at all. A `QuerySet` builds the *same* stream once and feeds
 //! every member, so **each member's [`Run`] is bit-identical to the
@@ -28,11 +28,12 @@
 //!
 //! # Execution model
 //!
-//! A `QuerySet` runs on one ordered lane, the calling thread: every member
-//! reads each world as it is drawn, and the set's stable stop reads the
-//! members after every world, so it ignores
-//! [`RunControl::with_helpers`] (as [`Query::run_with_sampler`] and
-//! [`crate::recompute`] do).
+//! A `QuerySet` runs through the same loop as a standalone [`Query`] (which
+//! runs as a set of one): every lane solves each world it claims for every
+//! member. A fixed-θ set whose members are all NDS or all-densest MPDS takes
+//! the helpers [`RunControl::with_helpers`] lends it; a stable stop, a
+//! one-densest ablation member or a caller's sampler keeps the set on one
+//! ordered lane. Either way each member's run is its standalone run.
 //!
 //! # Example
 //!
@@ -65,8 +66,7 @@
 //! ```
 
 use super::{
-    sample_worlds, ApiError, Kind, MpdsAccum, NdsAccum, NoProgress, ProgressSink, Query, Run,
-    SamplerKind, StableTracker, Stop, StopReason,
+    run_members, ApiError, ProgressSink, Query, Run, SamplerKind, Stop, StopReason, Stream,
 };
 use crate::control::RunControl;
 use sampling::WorldSampler;
@@ -322,70 +322,13 @@ impl QuerySet {
         self.members.is_empty()
     }
 
-    /// Validates the set and rewrites every member onto the shared stream:
-    /// estimator knobs kept, stream knobs and run hooks superseded.
-    fn normalized_members(&self) -> Result<Vec<Query>, ApiError> {
-        if self.members.is_empty() {
-            return Err(ApiError::InvalidParameter {
-                param: "members",
-                message: "a QuerySet needs at least one member query".to_string(),
-            });
-        }
-        if self.theta == 0 {
-            return Err(ApiError::InvalidParameter {
-                param: "theta",
-                message: "need at least one sampled world".to_string(),
-            });
-        }
-        if let Stop::Stable {
-            window,
-            min_theta,
-            theta_cap,
-        } = self.stop
-        {
-            let invalid = |message: String| {
-                Err(ApiError::InvalidParameter {
-                    param: "stop",
-                    message,
-                })
-            };
-            if window == 0 {
-                return invalid("Stable window must be at least 1".to_string());
-            }
-            if theta_cap == 0 {
-                return invalid("Stable theta_cap must be at least 1".to_string());
-            }
-            if min_theta > theta_cap {
-                return invalid(format!(
-                    "Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"
-                ));
-            }
-        }
-        let mut members = Vec::with_capacity(self.members.len());
-        for member in &self.members {
-            let mut q = member.clone();
-            q.sampler = self.sampler;
-            q.theta = self.theta;
-            q.seed = self.seed;
-            // Stability is decided jointly by the set (see run_serial), so
-            // members run as plain fixed-θ estimators over the shared
-            // stream.
-            q.stop = Stop::FixedTheta;
-            q.control = self.control.clone();
-            q.progress = None;
-            q.validate()?;
-            members.push(q);
-        }
-        Ok(members)
-    }
-
     /// Validates the set, builds the shared sampler from
     /// `(sampler kind, seed)`, and evaluates every member from one pass over
     /// θ worlds.
     ///
     /// Each returned [`Run`] is bit-identical (`top_k`, details, counters —
-    /// wall time excepted) to the standalone [`Query::run`] of that member
-    /// with the set's stream parameters.
+    /// wall time and `helper_worlds` excepted) to the standalone
+    /// [`Query::run`] of that member with the set's stream parameters.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -407,15 +350,15 @@ impl QuerySet {
     /// assert_eq!(batch.runs[1].top_k, alone.top_k);
     /// ```
     pub fn run(&self, g: &UncertainGraph) -> Result<BatchRun, ApiError> {
-        let mut sampler = self.sampler.build(g, self.seed);
-        self.run_serial(g, &mut *sampler)
+        self.run_on(g, Stream::Shared(&mut *self.sampler.build(g, self.seed)))
     }
 
     /// Like [`QuerySet::run`] with a caller-supplied world stream instead of
     /// one resolved from `(sampler kind, seed)` — e.g. a
     /// [`crate::recompute::CommonRandomNumbers`] stream, so a whole batch
     /// can be re-evaluated against two graph versions under common random
-    /// numbers.
+    /// numbers. As with [`Query::run_with_sampler`], the sampler stays on
+    /// the calling thread and the batch keeps one lane.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -441,95 +384,30 @@ impl QuerySet {
     pub fn run_with_sampler<S: WorldSampler + ?Sized>(
         &self,
         g: &UncertainGraph,
-        sampler: &mut S,
+        mut sampler: &mut S,
     ) -> Result<BatchRun, ApiError> {
-        self.run_serial(g, sampler)
+        self.run_on(g, Stream::Local(&mut sampler))
     }
 
-    fn run_serial<S: WorldSampler + ?Sized>(
-        &self,
-        g: &UncertainGraph,
-        sampler: &mut S,
-    ) -> Result<BatchRun, ApiError> {
-        let members = self.normalized_members()?;
+    /// Runs the members over `stream`. The stream knobs and run hooks are
+    /// the set's; each member contributes only its estimator knobs.
+    fn run_on(&self, g: &UncertainGraph, stream: Stream<'_>) -> Result<BatchRun, ApiError> {
+        if self.members.is_empty() {
+            return Err(ApiError::InvalidParameter {
+                param: "members",
+                message: "a QuerySet needs at least one member query".to_string(),
+            });
+        }
         let started = Instant::now();
-        let progress: &dyn ProgressSink = match &self.progress {
-            Some(sink) => sink.as_ref(),
-            None => &NoProgress,
-        };
-        let limit = match self.stop {
-            Stop::FixedTheta => self.theta,
-            Stop::Stable { theta_cap, .. } => theta_cap,
-        };
-        progress.begin(limit);
-        enum MemberAccum {
-            Mpds(MpdsAccum),
-            Nds(NdsAccum),
-        }
-        let mut accums: Vec<MemberAccum> = members
-            .iter()
-            .map(|q| match q.kind {
-                Kind::Mpds => MemberAccum::Mpds(MpdsAccum::new(q, g.num_nodes())),
-                Kind::Nds => MemberAccum::Nds(NdsAccum::new(q)),
-            })
-            .collect();
-        // One tracker per member under Stop::Stable: the batch stops at the
-        // first world where every member is simultaneously stable.
-        let mut trackers: Option<Vec<StableTracker>> = match self.stop {
-            Stop::FixedTheta => None,
-            Stop::Stable {
-                window, min_theta, ..
-            } => Some(
-                members
-                    .iter()
-                    .map(|_| StableTracker::new(window, min_theta))
-                    .collect(),
-            ),
-        };
-        let mut outcome = sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-            for (accum, q) in accums.iter_mut().zip(&members) {
-                match accum {
-                    MemberAccum::Mpds(a) => a.consume(world, q),
-                    MemberAccum::Nds(a) => a.consume(world, q),
-                }
-            }
-            match &mut trackers {
-                None => true,
-                Some(ts) => {
-                    let mut all_stable = true;
-                    for ((t, accum), q) in ts.iter_mut().zip(&mut accums).zip(&members) {
-                        let current = match accum {
-                            MemberAccum::Mpds(a) => a.top_k_sets(q.k),
-                            MemberAccum::Nds(a) => itemset::top_k_closed(
-                                &a.transactions,
-                                q.k,
-                                q.min_size,
-                                q.miner_node_cap,
-                            )
-                            .0
-                            .into_iter()
-                            .map(|c| c.items)
-                            .collect(),
-                        };
-                        all_stable &= t.observe(current);
-                    }
-                    !all_stable
-                }
-            }
-        })?;
-        if outcome.reason == StopReason::Stable {
-            if let Stop::Stable { window, .. } = self.stop {
-                outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
-            }
-        }
-        let runs: Vec<Run> = accums
-            .into_iter()
-            .zip(&members)
-            .map(|(accum, q)| match accum {
-                MemberAccum::Mpds(a) => q.finish_mpds(a, outcome, started),
-                MemberAccum::Nds(a) => q.finish_nds(a, outcome, started),
-            })
-            .collect();
+        let (runs, outcome) = run_members(
+            &self.members,
+            g,
+            stream,
+            self.stop,
+            self.theta,
+            &self.control,
+            self.progress.as_deref(),
+        )?;
         Ok(BatchRun {
             stats: BatchStats {
                 worlds_sampled: outcome.worlds,

@@ -111,22 +111,24 @@ impl RunControl {
         self
     }
 
-    /// Lend the run up to `helpers` threads besides the calling one. A
-    /// fixed-θ [`crate::api::Query`] — NDS, or MPDS crediting all densest
-    /// sets — then solves its worlds in *lanes*: the calling thread and the
-    /// helpers claim world indices in order and draw each world from the
-    /// query's one sampler under the claim. Each MPDS lane credits a
-    /// candidate table of its own and adds it to the run's table, the
-    /// smaller into the larger, when claiming stops; the run's table is then
-    /// ranked on the calling thread. So the answer, the per-world results
-    /// and the budget and interruption semantics are those of one lane;
-    /// only the wall time changes. A run of θ worlds uses at most
-    /// θ − 1 helpers. Runs that keep one ordered lane ignore it:
-    /// [`crate::api::Stop::Stable`], the one-densest ablation,
-    /// [`crate::api::Query::run_with_sampler`],
-    /// [`crate::api::queryset::QuerySet`] batches and
-    /// [`crate::recompute::Recompute`]. Helpers record no stage spans.
-    /// Default: 0.
+    /// Lend the run up to `helpers` threads besides the calling one. Every
+    /// run draws its worlds through one loop of *lanes*: the calling thread
+    /// and the helpers claim world indices in order and draw each world
+    /// from the run's one sampler under the claim, so world *i* is the
+    /// sampler's *i*-th draw whatever the lane count. A fixed-θ run whose
+    /// members are all NDS or all-densest MPDS — a [`crate::api::Query`], a
+    /// [`crate::api::queryset::QuerySet`] batch, or either run of a
+    /// [`crate::recompute::Recompute`] — takes `1 + min(helpers, θ − 1)`
+    /// lanes. Each MPDS lane credits a candidate table of its own and adds
+    /// it to the run's table, the smaller into the larger, when claiming
+    /// stops; the run's table is then ranked on the calling thread. So the
+    /// answer, the per-world results and the budget and interruption
+    /// semantics are those of one lane; only the wall time changes. Runs
+    /// that must see their worlds in order keep one lane and ignore it:
+    /// [`crate::api::Stop::Stable`], the one-densest ablation, and runs
+    /// over a caller's sampler ([`crate::api::Query::run_with_sampler`],
+    /// [`crate::api::queryset::QuerySet::run_with_sampler`]), which need
+    /// not be `Send`. Helpers record no stage spans. Default: 0.
     ///
     /// ```
     /// use densest::DensityNotion;

@@ -9,50 +9,10 @@
 //! and [`crate::api::queryset::QuerySet`] (batches over one shared world
 //! stream); this module keeps the result type and the ranking helpers.
 
-use densest::DensityNotion;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use ugraph::bitset::ones_in;
 use ugraph::{nodeset, NodeId, NodeSet};
-
-/// Configuration for the top-k MPDS estimator.
-#[derive(Debug, Clone)]
-pub struct MpdsConfig {
-    /// Density notion ρ (edge / h-clique / pattern).
-    pub notion: DensityNotion,
-    /// Number of sampled possible worlds θ.
-    pub theta: usize,
-    /// How many top node sets to return.
-    pub k: usize,
-    /// Cap on densest subgraphs enumerated per world (they can explode —
-    /// paper Table VIII; LastFM std-dev > 22 000).
-    pub enumeration_cap: usize,
-    /// `true` (paper default): count *all* densest subgraphs per world.
-    /// `false`: count one uniformly random densest subgraph per world — the
-    /// §VI-D ablation showing why "all" matters (up to 20× on LastFM).
-    pub all_densest: bool,
-    /// Use the §III-C heuristic (innermost core + denser peeling suffixes)
-    /// instead of the exact enumeration. For large graphs / big patterns.
-    pub heuristic: bool,
-    /// Seed for the internal tie-breaking RNG (used by the `one densest`
-    /// ablation mode).
-    pub choice_seed: u64,
-}
-
-impl MpdsConfig {
-    /// Paper-default configuration for a given notion, θ, and k.
-    pub fn new(notion: DensityNotion, theta: usize, k: usize) -> Self {
-        MpdsConfig {
-            notion,
-            theta,
-            k,
-            enumeration_cap: 100_000,
-            all_densest: true,
-            heuristic: false,
-            choice_seed: 0x5eed,
-        }
-    }
-}
 
 /// Output of the estimator.
 #[derive(Debug, Clone)]
@@ -842,6 +802,7 @@ pub fn densest_count_stats(counts: &[usize]) -> (f64, f64, [usize; 3]) {
 mod tests {
     use super::*;
     use crate::api::{Query, RunDetails};
+    use densest::DensityNotion;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sampling::MonteCarlo;
@@ -1350,19 +1311,8 @@ mod tests {
         assert!(grew && moved && collided, "{grew} {moved} {collided}");
     }
 
-    /// The builder query equivalent to a legacy `MpdsConfig` invocation.
-    fn query_for(cfg: &MpdsConfig) -> Query {
-        Query::mpds(cfg.notion.clone())
-            .theta(cfg.theta)
-            .k(cfg.k)
-            .enumeration_cap(cfg.enumeration_cap)
-            .all_densest(cfg.all_densest)
-            .heuristic(cfg.heuristic)
-            .choice_seed(cfg.choice_seed)
-    }
-
-    fn run(g: &UncertainGraph, cfg: &MpdsConfig, seed: u64) -> MpdsResult {
-        match query_for(cfg).seed(seed).run(g).unwrap().details {
+    fn run(g: &UncertainGraph, query: &Query, seed: u64) -> MpdsResult {
+        match query.clone().seed(seed).run(g).unwrap().details {
             RunDetails::Mpds(r) => r,
             RunDetails::Nds(_) => unreachable!("Query::mpds produces MPDS details"),
         }
@@ -1372,8 +1322,8 @@ mod tests {
     fn fig1_mpds_is_bd() {
         // Table I: DSP({B,D}) = 0.42 is the maximum; B = 1, D = 3.
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 4000, 1);
-        let r = run(&g, &cfg, 42);
+        let query = Query::mpds(DensityNotion::Edge).theta(4000).k(1);
+        let r = run(&g, &query, 42);
         assert_eq!(r.top_k.len(), 1);
         assert_eq!(r.top_k[0].0, vec![1, 3]);
         assert!((r.top_k[0].1 - 0.42).abs() < 0.03, "tau {}", r.top_k[0].1);
@@ -1382,8 +1332,8 @@ mod tests {
     #[test]
     fn fig1_estimates_match_table1() {
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 8000, 10);
-        let r = run(&g, &cfg, 7);
+        let query = Query::mpds(DensityNotion::Edge).theta(8000).k(10);
+        let r = run(&g, &query, 7);
         // Table I DSP row: {A,B}=.07, {A,C}=.24, {B,D}=.42, {A,B,C}=.05,
         // {A,B,D}=.17, {A,B,C,D}=.28 (with A,B,C,D = 0,1,2,3).
         let close = |set: &[NodeId], want: f64| {
@@ -1401,8 +1351,8 @@ mod tests {
     #[test]
     fn empty_worlds_are_counted() {
         let g = UncertainGraph::from_weighted_edges(3, &[(0, 1, 0.1)]);
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 1000, 1);
-        let r = run(&g, &cfg, 1);
+        let query = Query::mpds(DensityNotion::Edge).theta(1000).k(1);
+        let r = run(&g, &query, 1);
         // ~90% of worlds have no edges.
         assert!(r.empty_worlds > 800);
         assert_eq!(r.densest_counts.len(), 1000);
@@ -1417,14 +1367,13 @@ mod tests {
         // ({0,1}, {2,3}, {0,1,2,3}). "All" mode gives each tau = 1; "one"
         // mode splits the mass.
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        let mut cfg = MpdsConfig::new(DensityNotion::Edge, 300, 3);
-        let all = run(&g, &cfg, 3);
+        let query = Query::mpds(DensityNotion::Edge).theta(300).k(3);
+        let all = run(&g, &query, 3);
         assert_eq!(all.top_k.len(), 3);
         for (_, tau) in &all.top_k {
             assert!((tau - 1.0).abs() < 1e-9);
         }
-        cfg.all_densest = false;
-        let one = run(&g, &cfg, 3);
+        let one = run(&g, &query.all_densest(false), 3);
         let total: f64 = one.top_k.iter().map(|(_, t)| t).sum();
         assert!((total - 1.0).abs() < 1e-9);
         for (_, tau) in &one.top_k {
@@ -1438,8 +1387,8 @@ mod tests {
             4,
             &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 0.5)],
         );
-        let cfg = MpdsConfig::new(DensityNotion::Clique(3), 200, 1);
-        let r = run(&g, &cfg, 5);
+        let query = Query::mpds(DensityNotion::Clique(3)).theta(200).k(1);
+        let r = run(&g, &query, 5);
         assert_eq!(r.top_k[0].0, vec![0, 1, 2]);
         assert!((r.top_k[0].1 - 1.0).abs() < 1e-9);
     }
@@ -1447,9 +1396,11 @@ mod tests {
     #[test]
     fn heuristic_mode_runs() {
         let g = fig1();
-        let mut cfg = MpdsConfig::new(DensityNotion::Edge, 500, 2);
-        cfg.heuristic = true;
-        let r = run(&g, &cfg, 11);
+        let query = Query::mpds(DensityNotion::Edge)
+            .theta(500)
+            .k(2)
+            .heuristic(true);
+        let r = run(&g, &query, 11);
         assert!(!r.top_k.is_empty());
         // Heuristic candidates still have sane probabilities.
         for (_, tau) in &r.top_k {
@@ -1468,9 +1419,9 @@ mod tests {
     #[test]
     fn estimator_is_deterministic_given_seeds() {
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 200, 3);
-        let a = run(&g, &cfg, 99);
-        let b = run(&g, &cfg, 99);
+        let query = Query::mpds(DensityNotion::Edge).theta(200).k(3);
+        let a = run(&g, &query, 99);
+        let b = run(&g, &query, 99);
         assert_eq!(a.top_k, b.top_k);
     }
 
@@ -1478,10 +1429,11 @@ mod tests {
     fn unbounded_control_matches_uncontrolled_run() {
         use crate::control::RunControl;
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 300, 3);
-        let a = run(&g, &cfg, 17);
+        let query = Query::mpds(DensityNotion::Edge).theta(300).k(3);
+        let a = run(&g, &query, 17);
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(17));
-        let b = match query_for(&cfg)
+        let b = match query
+            .clone()
             .control(RunControl::unbounded())
             .run_with_sampler(&g, &mut mc)
             .unwrap()
@@ -1500,10 +1452,11 @@ mod tests {
         use crate::control::RunControl;
         use std::time::{Duration, Instant};
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 10_000, 1);
+        let query = Query::mpds(DensityNotion::Edge).theta(10_000).k(1);
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
         let ctrl = RunControl::unbounded().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err = query_for(&cfg)
+        let err = query
+            .clone()
             .control(ctrl)
             .run_with_sampler(&g, &mut mc)
             .unwrap_err();
@@ -1523,12 +1476,13 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let g = fig1();
-        let cfg = MpdsConfig::new(DensityNotion::Edge, 10_000, 1);
+        let query = Query::mpds(DensityNotion::Edge).theta(10_000).k(1);
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
         let flag = Arc::new(AtomicBool::new(true));
         flag.store(true, Ordering::Relaxed);
         let ctrl = RunControl::unbounded().with_cancel_flag(flag);
-        let err = query_for(&cfg)
+        let err = query
+            .clone()
             .control(ctrl)
             .run_with_sampler(&g, &mut mc)
             .unwrap_err();

@@ -68,6 +68,6 @@ pub mod theory;
 pub use api::queryset::{BatchRun, BatchStats, QuerySet};
 pub use api::{ApiError, ProgressSink, Query, Run, SamplerKind, Stop, StopReason};
 pub use control::{InterruptReason, Interrupted, RunControl};
-pub use estimate::{CandidateTable, MpdsConfig, MpdsResult};
-pub use nds::{NdsConfig, NdsResult};
+pub use estimate::{CandidateTable, MpdsResult};
+pub use nds::NdsResult;
 pub use recompute::{CommonRandomNumbers, Recompute, RecomputeReport, TopKDiff};

@@ -14,41 +14,7 @@
 //! and [`crate::api::queryset::QuerySet`] (batches over one shared world
 //! stream); this module keeps the result type.
 
-use densest::DensityNotion;
 use ugraph::{NodeId, NodeSet};
-
-/// Configuration for the NDS estimator.
-#[derive(Debug, Clone)]
-pub struct NdsConfig {
-    /// Density notion ρ (edge / h-clique / pattern).
-    pub notion: DensityNotion,
-    /// Number of sampled possible worlds θ.
-    pub theta: usize,
-    /// How many top closed node sets to return.
-    pub k: usize,
-    /// Minimum size `l_m` of a returned node set.
-    pub min_size: usize,
-    /// Use the §III-C heuristic per world instead of the exact maximum-sized
-    /// densest subgraph (paper's Pattern-NDS on large graphs, and the
-    /// Friendster experiment of Table XII).
-    pub heuristic: bool,
-    /// Cap on closed-itemset search nodes (safety valve; reported back).
-    pub miner_node_cap: usize,
-}
-
-impl NdsConfig {
-    /// Paper-default configuration.
-    pub fn new(notion: DensityNotion, theta: usize, k: usize, min_size: usize) -> Self {
-        NdsConfig {
-            notion,
-            theta,
-            k,
-            min_size,
-            heuristic: false,
-            miner_node_cap: 5_000_000,
-        }
-    }
-}
 
 /// Output of the NDS estimator.
 #[derive(Debug, Clone)]
@@ -81,20 +47,11 @@ impl NdsResult {
 mod tests {
     use super::*;
     use crate::api::{Query, RunDetails};
+    use densest::DensityNotion;
     use ugraph::UncertainGraph;
 
-    /// The builder query equivalent to a legacy `NdsConfig` invocation.
-    fn query_for(cfg: &NdsConfig) -> Query {
-        Query::nds(cfg.notion.clone())
-            .theta(cfg.theta)
-            .k(cfg.k)
-            .min_size(cfg.min_size)
-            .heuristic(cfg.heuristic)
-            .miner_node_cap(cfg.miner_node_cap)
-    }
-
-    fn run(g: &UncertainGraph, cfg: &NdsConfig, seed: u64) -> NdsResult {
-        match query_for(cfg).seed(seed).run(g).unwrap().details {
+    fn run(g: &UncertainGraph, query: &Query, seed: u64) -> NdsResult {
+        match query.clone().seed(seed).run(g).unwrap().details {
             RunDetails::Nds(r) => r,
             RunDetails::Mpds(_) => unreachable!("Query::nds produces NDS details"),
         }
@@ -104,8 +61,8 @@ mod tests {
     #[test]
     fn fig1_gamma_bd() {
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
-        let cfg = NdsConfig::new(DensityNotion::Edge, 6000, 5, 2);
-        let r = run(&g, &cfg, 13);
+        let query = Query::nds(DensityNotion::Edge).theta(6000).k(5).min_size(2);
+        let r = run(&g, &query, 13);
         let gamma_bd = r.gamma_hat(&[1, 3]);
         assert!((gamma_bd - 0.7).abs() < 0.03, "gamma {gamma_bd}");
     }
@@ -126,8 +83,8 @@ mod tests {
                 (3, 4, 0.3),
             ],
         );
-        let cfg = NdsConfig::new(DensityNotion::Edge, 300, 3, 2);
-        let r = run(&g, &cfg, 21);
+        let query = Query::nds(DensityNotion::Edge).theta(300).k(3).min_size(2);
+        let r = run(&g, &query, 21);
         assert_eq!(r.top_k[0].0, vec![0, 1, 2, 3]);
         assert!((r.top_k[0].1 - 1.0).abs() < 1e-9);
         assert_eq!(r.empty_worlds, 0);
@@ -136,8 +93,8 @@ mod tests {
     #[test]
     fn min_size_is_respected() {
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.9), (2, 3, 0.9)]);
-        let cfg = NdsConfig::new(DensityNotion::Edge, 500, 10, 3);
-        let r = run(&g, &cfg, 2);
+        let query = Query::nds(DensityNotion::Edge).theta(500).k(10).min_size(3);
+        let r = run(&g, &query, 2);
         for (set, _) in &r.top_k {
             assert!(set.len() >= 3);
         }
@@ -149,8 +106,8 @@ mod tests {
             5,
             &[(0, 1, 0.8), (0, 2, 0.8), (1, 2, 0.8), (3, 4, 0.4)],
         );
-        let cfg = NdsConfig::new(DensityNotion::Edge, 800, 10, 1);
-        let r = run(&g, &cfg, 3);
+        let query = Query::nds(DensityNotion::Edge).theta(800).k(10).min_size(1);
+        let r = run(&g, &query, 3);
         // Closedness w.r.t. gamma_hat: no strict superset among candidates
         // has the same support.
         for (set, gamma) in &r.top_k {
@@ -177,9 +134,12 @@ mod tests {
                 (3, 4, 0.2),
             ],
         );
-        let mut cfg = NdsConfig::new(DensityNotion::Edge, 400, 4, 2);
-        cfg.heuristic = true;
-        let r = run(&g, &cfg, 17);
+        let query = Query::nds(DensityNotion::Edge)
+            .theta(400)
+            .k(4)
+            .min_size(2)
+            .heuristic(true);
+        let r = run(&g, &query, 17);
         assert!(!r.top_k.is_empty());
         // The strong triangle is a frequent nucleus. In heuristic mode the
         // per-world transaction keeps nodes {0, 1, 2} even when one triangle
@@ -197,8 +157,8 @@ mod tests {
     #[test]
     fn gamma_hat_of_unseen_set_is_zero() {
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 1.0)]);
-        let cfg = NdsConfig::new(DensityNotion::Edge, 50, 1, 1);
-        let r = run(&g, &cfg, 4);
+        let query = Query::nds(DensityNotion::Edge).theta(50).k(1).min_size(1);
+        let r = run(&g, &query, 4);
         assert_eq!(r.gamma_hat(&[2, 3]), 0.0);
         assert_eq!(r.gamma_hat(&[0, 1]), 1.0);
         assert_eq!(r.gamma_hat(&[1, 0, 1]), 1.0);
@@ -213,10 +173,11 @@ mod tests {
         use sampling::MonteCarlo;
         use std::time::{Duration, Instant};
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
-        let cfg = NdsConfig::new(DensityNotion::Edge, 200, 3, 2);
-        let plain = run(&g, &cfg, 8);
+        let query = Query::nds(DensityNotion::Edge).theta(200).k(3).min_size(2);
+        let plain = run(&g, &query, 8);
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(8));
-        let ctrl = query_for(&cfg)
+        let ctrl = query
+            .clone()
             .control(RunControl::unbounded())
             .run_with_sampler(&g, &mut mc)
             .unwrap();
@@ -225,7 +186,8 @@ mod tests {
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(8));
         let expired =
             RunControl::unbounded().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err = query_for(&cfg)
+        let err = query
+            .clone()
             .control(expired)
             .run_with_sampler(&g, &mut mc)
             .unwrap_err();

@@ -22,9 +22,11 @@
 //! and *after* snapshots with per-snapshot CRN samplers, returning both
 //! full [`Run`]s plus a structured [`TopKDiff`] (entered / left / re-ranked
 //! node sets with their τ̂/γ̂ deltas). The query's [`RunControl`] applies to
-//! both runs, so re-estimation is as cancellable as everything else.
+//! both runs, so re-estimation is as cancellable as everything else, and
+//! both take its lent helpers as a [`Query::run`] does: the CRN draws are
+//! counter-based, and lanes draw world *i* as the sampler's *i*-th draw.
 
-use crate::api::{ApiError, Query, Run};
+use crate::api::{ApiError, Query, Run, Stream};
 use crate::control::RunControl;
 use sampling::{stream_seed, WorldSampler};
 use ugraph::{EdgeMask, NodeId, NodeSet, UncertainGraph};
@@ -274,10 +276,10 @@ pub struct RecomputeReport {
 /// Runs one [`Query`] over two graph versions under common random numbers
 /// and diffs the top-k rankings.
 ///
-/// CRN sampling is one ordered stream per snapshot, so both runs keep one
-/// lane and ignore [`RunControl::with_helpers`] (the same rule as
-/// [`Query::run_with_sampler`]). The query's [`RunControl`] is polled per
-/// world in both runs.
+/// Each run draws world *i* as its CRN sampler's *i*-th draw, so a
+/// fixed-θ query takes the helpers [`RunControl::with_helpers`] lends it
+/// (the rule of [`Query::run`]) without changing either answer. The
+/// query's [`RunControl`] is polled per world in both runs.
 ///
 /// ```
 /// use densest::DensityNotion;
@@ -354,10 +356,12 @@ impl Recompute {
         after: &UncertainGraph,
     ) -> Result<RecomputeReport, ApiError> {
         let seed = self.query.seed_value();
-        let mut sampler_before = CommonRandomNumbers::new(before, seed);
-        let run_before = self.query.run_with_sampler(before, &mut sampler_before)?;
-        let mut sampler_after = CommonRandomNumbers::new(after, seed);
-        let run_after = self.query.run_with_sampler(after, &mut sampler_after)?;
+        let run_on = |g| {
+            let crn = &mut CommonRandomNumbers::new(g, seed);
+            self.query.run_on(g, Stream::Shared(crn))
+        };
+        let run_before = run_on(before)?;
+        let run_after = run_on(after)?;
         let diff = TopKDiff::between(&run_before.top_k, &run_after.top_k);
         Ok(RecomputeReport {
             before: run_before,
@@ -370,6 +374,7 @@ impl Recompute {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::RunDetails;
     use crate::control::InterruptReason;
     use densest::DensityNotion;
     use std::time::{Duration, Instant};
@@ -508,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn recompute_is_cancellable_and_rejects_threads() {
+    fn recompute_is_cancellable_and_takes_helpers() {
         let g = fig1();
         let expired =
             RunControl::unbounded().with_deadline(Instant::now() - Duration::from_millis(1));
@@ -522,16 +527,25 @@ mod tests {
             }
             other => panic!("expected interruption, got {other:?}"),
         }
-        // Helper threads are turned away: both CRN runs keep one lane.
-        let query = Query::mpds(DensityNotion::Edge).theta(100);
+        // Both CRN runs draw world i as the sampler's i-th draw, so lent
+        // helpers solve worlds without changing either answer.
+        let karate = ugraph::datasets::karate_club().graph;
+        let query = Query::mpds(DensityNotion::Edge).theta(320).k(3);
         let lent = Recompute::new(query.clone())
             .control(RunControl::unbounded().with_helpers(2))
-            .run(&g, &g)
+            .run(&karate, &karate)
             .unwrap();
-        let alone = Recompute::new(query).run(&g, &g).unwrap();
+        let alone = Recompute::new(query).run(&karate, &karate).unwrap();
+        let helped = lent.before.stats.helper_worlds + lent.after.stats.helper_worlds;
+        assert!(helped > 0, "the helpers solved no world");
         for (got, want) in [(&lent.before, &alone.before), (&lent.after, &alone.after)] {
-            assert_eq!(got.stats.helper_worlds, 0);
+            assert_eq!(want.stats.helper_worlds, 0);
             assert_eq!(got.top_k, want.top_k);
+            let (RunDetails::Mpds(g), RunDetails::Mpds(w)) = (&got.details, &want.details) else {
+                unreachable!("Query::mpds produces MPDS details")
+            };
+            assert_eq!(g.candidates, w.candidates);
+            assert_eq!(g.densest_counts, w.densest_counts);
         }
     }
 }

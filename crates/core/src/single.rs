@@ -8,12 +8,12 @@
 //! `U` is contained in a densest subgraph iff it is contained in the
 //! maximum-sized one (footnote 5).
 
-use crate::api::{sample_worlds, NoProgress};
+use crate::api::{NoProgress, Stream, WorldLoop};
 use crate::control::RunControl;
 use densest::solve::instances_of;
 use densest::{max_density, max_sized_densest, Density, DensityNotion};
 use sampling::WorldSampler;
-use ugraph::{nodeset, NodeId, UncertainGraph};
+use ugraph::{nodeset, Graph, NodeId, UncertainGraph};
 
 /// Estimated `τ̂(U)` for each of the given node sets, from θ sampled worlds.
 pub fn estimate_tau_for<S: WorldSampler>(
@@ -25,30 +25,21 @@ pub fn estimate_tau_for<S: WorldSampler>(
 ) -> Vec<f64> {
     assert!(theta > 0);
     let mut hits = vec![0u32; sets.len()];
-    sample_worlds(
-        g,
-        sampler,
-        theta,
-        &RunControl::unbounded(),
-        &NoProgress,
-        |world| {
-            let Some(rho) = max_density(world, notion) else {
-                return true;
-            };
-            let inst = instances_of(world, notion);
-            for (i, set) in sets.iter().enumerate() {
-                if set.is_empty() {
-                    continue;
-                }
-                let cnt = inst.count_within(world.num_nodes(), set);
-                if cnt > 0 && Density::new(cnt, set.len() as u64) == rho {
-                    hits[i] += 1;
-                }
+    count_worlds(g, sampler, theta, &mut hits, |world, hits| {
+        let Some(rho) = max_density(world, notion) else {
+            return;
+        };
+        let inst = instances_of(world, notion);
+        for (i, set) in sets.iter().enumerate() {
+            if set.is_empty() {
+                continue;
             }
-            true
-        },
-    )
-    .expect("an unbounded RunControl never interrupts");
+            let cnt = inst.count_within(world.num_nodes(), set);
+            if cnt > 0 && Density::new(cnt, set.len() as u64) == rho {
+                hits[i] += 1;
+            }
+        }
+    });
     hits.iter().map(|&h| h as f64 / theta as f64).collect()
 }
 
@@ -70,26 +61,42 @@ pub fn estimate_gamma_for<S: WorldSampler>(
         })
         .collect();
     let mut hits = vec![0u32; sets.len()];
-    sample_worlds(
-        g,
-        sampler,
-        theta,
-        &RunControl::unbounded(),
-        &NoProgress,
-        |world| {
-            let Some((_, max_sized)) = max_sized_densest(world, notion) else {
-                return true;
-            };
-            for (i, set) in sorted.iter().enumerate() {
-                if !set.is_empty() && nodeset::is_subset(set, &max_sized) {
-                    hits[i] += 1;
-                }
+    count_worlds(g, sampler, theta, &mut hits, |world, hits| {
+        let Some((_, max_sized)) = max_sized_densest(world, notion) else {
+            return;
+        };
+        for (i, set) in sorted.iter().enumerate() {
+            if !set.is_empty() && nodeset::is_subset(set, &max_sized) {
+                hits[i] += 1;
             }
-            true
-        },
+        }
+    });
+    hits.iter().map(|&h| h as f64 / theta as f64).collect()
+}
+
+/// Feeds θ worlds drawn from `sampler` to `count` on one lane.
+fn count_worlds<S: WorldSampler>(
+    g: &UncertainGraph,
+    sampler: &mut S,
+    theta: usize,
+    hits: &mut Vec<u32>,
+    count: impl Fn(&Graph, &mut Vec<u32>) + Sync,
+) {
+    WorldLoop {
+        g,
+        limit: theta,
+        stride: 0,
+        ctrl: &RunControl::unbounded(),
+        progress: &NoProgress,
+    }
+    .run(
+        Stream::Local(sampler),
+        vec![hits],
+        |hits, world, _: &mut [()]| count(world, hits),
+        None,
+        |_| {},
     )
     .expect("an unbounded RunControl never interrupts");
-    hits.iter().map(|&h| h as f64 / theta as f64).collect()
 }
 
 #[cfg(test)]

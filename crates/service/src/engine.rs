@@ -101,7 +101,7 @@ pub enum StopSpec {
     Fixed,
     /// Stop early once the top-k has been unchanged for `window`
     /// consecutive worlds, with θ as the hard cap (maps onto
-    /// [`mpds::Stop::Stable`]). Serial only.
+    /// [`mpds::Stop::Stable`]). The run keeps one lane.
     Stable {
         /// Consecutive unchanged-top-k worlds required before stopping.
         window: u32,
@@ -227,8 +227,8 @@ pub struct QueryKey {
 }
 
 /// One member of a [`BatchRequest`]: the estimator-side knobs. The world
-/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and batch
-/// members always run serially (the shared stream is one serial stream).
+/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and the
+/// engine lends batches no helper threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchMember {
     /// Estimator to run.
@@ -452,29 +452,20 @@ fn stop_of(spec: StopSpec, theta: usize) -> Stop {
     }
 }
 
-/// Runs a query against an already-loaded graph — the single computation
-/// path shared by the CLI (`--json` or human output) and the server.
+/// Runs a query against an already-loaded graph and maps the result to
+/// labels — the CLI's computation path (`--json` or human output).
 pub fn run_query(
     g: &LoadedGraph,
     req: &QueryRequest,
     ctrl: &RunControl,
 ) -> Result<ResponsePayload, QueryError> {
-    run_query_with_progress(g, req, ctrl, None)
+    run_core(g, req, ctrl, None).map(|run| payload_of(g, run))
 }
 
-/// [`run_query`] with an optional [`ProgressSink`] notified per sampled
-/// world — the hook behind the server's live `worlds_sampled` metric.
-pub fn run_query_with_progress(
-    g: &LoadedGraph,
-    req: &QueryRequest,
-    ctrl: &RunControl,
-    progress: Option<Arc<dyn ProgressSink>>,
-) -> Result<ResponsePayload, QueryError> {
-    run_core(g, req, ctrl, progress).map(|run| payload_of(g, run))
-}
-
-/// The estimator run behind [`run_query_with_progress`], before the result
-/// is mapped to labels.
+/// The one estimator run behind every `/query` answer: the CLI's
+/// [`run_query`], a MISS, and a background refinement. An optional
+/// [`ProgressSink`] is notified per sampled world — the hook behind the
+/// server's live `worlds_sampled` metric.
 fn run_core(
     g: &LoadedGraph,
     req: &QueryRequest,
@@ -879,9 +870,9 @@ impl QueryEngine {
                     let rec = Recorder::new(true);
                     {
                         let _span = rec.span(Stage::RefineRepublish);
-                        match run_query_with_progress(&job.graph, &job.req, &ctrl, Some(sink as _))
-                        {
-                            Ok(payload) => {
+                        match run_core(&job.graph, &job.req, &ctrl, Some(sink as _)) {
+                            Ok(run) => {
+                                let payload = payload_of(&job.graph, run);
                                 let body = Arc::new(
                                     render_query_response(&job.req, &payload).into_bytes(),
                                 );
@@ -957,7 +948,8 @@ impl QueryEngine {
         &self,
         req: &QueryRequest,
     ) -> Result<(Arc<Vec<u8>>, ResponseSource), QueryError> {
-        self.execute_traced(req).map(|t| (t.body, t.source))
+        self.execute_traced_with(req, None, None)
+            .map(|t| (t.body, t.source))
     }
 
     /// [`Self::execute`] with provenance: the snapshot generation served
@@ -1330,8 +1322,8 @@ impl QueryEngine {
     /// Runs one query over two datasets under common random numbers and
     /// returns the rendered diff (see [`mpds::recompute::Recompute`]).
     /// `req.dataset` is the *after* side; `against` is the *before*
-    /// baseline. Serial only (CRN is one per-snapshot stream), uncached
-    /// (the two-dataset key space is unbounded and diffs are rare).
+    /// baseline. Run without helpers, uncached (the two-dataset key space
+    /// is unbounded and diffs are rare).
     pub fn execute_diff(&self, req: &QueryRequest, against: &str) -> Result<Vec<u8>, QueryError> {
         let notion = req.validate().map_err(QueryError::BadRequest)?;
         if req.stop != StopSpec::Fixed || req.budget_ms.is_some() {

@@ -20,8 +20,10 @@
 //! `cold-exact` query, `Query::mpds(Edge).theta(64).k(3).run` with no
 //! helpers over seeds 0–23, made 4.46 a world (sampling, candidate tally
 //! and ranking included, per-query buffers spread over its 64 worlds) when
-//! its fixed-θ and serial runs still had separate loops; its ceiling of 6.5
-//! leaves about the headroom of the exact solver's (6.0 over 3.8). Each
+//! its fixed-θ and serial runs still had separate loops, and 4.51 through
+//! the one run loop (the same 3.74 per extra world at θ = 64 and 256, ≈3
+//! more per query in per-run buffers); its ceiling of 6.5 leaves about the
+//! headroom of the exact solver's (6.0 over 3.8). Each
 //! ceiling below leaves headroom over its measured mean. The counter is per
 //! thread, so the tests do not see each other's allocations.
 
