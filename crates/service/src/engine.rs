@@ -1616,6 +1616,30 @@ mod tests {
     }
 
     #[test]
+    fn query_miss_bodies_equal_the_run_query_bodies() {
+        // `run_query` is a direct `Query::run` (the CLI's path); a served
+        // MISS must render the same bytes for every run shape.
+        let e = engine();
+        let g = e.registry().get("karate").unwrap();
+        let mut stable = karate_req();
+        stable.stop = StopSpec::Stable { window: 8 };
+        let mut nds = karate_req();
+        nds.algo = Algo::Nds;
+        let mut heuristic = karate_req();
+        heuristic.heuristic = true;
+        for req in [karate_req(), stable, nds, heuristic] {
+            let (body, source) = e.execute(&req).unwrap();
+            assert_eq!(source, ResponseSource::Miss, "{req:?}");
+            let payload = run_query(&g, &req, &RunControl::unbounded()).unwrap();
+            assert_eq!(
+                String::from_utf8(body.to_vec()).unwrap(),
+                render_query_response(&req, &payload),
+                "{req:?}"
+            );
+        }
+    }
+
+    #[test]
     fn different_seeds_are_different_entries() {
         let e = engine();
         let mut a = karate_req();

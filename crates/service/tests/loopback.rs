@@ -327,6 +327,57 @@ fn batch_bytes_match_sequential_queries_and_fill_the_cache() {
 }
 
 #[test]
+fn a_raced_query_and_one_member_batch_compute_their_key_once() {
+    // A /query and a one-member /batch of the same key, sent at once: one
+    // of them leads, the other joins or HITs, and both carry the same
+    // bytes. Each round is a fresh key, so either side may lead.
+    let engine = Arc::new(QueryEngine::new(
+        GraphRegistry::with_builtins(),
+        &EngineConfig::default(),
+    ));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), &ServerConfig::default())
+        .expect("bind ephemeral port");
+    for seed in 0..4u64 {
+        let computed = engine.stats().computed;
+        let path = format!("/query?dataset=karate&theta=400&k=3&seed={seed}");
+        let batch =
+            format!(r#"{{"dataset":"karate","theta":400,"seed":{seed},"members":[{{"k":3}}]}}"#);
+        let start = std::sync::Barrier::new(2);
+        let (query, batched) = std::thread::scope(|s| {
+            let query = s.spawn(|| {
+                start.wait();
+                get(&server, &path)
+            });
+            let batched = s.spawn(|| {
+                start.wait();
+                http_post(
+                    server.local_addr(),
+                    "/batch",
+                    batch.as_bytes(),
+                    Duration::from_secs(60),
+                )
+                .unwrap()
+            });
+            (query.join().unwrap(), batched.join().unwrap())
+        });
+        assert_eq!(query.status, 200);
+        assert_eq!(batched.status, 200);
+        let body = String::from_utf8(query.body).unwrap();
+        let envelope = String::from_utf8(batched.body).unwrap();
+        assert!(
+            envelope.contains(&format!("\"results\":[{body}]")),
+            "seed {seed}: member bytes differ from the /query bytes:\n\
+             query: {body}\nenvelope: {envelope}"
+        );
+        assert_eq!(engine.stats().computed, computed + 1, "seed {seed}");
+        let query_led = query.x_cache.as_deref() == Some("MISS");
+        let batch_led = envelope.contains("\"computed\":1");
+        println!("seed {seed}: the /query led: {query_led}");
+        assert!(query_led != batch_led, "seed {seed}: {envelope}");
+    }
+}
+
+#[test]
 fn diff_endpoint_reports_no_change_against_itself() {
     let server = start_server(&EngineConfig::default(), &ServerConfig::default());
     let e = get(&server, "/diff?dataset=karate&against=karate&theta=64&k=3");

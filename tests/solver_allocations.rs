@@ -23,18 +23,25 @@
 //! its fixed-θ and serial runs still had separate loops, and 4.51 through
 //! the one run loop (the same 3.74 per extra world at θ = 64 and 256, ≈3
 //! more per query in per-run buffers); its ceiling of 6.5 leaves about the
-//! headroom of the exact solver's (6.0 over 3.8). Each
+//! headroom of the exact solver's (6.0 over 3.8). A warmed karate HIT
+//! through `QueryEngine::execute_traced_with` with an enabled recorder (the
+//! `hot-hit` read path) makes 2, the dataset and notion strings of its cache
+//! key, and its ceiling is exactly that. Each other
 //! ceiling below leaves headroom over its measured mean. The counter is per
 //! thread, so the tests do not see each other's allocations.
 
 use densest::heuristic::heuristic_dense_subgraphs;
 use densest::{for_each_densest, DensityNotion};
 use mpds::api::Query;
+use mpds_obs::Recorder;
+use mpds_service::engine::{EngineConfig, QueryEngine, QueryRequest, ResponseSource};
+use mpds_service::GraphRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sampling::{MonteCarlo, WorldSampler};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use ugraph::{datasets, Graph, Pattern};
 
 struct Counting;
@@ -89,6 +96,10 @@ const QUERY_CEILING: f64 = 6.5;
 
 /// Mean allocations per `heuristic_dense_subgraphs` call.
 const HEURISTIC_CEILING: f64 = 14.0;
+
+/// Allocations of one warmed `hot-hit`-shaped HIT: the two strings of its
+/// cache key.
+const HIT_ALLOCATIONS: u64 = 2;
 
 /// The 1,536 worlds of the `cold-exact` query shape.
 fn cold_exact_worlds() -> Vec<Graph> {
@@ -194,5 +205,25 @@ fn heuristic_allocations_per_world() {
     assert!(
         mean <= HEURISTIC_CEILING,
         "{mean:.1} allocations per world, ceiling {HEURISTIC_CEILING}"
+    );
+}
+
+#[test]
+fn warmed_hit_allocations() {
+    let engine = QueryEngine::new(GraphRegistry::with_builtins(), &EngineConfig::default());
+    let mut req = QueryRequest::new("karate");
+    req.theta = 64;
+    req.k = 3;
+    req.timeout_ms = Some(10_000);
+    engine.execute(&req).unwrap();
+    let rec = Arc::new(Recorder::new(true));
+    let before = ALLOCATIONS.with(Cell::get);
+    let hit = engine.execute_traced_with(&req, Some(&rec), None).unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    println!("{allocations} allocations per HIT");
+    assert_eq!(hit.source, ResponseSource::Hit);
+    assert!(
+        allocations <= HIT_ALLOCATIONS,
+        "{allocations} allocations per HIT, ceiling {HIT_ALLOCATIONS}"
     );
 }
