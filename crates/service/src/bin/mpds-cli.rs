@@ -92,7 +92,7 @@
 use mpds::control::RunControl;
 use mpds_service::engine::{
     parse_notion, render_query_response_with_wall, render_stats, run_query, Algo, QueryRequest,
-    StopSpec, DEFAULT_STABLE_WINDOW,
+    StopSpec,
 };
 use mpds_service::json::JsonValue;
 use mpds_service::registry::{GraphRegistry, LoadedGraph};
@@ -305,25 +305,8 @@ fn parse_run_args(
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    o.stop = stop_spec(stop.as_deref(), window)?;
+    o.stop = StopSpec::parse(stop.as_deref(), window)?;
     Ok(o)
-}
-
-/// Combines `--stop` and `--window` into a [`StopSpec`] — the same rules
-/// the server applies to its `stop`/`window` query parameters.
-fn stop_spec(stop: Option<&str>, window: Option<u32>) -> Result<StopSpec, String> {
-    match (stop, window) {
-        (None, None) | (Some("fixed"), None) => Ok(StopSpec::Fixed),
-        (Some("stable"), w) => Ok(StopSpec::Stable {
-            window: w.unwrap_or(DEFAULT_STABLE_WINDOW),
-        }),
-        (None, Some(_)) | (Some("fixed"), Some(_)) => {
-            Err("--window requires --stop stable".to_string())
-        }
-        (Some(other), _) => Err(format!(
-            "--stop: unknown policy {other:?} (expected fixed|stable)"
-        )),
-    }
 }
 
 fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<ServeOptions, String> {
@@ -964,6 +947,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpds_service::engine::DEFAULT_STABLE_WINDOW;
 
     fn parse(args: &[&str]) -> Result<Command, String> {
         parse_args(args.iter().map(|s| s.to_string()))
@@ -1096,9 +1080,9 @@ mod tests {
         assert_eq!(o.budget_ms, Some(250));
         // --window without --stop stable is an error, as on the server.
         let e = parse_run(&["mpds", "g.txt", "--window", "8"]).unwrap_err();
-        assert!(e.contains("requires --stop stable"), "{e}");
+        assert!(e.contains("requires stop=stable"), "{e}");
         let e = parse_run(&["mpds", "g.txt", "--stop", "fixed", "--window", "8"]).unwrap_err();
-        assert!(e.contains("requires --stop stable"), "{e}");
+        assert!(e.contains("requires stop=stable"), "{e}");
         let e = parse_run(&["mpds", "g.txt", "--stop", "eventually"]).unwrap_err();
         assert!(e.contains("expected fixed|stable"), "{e}");
         let e = parse_run(&["mpds", "g.txt", "--budget-ms", "x"]).unwrap_err();

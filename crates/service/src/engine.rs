@@ -16,16 +16,23 @@
 //! anything — responses for old generations simply stop being requested and
 //! age out of the LRU naturally, while in-flight queries keyed to an old
 //! generation finish against the snapshot they resolved.
+//!
+//! A `/query` is a batch of one: `/query` and `/batch` share one path that
+//! probes the cache, joins or leads each member's in-flight computation,
+//! and runs every led member in one [`QuerySet`] pass. That pass, `/diff`'s
+//! two runs and the background refinement share one way of building their
+//! [`RunControl`], so every computing request borrows idle workers as
+//! helpers ([`HelperPool`]) and times its stages into its trace.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::json::JsonWriter;
 use crate::registry::{GraphRegistry, LoadedGraph};
 use densest::DensityNotion;
 use mpds::api::queryset::QuerySet;
-use mpds::api::{ApiError, ProgressCounter, ProgressSink, Query, Run, Stop};
+use mpds::api::{ApiError, ProgressCounter, Query, Run, Stop, StopReason};
 use mpds::control::{InterruptReason, RunControl};
 use mpds::recompute::Recompute;
-use mpds_obs::{Counter, Gauge, Histogram, Recorder, Span, Stage, StageHistograms};
+use mpds_obs::{Counter, Gauge, Histogram, Recorder, Stage, StageHistograms};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,6 +113,27 @@ pub enum StopSpec {
         /// Consecutive unchanged-top-k worlds required before stopping.
         window: u32,
     },
+}
+
+impl StopSpec {
+    /// Combines a `stop` policy name and a `window` into a stop spec: the
+    /// one grammar of the `stop`/`window` parameters of `/query` and
+    /// `/batch` and the CLI's `--stop`/`--window` flags. A `window` without
+    /// `stop=stable` is rejected (it would silently do nothing).
+    pub fn parse(stop: Option<&str>, window: Option<u32>) -> Result<Self, String> {
+        match (stop, window) {
+            (None, None) | (Some("fixed"), None) => Ok(StopSpec::Fixed),
+            (Some("stable"), w) => Ok(StopSpec::Stable {
+                window: w.unwrap_or(DEFAULT_STABLE_WINDOW),
+            }),
+            (Some("fixed"), Some(_)) | (None, Some(_)) => {
+                Err("window requires stop=stable".to_string())
+            }
+            (Some(other), _) => Err(format!(
+                "stop: unknown policy {other:?} (expected fixed|stable)"
+            )),
+        }
+    }
 }
 
 /// A fully-parameterized query. Everything that affects the response bytes
@@ -227,8 +255,8 @@ pub struct QueryKey {
 }
 
 /// One member of a [`BatchRequest`]: the estimator-side knobs. The world
-/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and the
-/// engine lends batches no helper threads.
+/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and so are
+/// the helper threads a fixed-θ pass borrows (see [`HelperPool`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchMember {
     /// Estimator to run.
@@ -418,23 +446,20 @@ impl ResponseSource {
     }
 }
 
-/// Maps a validated [`QueryRequest`] onto the one typed entry point of the
-/// core crate, [`mpds::api::Query`].
-fn build_query(req: &QueryRequest, notion: DensityNotion, ctrl: &RunControl) -> Query {
+/// Validates `req` and maps it onto the one typed entry point of the core
+/// crate, [`mpds::api::Query`]. The caller attaches the run's control and
+/// progress sink; a [`QuerySet`] member takes its set's.
+fn query_of(req: &QueryRequest) -> Result<Query, QueryError> {
+    let notion = req.validate().map_err(QueryError::BadRequest)?;
     let q = match req.algo {
         Algo::Mpds => Query::mpds(notion),
         Algo::Nds => Query::nds(notion).min_size(req.lm),
     };
-    let mut ctrl = ctrl.clone();
-    if let Some(ms) = req.budget_ms {
-        ctrl = ctrl.with_budget(Instant::now() + Duration::from_millis(ms));
-    }
-    q.theta(req.theta)
+    Ok(q.theta(req.theta)
         .k(req.k)
         .seed(req.seed)
         .heuristic(req.heuristic)
-        .stop(stop_of(req.stop, req.theta))
-        .control(ctrl)
+        .stop(stop_of(req.stop, req.theta)))
 }
 
 /// Maps the wire-level [`StopSpec`] onto the core [`mpds::Stop`]: θ becomes
@@ -453,31 +478,23 @@ fn stop_of(spec: StopSpec, theta: usize) -> Stop {
 }
 
 /// Runs a query against an already-loaded graph and maps the result to
-/// labels — the CLI's computation path (`--json` or human output).
+/// labels: the CLI's computation path (`--json` or human output), a direct
+/// [`Query::run`] under `ctrl` and the request's budget. A served MISS runs
+/// the same query as a [`QuerySet`] member and renders the same bytes.
 pub fn run_query(
     g: &LoadedGraph,
     req: &QueryRequest,
     ctrl: &RunControl,
 ) -> Result<ResponsePayload, QueryError> {
-    run_core(g, req, ctrl, None).map(|run| payload_of(g, run))
-}
-
-/// The one estimator run behind every `/query` answer: the CLI's
-/// [`run_query`], a MISS, and a background refinement. An optional
-/// [`ProgressSink`] is notified per sampled world — the hook behind the
-/// server's live `worlds_sampled` metric.
-fn run_core(
-    g: &LoadedGraph,
-    req: &QueryRequest,
-    ctrl: &RunControl,
-    progress: Option<Arc<dyn ProgressSink>>,
-) -> Result<Run, QueryError> {
-    let notion = req.validate().map_err(QueryError::BadRequest)?;
-    let mut query = build_query(req, notion, ctrl);
-    if let Some(sink) = progress {
-        query = query.progress(sink);
+    let mut ctrl = ctrl.clone();
+    if let Some(ms) = req.budget_ms {
+        ctrl = ctrl.with_budget(Instant::now() + Duration::from_millis(ms));
     }
-    query.run(&g.graph).map_err(api_error_to_query_error)
+    let run = query_of(req)?
+        .control(ctrl)
+        .run(&g.graph)
+        .map_err(api_error_to_query_error)?;
+    Ok(payload_of(g, run))
 }
 
 /// Maps a core-API failure onto the service's error vocabulary: cooperative
@@ -722,7 +739,7 @@ pub struct EngineStats {
     /// Queries that joined an in-flight identical computation.
     pub coalesced: u64,
     /// Possible worlds fully sampled across all computed queries — the live
-    /// progress feed from the estimators' [`ProgressSink`].
+    /// progress feed from the estimators' [`mpds::api::ProgressSink`].
     pub worlds_sampled: u64,
     /// Possible worlds requested (θ summed) across all computed queries.
     pub worlds_requested: u64,
@@ -754,17 +771,21 @@ pub struct EngineObs {
     /// run.
     pub stages: StageHistograms,
     /// Sampled worlds whose densest-subgraph enumeration hit the cap,
-    /// summed over computed MISSes (`/query` and led `/batch` members).
+    /// summed over computed members (a `/query` MISS is a batch of one)
+    /// and counted once per member.
     pub truncated_worlds: Counter,
-    /// Sampled worlds solved by helpers lent from a [`HelperPool`]; a part
-    /// of [`EngineStats::worlds_sampled`].
+    /// Sampled worlds solved by helpers lent from a [`HelperPool`] to a
+    /// MISS pass or a `/diff`, counted once per world as
+    /// [`EngineStats::worlds_sampled`] counts them, of which they are a
+    /// part.
     pub helper_worlds: Counter,
 }
 
-/// Idle server threads whose CPU a `/query` MISS may borrow: the estimator
-/// then solves its worlds in lanes, on the computing thread and on helper
-/// threads ([`RunControl::with_helpers`]), with the same answer. The HTTP
-/// front end lends one helper per parked worker.
+/// Idle server threads whose CPU a computation may borrow: a MISS pass of
+/// `/query` or `/batch`, or both runs of a `/diff`. The estimator then
+/// solves its worlds in lanes, on the computing thread and on helper threads
+/// ([`RunControl::with_helpers`]), with the same answer. The HTTP front end
+/// lends one helper per parked worker.
 pub trait HelperPool: Sync {
     /// Reserves helpers for one computation and returns how many (0 when
     /// none is idle).
@@ -780,8 +801,8 @@ struct Lease<'a> {
 }
 
 impl<'a> Lease<'a> {
-    /// Reserves helpers for `req` when its run can use them: a fixed-θ
-    /// query, MPDS or NDS.
+    /// Reserves helpers for a run of `req`'s stream when the run can use
+    /// them: a fixed-θ stream, MPDS or NDS.
     fn take(pool: Option<&'a dyn HelperPool>, req: &QueryRequest) -> Self {
         let pool = pool.filter(|_| req.stop == StopSpec::Fixed);
         Lease {
@@ -797,6 +818,34 @@ impl Drop for Lease<'_> {
             pool.release(self.helpers);
         }
     }
+}
+
+/// The control of every run the engine computes (a MISS pass, a `/diff`,
+/// a background refinement): the shutdown flag, the request's own deadline
+/// and budget, its recorder (the sampling loop times world
+/// materialization, estimator accumulation and stability tracking against
+/// it, and it notes the helper count), and the helpers leased for it.
+fn run_control(
+    cancel: &Arc<AtomicBool>,
+    deadline: Option<Instant>,
+    budget_ms: Option<u64>,
+    rec: Option<&Arc<Recorder>>,
+    helpers: usize,
+) -> RunControl {
+    let mut ctrl = RunControl::unbounded()
+        .with_cancel_flag(Arc::clone(cancel))
+        .with_helpers(helpers);
+    if let Some(d) = deadline {
+        ctrl = ctrl.with_deadline(d);
+    }
+    if let Some(ms) = budget_ms {
+        ctrl = ctrl.with_budget(Instant::now() + Duration::from_millis(ms));
+    }
+    if let Some(r) = rec {
+        r.set_helpers(helpers as u64);
+        ctrl = ctrl.with_recorder(Arc::clone(r));
+    }
+    ctrl
 }
 
 /// A query response with its provenance: the bytes, how they were obtained,
@@ -861,8 +910,6 @@ impl QueryEngine {
             std::thread::spawn(move || {
                 while let Ok(job) = refine_rx.recv() {
                     let started = Instant::now();
-                    let ctrl = RunControl::unbounded().with_cancel_flag(Arc::clone(&cancel));
-                    let sink = Arc::clone(&worlds);
                     // Time the whole refine-and-republish pass as its own
                     // stage, folded into the stage histograms (no trace, so
                     // no exemplar) so the background worker shows up on
@@ -870,7 +917,13 @@ impl QueryEngine {
                     let rec = Recorder::new(true);
                     {
                         let _span = rec.span(Stage::RefineRepublish);
-                        match run_core(&job.graph, &job.req, &ctrl, Some(sink as _)) {
+                        let run = query_of(&job.req).and_then(|q| {
+                            q.control(run_control(&cancel, None, None, None, 0))
+                                .progress(Arc::clone(&worlds) as _)
+                                .run(&job.graph.graph)
+                                .map_err(api_error_to_query_error)
+                        });
+                        match run {
                             Ok(run) => {
                                 let payload = payload_of(&job.graph, run);
                                 let body = Arc::new(
@@ -970,140 +1023,188 @@ impl QueryEngine {
         helpers: Option<&dyn HelperPool>,
     ) -> Result<TracedResponse, QueryError> {
         req.validate().map_err(QueryError::BadRequest)?;
-        let rec = caller_rec.filter(|r| r.is_enabled());
-        // Resolve the dataset snapshot up front: its generation is part of
-        // the cache key, and the computation below runs against exactly
-        // this snapshot even if a writer swaps in a newer generation
-        // mid-flight.
-        let resolving = rec.map(|r| r.span(Stage::SnapshotResolve));
-        let graph = self
-            .registry
-            .get(&req.dataset)
-            .map_err(QueryError::BadRequest)?;
-        // The cache probe, key build included, starts where resolution ends.
-        let probing = resolving.map(|s| s.then(Stage::CacheProbe));
-        let key = req.key(graph.generation);
-        let own_deadline = req
-            .timeout_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let (body, source) =
-            self.serve_key(req, &graph, &key, own_deadline, rec, probing, helpers)?;
+        let mut out = [None];
+        let (generation, _) = self.serve(
+            std::slice::from_ref(req),
+            true,
+            caller_rec,
+            helpers,
+            &mut out,
+        )?;
+        let (body, source) = out[0].take().expect("a served query has a body");
         Ok(TracedResponse {
             body,
             source,
-            generation: graph.generation,
+            generation,
         })
     }
 
-    /// The cache → in-flight → compute path for an already-resolved
-    /// `(request, snapshot, key)` triple — shared by [`Self::execute`] and
-    /// the joiner side of [`Self::execute_batch`] (which must serve against
-    /// the generation its batch resolved, not a fresh lookup). `probing`,
-    /// when the caller already started it, times the first cache probe.
-    fn serve_key(
+    /// The one path behind `/query` and `/batch` (a query is a batch of
+    /// one): serves the validated members `reqs` of one world stream (the
+    /// stream fields, deadline and budget are `reqs[0]`'s) into `out`, in
+    /// member order, and returns the snapshot generation and the stats of
+    /// the computing pass, if one ran.
+    ///
+    /// When `cached`, each member's key is probed in the cache, and the
+    /// misses are classified under one `inflight` lock: a member someone is
+    /// computing joins that flight, the rest are registered and led by this
+    /// request. Every led member runs in one [`QuerySet`] pass, which a
+    /// [`LeaderGuard`] publishes. Joined members then wait, no longer than
+    /// this request's own deadline, and one whose leader hit *its* deadline
+    /// is served again. Otherwise every member is led, and nothing is
+    /// published or joined.
+    fn serve(
         &self,
-        req: &QueryRequest,
-        graph: &LoadedGraph,
-        key: &QueryKey,
-        own_deadline: Option<Instant>,
-        rec: Option<&Arc<Recorder>>,
-        mut probing: Option<Span<'_>>,
+        reqs: &[QueryRequest],
+        cached: bool,
+        caller_rec: Option<&Arc<Recorder>>,
         helpers: Option<&dyn HelperPool>,
-    ) -> Result<(Arc<Vec<u8>>, ResponseSource), QueryError> {
-        // Bounded retries: each iteration either serves the request or
-        // observes a *leader* deadline failure (not cached, entry removed),
-        // after which this thread re-runs and typically becomes the leader.
+        out: &mut [Option<Answer>],
+    ) -> Result<(u64, Option<mpds::BatchStats>), QueryError> {
+        let stream = &reqs[0];
+        let rec = caller_rec.filter(|r| r.is_enabled());
+        // Resolve the dataset snapshot up front: its generation is part of
+        // every key, and the pass runs against exactly this snapshot even if
+        // a writer swaps in a newer generation mid-flight.
+        let resolving = rec.map(|r| r.span(Stage::SnapshotResolve));
+        let graph = self
+            .registry
+            .get(&stream.dataset)
+            .map_err(QueryError::BadRequest)?;
+        // The cache probe, key builds included, starts where resolution ends.
+        let mut probing = resolving.map(|s| s.then(Stage::CacheProbe));
+        let deadline = stream
+            .timeout_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let mut pass = None;
         let mut last_err = None;
+        // Bounded rounds: each serves every member or sees a *leader's*
+        // deadline failure (not cached, flight removed), after which the
+        // member is served again and typically leads.
         for _ in 0..3 {
-            let probed = {
-                let _span = probing
-                    .take()
-                    .or_else(|| rec.map(|r| r.span(Stage::CacheProbe)));
-                self.cache.get(key)
-            };
-            if let Some(body) = probed {
-                return Ok((body, ResponseSource::Hit));
-            }
-            let flight = {
-                let mut map = self.inflight.lock().unwrap();
-                if let Some(existing) = map.get(key) {
-                    let existing = Arc::clone(existing);
-                    drop(map);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    // A coalesced join is the cache-probe stage stretched
-                    // out to the leader's completion, so it is timed there.
-                    let _span = rec.map(|r| r.span(Stage::CacheProbe));
-                    match existing.wait_until(own_deadline) {
-                        WaitOutcome::Done(Ok(body)) => {
-                            return Ok((body, ResponseSource::Coalesced))
-                        }
-                        WaitOutcome::Done(Err(e @ QueryError::DeadlineExceeded { .. })) => {
-                            // The leader's deadline, not ours — retry.
-                            last_err = Some(e);
+            let mut led = Vec::new();
+            let mut flights = Vec::new();
+            let mut joined = Vec::new();
+            if cached {
+                let mut misses = Vec::new();
+                {
+                    let _span = probing
+                        .take()
+                        .or_else(|| rec.map(|r| r.span(Stage::CacheProbe)));
+                    for (i, r) in reqs.iter().enumerate() {
+                        if out[i].is_some() {
                             continue;
                         }
-                        WaitOutcome::Done(Err(e)) => return Err(e),
-                        WaitOutcome::TimedOut => {
-                            return Err(QueryError::DeadlineExceeded {
-                                completed_worlds: 0,
-                            })
+                        let key = r.key(graph.generation);
+                        match self.cache.get(&key) {
+                            Some(body) => out[i] = Some((body, ResponseSource::Hit)),
+                            None => misses.push((i, key)),
                         }
                     }
                 }
-                let flight = Arc::new(InFlight::new());
-                map.insert(key.clone(), Arc::clone(&flight));
-                flight
-            };
-            // This thread is the leader. The guard guarantees followers are
-            // released and the in-flight entry is removed on every exit path.
-            let guard = LeaderGuard {
-                engine: self,
-                keys: std::slice::from_ref(key),
-                flights: std::slice::from_ref(&flight),
-                completed: false,
-            };
-            let result = self.compute(req, graph, own_deadline, rec, helpers);
-            guard.finish(std::slice::from_ref(&result));
-            return result.map(|b| (b, ResponseSource::Miss));
+                if !misses.is_empty() {
+                    let mut map = self.inflight.lock().unwrap();
+                    for (i, key) in misses {
+                        if let Some(flight) = map.get(&key) {
+                            joined.push((i, Arc::clone(flight)));
+                        } else {
+                            let flight = Arc::new(InFlight::new());
+                            map.insert(key.clone(), Arc::clone(&flight));
+                            flights.push((key, flight));
+                            led.push(i);
+                        }
+                    }
+                }
+            } else {
+                led.extend(0..reqs.len());
+            }
+            if !led.is_empty() {
+                // The guard releases followers and unregisters the flights
+                // on every exit path, a panic in the estimator included.
+                let guard = LeaderGuard {
+                    engine: self,
+                    flights,
+                    completed: false,
+                };
+                let lease = Lease::take(helpers, stream);
+                let ctrl =
+                    run_control(&self.cancel, deadline, stream.budget_ms, rec, lease.helpers);
+                let set = QuerySet::new()
+                    .theta(stream.theta)
+                    .seed(stream.seed)
+                    .stop(stop_of(stream.stop, stream.theta))
+                    .control(ctrl)
+                    .progress(Arc::clone(&self.worlds) as _);
+                let run = led
+                    .iter()
+                    .try_fold(set, |set, &i| Ok(set.push(query_of(&reqs[i])?)))
+                    .and_then(|set| set.run(&graph.graph).map_err(api_error_to_query_error));
+                drop(lease);
+                let batch = match run {
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        guard.finish(led.iter().map(|_| Err(e.clone())));
+                        return Err(e);
+                    }
+                };
+                self.computed.fetch_add(led.len() as u64, Ordering::Relaxed);
+                self.obs
+                    .helper_worlds
+                    .add(batch.runs[0].stats.helper_worlds as u64);
+                let bodies: Vec<Arc<Vec<u8>>> = batch
+                    .runs
+                    .into_iter()
+                    .zip(&led)
+                    .map(|(run, &i)| {
+                        self.obs
+                            .truncated_worlds
+                            .add(run.stats.truncated_worlds as u64);
+                        let payload = payload_of(&graph, run);
+                        let _span = rec.map(|r| r.span(Stage::JsonRender));
+                        Arc::new(render_query_response(&reqs[i], &payload).into_bytes())
+                    })
+                    .collect();
+                guard.finish(bodies.iter().map(|b| Ok(Arc::clone(b))));
+                for (body, &i) in bodies.into_iter().zip(&led) {
+                    out[i] = Some((body, ResponseSource::Miss));
+                }
+                // A budget-truncated pass published truncated bodies under
+                // every led key; refine each to convergence.
+                if batch.stats.stop_reason == StopReason::Budget {
+                    for &i in &led {
+                        self.spawn_refinement(&reqs[i], &graph);
+                    }
+                }
+                pass.get_or_insert(batch.stats);
+            }
+            // Joined members wait after the pass, so a duplicate member of
+            // a batch never waits on its own flight before publishing it.
+            self.coalesced
+                .fetch_add(joined.len() as u64, Ordering::Relaxed);
+            for (i, flight) in joined {
+                // A coalesced join is the cache-probe stage stretched out to
+                // the leader's completion, so it is timed there.
+                let _span = rec.map(|r| r.span(Stage::CacheProbe));
+                match flight.wait_until(deadline) {
+                    WaitOutcome::Done(Ok(body)) => out[i] = Some((body, ResponseSource::Coalesced)),
+                    // The leader's deadline, not ours: serve it again.
+                    WaitOutcome::Done(Err(e @ QueryError::DeadlineExceeded { .. })) => {
+                        last_err = Some(e)
+                    }
+                    WaitOutcome::Done(Err(e)) => return Err(e),
+                    WaitOutcome::TimedOut => {
+                        return Err(QueryError::DeadlineExceeded {
+                            completed_worlds: 0,
+                        })
+                    }
+                }
+            }
+            if out.iter().all(Option::is_some) {
+                return Ok((graph.generation, pass));
+            }
         }
         Err(last_err
             .unwrap_or_else(|| QueryError::Internal("coalescing retries exhausted".to_string())))
-    }
-
-    fn compute(
-        &self,
-        req: &QueryRequest,
-        graph: &LoadedGraph,
-        deadline: Option<Instant>,
-        rec: Option<&Arc<Recorder>>,
-        helpers: Option<&dyn HelperPool>,
-    ) -> Result<Arc<Vec<u8>>, QueryError> {
-        let lease = Lease::take(helpers, req);
-        let mut ctrl = RunControl::unbounded()
-            .with_cancel_flag(self.cancel_flag())
-            .with_helpers(lease.helpers);
-        if let Some(d) = deadline {
-            ctrl = ctrl.with_deadline(d);
-        }
-        if let Some(r) = rec {
-            // The sampling loop times world materialization, estimator
-            // accumulation, and stability tracking against this recorder.
-            r.set_helpers(lease.helpers as u64);
-            ctrl = ctrl.with_recorder(Arc::clone(r));
-        }
-        let run = run_core(graph, req, &ctrl, Some(Arc::clone(&self.worlds) as _))?;
-        drop(lease);
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        self.obs
-            .truncated_worlds
-            .add(run.stats.truncated_worlds as u64);
-        self.obs.helper_worlds.add(run.stats.helper_worlds as u64);
-        let payload = payload_of(graph, run);
-        if payload.stop_reason == "budget" {
-            self.spawn_refinement(req, graph);
-        }
-        let _span = rec.map(|r| r.span(Stage::JsonRender));
-        Ok(Arc::new(render_query_response(req, &payload).into_bytes()))
     }
 
     /// Queues a budget-truncated query for the background worker, which
@@ -1143,189 +1244,55 @@ impl QueryEngine {
     /// stream via [`mpds::QuerySet`], materializing θ worlds once instead of
     /// once per member. Member responses are bit-identical to standalone
     /// `execute` responses (the `QuerySet` contract), which is what lets
-    /// them share the cache.
+    /// them share the cache. Like [`Self::execute_traced_with`], the pass is
+    /// timed into `caller_rec` when it is enabled and borrows helpers from
+    /// `helpers` when given.
     ///
     /// Results come back in member order with each member's
     /// [`ResponseSource`].
-    pub fn execute_batch(&self, req: &BatchRequest) -> Result<BatchOutcome, QueryError> {
-        req.validate().map_err(QueryError::BadRequest)?;
-        let graph = self
-            .registry
-            .get(&req.dataset)
-            .map_err(QueryError::BadRequest)?;
-        let own_deadline = req
-            .timeout_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let requests: Vec<QueryRequest> =
-            req.members.iter().map(|m| req.member_request(m)).collect();
-        // Joint stability stops the shared pass at a world count no
-        // standalone run would pick, so a stable batch's bodies must not
-        // alias standalone `stop=stable` cache entries: the whole batch
-        // computes in one uncached, uncoalesced pass.
-        if matches!(req.stop, StopSpec::Stable { .. }) {
-            let led: Vec<usize> = (0..requests.len()).collect();
-            let (bodies, stats) = self.compute_batch(req, &graph, &led, &requests, own_deadline)?;
-            return Ok(BatchOutcome {
-                results: bodies
-                    .into_iter()
-                    .map(|b| (b, ResponseSource::Miss))
-                    .collect(),
-                worlds_sampled: stats.worlds_sampled,
-                stop_reason: stats.stop_reason.as_str(),
-                converged_at: stats.converged_at,
-            });
-        }
-        let keys: Vec<QueryKey> = requests.iter().map(|r| r.key(graph.generation)).collect();
-        // Classify every member under one in-flight lock: cached members
-        // are done, members someone else is computing will be joined, and
-        // the rest are registered as led flights right here — so concurrent
-        // identical queries (or duplicate members in this very batch)
-        // coalesce onto this batch's single sampling pass.
-        let mut results: Vec<Option<(Arc<Vec<u8>>, ResponseSource)>> = vec![None; keys.len()];
-        let mut joined: Vec<usize> = Vec::new();
-        let mut led: Vec<usize> = Vec::new();
-        let mut flights: Vec<Arc<InFlight>> = Vec::new();
-        {
-            let mut map = self.inflight.lock().unwrap();
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(body) = self.cache.get(key) {
-                    results[i] = Some((body, ResponseSource::Hit));
-                } else if map.contains_key(key) {
-                    joined.push(i);
-                } else {
-                    let flight = Arc::new(InFlight::new());
-                    map.insert(key.clone(), Arc::clone(&flight));
-                    flights.push(flight);
-                    led.push(i);
-                }
-            }
-        }
-        // Compute every led member in one QuerySet pass. The guard releases
-        // followers and unregisters the flights on every exit path,
-        // including a panic in the estimator.
-        let mut pass_worlds = 0usize;
-        let mut pass_reason = "completed";
-        let mut pass_converged = None;
-        if !led.is_empty() {
-            let led_keys: Vec<QueryKey> = led.iter().map(|&i| keys[i].clone()).collect();
-            let guard = LeaderGuard {
-                engine: self,
-                keys: &led_keys,
-                flights: &flights,
-                completed: false,
-            };
-            let outcome = self.compute_batch(req, &graph, &led, &requests, own_deadline);
-            match outcome {
-                Ok((bodies, stats)) => {
-                    guard.finish(&bodies.iter().map(|b| Ok(Arc::clone(b))).collect::<Vec<_>>());
-                    for (j, &i) in led.iter().enumerate() {
-                        results[i] = Some((Arc::clone(&bodies[j]), ResponseSource::Miss));
-                    }
-                    pass_worlds = stats.worlds_sampled;
-                    pass_reason = stats.stop_reason.as_str();
-                    pass_converged = stats.converged_at;
-                    // A budget-truncated pass published truncated bodies
-                    // under every led key; refine each to convergence.
-                    if pass_reason == "budget" {
-                        for &i in &led {
-                            self.spawn_refinement(&requests[i], &graph);
-                        }
-                    }
-                }
-                Err(e) => {
-                    let errs: Vec<Result<Arc<Vec<u8>>, QueryError>> =
-                        led.iter().map(|_| Err(e.clone())).collect();
-                    guard.finish(&errs);
-                    return Err(e);
-                }
-            }
-        }
-        // Joined members wait on their existing flights (or HIT the cache,
-        // e.g. duplicate members of this batch that the pass above already
-        // published). This runs after the led computation, so a duplicate
-        // never deadlocks on its own batch.
-        for i in joined {
-            let (body, source) = self.serve_key(
-                &requests[i],
-                &graph,
-                &keys[i],
-                own_deadline,
-                None,
-                None,
-                None,
-            )?;
-            let source = match source {
-                // The member joined someone's in-flight computation or hit
-                // bytes published after classification — both are coalesced
-                // from the batch's point of view (it did not compute them).
-                ResponseSource::Hit | ResponseSource::Coalesced => ResponseSource::Coalesced,
-                ResponseSource::Miss => ResponseSource::Miss,
-            };
-            results[i] = Some((body, source));
-        }
-        Ok(BatchOutcome {
-            results: results.into_iter().map(|r| r.unwrap()).collect(),
-            worlds_sampled: pass_worlds,
-            stop_reason: pass_reason,
-            converged_at: pass_converged,
-        })
-    }
-
-    /// Runs the led members of a batch over one shared world stream and
-    /// renders each member's standalone-identical response body.
-    fn compute_batch(
+    pub fn execute_batch(
         &self,
         req: &BatchRequest,
-        graph: &LoadedGraph,
-        led: &[usize],
-        requests: &[QueryRequest],
-        deadline: Option<Instant>,
-    ) -> Result<ComputedBatch, QueryError> {
-        let mut ctrl = RunControl::unbounded().with_cancel_flag(self.cancel_flag());
-        if let Some(d) = deadline {
-            ctrl = ctrl.with_deadline(d);
-        }
-        if let Some(ms) = req.budget_ms {
-            ctrl = ctrl.with_budget(Instant::now() + Duration::from_millis(ms));
-        }
-        let mut set = QuerySet::new()
-            .theta(req.theta)
-            .seed(req.seed)
-            .stop(stop_of(req.stop, req.theta))
-            .control(ctrl)
-            .progress(Arc::clone(&self.worlds) as _);
-        for &i in led {
-            let r = &requests[i];
-            let notion = r.validate().map_err(QueryError::BadRequest)?;
-            // The stop policy and budget are set-owned; whatever the member
-            // query carries is normalized away by the QuerySet.
-            set = set.push(build_query(r, notion, &RunControl::unbounded()));
-        }
-        let batch_run = set.run(&graph.graph).map_err(api_error_to_query_error)?;
-        self.computed.fetch_add(led.len() as u64, Ordering::Relaxed);
-        let stats = batch_run.stats;
-        let bodies = batch_run
-            .runs
-            .into_iter()
-            .zip(led)
-            .map(|(run, &i)| {
-                self.obs
-                    .truncated_worlds
-                    .add(run.stats.truncated_worlds as u64);
-                let payload = payload_of(graph, run);
-                Arc::new(render_query_response(&requests[i], &payload).into_bytes())
-            })
-            .collect();
-        Ok((bodies, stats))
+        caller_rec: Option<&Arc<Recorder>>,
+        helpers: Option<&dyn HelperPool>,
+    ) -> Result<BatchOutcome, QueryError> {
+        req.validate().map_err(QueryError::BadRequest)?;
+        let requests: Vec<QueryRequest> =
+            req.members.iter().map(|m| req.member_request(m)).collect();
+        let mut out = vec![None; requests.len()];
+        // Joint stability stops the shared pass at a world count no
+        // standalone run would pick, so a stable batch's bodies must not
+        // alias standalone `stop=stable` cache entries: it leads every
+        // member, uncached and uncoalesced.
+        let cached = req.stop == StopSpec::Fixed;
+        let (_, pass) = self.serve(&requests, cached, caller_rec, helpers, &mut out)?;
+        Ok(BatchOutcome {
+            results: out
+                .into_iter()
+                .map(|r| r.expect("every member served"))
+                .collect(),
+            worlds_sampled: pass.as_ref().map_or(0, |p| p.worlds_sampled),
+            stop_reason: pass
+                .as_ref()
+                .map_or("completed", |p| p.stop_reason.as_str()),
+            converged_at: pass.and_then(|p| p.converged_at),
+        })
     }
 
     /// Runs one query over two datasets under common random numbers and
     /// returns the rendered diff (see [`mpds::recompute::Recompute`]).
     /// `req.dataset` is the *after* side; `against` is the *before*
-    /// baseline. Run without helpers, uncached (the two-dataset key space
-    /// is unbounded and diffs are rare).
-    pub fn execute_diff(&self, req: &QueryRequest, against: &str) -> Result<Vec<u8>, QueryError> {
-        let notion = req.validate().map_err(QueryError::BadRequest)?;
+    /// baseline. Both runs share one lease of helpers from `helpers` and are
+    /// timed into `caller_rec`, like a MISS; the diff is uncached (the
+    /// two-dataset key space is unbounded and diffs are rare).
+    pub fn execute_diff(
+        &self,
+        req: &QueryRequest,
+        against: &str,
+        caller_rec: Option<&Arc<Recorder>>,
+        helpers: Option<&dyn HelperPool>,
+    ) -> Result<Vec<u8>, QueryError> {
+        let query = query_of(req)?;
         if req.stop != StopSpec::Fixed || req.budget_ms.is_some() {
             return Err(QueryError::BadRequest(
                 "diff supports neither stop=stable nor budget_ms: common random numbers \
@@ -1333,20 +1300,27 @@ impl QueryEngine {
                     .to_string(),
             ));
         }
+        let rec = caller_rec.filter(|r| r.is_enabled());
+        let resolving = rec.map(|r| r.span(Stage::SnapshotResolve));
         let after = self
             .registry
             .get(&req.dataset)
             .map_err(QueryError::BadRequest)?;
         let before = self.registry.get(against).map_err(QueryError::BadRequest)?;
-        let mut ctrl = RunControl::unbounded().with_cancel_flag(self.cancel_flag());
-        if let Some(ms) = req.timeout_ms {
-            ctrl = ctrl.with_deadline(Instant::now() + Duration::from_millis(ms));
-        }
-        let query = build_query(req, notion, &ctrl)
-            .progress(Arc::clone(&self.worlds) as Arc<dyn ProgressSink>);
-        let report = Recompute::new(query)
+        drop(resolving);
+        let deadline = req
+            .timeout_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let lease = Lease::take(helpers, req);
+        let ctrl = run_control(&self.cancel, deadline, None, rec, lease.helpers);
+        let report = Recompute::new(query.control(ctrl).progress(Arc::clone(&self.worlds) as _))
             .run(&before.graph, &after.graph)
             .map_err(api_error_to_query_error)?;
+        drop(lease);
+        self.obs
+            .helper_worlds
+            .add((report.before.stats.helper_worlds + report.after.stats.helper_worlds) as u64);
+        let _span = rec.map(|r| r.span(Stage::JsonRender));
         Ok(render_diff_response(req, against, &before, &after, &report).into_bytes())
     }
 
@@ -1398,35 +1372,40 @@ impl QueryEngine {
     }
 }
 
-/// Completes the in-flight computations a leader registered — one for a
-/// query, one per led member for a batch — on every exit path. `finish`
-/// caches each success before releasing its followers; the drop handler
-/// (leader panic) reports an internal error so followers are never
-/// stranded on the condvar. Either way the flights are unregistered.
+/// A served member's body and how it was obtained.
+type Answer = (Arc<Vec<u8>>, ResponseSource);
+
+/// Completes the in-flight computations a leader registered, one per led
+/// member, on every exit path. `finish` caches each success before
+/// releasing its followers; the drop handler (leader panic) reports an
+/// internal error so followers are never stranded on the condvar. Either
+/// way the flights are unregistered.
 struct LeaderGuard<'a> {
     engine: &'a QueryEngine,
-    keys: &'a [QueryKey],
-    flights: &'a [Arc<InFlight>],
+    flights: Vec<(QueryKey, Arc<InFlight>)>,
     completed: bool,
 }
 
 impl LeaderGuard<'_> {
-    fn finish(mut self, results: &[Result<Arc<Vec<u8>>, QueryError>]) {
+    fn finish(mut self, results: impl Iterator<Item = Result<Arc<Vec<u8>>, QueryError>>) {
         // Publish to the cache before releasing followers / unregistering,
         // so a request arriving between those steps still finds the result.
-        for ((key, flight), result) in self.keys.iter().zip(self.flights).zip(results) {
-            if let Ok(body) = result {
+        for ((key, flight), result) in self.flights.iter().zip(results) {
+            if let Ok(body) = &result {
                 self.engine.cache.insert(key.clone(), Arc::clone(body));
             }
-            flight.complete(result.clone());
+            flight.complete(result);
         }
         self.unregister();
         self.completed = true;
     }
 
     fn unregister(&self) {
+        if self.flights.is_empty() {
+            return;
+        }
         let mut map = self.engine.inflight.lock().unwrap();
-        for key in self.keys {
+        for (key, _) in &self.flights {
             map.remove(key);
         }
     }
@@ -1435,7 +1414,7 @@ impl LeaderGuard<'_> {
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if !self.completed {
-            for flight in self.flights {
+            for (_, flight) in &self.flights {
                 flight.complete(Err(QueryError::Internal(
                     "query computation panicked".to_string(),
                 )));
@@ -1444,9 +1423,6 @@ impl Drop for LeaderGuard<'_> {
         }
     }
 }
-
-/// Rendered bodies for a batch's led members plus the shared pass's stats.
-type ComputedBatch = (Vec<Arc<Vec<u8>>>, mpds::BatchStats);
 
 /// The per-member bodies and sources of one [`QueryEngine::execute_batch`],
 /// in member order.
@@ -1929,7 +1905,7 @@ mod tests {
             k: 4,
             ..BatchMember::default()
         });
-        let outcome = batch_engine.execute_batch(&req).unwrap();
+        let outcome = batch_engine.execute_batch(&req, None, None).unwrap();
         assert_eq!(outcome.results.len(), 3);
         assert_eq!(outcome.computed(), 3);
         for (i, m) in req.members.iter().enumerate() {
@@ -1945,7 +1921,7 @@ mod tests {
     fn batch_populates_the_cache_for_point_queries() {
         let e = engine();
         let req = karate_batch(&[2, 3, 4]);
-        let outcome = e.execute_batch(&req).unwrap();
+        let outcome = e.execute_batch(&req, None, None).unwrap();
         for (i, m) in req.members.iter().enumerate() {
             let (body, source) = e.execute(&req.member_request(m)).unwrap();
             assert_eq!(source, ResponseSource::Hit, "member {i} should be cached");
@@ -1959,7 +1935,7 @@ mod tests {
         let e = engine();
         let req = karate_batch(&[2, 3, 4]);
         let (cached, _) = e.execute(&req.member_request(&req.members[1])).unwrap();
-        let outcome = e.execute_batch(&req).unwrap();
+        let outcome = e.execute_batch(&req, None, None).unwrap();
         assert_eq!(outcome.results[1].1, ResponseSource::Hit);
         assert!(Arc::ptr_eq(&outcome.results[1].0, &cached));
         assert_eq!(outcome.results[0].1, ResponseSource::Miss);
@@ -1971,7 +1947,7 @@ mod tests {
     fn batch_duplicate_members_compute_once() {
         let e = engine();
         let req = karate_batch(&[3, 3]);
-        let outcome = e.execute_batch(&req).unwrap();
+        let outcome = e.execute_batch(&req, None, None).unwrap();
         assert_eq!(outcome.results[0].1, ResponseSource::Miss);
         assert_eq!(outcome.results[1].1, ResponseSource::Coalesced);
         assert_eq!(outcome.results[0].0, outcome.results[1].0);
@@ -1984,7 +1960,7 @@ mod tests {
         // a 4-member batch advances worlds_sampled by θ, not 4θ.
         let e = engine();
         let req = karate_batch(&[2, 3, 4, 5]);
-        e.execute_batch(&req).unwrap();
+        e.execute_batch(&req, None, None).unwrap();
         assert_eq!(e.stats().worlds_sampled, 64);
         assert_eq!(e.stats().worlds_requested, 64);
     }
@@ -1993,11 +1969,11 @@ mod tests {
     fn batch_validation_errors_name_the_member() {
         let e = engine();
         let empty = karate_batch(&[]);
-        let err = e.execute_batch(&empty).unwrap_err();
+        let err = e.execute_batch(&empty, None, None).unwrap_err();
         assert!(matches!(&err, QueryError::BadRequest(m) if m.contains("no members")));
         let mut bad = karate_batch(&[2, 0]);
         bad.members[1].k = 0;
-        let err = e.execute_batch(&bad).unwrap_err();
+        let err = e.execute_batch(&bad, None, None).unwrap_err();
         assert!(matches!(&err, QueryError::BadRequest(m) if m.contains("member 1")));
         assert_eq!(e.stats().computed, 0);
     }
@@ -2080,7 +2056,7 @@ mod tests {
         // identical, so the report must be a perfect no-op.
         let e = engine();
         let req = karate_req();
-        let body = String::from_utf8(e.execute_diff(&req, "karate").unwrap()).unwrap();
+        let body = String::from_utf8(e.execute_diff(&req, "karate", None, None).unwrap()).unwrap();
         assert!(body.contains("\"dataset\":\"karate\",\"against\":\"karate\""));
         assert!(body.contains("\"entered\":[]"));
         assert!(body.contains("\"left\":[]"));
@@ -2092,7 +2068,7 @@ mod tests {
     fn diff_rejects_unknown_baselines() {
         let e = engine();
         let err = e
-            .execute_diff(&karate_req(), "no-such-dataset")
+            .execute_diff(&karate_req(), "no-such-dataset", None, None)
             .unwrap_err();
         assert!(matches!(err, QueryError::BadRequest(_)));
     }

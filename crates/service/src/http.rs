@@ -49,7 +49,7 @@
 
 use crate::engine::{
     Algo, BatchMember, BatchRequest, HelperPool, QueryEngine, QueryError, QueryRequest, StopSpec,
-    DEFAULT_STABLE_WINDOW, MAX_BATCH_MEMBERS,
+    MAX_BATCH_MEMBERS,
 };
 use crate::json::JsonValue;
 use crate::json::{error_body, JsonWriter};
@@ -1015,7 +1015,7 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 if req.timeout_ms.is_none() {
                     req.timeout_ms = state.default_timeout.map(|d| d.as_millis() as u64);
                 }
-                match state.engine.execute_batch(&req) {
+                match state.engine.execute_batch(&req, Some(rec), Some(state)) {
                     Ok(outcome) => {
                         let body = crate::engine::render_batch_response(&req, &outcome);
                         Response {
@@ -1035,7 +1035,10 @@ fn route(request: &Request, state: &ServerState, rec: &Arc<Recorder>) -> Respons
                 if req.timeout_ms.is_none() {
                     req.timeout_ms = state.default_timeout.map(|d| d.as_millis() as u64);
                 }
-                match state.engine.execute_diff(&req, &against) {
+                match state
+                    .engine
+                    .execute_diff(&req, &against, Some(rec), Some(state))
+                {
                     Ok(body) => Response {
                         dataset: Some(req.dataset),
                         ..Response::json(200, "OK", Body::Shared(Arc::new(body)))
@@ -1189,7 +1192,11 @@ fn render_trace_record(w: &mut JsonWriter, r: &TraceRecord) {
     if let Some(stage) = r.current_stage {
         w.field_str("current_stage", stage.as_str());
     }
-    if r.endpoint == Endpoint::Query.as_str() {
+    // The endpoints that compute say how many helpers their run borrowed.
+    if [Endpoint::Query, Endpoint::Batch, Endpoint::Diff]
+        .iter()
+        .any(|e| r.endpoint == e.as_str())
+    {
         w.field_uint("helpers", r.helpers);
     }
     w.key("stages").begin_object();
@@ -1615,14 +1622,19 @@ fn write_response(
     stream.flush()
 }
 
-/// Extracts the single parameter `want` from a query string.
+/// Extracts `want` from the query string of an endpoint that takes no other
+/// parameter. Unknown and duplicate parameters are rejected, as on `/query`.
 fn single_param(query: &str, want: &str) -> Result<String, String> {
+    let mut found = None;
     for (k, v) in query_pairs(query)? {
-        if k == want {
-            return Ok(v);
+        if k != want {
+            return Err(format!("unknown parameter {k:?}"));
+        }
+        if found.replace(v).is_some() {
+            return Err(format!("duplicate parameter {want:?}"));
         }
     }
-    Err(format!("missing parameter {want:?}"))
+    found.ok_or_else(|| format!("missing parameter {want:?}"))
 }
 
 /// Splits and percent-decodes `k=v&k=v` pairs.
@@ -1718,26 +1730,8 @@ fn parse_query_pairs(pairs: &[(String, String)]) -> Result<QueryRequest, String>
             other => return Err(format!("unknown parameter {other:?}")),
         }
     }
-    req.stop = parse_stop(stop.as_deref(), window)?;
+    req.stop = StopSpec::parse(stop.as_deref(), window)?;
     Ok(req)
-}
-
-/// Combines the `stop` and `window` parameters into a [`StopSpec`]: the
-/// grammar shared by `/query`, `/batch`, and the CLI flags. `window`
-/// without `stop=stable` is rejected (it would silently do nothing).
-fn parse_stop(stop: Option<&str>, window: Option<u32>) -> Result<StopSpec, String> {
-    match (stop, window) {
-        (None, None) | (Some("fixed"), None) => Ok(StopSpec::Fixed),
-        (Some("stable"), w) => Ok(StopSpec::Stable {
-            window: w.unwrap_or(DEFAULT_STABLE_WINDOW),
-        }),
-        (Some("fixed"), Some(_)) | (None, Some(_)) => {
-            Err("window requires stop=stable".to_string())
-        }
-        (Some(other), _) => Err(format!(
-            "stop: unknown policy {other:?} (expected fixed|stable)"
-        )),
-    }
 }
 
 /// Parses `/diff` parameters: the `/query` grammar plus a required
@@ -1807,7 +1801,7 @@ fn parse_batch_request(body: &[u8]) -> Result<BatchRequest, String> {
             other => return Err(format!("unknown field {other:?}")),
         }
     }
-    req.stop = parse_stop(stop.as_deref(), window)?;
+    req.stop = StopSpec::parse(stop.as_deref(), window)?;
     // Trip the duplicate-key check for every known top-level field.
     for key in [
         "dataset",
@@ -1862,6 +1856,7 @@ fn parse_batch_member(value: &JsonValue, index: usize) -> Result<BatchMember, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DEFAULT_STABLE_WINDOW;
 
     #[test]
     fn percent_decoding() {
@@ -1900,6 +1895,23 @@ mod tests {
                 .unwrap_err()
                 .contains("duplicate parameter \"notion\"")
         );
+    }
+
+    #[test]
+    fn single_parameter_endpoints_reject_repeats_and_unknowns() {
+        assert_eq!(single_param("dataset=a", "dataset").unwrap(), "a");
+        assert!(single_param("", "dataset")
+            .unwrap_err()
+            .contains("missing parameter \"dataset\""));
+        assert!(single_param("dataset=a&dataset=b", "dataset")
+            .unwrap_err()
+            .contains("duplicate parameter \"dataset\""));
+        assert!(single_param("dataset=a&bogus=1", "dataset")
+            .unwrap_err()
+            .contains("unknown parameter \"bogus\""));
+        assert!(single_param("name=a&dataset=a", "name")
+            .unwrap_err()
+            .contains("unknown parameter \"dataset\""));
     }
 
     #[test]

@@ -140,6 +140,21 @@ fn update_is_gated_and_validated() {
     let dup = post(&server, "/update?dataset=karate", "0 1 0.5\n1 0 0.6\n");
     assert_eq!(dup.status, 400);
     assert!(String::from_utf8_lossy(&dup.body).contains("line 2"));
+    // A repeated or unknown parameter is rejected before anything mutates,
+    // never resolved to its first value.
+    for path in [
+        "/update?dataset=karate&dataset=intel-lab",
+        "/update?dataset=karate&bogus=1",
+    ] {
+        let e = post(&server, path, "0 1 0.5\n");
+        assert_eq!(
+            e.status,
+            400,
+            "{path}: {}",
+            String::from_utf8_lossy(&e.body)
+        );
+    }
+    assert_eq!(get(&server, "/dataset?name=karate&name=karate").status, 400);
     // Rejected batches never bump the generation.
     let ok = post(&server, "/update?dataset=karate", "0 1 0.5\n");
     assert!(String::from_utf8_lossy(&ok.body).contains("\"generation\":1"));

@@ -497,8 +497,13 @@ fn helper_worlds_total(server: &Server) -> f64 {
 }
 
 /// The `/debug/trace/<id>` record of a cold karate MISS on a server with
-/// `threads` workers, and how far it moved `mpds_helper_worlds_total`.
-fn cold_miss_trace(threads: usize, path: &str) -> (mpds_service::json::JsonValue, f64) {
+/// `threads` workers, and how far it moved `mpds_helper_worlds_total`. The
+/// MISS is a GET of `path`, or a POST of `body` to it.
+fn cold_miss_trace(
+    threads: usize,
+    path: &str,
+    body: Option<&[u8]>,
+) -> (mpds_service::json::JsonValue, f64) {
     let cfg = ServerConfig {
         threads,
         ..ServerConfig::default()
@@ -509,13 +514,18 @@ fn cold_miss_trace(threads: usize, path: &str) -> (mpds_service::json::JsonValue
     std::thread::sleep(Duration::from_millis(50));
     let before = helper_worlds_total(&server);
     std::thread::sleep(Duration::from_millis(50));
-    let q = get(&server, path);
+    let q = match body {
+        Some(body) => {
+            http_post(server.local_addr(), path, body, Duration::from_secs(60)).expect("http_post")
+        }
+        None => get(&server, path),
+    };
     assert_eq!(q.status, 200, "{}", String::from_utf8_lossy(&q.body));
-    assert_eq!(q.x_cache.as_deref(), Some("MISS"));
-    let trace = q.trace_id.expect("X-Trace-Id on /query");
-    let t = get(&server, &format!("/debug/trace/{trace}"));
-    assert_eq!(t.status, 200, "{}", String::from_utf8_lossy(&t.body));
-    let body = String::from_utf8(t.body).unwrap();
+    // Only a /query answer names its cache source.
+    if path.starts_with("/query") {
+        assert_eq!(q.x_cache.as_deref(), Some("MISS"));
+    }
+    let body = trace_record(&server, &q);
     let record = mpds_service::json::JsonValue::parse(&body).expect("trace parses");
     (record, helper_worlds_total(&server) - before)
 }
@@ -526,23 +536,35 @@ fn a_cold_miss_borrows_the_parked_worker_as_a_helper() {
         record.get(key).unwrap().unwrap().as_u64(key).unwrap()
     };
     let mpds = "/query?dataset=karate&theta=320&k=3&seed=41";
-    for path in [mpds, "/query?dataset=karate&algo=nds&theta=320&k=3&seed=41"] {
-        let (record, moved) = cold_miss_trace(2, path);
+    let batch = br#"{"dataset":"karate","theta":320,"seed":41,
+        "members":[{"k":3},{"algo":"nds","k":3}]}"#;
+    for (path, body) in [
+        (mpds, None),
+        ("/query?dataset=karate&algo=nds&theta=320&k=3&seed=41", None),
+        ("/batch", Some(&batch[..])),
+        (
+            "/diff?dataset=karate&against=karate&theta=320&k=3&seed=41",
+            None,
+        ),
+    ] {
+        let (record, moved) = cold_miss_trace(2, path, body);
         assert_eq!(field(&record, "helpers"), 1, "{path}: {record:?}");
         assert!(moved > 0.0, "{path}: the helper solved no world");
         // Helpers record no spans: the stages still fit in the wall time.
         let stages = record.get("stages").unwrap().unwrap();
-        let total: u64 = STAGES
-            .iter()
-            .map(|&stage| {
-                let s = stages.get(stage).unwrap().unwrap();
-                s.get("total_us").unwrap().unwrap().as_u64(stage).unwrap()
-            })
-            .sum();
+        let stage = |stage: &str, key: &str| {
+            let s = stages.get(stage).unwrap().unwrap();
+            s.get(key).unwrap().unwrap().as_u64(stage).unwrap()
+        };
+        assert!(
+            stage("estimator_accumulate", "count") > 0,
+            "{path}: {record:?}"
+        );
+        let total: u64 = STAGES.iter().map(|s| stage(s, "total_us")).sum();
         assert!(total <= field(&record, "wall_us"), "{path}: {record:?}");
     }
 
-    let (record, moved) = cold_miss_trace(1, mpds);
+    let (record, moved) = cold_miss_trace(1, mpds, None);
     assert_eq!(field(&record, "helpers"), 0, "{record:?}");
     assert_eq!(moved, 0.0);
 }
