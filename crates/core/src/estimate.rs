@@ -1184,12 +1184,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_sieve_counts_exactly_across_collisions_lanes_and_reads() {
-        // Whether some stream took each route: a filter that grew, a single
-        // that a later repeat moved into the run, and a first sighting sent
-        // to the repeats by a collision.
-        let (mut grew, mut moved, mut collided) = (false, false, false);
+    /// The sieve test's 60 seeded streams: each up to 40 worlds of up to 60
+    /// credits, drawn from a pool of at most 401 sets.
+    fn sieve_streams() -> Vec<Vec<Vec<u64>>> {
         let mut x = 0x51e7_e5ee_d0c0_ffeeu64;
         let mut next = |bound: u64| {
             x = x
@@ -1197,15 +1194,106 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (x >> 33) % bound
         };
-        for seed in 0..60 {
-            // Up to 2,400 credits from a pool of at most 401 sets.
-            let pool = 2 + next(400);
-            let lanes = 1 + seed % 3;
-            let mut worlds: Vec<Vec<u64>> = Vec::new();
-            for _ in 0..1 + next(40) {
-                let len = next(60);
-                worlds.push((0..len).map(|_| sparse_mask(next(pool))).collect());
+        (0..60)
+            .map(|_| {
+                let pool = 2 + next(400);
+                (0..1 + next(40))
+                    .map(|_| {
+                        let len = next(60);
+                        (0..len).map(|_| sparse_mask(next(pool))).collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The shard a test table puts `mask` in, of `shards`.
+    fn test_shard(mask: u64, shards: usize) -> usize {
+        let h = (mask ^ mask >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 32;
+        (h * shards as u64 >> 32) as usize
+    }
+
+    /// A table of `shards` key shards credited with `credits`.
+    fn sharded(credits: &[u64], shards: usize) -> CandidateTable {
+        let mut parts: Vec<CandidateTable> = (0..shards).map(|_| tiny_filter_table()).collect();
+        for &m in credits {
+            parts[test_shard(m, shards)].credit_mask(&[m]);
+        }
+        let mut t = parts
+            .into_iter()
+            .reduce(|mut a, b| {
+                a.merge(b);
+                a
+            })
+            .unwrap();
+        t.resolve();
+        t
+    }
+
+    #[test]
+    fn reads_do_not_depend_on_the_shard_count() {
+        // Every size-2 set over nodes 56..64, one credit above the
+        // stream's top count: a 28-way tie at ranks 1 to 28 that only the
+        // ids break, cut by every k below 28.
+        let ties: Vec<u64> = (56..64)
+            .flat_map(|a| (a + 1..64).map(move |b| 1u64 << a | 1 << b))
+            .collect();
+        for (seed, worlds) in sieve_streams().into_iter().enumerate() {
+            let mut credits: Vec<u64> = worlds.concat();
+            let mut reference = BTreeMap::<u64, u32>::new();
+            for &m in &credits {
+                *reference.entry(m).or_insert(0) += 1;
             }
+            let top = reference.values().copied().max().unwrap_or(0);
+            if seed % 2 == 0 {
+                for _ in 0..=top {
+                    credits.extend_from_slice(&ties);
+                }
+                for &m in &ties {
+                    *reference.entry(m).or_insert(0) += top + 1;
+                }
+            }
+            let mut entries: Vec<(NodeSet, u32)> = reference
+                .iter()
+                .map(|(&m, &n)| (mask_nodes(m), n))
+                .collect();
+            entries.sort_unstable();
+            let want = ranked(entries.clone());
+            let one = sharded(&credits, 1);
+            for shards in 1..=4 {
+                if seed % 2 == 0 {
+                    let hit: std::collections::BTreeSet<usize> =
+                        ties.iter().map(|&m| test_shard(m, shards)).collect();
+                    assert_eq!(hit.len(), shards, "seed {seed}: the tie spans every shard");
+                }
+                let t = sharded(&credits, shards);
+                let label = format!("seed {seed}, {shards} shards");
+                assert_eq!(t.len(), reference.len(), "{label}");
+                let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
+                all.sort_unstable();
+                assert_eq!(all, entries, "{label}");
+                for (&m, &n) in &reference {
+                    let mut ids = mask_nodes(m);
+                    ids.reverse();
+                    assert_eq!(t.get(&ids), Some(n), "{label}, {m:#x}");
+                }
+                assert_eq!(t.get(&(0..64).collect::<NodeSet>()), None, "{label}");
+                for k in [0, 1, 2, 3, 5, 27, 28, 29, want.len(), want.len() + 1] {
+                    assert_eq!(t.top_k(k), want[..k.min(want.len())], "{label}, k = {k}");
+                }
+                assert!(t == one && one == t, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_sieve_counts_exactly_across_collisions_lanes_and_reads() {
+        // Whether some stream took each route: a filter that grew, a single
+        // that a later repeat moved into the run, and a first sighting sent
+        // to the repeats by a collision.
+        let (mut grew, mut moved, mut collided) = (false, false, false);
+        for (seed, worlds) in sieve_streams().into_iter().enumerate() {
+            let lanes = 1 + seed % 3;
             // World w goes to lane w % lanes. Each lane reads its table after
             // every world but its last, as a `Stop::Stable` run does, so
             // the tables merge with credits still unfolded.

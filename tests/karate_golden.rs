@@ -17,6 +17,10 @@
 //! replaced both: a `Stop::Stable` run (seed 5, window 16, cap 640), the
 //! one-densest ablation at seed 5, and a three-member `QuerySet`
 //! (all-densest MPDS, NDS, ablation MPDS) at seed 5.
+//!
+//! The heaviest `cold-exact` query (seed 16648020456594380155, one world at
+//! the cap) was pinned from the table that merged its lanes' tables, before
+//! each lane came to own a key shard of the run's table instead.
 
 use densest::DensityNotion;
 use mpds::api::{Query, Run, RunDetails};
@@ -142,6 +146,27 @@ fn karate_seed_52_truncates_one_world_at_the_cap() {
                 (&[23, 29, 32, 33], 3),
                 (&[31, 32, 33], 2),
                 (&[0, 1, 2, 3], 2),
+            ],
+        },
+    );
+}
+
+/// The heaviest of the 24 `cold-exact` benchmark queries: 225,013 credits,
+/// nearly all of them sets credited once, with one world at the cap.
+#[test]
+fn karate_heaviest_cold_exact_seed() {
+    check(
+        "seed 16648020456594380155",
+        cold_exact(16_648_020_456_594_380_155),
+        &Golden {
+            len: 224_738,
+            sum: 225_013,
+            fingerprint: 0x4c79_b7d4_3219_f264,
+            truncated_worlds: 1,
+            top: &[
+                (&[0, 1, 2, 8, 13], 4),
+                (&[0, 1, 2, 13], 3),
+                (&[0, 1, 2, 21], 3),
             ],
         },
     );
