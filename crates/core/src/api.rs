@@ -61,7 +61,9 @@
 pub mod queryset;
 
 use crate::control::{InterruptReason, Interrupted, RunControl};
-use crate::estimate::{densest_count_stats, CandidateTable, MpdsResult};
+use crate::estimate::{
+    densest_count_stats, merge_top_k, Batch, CandidateTable, LaneTable, MpdsResult, Shard,
+};
 use crate::nds::NdsResult;
 use densest::{for_each_densest, heuristic::with_candidates, max_sized_densest, DensityNotion};
 use mpds_obs::{Recorder, Stage};
@@ -69,6 +71,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sampling::{LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use ugraph::{EdgeMask, Graph, NodeId, NodeSet, UncertainGraph};
@@ -930,25 +933,22 @@ impl Query {
         Ok(runs.pop().expect("one member, one run"))
     }
 
+    /// Finishes an MPDS member from its table and the table's top `k`.
     fn finish_mpds<'s>(
         &self,
-        mut table: CandidateTable,
+        table: CandidateTable,
+        top_k: Vec<(NodeSet, u32)>,
         slots: impl Iterator<Item = &'s mut Slot>,
         outcome: WorldsOutcome,
-        ctrl: &RunControl,
         started: Instant,
     ) -> Run {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
-        let top_k: Vec<(NodeSet, f64)> = {
-            let _span = ctrl.recorder().map(|r| r.span(Stage::RankSelect));
-            table.resolve();
-            table.top_k(self.k)
-        }
-        .into_iter()
-        .map(|(set, c)| (set, c as f64 / worlds as f64))
-        .collect();
+        let top_k: Vec<(NodeSet, f64)> = top_k
+            .into_iter()
+            .map(|(set, c)| (set, c as f64 / worlds as f64))
+            .collect();
         let mut densest_counts = Vec::with_capacity(worlds);
         let mut truncated_worlds = 0;
         for slot in slots {
@@ -1073,7 +1073,9 @@ fn check_stream(theta: usize, stop: Stop) -> Result<(), ApiError> {
 /// member is NDS or all-densest MPDS: the worlds are then independent units
 /// of order-free estimates. Otherwise one lane solves them in order: a
 /// stable stop reads every member's estimate after each world, and the
-/// one-densest ablation draws from one choice stream in world order.
+/// one-densest ablation draws from one choice stream in world order. Lane
+/// *i* owns key shard *i* of every MPDS member's table ([`LaneTable`]) and
+/// ranks it; the calling thread merges the lanes' top lists.
 fn run_members(
     members: &[Query],
     g: &UncertainGraph,
@@ -1101,68 +1103,68 @@ fn run_members(
         Stream::Shared(_) if tracker.is_none() && order_free => 1 + ctrl.helpers().min(limit - 1),
         _ => 1,
     };
-    let tables: Vec<Option<CandidateTable>> = members
-        .iter()
-        .map(|q| (q.kind == Kind::Mpds).then(|| CandidateTable::for_graph(g.num_nodes())))
-        .collect();
     // Lanes are made here, so their buffers come from this thread.
-    let lanes: Vec<Vec<Tally>> = (0..lanes)
-        .map(|_| {
-            members
+    let lanes: Vec<Lane> = Post::for_lanes(lanes, ctrl)
+        .into_iter()
+        .enumerate()
+        .map(|(index, post)| Lane {
+            tallies: members
                 .iter()
-                .zip(&tables)
-                .map(|(q, table)| Tally::new(q, table.as_ref()))
-                .collect()
+                .map(|q| Tally::new(q, g.num_nodes(), index, lanes))
+                .collect(),
+            post,
         })
         .collect();
-    let tables = Mutex::new(tables);
     let mut observe = tracker
         .as_mut()
-        .map(|t| |lane: &mut Vec<Tally>, solved: &[Slot]| t.observe(members, lane, solved));
+        .map(|t| |lane: &mut Lane, solved: &[Slot]| t.observe(members, &mut lane.tallies, solved));
     let solved = WorldLoop {
         g,
         limit,
         stride: members.len(),
         ctrl,
         progress: progress.unwrap_or(&NoProgress),
+        ranks: members.iter().any(|q| q.kind == Kind::Mpds),
     }
     .run(
         stream,
         lanes,
-        |lane: &mut Vec<Tally>, world, out| {
-            for ((tally, q), slot) in lane.iter_mut().zip(members).zip(out) {
-                *slot = tally.solve(world, q);
-            }
-        },
+        |lane: &mut Lane, world, out| lane.solve(members, world, out),
         observe.as_mut().map(|o| o as _),
-        |lane| {
-            let mut tables = tables.lock().expect("a lane panicked while merging");
-            for (table, tally) in tables.iter_mut().zip(lane) {
-                if let (Some(table), Some(credited)) = (table, tally.table) {
-                    table.merge(credited);
-                }
-            }
-        },
+        Lane::join,
+        |lane| lane.finish(members),
     )?;
     let Solved {
         mut slots,
         mut outcome,
         helper_worlds,
+        finished,
     } = solved;
     if let (StopReason::Stable, Stop::Stable { window, .. }) = (outcome.reason, stop) {
         // The top-k last changed `window` worlds before the stop.
         outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
     }
-    let tables = tables.into_inner().expect("a lane panicked while merging");
+    // Per member, the lanes' shards of its table in lane order, each with
+    // its top list (none for NDS).
+    let mut ranked: Vec<Vec<RankedShard>> = members.iter().map(|_| Vec::new()).collect();
+    for lane in finished {
+        for (member, shard) in ranked.iter_mut().zip(lane) {
+            member.extend(shard);
+        }
+    }
     let runs = members
         .iter()
-        .zip(tables)
+        .zip(ranked)
         .enumerate()
-        .map(|(m, (q, table))| {
+        .map(|(m, (q, ranked))| {
             let slots = slots.iter_mut().skip(m).step_by(members.len());
-            let mut run = match table {
-                Some(table) => q.finish_mpds(table, slots, outcome, ctrl, started),
-                None => q.finish_nds(slots, outcome, started),
+            let mut run = match q.kind {
+                Kind::Mpds => {
+                    let (shards, tops): (Vec<Shard>, Vec<_>) = ranked.into_iter().unzip();
+                    let table = CandidateTable::from_shards(shards);
+                    q.finish_mpds(table, merge_top_k(tops, q.k), slots, outcome, started)
+                }
+                Kind::Nds => q.finish_nds(slots, outcome, started),
             };
             run.stats.helper_worlds = helper_worlds;
             run
@@ -1205,6 +1207,9 @@ pub(crate) struct WorldLoop<'a> {
     pub ctrl: &'a RunControl,
     /// Told the limit, then each solved world.
     pub progress: &'a dyn ProgressSink,
+    /// Whether the lanes' `finish` ranks what they tallied, timed as
+    /// [`Stage::RankSelect`].
+    pub ranks: bool,
 }
 
 impl WorldLoop<'_> {
@@ -1216,16 +1221,25 @@ impl WorldLoop<'_> {
     /// leaves into its `stride` slots, which land at its index. On the
     /// calling thread, `stop` sees the lane and those slots after each
     /// world; `true` ends the run with [`StopReason::Stable`], which wins
-    /// over an interruption or budget polled before the next world. Once
-    /// claiming stops, each lane runs `finish` on its own thread.
-    pub fn run<L: Send, T: Default + Send>(
+    /// over an interruption or budget polled before the next world.
+    ///
+    /// Once claiming stops, each lane runs `join` and then `finish` on its
+    /// own thread. `join` is where the lanes meet: it must return once
+    /// every lane has stopped claiming, and also once a lane has died (a
+    /// lane's state is dropped when it panics), so that the panic reaches
+    /// the caller through the helper's join instead of leaving the run
+    /// waiting. The calling lane's `join` is timed as [`Stage::LaneJoin`]
+    /// (next to nothing when the lane is alone); its `finish` and the wait
+    /// for the helpers' are [`Stage::RankSelect`] when the loop `ranks`.
+    pub fn run<L: Send, T: Default + Send, F: Send>(
         &self,
         stream: Stream<'_>,
         lanes: Vec<L>,
         solve: impl Fn(&mut L, &Graph, &mut [T]) + Sync,
         stop: Option<StopHook<'_, L, T>>,
-        finish: impl Fn(L) + Sync,
-    ) -> Result<Solved<T>, Interrupted> {
+        join: impl Fn(&mut L) + Sync,
+        finish: impl Fn(L) -> F + Sync,
+    ) -> Result<Solved<T, F>, Interrupted> {
         self.progress.begin(self.limit);
         let slots = std::iter::repeat_with(T::default)
             .take(self.limit * self.stride)
@@ -1233,29 +1247,43 @@ impl WorldLoop<'_> {
         let mut lanes = lanes.into_iter();
         let own = lanes.next().expect("the calling thread's lane");
         let rec = self.ctrl.recorder();
-        let (ended, helper_worlds) = match stream {
+        let rank = || {
+            rec.filter(|_| self.ranks)
+                .map(|r| r.span(Stage::RankSelect))
+        };
+        let (ended, helper_worlds, finished) = match stream {
             Stream::Shared(sampler) => {
                 let claims = Mutex::new(Claims::new(sampler, self.limit, slots));
-                let helper_worlds = std::thread::scope(|scope| {
+                let (helper_worlds, finished) = std::thread::scope(|scope| {
                     let handles: Vec<_> = lanes
                         .map(|lane| {
-                            let (claims, solve, finish) = (&claims, &solve, &finish);
-                            scope.spawn(move || self.lane(claims, lane, None, solve, None, finish))
+                            let (claims, solve, join, finish) = (&claims, &solve, &join, &finish);
+                            scope.spawn(move || {
+                                let (worlds, lane) =
+                                    self.lane(claims, lane, None, solve, None, join);
+                                (worlds, finish(lane))
+                            })
                         })
                         .collect();
-                    self.lane(&claims, own, rec, &solve, stop, &finish);
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("estimator lane panicked"))
-                        .sum()
+                    let (_, own) = self.lane(&claims, own, rec, &solve, stop, &join);
+                    let _span = rank();
+                    let mut finished = vec![finish(own)];
+                    let mut helper_worlds = 0;
+                    for handle in handles {
+                        let (worlds, lane) = handle.join().expect("estimator lane panicked");
+                        helper_worlds += worlds;
+                        finished.push(lane);
+                    }
+                    (helper_worlds, finished)
                 });
-                (Claims::end(claims), helper_worlds)
+                (Claims::end(claims), helper_worlds, finished)
             }
             Stream::Local(sampler) => {
                 debug_assert_eq!(lanes.len(), 0, "a caller's sampler keeps one lane");
                 let claims = Mutex::new(Claims::new(sampler, self.limit, slots));
-                self.lane(&claims, own, rec, &solve, stop, &finish);
-                (Claims::end(claims), 0)
+                let (_, own) = self.lane(&claims, own, rec, &solve, stop, &join);
+                let _span = rank();
+                (Claims::end(claims), 0, vec![finish(own)])
             }
         };
         let (mut slots, outcome) = ended?;
@@ -1264,13 +1292,15 @@ impl WorldLoop<'_> {
             slots,
             outcome,
             helper_worlds,
+            finished,
         })
     }
 
     /// One lane of [`WorldLoop::run`]: claims the next world and draws it,
     /// leaving the previous world's slots under the same lock, then solves
-    /// it outside the lock, until claiming stops; then finishes. Returns how
-    /// many worlds it solved. Only a lane given `rec` records stage spans.
+    /// it outside the lock, until claiming stops; then joins the other
+    /// lanes. Returns how many worlds it solved, and the lane. Only a lane
+    /// given `rec` records stage spans.
     fn lane<W: WorldSampler + ?Sized, L, T: Default>(
         &self,
         claims: &Mutex<Claims<'_, W, T>>,
@@ -1278,8 +1308,8 @@ impl WorldLoop<'_> {
         rec: Option<&Recorder>,
         solve: &impl Fn(&mut L, &Graph, &mut [T]),
         mut stop: Option<StopHook<'_, L, T>>,
-        finish: &impl Fn(L),
-    ) -> usize {
+        join: &impl Fn(&mut L),
+    ) -> (usize, L) {
         let stride = self.stride;
         let mut out: Vec<T> = std::iter::repeat_with(T::default).take(stride).collect();
         let mut mask = EdgeMask::new(self.g.num_edges());
@@ -1319,9 +1349,9 @@ impl WorldLoop<'_> {
             worlds += 1;
             self.progress.world_done();
         }
-        let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-        finish(lane);
-        worlds
+        let _span = rec.map(|r| r.span(Stage::LaneJoin));
+        join(&mut lane);
+        (worlds, lane)
     }
 }
 
@@ -1330,11 +1360,13 @@ impl WorldLoop<'_> {
 pub(crate) type StopHook<'h, L, T> = &'h mut dyn FnMut(&mut L, &[T]) -> bool;
 
 /// What [`WorldLoop::run`] hands back: each claimed world's slots in world
-/// order, how the run stopped, and how many worlds the helpers solved.
-pub(crate) struct Solved<T> {
+/// order, how the run stopped, how many worlds the helpers solved, and what
+/// each lane finished with, in lane order (the calling thread's first).
+pub(crate) struct Solved<T, F> {
     pub slots: Vec<T>,
     pub outcome: WorldsOutcome,
     pub helper_worlds: usize,
+    pub finished: Vec<F>,
 }
 
 /// What the lanes of [`WorldLoop::run`] share under one lock: the run's one
@@ -1413,33 +1445,159 @@ struct Slot {
     nucleus: Option<NodeSet>,
 }
 
-/// A lane's state for one member: an MPDS member's candidate table, added
-/// to the run's table when the lane finishes, and for the one-densest
-/// ablation its choice stream; neither for NDS, whose worlds leave their
-/// sets in slots.
+/// One lane of [`run_members`]: a tally per member and, in a run of several
+/// lanes, its post to the other lanes.
+struct Lane {
+    tallies: Vec<Tally>,
+    post: Option<Post>,
+}
+
+impl Lane {
+    /// Credits the batches already handed to this lane, then solves one
+    /// world for every member, handing over each batch that fills up.
+    fn solve(&mut self, members: &[Query], world: &Graph, out: &mut [Slot]) {
+        let Lane { tallies, post } = self;
+        if let Some(post) = post {
+            post.receive_ready(tallies);
+        }
+        for (m, ((tally, q), slot)) in tallies.iter_mut().zip(members).zip(out).enumerate() {
+            *slot = tally.solve(world, q, &mut |to, batch| {
+                post.as_ref()
+                    .expect("a one-shard table hands nothing over")
+                    .send(to, m, batch);
+            });
+        }
+    }
+
+    /// The lanes' meeting point: hands over every batch not yet full, then
+    /// credits the batches handed to this lane until every other lane has
+    /// done the same (or died).
+    fn join(&mut self) {
+        let Some(post) = self.post.take() else {
+            return;
+        };
+        for (m, tally) in self.tallies.iter_mut().enumerate() {
+            if let Some(table) = &mut tally.table {
+                for (to, batch) in table.flush() {
+                    post.send(to, m, batch);
+                }
+            }
+        }
+        for (m, batch) in post.close() {
+            self.tallies[m].receive(batch);
+        }
+    }
+
+    /// Folds and ranks this lane's shard of every MPDS member's table:
+    /// `None` for an NDS member.
+    fn finish(self, members: &[Query]) -> Vec<Option<RankedShard>> {
+        let tables = self.tallies.into_iter().map(|tally| tally.table);
+        tables
+            .zip(members)
+            .map(|(table, q)| table.map(|table| table.finish(q.k)))
+            .collect()
+    }
+}
+
+/// A lane's folded shard of an MPDS member's table, with the shard's top k.
+type RankedShard = (Shard, Vec<(NodeSet, u32)>);
+
+/// A member's batch of sets, handed from one lane to another.
+type Parcel = (usize, Batch);
+
+/// A lane's link to the other lanes of a run: a sender into each other
+/// lane's inbox, and its own inbox. Only lanes hold senders, so an inbox
+/// ends once every other lane has closed its post or died.
+struct Post {
+    /// By lane; `None` at this lane's own index.
+    outs: Vec<Option<Sender<Parcel>>>,
+    inbox: Receiver<Parcel>,
+    /// Test-only: this lane panics when it hands sets over or closes.
+    #[cfg(test)]
+    panic_on_send: bool,
+}
+
+impl Post {
+    /// The posts of a run of `lanes` lanes, one per lane; a lone lane has
+    /// none. (`ctrl` arms the helpers' injected panics in tests.)
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn for_lanes(lanes: usize, ctrl: &RunControl) -> Vec<Option<Post>> {
+        if lanes == 1 {
+            return vec![None];
+        }
+        let (senders, inboxes): (Vec<Sender<Parcel>>, Vec<_>) =
+            (0..lanes).map(|_| channel()).unzip();
+        inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(lane, inbox)| {
+                Some(Post {
+                    outs: senders
+                        .iter()
+                        .enumerate()
+                        .map(|(to, sender)| (to != lane).then(|| sender.clone()))
+                        .collect(),
+                    inbox,
+                    #[cfg(test)]
+                    panic_on_send: lane > 0 && ctrl.panic_in_handoff,
+                })
+            })
+            .collect()
+    }
+
+    /// Hands member `m`'s `batch` to lane `to`. A lane that is gone has
+    /// panicked, and the run fails when that lane is joined.
+    fn send(&self, to: usize, m: usize, batch: Batch) {
+        #[cfg(test)]
+        assert!(!self.panic_on_send, "injected hand-off panic");
+        let out = self.outs[to].as_ref().expect("a lane owns its own shard");
+        let _ = out.send((m, batch));
+    }
+
+    /// Credits every batch already handed to this lane.
+    fn receive_ready(&self, tallies: &mut [Tally]) {
+        while let Ok((m, batch)) = self.inbox.try_recv() {
+            tallies[m].receive(batch);
+        }
+    }
+
+    /// Drops this lane's senders and returns its inbox, which yields each
+    /// batch still to come and ends once no other lane can send.
+    fn close(self) -> Receiver<Parcel> {
+        #[cfg(test)]
+        assert!(!self.panic_on_send, "injected hand-off panic");
+        self.inbox
+    }
+}
+
+/// A lane's state for one member: an MPDS member's share of the candidate
+/// table ([`LaneTable`]), and for the one-densest ablation its choice
+/// stream; neither for NDS, whose worlds leave their sets in slots.
 struct Tally {
-    table: Option<CandidateTable>,
+    table: Option<LaneTable>,
     pick: Option<Pick>,
 }
 
 impl Tally {
-    /// A lane's tally for member `q`, crediting a lane table of the run's
-    /// `table` (MPDS members have one).
-    fn new(q: &Query, table: Option<&CandidateTable>) -> Self {
+    /// Lane `lane`'s tally, of `lanes`, for member `q` over a graph of
+    /// `num_nodes` nodes.
+    fn new(q: &Query, num_nodes: usize, lane: usize, lanes: usize) -> Self {
+        let mpds = q.kind == Kind::Mpds;
         Tally {
-            table: table.map(CandidateTable::for_lane),
-            pick: (table.is_some() && !q.all_densest).then(|| Pick {
+            table: mpds.then(|| LaneTable::new(num_nodes, lane, lanes)),
+            pick: (mpds && !q.all_densest).then(|| Pick {
                 rng: StdRng::seed_from_u64(q.choice_seed),
                 family: Vec::new(),
             }),
         }
     }
 
-    /// Solves one world for member `q`.
-    fn solve(&mut self, world: &Graph, q: &Query) -> Slot {
+    /// Solves one world for member `q`; `send` hands over each batch of
+    /// sets that fills up for another lane's shard.
+    fn solve(&mut self, world: &Graph, q: &Query, send: &mut dyn FnMut(usize, Batch)) -> Slot {
         let (count, truncated) = match (&mut self.table, &mut self.pick) {
-            (Some(table), None) => credit_all(table, world, q),
-            (Some(table), Some(pick)) => pick.credit_one(table, world, q),
+            (Some(table), None) => credit_all(table, world, q, send),
+            (Some(table), Some(pick)) => pick.credit_one(table, world, q, send),
             (None, _) => {
                 return Slot {
                     nucleus: max_sized(world, q),
@@ -1453,27 +1611,49 @@ impl Tally {
             nucleus: None,
         }
     }
+
+    /// Credits a batch of sets that another lane handed over.
+    fn receive(&mut self, batch: Batch) {
+        self.table
+            .as_mut()
+            .expect("batches are for MPDS members")
+            .receive(batch);
+    }
 }
 
 /// Credits every densest set of `world` to `table` (every dense set the
-/// §III-C heuristic finds, in heuristic mode). Returns how many there were
-/// and whether the enumeration stopped at the cap.
-fn credit_all(table: &mut CandidateTable, world: &Graph, q: &Query) -> (usize, bool) {
+/// §III-C heuristic finds, in heuristic mode), handing full batches to
+/// `send`. Returns how many there were and whether the enumeration stopped
+/// at the cap.
+fn credit_all(
+    table: &mut LaneTable,
+    world: &Graph,
+    q: &Query,
+    send: &mut dyn FnMut(usize, Batch),
+) -> (usize, bool) {
     if q.heuristic {
         let count = with_candidates(world, &q.notion, |c| {
             let Some(c) = c else { return 0 };
             for i in 0..c.len() {
-                table.credit_nodes(c.nodes(i));
+                hand_over(send, table.credit_nodes(c.nodes(i)));
             }
             c.len()
         });
         return (count, false);
     }
     match for_each_densest(world, &q.notion, q.enumeration_cap, &mut |mask| {
-        table.credit_mask(mask)
+        hand_over(send, table.credit_mask(mask))
     }) {
         Some(f) => (f.count, f.truncated),
         None => (0, false),
+    }
+}
+
+/// Passes a batch that a credit filled up to `send`, with its lane.
+#[inline]
+fn hand_over(send: &mut dyn FnMut(usize, Batch), full: Option<(usize, Batch)>) {
+    if let Some((to, batch)) = full {
+        send(to, batch);
     }
 }
 
@@ -1490,15 +1670,16 @@ impl Pick {
     /// whether its enumeration stopped at the cap.
     fn credit_one(
         &mut self,
-        table: &mut CandidateTable,
+        table: &mut LaneTable,
         world: &Graph,
         q: &Query,
+        send: &mut dyn FnMut(usize, Batch),
     ) -> (usize, bool) {
         if q.heuristic {
             let count = with_candidates(world, &q.notion, |c| {
                 let Some(c) = c else { return 0 };
                 let pick = self.rng.gen_range(0..c.len());
-                table.credit_nodes(c.nodes(c.ranked()[pick]));
+                hand_over(send, table.credit_nodes(c.nodes(c.ranked()[pick])));
                 c.len()
             });
             return (count, false);
@@ -1512,7 +1693,10 @@ impl Pick {
         };
         if let Some(width) = family.len().checked_div(f.count) {
             let pick = self.rng.gen_range(0..f.count);
-            table.credit_mask(&family[pick * width..(pick + 1) * width]);
+            hand_over(
+                send,
+                table.credit_mask(&family[pick * width..(pick + 1) * width]),
+            );
         }
         (f.count, f.truncated)
     }
@@ -1793,6 +1977,42 @@ mod tests {
         let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
         let alone = q.run_with_sampler(&g, &mut mc).unwrap();
         assert_eq!(lent.top_k, alone.top_k);
+    }
+
+    #[test]
+    fn a_helper_that_panics_at_the_hand_off_fails_the_run_without_a_hang() {
+        // The heaviest `cold-exact` karate query: its helper hands sets to
+        // the calling lane while both still claim worlds, and again when it
+        // stops. Either hand-off panics; the calling lane must still get
+        // past the meeting point and fail the run with the helper's panic.
+        let (done, outcome) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let karate = ugraph::datasets::karate_club();
+            let mut ctrl = RunControl::unbounded().with_helpers(1);
+            ctrl.panic_in_handoff = true;
+            let query = Query::mpds(DensityNotion::Edge)
+                .theta(64)
+                .k(3)
+                .seed(16_648_020_456_594_380_155)
+                .control(ctrl);
+            let run =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| query.run(&karate.graph)));
+            let message = run.err().map(|payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(_) => "a panic without a message".to_string(),
+            });
+            done.send(message).unwrap();
+        });
+        let message = outcome
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the run ends");
+        runner.join().expect("the run's panic was caught");
+        assert!(
+            message
+                .as_deref()
+                .is_some_and(|m| m.starts_with("estimator lane panicked")),
+            "{message:?}"
+        );
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct RunControl {
     budget: Option<Instant>,
     recorder: Option<Arc<Recorder>>,
     helpers: usize,
+    /// Test-only: helper lanes panic when they hand sets to another lane.
+    #[cfg(test)]
+    pub(crate) panic_in_handoff: bool,
 }
 
 impl RunControl {
@@ -119,9 +122,11 @@ impl RunControl {
     /// members are all NDS or all-densest MPDS — a [`crate::api::Query`], a
     /// [`crate::api::queryset::QuerySet`] batch, or either run of a
     /// [`crate::recompute::Recompute`] — takes `1 + min(helpers, θ − 1)`
-    /// lanes. Each MPDS lane credits a candidate table of its own and adds
-    /// it to the run's table, the smaller into the larger, when claiming
-    /// stops; the run's table is then ranked on the calling thread. So the
+    /// lanes. Lane *i* owns key shard *i* of each MPDS member's candidate
+    /// table: it credits the sets it owns and hands the others to their
+    /// owners in batches, and once claiming stops and every batch is
+    /// credited, each lane folds and ranks its own shard on its own thread;
+    /// the calling thread keeps the best `k` of the lanes' lists. So the
     /// answer, the per-world results and the budget and interruption
     /// semantics are those of one lane; only the wall time changes. Runs
     /// that must see their worlds in order keep one lane and ignore it:

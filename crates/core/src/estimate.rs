@@ -61,14 +61,24 @@ impl MpdsResult {
 /// when the repeats reach the number of sets held (or 65,536 masks,
 /// whichever is larger), so memory stays bounded by a small multiple of the
 /// distinct sets, and whenever the table is read: at the end of a run and
-/// before each [`crate::api::Stop::Stable`] check. Each lane of a run (see
-/// [`crate::control::RunControl::with_helpers`]) owns a whole table and,
-/// when it finishes, adds it to the run's table, the smaller into the
-/// larger: the smaller table's singles are credited again through the
-/// larger's filter, its repeats appended and its counted run merged in.
-/// Every table a run hands out is folded and keeps no filter.
-/// [`CandidateTable::get`] is a binary search in the counted run, then, for
-/// a set credited once, a linear scan of the singles.
+/// before each [`crate::api::Stop::Stable`] check. Every table a run hands
+/// out is folded and keeps no filter. [`CandidateTable::get`] is a binary
+/// search in the counted run, then, for a set credited once, a linear scan
+/// of the singles.
+///
+/// A table is split into *key shards*, one per lane of the run that filled
+/// it (see [`crate::control::RunControl::with_helpers`]): a hash of each
+/// key picks its shard, and lane *i* owns shard *i*. That hash mixes a
+/// mask's halves before its own multiply, so the masks of one shard still
+/// spread over every bit of the shard's filter. A lane hands every set it
+/// credits to its shard's batch, and a full batch goes to the lane that
+/// owns it, or, when that is the lane itself, is credited in one loop.
+/// Batches hold 8,192 keys, or 64 KiB of compact keys; a lane credits its
+/// own compact keys at once. A lane with no world left to claim
+/// credits the batches handed to it until every lane has stopped. Then
+/// each lane folds its own shard and selects its top k, and the run's top
+/// k is the best k of those lists. No set is credited twice and no table
+/// is merged into another.
 ///
 /// Graphs past 64 nodes key a hash map by a compact byte encoding of each
 /// set's sorted ids instead, one boxed slice a set, in one of two forms:
@@ -118,7 +128,9 @@ impl MpdsResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CandidateTable {
-    keys: Keys,
+    /// Shard `i` holds the sets that [`mask_shard`] or [`key_shard`] puts
+    /// there; every shard has the same key form.
+    shards: Vec<Keys>,
 }
 
 #[derive(Debug, Clone)]
@@ -136,8 +148,14 @@ const FOLD_FLOOR: usize = 1 << 16;
 /// Words (of 64 bits) in a packed table's first filter.
 const FILTER_WORDS: usize = 1 << 12;
 
-/// Entries the packed buffers of [`CandidateTable::for_lane`] start with.
+/// Entries the packed buffers of [`LaneTable::new`] start with.
 const LANE_RESERVE: usize = 1 << 10;
+
+/// Keys a [`Batch`] holds when it is handed over.
+const BATCH: usize = 1 << 13;
+
+/// Bytes of compact keys past which a [`Batch`] is handed over early.
+const BATCH_BYTES: usize = 1 << 16;
 
 /// Packed masks as a counted run, masks credited once, and repeats not yet
 /// counted (see [`CandidateTable`]).
@@ -154,7 +172,7 @@ struct Packed {
     /// Credits whose filter bit was set, in arrival order.
     repeats: Vec<u64>,
     /// The bit of every single is set. Allocated by the first credit (or
-    /// [`CandidateTable::for_lane`]), freed once the table is handed out.
+    /// [`LaneTable::new`]), freed once the table is handed out.
     filter: Bitmap,
 }
 
@@ -190,6 +208,7 @@ impl Bitmap {
 }
 
 impl Packed {
+    #[inline(always)]
     fn credit(&mut self, mask: u64) {
         if self.filter.0.is_empty() {
             self.filter = Bitmap::new(FILTER_WORDS);
@@ -244,20 +263,6 @@ impl Packed {
             }
         }
         self.settled = i;
-    }
-
-    /// Adds another table's credits to this one: its run is merged into
-    /// this run, its repeats appended and its singles credited again
-    /// through this table's filter.
-    fn add(&mut self, other: Packed) {
-        if !other.masks.is_empty() {
-            self.absorb(other.entries());
-            self.settled = 0;
-        }
-        self.repeats.extend_from_slice(&other.repeats);
-        for &mask in &other.singles {
-            self.credit(mask);
-        }
     }
 
     /// Adds the ascending credits `sorted` to the run and leaves `sorted`
@@ -345,28 +350,61 @@ impl Packed {
         );
         self
     }
+
+    /// The count of `mask` in the folded table.
+    fn get(&self, mask: u64) -> Option<u32> {
+        let p = self.folded();
+        match p.masks.binary_search(&mask) {
+            Ok(i) => Some(p.counts[i]),
+            Err(_) => p.singles.contains(&mask).then_some(1),
+        }
+    }
 }
 
 /// Compact set keys (see [`CandidateTable`]) and their counts.
 #[derive(Debug, Clone, Default)]
 struct Sets {
     counts: HashMap<Box<[u8]>, u32>,
-    /// Encoding buffer of [`Sets::credit`]; reused.
-    key: Vec<u8>,
 }
 
 impl Sets {
-    /// Counts one more world for the set of ascending, distinct `ids`,
-    /// allocating a key only for a new set.
-    fn credit(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        encode_into(&mut self.key, ids);
-        match self.counts.get_mut(self.key.as_slice()) {
+    /// Counts one more world for the set of compact key `key`, allocating
+    /// a key only for a new set.
+    fn credit(&mut self, key: &[u8]) {
+        match self.counts.get_mut(key) {
             Some(c) => *c += 1,
             None => {
-                self.counts.insert(self.key.as_slice().into(), 1);
+                self.counts.insert(key.into(), 1);
             }
         }
     }
+}
+
+/// The shard, of `shards`, that owns packed `mask`. The mask's high half is
+/// folded into its low one before the multiply, so masks over high node
+/// ids spread too; the top bits of the product pick the shard. The sieve's
+/// filter reads the top bits of another product, so the masks of one shard
+/// do not share filter bits.
+fn mask_shard(mask: u64, shards: usize) -> usize {
+    let h = (mask ^ mask >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 32;
+    ((h * shards as u64) >> 32) as usize
+}
+
+/// The shard, of `shards`, that owns compact key `key`: its bytes folded
+/// eight at a time, then placed as [`mask_shard`] places a mask.
+fn key_shard(key: &[u8], shards: usize) -> usize {
+    if shards == 1 {
+        return 0;
+    }
+    let mut h = key.len() as u64;
+    for chunk in key.chunks(8) {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+    mask_shard(h, shards)
 }
 
 /// The last byte of a bitmap key. A gap key's last byte ends a gap, so it
@@ -548,46 +586,19 @@ impl DoubleEndedIterator for RunLengths<'_> {
     }
 }
 
-impl CandidateTable {
-    /// An empty table for sets over a graph of `num_nodes` nodes.
-    pub(crate) fn for_graph(num_nodes: usize) -> Self {
-        let keys = if num_nodes <= 64 {
+impl Keys {
+    /// An empty shard for sets over a graph of `num_nodes` nodes.
+    fn for_graph(num_nodes: usize) -> Self {
+        if num_nodes <= 64 {
             Keys::Packed(Packed::default())
         } else {
             Keys::Sets(Sets::default())
-        };
-        CandidateTable { keys }
+        }
     }
 
-    /// An empty table of the same key form whose packed buffers the calling
-    /// thread allocates, for a lane of a run: a lane's credits grow these
-    /// buffers by reallocation, which keeps a block in the allocator arena
-    /// it came from, so a helper thread's credits never make its own arena
-    /// hold a second tally.
-    pub(crate) fn for_lane(&self) -> Self {
-        let keys = match self.keys {
-            Keys::Packed(_) => {
-                let mut p = Packed {
-                    filter: Bitmap::new(FILTER_WORDS),
-                    ..Packed::default()
-                };
-                // A fold hands the repeats' buffer to an empty run and takes
-                // the run's old one for the next repeats, so all four start
-                // out allocated.
-                for buf in [&mut p.masks, &mut p.singles, &mut p.repeats] {
-                    buf.reserve(LANE_RESERVE);
-                }
-                p.counts.reserve(LANE_RESERVE);
-                Keys::Packed(p)
-            }
-            Keys::Sets(_) => Keys::Sets(Sets::default()),
-        };
-        CandidateTable { keys }
-    }
-
-    /// Number of distinct candidate sets.
-    pub fn len(&self) -> usize {
-        match &self.keys {
+    /// Distinct sets held.
+    fn len(&self) -> usize {
+        match self {
             Keys::Packed(p) => {
                 let p = p.folded();
                 p.masks.len() + p.singles.len()
@@ -596,58 +607,21 @@ impl CandidateTable {
         }
     }
 
-    /// Whether no world credited any set.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The count of one node set (ids in any order, repeats allowed), or
-    /// `None` if it never was a densest subgraph. On a graph of at most 64
-    /// nodes, a set credited once is found by a linear scan.
-    pub fn get(&self, nodes: &[NodeId]) -> Option<u32> {
-        match &self.keys {
-            Keys::Packed(p) => {
-                let mut mask = 0u64;
-                for &v in nodes {
-                    mask |= 1u64.checked_shl(v)?;
-                }
-                let p = p.folded();
-                match p.masks.binary_search(&mask) {
-                    Ok(i) => Some(p.counts[i]),
-                    Err(_) => p.singles.contains(&mask).then_some(1),
-                }
-            }
-            Keys::Sets(m) => {
-                let mut key = Vec::new();
-                if nodes.windows(2).all(|w| w[0] < w[1]) {
-                    encode_into(&mut key, nodes.iter().copied());
-                } else {
-                    encode_into(&mut key, nodeset::canonicalize(nodes.to_vec()));
-                }
-                m.counts.get(key.as_slice()).copied()
-            }
-        }
-    }
-
     /// Every `(sorted node set, count)` entry, in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
-        let entries: Box<dyn Iterator<Item = (NodeSet, u32)> + '_> = match &self.keys {
+    fn iter(&self) -> Box<dyn Iterator<Item = (NodeSet, u32)> + '_> {
+        match self {
             Keys::Packed(p) => {
                 let p = p.folded();
                 let singles = p.singles.iter().map(|&k| (k, 1));
                 Box::new(p.entries().chain(singles).map(|(k, c)| (mask_nodes(k), c)))
             }
             Keys::Sets(m) => Box::new(m.counts.iter().map(|(k, &c)| (decode(k).collect(), c))),
-        };
-        entries
+        }
     }
 
-    /// The `k` highest-ranked entries in ranking order (see the type docs):
-    /// one pass through a bounded heap, `O(len · log k)`, never a sort of
-    /// the whole table. On a graph of at most 64 nodes the pass reads the
-    /// sets credited once only while the `k`-th count so far is at most 1.
-    pub fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
-        match &self.keys {
+    /// The `k` highest-ranked entries, as [`CandidateTable::top_k`] ranks.
+    fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
+        match self {
             Keys::Packed(p) => {
                 let p = p.folded();
                 let rank = |(key, c): (u64, u32)| (Reverse(c), packed_rank(key), key);
@@ -672,84 +646,351 @@ impl CandidateTable {
         }
     }
 
-    /// Credits one densest set given as a packed node mask (the layout of
-    /// [`densest::for_each_densest`]).
-    pub(crate) fn credit_mask(&mut self, mask: &[u64]) {
-        match &mut self.keys {
-            Keys::Packed(p) => {
-                debug_assert!(mask[1..].iter().all(|&w| w == 0));
-                p.credit(mask[0]);
-            }
-            Keys::Sets(m) => m.credit(ones_in(mask).map(|v| v as NodeId)),
-        }
-    }
-
-    /// Credits one densest set given as ascending, distinct ids.
-    pub(crate) fn credit_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        match &mut self.keys {
-            Keys::Packed(p) => p.credit(nodes.into_iter().fold(0, |acc, v| acc | 1 << v)),
-            Keys::Sets(m) => m.credit(nodes),
-        }
-    }
-
-    /// Folds the packed credits (see the type docs), so the table can be
-    /// read; crediting may go on.
-    pub(crate) fn fold(&mut self) {
-        if let Keys::Packed(p) = &mut self.keys {
+    /// Folds the packed credits (see [`CandidateTable`]), so the shard can
+    /// be read; crediting may go on.
+    fn fold(&mut self) {
+        if let Keys::Packed(p) = self {
             p.fold();
         }
     }
 
-    /// Folds the table for good, before a run hands it out: the filter and
+    /// Folds the shard for good, before a run hands it out: the filter and
     /// the repeats' buffer are freed.
-    pub(crate) fn resolve(&mut self) {
-        if let Keys::Packed(p) = &mut self.keys {
+    fn resolve(&mut self) {
+        if let Keys::Packed(p) = self {
             p.fold();
             p.filter = Bitmap::default();
             p.repeats = Vec::new();
         }
     }
+}
 
-    /// Adds another table's counts (a lane's, see
-    /// [`crate::control::RunControl::with_helpers`]) to this one, the
-    /// smaller into the larger.
-    pub(crate) fn merge(&mut self, mut other: CandidateTable) {
-        if self.size() < other.size() {
-            std::mem::swap(self, &mut other);
+impl CandidateTable {
+    /// The table whose shard `i` is `shards[i]`: the shards that lanes
+    /// `0..n` of one run handed out (see [`LaneTable::finish`]).
+    pub(crate) fn from_shards(shards: Vec<Shard>) -> Self {
+        assert!(!shards.is_empty(), "a run has at least one lane");
+        CandidateTable {
+            shards: shards.into_iter().map(|Shard(keys)| keys).collect(),
         }
-        match (&mut self.keys, other.keys) {
-            (Keys::Packed(p), Keys::Packed(o)) => p.add(o),
-            (Keys::Sets(m), Keys::Sets(o)) => {
-                for (key, c) in o.counts {
-                    *m.counts.entry(key).or_insert(0) += c;
+    }
+
+    /// Number of distinct candidate sets.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(Keys::len).sum()
+    }
+
+    /// Whether no world credited any set.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The count of one node set (ids in any order, repeats allowed), or
+    /// `None` if it never was a densest subgraph. On a graph of at most 64
+    /// nodes, a set credited once is found by a linear scan of its shard's
+    /// singles.
+    pub fn get(&self, nodes: &[NodeId]) -> Option<u32> {
+        let shards = self.shards.len();
+        match &self.shards[0] {
+            Keys::Packed(_) => {
+                let mut mask = 0u64;
+                for &v in nodes {
+                    mask |= 1u64.checked_shl(v)?;
+                }
+                match &self.shards[mask_shard(mask, shards)] {
+                    Keys::Packed(p) => p.get(mask),
+                    Keys::Sets(_) => unreachable!("the shards of a table share their key form"),
                 }
             }
-            _ => unreachable!("tables of one graph share their key form"),
+            Keys::Sets(_) => {
+                let mut key = Vec::new();
+                if nodes.windows(2).all(|w| w[0] < w[1]) {
+                    encode_into(&mut key, nodes.iter().copied());
+                } else {
+                    encode_into(&mut key, nodeset::canonicalize(nodes.to_vec()));
+                }
+                match &self.shards[key_shard(&key, shards)] {
+                    Keys::Sets(m) => m.counts.get(key.as_slice()).copied(),
+                    Keys::Packed(_) => unreachable!("the shards of a table share their key form"),
+                }
+            }
         }
     }
 
-    /// Entries held, whether folded or not.
-    fn size(&self) -> usize {
-        match &self.keys {
-            Keys::Packed(p) => p.masks.len() + p.singles.len() + p.repeats.len(),
-            Keys::Sets(m) => m.counts.len(),
-        }
+    /// Every `(sorted node set, count)` entry, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeSet, u32)> + '_ {
+        self.shards.iter().flat_map(Keys::iter)
     }
+
+    /// The `k` highest-ranked entries in ranking order (see the type docs):
+    /// per shard, one pass through a bounded heap, `O(len · log k)`, never a
+    /// sort of the whole table, then the best `k` of the shards' lists. On
+    /// a graph of at most 64 nodes a shard's pass reads the sets credited
+    /// once only while its `k`-th count so far is at most 1.
+    pub fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
+        merge_top_k(self.shards.iter().map(|s| s.top_k(k)), k)
+    }
+}
+
+/// The `k` highest-ranked entries of `lists`, each the top of one shard,
+/// in the ranking order of [`CandidateTable::top_k`].
+pub(crate) fn merge_top_k(
+    lists: impl IntoIterator<Item = Vec<(NodeSet, u32)>>,
+    k: usize,
+) -> Vec<(NodeSet, u32)> {
+    let mut lists = lists.into_iter();
+    let first = lists.next().unwrap_or_default();
+    let Some(second) = lists.next() else {
+        return first;
+    };
+    let mut all: Vec<(NodeSet, u32)> = [first, second].into_iter().chain(lists).flatten().collect();
+    all.sort_unstable_by(|(a, ca), (b, cb)| {
+        cb.cmp(ca)
+            .then(a.len().cmp(&b.len()))
+            .then_with(|| a.cmp(b))
+    });
+    all.truncate(k);
+    all
 }
 
 impl PartialEq for CandidateTable {
     fn eq(&self, other: &Self) -> bool {
-        match (&self.keys, &other.keys) {
-            (Keys::Sets(a), Keys::Sets(b)) => a.counts == b.counts,
-            _ => {
-                let sorted = |t: &Self| {
-                    let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
-                    all.sort_unstable();
-                    all
+        let pairwise = self.shards.len() == other.shards.len()
+            && self
+                .shards
+                .iter()
+                .zip(&other.shards)
+                .all(|pair| matches!(pair, (Keys::Sets(_), Keys::Sets(_))));
+        if pairwise {
+            return self
+                .shards
+                .iter()
+                .zip(&other.shards)
+                .all(|pair| match pair {
+                    (Keys::Sets(a), Keys::Sets(b)) => a.counts == b.counts,
+                    _ => unreachable!("checked above"),
+                });
+        }
+        let sorted = |t: &Self| {
+            let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
+            all.sort_unstable();
+            all
+        };
+        sorted(self) == sorted(other)
+    }
+}
+
+/// A lane's part of a run's [`CandidateTable`]: the key shard it owns and,
+/// for each other shard, a batch of the sets it credited that belong
+/// there. A one-shard lane owns every set.
+#[derive(Debug)]
+pub(crate) struct LaneTable {
+    /// The shard this lane owns.
+    index: usize,
+    /// Shards of the run's table, one per lane.
+    shards: usize,
+    shard: Keys,
+    /// Per shard, the sets bound for it not yet handed over; empty for a
+    /// one-shard lane.
+    outboxes: Vec<Batch>,
+    /// Encoding buffer of compact keys; reused.
+    key: Vec<u8>,
+}
+
+/// Sets that one lane credited and another lane's shard owns, handed over
+/// when [`BATCH`] keys are in: packed masks, or compact keys end to end.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    masks: Vec<u64>,
+    bytes: Vec<u8>,
+    /// Where each compact key ends in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl Batch {
+    fn is_full(&self) -> bool {
+        self.masks.len() == BATCH || self.ends.len() == BATCH || self.bytes.len() >= BATCH_BYTES
+    }
+
+    fn is_empty(&self) -> bool {
+        self.masks.is_empty() && self.ends.is_empty()
+    }
+}
+
+/// A lane's folded shard, as [`LaneTable::finish`] hands it out.
+#[derive(Debug)]
+pub(crate) struct Shard(Keys);
+
+impl LaneTable {
+    /// Lane `index`'s part of a table of `shards` shards over a graph of
+    /// `num_nodes` nodes. Made on the run's calling thread: a lane's
+    /// credits grow its packed buffers by reallocation, which keeps a block
+    /// in the allocator arena it came from, so a helper thread's credits
+    /// never make its own arena hold a share of the tally.
+    pub(crate) fn new(num_nodes: usize, index: usize, shards: usize) -> Self {
+        let shard = match Keys::for_graph(num_nodes) {
+            Keys::Packed(_) => {
+                let mut p = Packed {
+                    filter: Bitmap::new(FILTER_WORDS),
+                    ..Packed::default()
                 };
-                sorted(self) == sorted(other)
+                // A fold hands the repeats' buffer to an empty run and takes
+                // the run's old one for the next repeats, so all four start
+                // out allocated.
+                for buf in [&mut p.masks, &mut p.singles, &mut p.repeats] {
+                    buf.reserve(LANE_RESERVE);
+                }
+                p.counts.reserve(LANE_RESERVE);
+                Keys::Packed(p)
+            }
+            sets => sets,
+        };
+        let outboxes = match shards {
+            1 => Vec::new(),
+            _ => std::iter::repeat_with(Batch::default)
+                .take(shards)
+                .collect(),
+        };
+        LaneTable {
+            index,
+            shards,
+            shard,
+            outboxes,
+            key: Vec::new(),
+        }
+    }
+
+    /// Credits one densest set given as a packed node mask (the layout of
+    /// [`densest::for_each_densest`]). Returns a batch that filled up, with
+    /// the shard it is bound for.
+    #[inline]
+    pub(crate) fn credit_mask(&mut self, mask: &[u64]) -> Option<(usize, Batch)> {
+        if let Keys::Packed(_) = self.shard {
+            debug_assert!(mask[1..].iter().all(|&w| w == 0));
+            return self.credit_packed(mask[0]);
+        }
+        encode_into(&mut self.key, ones_in(mask).map(|v| v as NodeId));
+        self.credit_key()
+    }
+
+    /// Credits one densest set given as ascending, distinct ids; returns
+    /// what [`LaneTable::credit_mask`] does.
+    pub(crate) fn credit_nodes(
+        &mut self,
+        nodes: impl IntoIterator<Item = NodeId>,
+    ) -> Option<(usize, Batch)> {
+        if let Keys::Packed(_) = self.shard {
+            return self.credit_packed(nodes.into_iter().fold(0, |acc, v| acc | 1 << v));
+        }
+        encode_into(&mut self.key, nodes);
+        self.credit_key()
+    }
+
+    /// Credits a packed mask. In a lane of several, every mask, its own
+    /// shard's too, first goes to its shard's batch: which shard a mask
+    /// belongs to is a coin flip that a branch per credit would mispredict
+    /// half the time, while a full batch of its own is credited in one
+    /// loop.
+    #[inline]
+    fn credit_packed(&mut self, mask: u64) -> Option<(usize, Batch)> {
+        let Keys::Packed(p) = &mut self.shard else {
+            unreachable!("a packed lane table")
+        };
+        if self.shards == 1 {
+            p.credit(mask);
+            return None;
+        }
+        let to = mask_shard(mask, self.shards);
+        let batch = &mut self.outboxes[to];
+        if batch.masks.capacity() == 0 {
+            batch.masks.reserve_exact(BATCH);
+        }
+        batch.masks.push(mask);
+        if batch.masks.len() < BATCH {
+            return None;
+        }
+        if to == self.index {
+            for &mask in &batch.masks {
+                p.credit(mask);
+            }
+            batch.masks.clear();
+            return None;
+        }
+        Some((to, std::mem::take(batch)))
+    }
+
+    /// Credits the set whose compact key is in `self.key`.
+    fn credit_key(&mut self) -> Option<(usize, Batch)> {
+        let Keys::Sets(m) = &mut self.shard else {
+            unreachable!("a compact-key lane table")
+        };
+        let to = key_shard(&self.key, self.shards);
+        if to == self.index {
+            m.credit(&self.key);
+            return None;
+        }
+        let batch = &mut self.outboxes[to];
+        batch.bytes.extend_from_slice(&self.key);
+        batch.ends.push(batch.bytes.len());
+        batch.is_full().then(|| (to, std::mem::take(batch)))
+    }
+
+    /// Credits a batch another lane handed to this lane's shard.
+    pub(crate) fn receive(&mut self, batch: Batch) {
+        match &mut self.shard {
+            Keys::Packed(p) => {
+                for &mask in &batch.masks {
+                    p.credit(mask);
+                }
+            }
+            Keys::Sets(m) => {
+                let mut start = 0;
+                for &end in &batch.ends {
+                    m.credit(&batch.bytes[start..end]);
+                    start = end;
+                }
             }
         }
+    }
+
+    /// Credits the masks waiting in this lane's batch for its own shard.
+    fn settle_own(&mut self) {
+        if let Some(own) = self.outboxes.get_mut(self.index) {
+            let own = std::mem::take(own);
+            self.receive(own);
+        }
+    }
+
+    /// Every batch not yet handed over, with the shard it is bound for,
+    /// once this lane's own is credited.
+    pub(crate) fn flush(&mut self) -> impl Iterator<Item = (usize, Batch)> + '_ {
+        self.settle_own();
+        let outboxes = self.outboxes.iter_mut().enumerate();
+        outboxes
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(to, batch)| (to, std::mem::take(batch)))
+    }
+
+    /// Folds the shard so it can be read; crediting may go on. Only a
+    /// one-shard lane reads its table before the run ends.
+    pub(crate) fn fold(&mut self) {
+        self.settle_own();
+        self.shard.fold();
+    }
+
+    /// The `k` highest-ranked entries of the folded shard.
+    pub(crate) fn top_k(&self, k: usize) -> Vec<(NodeSet, u32)> {
+        self.shard.top_k(k)
+    }
+
+    /// Folds the shard for good, once every batch bound for it has been
+    /// received, and selects its `k` highest-ranked entries: the shard a
+    /// run hands out and its part of the run's top k.
+    pub(crate) fn finish(mut self, k: usize) -> (Shard, Vec<(NodeSet, u32)>) {
+        debug_assert!(self.outboxes.iter().all(Batch::is_empty));
+        self.shard.resolve();
+        let top = self.shard.top_k(k);
+        (Shard(self.shard), top)
     }
 }
 
@@ -808,6 +1049,42 @@ mod tests {
     use sampling::MonteCarlo;
     use std::collections::BTreeMap;
     use ugraph::UncertainGraph;
+
+    /// One-shard tables credited and folded in place, as a lone lane's
+    /// shard is.
+    impl CandidateTable {
+        fn for_graph(num_nodes: usize) -> Self {
+            CandidateTable {
+                shards: vec![Keys::for_graph(num_nodes)],
+            }
+        }
+
+        fn only(&mut self) -> &mut Keys {
+            let [keys] = &mut self.shards[..] else {
+                panic!("a table credited in place has one shard")
+            };
+            keys
+        }
+
+        fn credit_mask(&mut self, mask: &[u64]) {
+            self.credit_nodes(ones_in(mask).map(|v| v as NodeId));
+        }
+
+        fn credit_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+            match self.only() {
+                Keys::Packed(p) => p.credit(nodes.into_iter().fold(0, |acc, v| acc | 1 << v)),
+                Keys::Sets(m) => {
+                    let mut key = Vec::new();
+                    encode_into(&mut key, nodes);
+                    m.credit(&key);
+                }
+            }
+        }
+
+        fn fold(&mut self) {
+            self.only().fold();
+        }
+    }
 
     /// The paper's Fig. 1 running example (matches Table I's probabilities).
     fn fig1() -> UncertainGraph {
@@ -1117,7 +1394,7 @@ mod tests {
             for &m in &stream {
                 t.credit_mask(&[m]);
             }
-            if let Keys::Packed(p) = &t.keys {
+            if let Keys::Packed(p) = &t.shards[0] {
                 assert!(!p.masks.is_empty() && !p.repeats.is_empty());
             }
             t.fold();
@@ -1146,42 +1423,67 @@ mod tests {
     }
 
     #[test]
-    fn merged_tables_equal_one_table_credited_with_both_streams() {
+    fn sharded_tables_equal_one_table_credited_with_both_streams() {
         let (a, b) = (
             mask_stream(11, 2 * FOLD_FLOOR + 5, 90_000),
             mask_stream(13, FOLD_FLOOR / 2, 90_000),
         );
         for n in [64, 65] {
-            let mut left = CandidateTable::for_graph(n);
-            let mut right = CandidateTable::for_graph(n);
+            let mut lanes: Vec<LaneTable> = (0..2).map(|i| LaneTable::new(n, i, 2)).collect();
+            for (from, stream) in [(0, &a), (1, &b)] {
+                for &m in stream {
+                    if let Some((to, batch)) = lanes[from].credit_mask(&[m]) {
+                        lanes[to].receive(batch);
+                    }
+                }
+            }
+            hand_over_rest(&mut lanes, &mut |_, _| {});
+            let (sharded, top) = finish_lanes(lanes, 5);
             let mut both = CandidateTable::for_graph(n);
-            for &m in &a {
-                left.credit_mask(&[m]);
-            }
-            for &m in &b {
-                right.credit_mask(&[m]);
-            }
             for &m in b.iter().chain(&a) {
                 both.credit_mask(&[m]);
             }
-            left.merge(right);
-            left.fold();
             both.fold();
-            assert_eq!(left, both, "n = {n}");
-            assert_eq!(left.len(), both.len(), "n = {n}");
-            assert_eq!(left.top_k(5), both.top_k(5), "n = {n}");
+            assert_eq!(sharded, both, "n = {n}");
+            assert_eq!(both, sharded, "n = {n}");
+            assert_eq!(sharded.len(), both.len(), "n = {n}");
+            assert_eq!(top, both.top_k(5), "n = {n}");
+            assert_eq!(sharded.top_k(5), top, "n = {n}");
         }
     }
 
-    /// A packed table whose filter starts at one word, so that first
-    /// sightings collide and the filter grows within a few credits.
-    fn tiny_filter_table() -> CandidateTable {
-        CandidateTable {
-            keys: Keys::Packed(Packed {
-                filter: Bitmap::new(1),
-                ..Packed::default()
-            }),
+    /// The lanes of a run of `lanes` lanes over a graph of 64 nodes, each
+    /// shard's filter one word wide, so that first sightings collide and
+    /// the filters grow within a few credits.
+    fn tiny_filter_lanes(lanes: usize) -> Vec<LaneTable> {
+        (0..lanes)
+            .map(|i| {
+                let mut t = LaneTable::new(64, i, lanes);
+                t.shard = Keys::Packed(Packed {
+                    filter: Bitmap::new(1),
+                    ..Packed::default()
+                });
+                t
+            })
+            .collect()
+    }
+
+    /// Hands every batch that `lanes` hold to its lane, telling `seen` of
+    /// each first.
+    fn hand_over_rest(lanes: &mut [LaneTable], seen: &mut dyn FnMut(usize, &Batch)) {
+        for from in 0..lanes.len() {
+            let batches: Vec<(usize, Batch)> = lanes[from].flush().collect();
+            for (to, batch) in batches {
+                seen(to, &batch);
+                lanes[to].receive(batch);
+            }
         }
+    }
+
+    /// The table that `lanes` hand out, and its top `k` from their lists.
+    fn finish_lanes(lanes: Vec<LaneTable>, k: usize) -> (CandidateTable, Vec<(NodeSet, u32)>) {
+        let (shards, tops): (Vec<Shard>, Vec<_>) = lanes.into_iter().map(|t| t.finish(k)).unzip();
+        (CandidateTable::from_shards(shards), merge_top_k(tops, k))
     }
 
     /// The sieve test's 60 seeded streams: each up to 40 worlds of up to 60
@@ -1207,27 +1509,20 @@ mod tests {
             .collect()
     }
 
-    /// The shard a test table puts `mask` in, of `shards`.
-    fn test_shard(mask: u64, shards: usize) -> usize {
-        let h = (mask ^ mask >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 32;
-        (h * shards as u64 >> 32) as usize
-    }
-
-    /// A table of `shards` key shards credited with `credits`.
+    /// A table of `shards` key shards: `credits`, in worlds of 50, credited
+    /// by the lanes of a run of `shards` lanes, world `w` by lane
+    /// `w % shards`, each full batch handed over at once.
     fn sharded(credits: &[u64], shards: usize) -> CandidateTable {
-        let mut parts: Vec<CandidateTable> = (0..shards).map(|_| tiny_filter_table()).collect();
-        for &m in credits {
-            parts[test_shard(m, shards)].credit_mask(&[m]);
+        let mut lanes = tiny_filter_lanes(shards);
+        for (w, world) in credits.chunks(50).enumerate() {
+            for &m in world {
+                if let Some((to, batch)) = lanes[w % shards].credit_mask(&[m]) {
+                    lanes[to].receive(batch);
+                }
+            }
         }
-        let mut t = parts
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.merge(b);
-                a
-            })
-            .unwrap();
-        t.resolve();
-        t
+        hand_over_rest(&mut lanes, &mut |_, _| {});
+        finish_lanes(lanes, 0).0
     }
 
     #[test]
@@ -1263,7 +1558,7 @@ mod tests {
             for shards in 1..=4 {
                 if seed % 2 == 0 {
                     let hit: std::collections::BTreeSet<usize> =
-                        ties.iter().map(|&m| test_shard(m, shards)).collect();
+                        ties.iter().map(|&m| mask_shard(m, shards)).collect();
                     assert_eq!(hit.len(), shards, "seed {seed}: the tie spans every shard");
                 }
                 let t = sharded(&credits, shards);
@@ -1281,7 +1576,8 @@ mod tests {
                 for k in [0, 1, 2, 3, 5, 27, 28, 29, want.len(), want.len() + 1] {
                     assert_eq!(t.top_k(k), want[..k.min(want.len())], "{label}, k = {k}");
                 }
-                assert!(t == one && one == t, "{label}");
+                assert_eq!(t, one, "{label}");
+                assert_eq!(one, t, "{label}");
             }
         }
     }
@@ -1293,30 +1589,51 @@ mod tests {
         // to the repeats by a collision.
         let (mut grew, mut moved, mut collided) = (false, false, false);
         for (seed, worlds) in sieve_streams().into_iter().enumerate() {
-            let lanes = 1 + seed % 3;
-            // World w goes to lane w % lanes. Each lane reads its table after
-            // every world but its last, as a `Stop::Stable` run does, so
-            // the tables merge with credits still unfolded.
-            let mut tables: Vec<CandidateTable> = (0..lanes).map(|_| tiny_filter_table()).collect();
-            let mut counts = vec![BTreeMap::<u64, u32>::new(); lanes];
-            for (w, world) in worlds.iter().enumerate() {
-                let (t, c) = (&mut tables[w % lanes], &mut counts[w % lanes]);
-                for &m in world {
-                    t.credit_mask(&[m]);
-                    *c.entry(m).or_insert(0) += 1;
+            let n = 1 + seed % 3;
+            // World w goes to lane w % n, which hands over what it holds
+            // for other shards after every other world, and reads its own
+            // shard after every world but its last, as a `Stop::Stable` run
+            // reads its one shard: shards are read with credits still to
+            // come. `counts[i]` is what shard i has been credited so far.
+            let mut lanes = tiny_filter_lanes(n);
+            let mut counts = vec![BTreeMap::<u64, u32>::new(); n];
+            let seen = |counts: &mut [BTreeMap<u64, u32>], to: usize, masks: &[u64]| {
+                for &m in masks {
+                    *counts[to].entry(m).or_insert(0) += 1;
                 }
-                if w + lanes < worlds.len() {
-                    let Keys::Packed(p) = &t.keys else {
+            };
+            for (w, world) in worlds.iter().enumerate() {
+                let from = w % n;
+                for &m in world {
+                    if mask_shard(m, n) == from {
+                        seen(&mut counts, from, &[m]);
+                    }
+                    if let Some((to, batch)) = lanes[from].credit_mask(&[m]) {
+                        seen(&mut counts, to, &batch.masks);
+                        lanes[to].receive(batch);
+                    }
+                }
+                if w % 2 == 1 {
+                    let batches: Vec<(usize, Batch)> = lanes[from].flush().collect();
+                    for (to, batch) in batches {
+                        seen(&mut counts, to, &batch.masks);
+                        lanes[to].receive(batch);
+                    }
+                }
+                if w + n < worlds.len() {
+                    let t = &mut lanes[from];
+                    let Keys::Packed(p) = &t.shard else {
                         unreachable!()
                     };
                     let singles = p.singles.clone();
                     t.fold();
-                    let Keys::Packed(p) = &t.keys else {
+                    let Keys::Packed(p) = &t.shard else {
                         unreachable!()
                     };
                     moved |= singles.iter().any(|m| p.masks.binary_search(m).is_ok());
+                    let c = &counts[from];
                     let want = ranked(c.iter().map(|(&m, &n)| (mask_nodes(m), n)).collect());
-                    assert_eq!(t.len(), c.len(), "seed {seed}, world {w}");
+                    assert_eq!(t.shard.len(), c.len(), "seed {seed}, world {w}");
                     assert_eq!(
                         t.top_k(3),
                         want[..want.len().min(3)],
@@ -1324,79 +1641,133 @@ mod tests {
                     );
                 }
             }
-            for t in &tables {
-                let Keys::Packed(p) = &t.keys else {
+            hand_over_rest(&mut lanes, &mut |to, batch| {
+                seen(&mut counts, to, &batch.masks)
+            });
+            for t in &lanes {
+                let Keys::Packed(p) = &t.shard else {
                     unreachable!()
                 };
                 grew |= p.filter.0.len() > 1;
             }
             let mut reference = BTreeMap::<u64, u32>::new();
-            for (&m, &n) in counts.iter().flatten() {
-                *reference.entry(m).or_insert(0) += n;
+            for (&m, &c) in counts.iter().flatten() {
+                *reference.entry(m).or_insert(0) += c;
             }
             let mut entries: Vec<(NodeSet, u32)> = reference
                 .iter()
-                .map(|(&m, &n)| (mask_nodes(m), n))
+                .map(|(&m, &c)| (mask_nodes(m), c))
                 .collect();
             entries.sort_unstable();
             let want = ranked(entries.clone());
-            let merge_all = |order: Vec<CandidateTable>| {
-                let mut merged = order.into_iter().reduce(|mut a, b| {
-                    a.merge(b);
-                    a
-                });
-                merged.as_mut().unwrap().resolve();
-                merged.unwrap()
-            };
-            let forward = merge_all(tables.clone());
-            let backward = merge_all(tables.into_iter().rev().collect());
-            assert!(forward == backward, "seed {seed}");
-            for t in [forward, backward] {
-                assert_eq!(t.len(), reference.len(), "seed {seed}");
-                for (&m, &n) in &reference {
-                    assert_eq!(t.get(&mask_nodes(m)), Some(n), "seed {seed}, {m:#x}");
-                }
-                let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
-                all.sort_unstable();
-                assert_eq!(all, entries, "seed {seed}");
-                for k in [0, 1, 3, want.len() + 1] {
-                    assert_eq!(
-                        t.top_k(k),
-                        want[..k.min(want.len())],
-                        "seed {seed}, k = {k}"
-                    );
-                }
-                let Keys::Packed(p) = &t.keys else {
+            let (t, top) = finish_lanes(lanes, 3);
+            assert_eq!(top, want[..want.len().min(3)], "seed {seed}");
+            let mut one = CandidateTable::for_graph(64);
+            for &m in worlds.iter().flatten() {
+                one.credit_mask(&[m]);
+            }
+            one.fold();
+            assert_eq!(t, one, "seed {seed}");
+            assert_eq!(one, t, "seed {seed}");
+            assert_eq!(t.len(), reference.len(), "seed {seed}");
+            for (&m, &c) in &reference {
+                assert_eq!(t.get(&mask_nodes(m)), Some(c), "seed {seed}, {m:#x}");
+            }
+            let mut all: Vec<(NodeSet, u32)> = t.iter().collect();
+            all.sort_unstable();
+            assert_eq!(all, entries, "seed {seed}");
+            for k in [0, 1, 3, want.len() + 1] {
+                assert_eq!(
+                    t.top_k(k),
+                    want[..k.min(want.len())],
+                    "seed {seed}, k = {k}"
+                );
+            }
+            for (i, shard) in t.shards.iter().enumerate() {
+                let Keys::Packed(p) = shard else {
                     unreachable!()
                 };
+                assert!(p.filter.0.is_empty() && p.repeats.capacity() == 0);
+                let owned = p.masks.iter().chain(&p.singles);
+                assert!(
+                    owned.into_iter().all(|&m| mask_shard(m, n) == i),
+                    "seed {seed}"
+                );
                 let single = p.singles.first();
-                let repeat = p.counts.iter().position(|&n| n >= 2);
-                let collision = p.counts.iter().position(|&n| n == 1);
+                let repeat = p.counts.iter().position(|&c| c >= 2);
+                let collision = p.counts.iter().position(|&c| c == 1);
                 if let Some(&m) = single {
                     assert_eq!(t.get(&mask_nodes(m)), Some(1), "seed {seed}, single");
                 }
-                if let Some(i) = repeat {
-                    let m = p.masks[i];
+                if let Some(j) = repeat {
+                    let m = p.masks[j];
                     assert_eq!(
                         t.get(&mask_nodes(m)),
                         Some(reference[&m]),
                         "seed {seed}, repeat"
                     );
                 }
-                if let Some(i) = collision {
+                if let Some(j) = collision {
                     collided = true;
                     assert_eq!(
-                        t.get(&mask_nodes(p.masks[i])),
+                        t.get(&mask_nodes(p.masks[j])),
                         Some(1),
                         "seed {seed}, collision"
                     );
                 }
-                let absent: NodeSet = (0..64).collect();
-                assert_eq!(t.get(&absent), None, "seed {seed}, absent");
-                assert_eq!(t.get(&[]), None, "seed {seed}, empty");
             }
+            let absent: NodeSet = (0..64).collect();
+            assert_eq!(t.get(&absent), None, "seed {seed}, absent");
+            assert_eq!(t.get(&[]), None, "seed {seed}, empty");
         }
         assert!(grew && moved && collided, "{grew} {moved} {collided}");
+    }
+
+    #[test]
+    fn compact_keys_route_to_one_shard_each() {
+        // The compact-key form routes by key: 2 and 3 lanes over a graph
+        // of 5,000 nodes agree with one lane, whatever lane credits a set.
+        let n = 5_000u32;
+        let sets: Vec<NodeSet> = (0..400u32)
+            .map(|i| (0..1 + i % 7).map(|j| (i * 37 + j * 1_013) % n).collect())
+            .map(nodeset::canonicalize)
+            .collect();
+        let mut one = CandidateTable::for_graph(n as usize);
+        for (i, set) in sets.iter().enumerate() {
+            for _ in 0..1 + i % 3 {
+                one.credit_nodes(set.iter().copied());
+            }
+        }
+        for shards in [2, 3] {
+            let mut lanes: Vec<LaneTable> = (0..shards)
+                .map(|i| LaneTable::new(n as usize, i, shards))
+                .collect();
+            for (i, set) in sets.iter().enumerate() {
+                for c in 0..1 + i % 3 {
+                    if let Some((to, batch)) =
+                        lanes[(i + c) % shards].credit_nodes(set.iter().copied())
+                    {
+                        lanes[to].receive(batch);
+                    }
+                }
+            }
+            hand_over_rest(&mut lanes, &mut |_, _| {});
+            let (t, top) = finish_lanes(lanes, 10);
+            assert_eq!(t, one, "{shards} shards");
+            assert_eq!(one, t, "{shards} shards");
+            assert_eq!(top, one.top_k(10), "{shards} shards");
+            assert_eq!(t.top_k(10), top, "{shards} shards");
+            for (i, set) in sets.iter().enumerate() {
+                let mut probe = set.clone();
+                probe.reverse();
+                assert_eq!(t.get(&probe), Some(1 + i as u32 % 3), "{set:?}");
+            }
+            for (i, shard) in t.shards.iter().enumerate() {
+                let Keys::Sets(m) = shard else { unreachable!() };
+                assert!(!m.counts.is_empty());
+                assert!(m.counts.keys().all(|key| key_shard(key, shards) == i));
+            }
+        }
     }
 
     fn run(g: &UncertainGraph, query: &Query, seed: u64) -> MpdsResult {

@@ -88,12 +88,14 @@ fn count_worlds<S: WorldSampler>(
         stride: 0,
         ctrl: &RunControl::unbounded(),
         progress: &NoProgress,
+        ranks: false,
     }
     .run(
         Stream::Local(sampler),
         vec![hits],
         |hits, world, _: &mut [()]| count(world, hits),
         None,
+        |_| {},
         |_| {},
     )
     .expect("an unbounded RunControl never interrupts");

@@ -19,8 +19,8 @@ use std::time::Instant;
 /// `SnapshotResolve`, `CacheProbe`, and `JsonRender` are timed once per
 /// request by the serving engine; `WorldMaterialize`,
 /// `EstimatorAccumulate`, and `StableTracker` are timed once per sampled
-/// world inside the core sampling loop, and `RankSelect` once per
-/// estimator run after it. `WalAppend`, `WalFsync`, and
+/// world inside the core sampling loop, and `LaneJoin` and `RankSelect`
+/// once per estimator run after it. `WalAppend`, `WalFsync`, and
 /// `StoreCheckpoint` time the durable-store halves of a mutating request;
 /// `RefineRepublish` times the background refinement worker's recompute +
 /// cache republish for a budget-truncated query.
@@ -37,8 +37,15 @@ pub enum Stage {
     EstimatorAccumulate,
     /// Checking top-k stability for early stopping.
     StableTracker,
+    /// The calling lane of an estimator run at the lanes' meeting point:
+    /// from when it stops claiming worlds until the last batch of sets
+    /// handed to it is credited, which is once every other lane has
+    /// stopped claiming and handed over what it holds (at once, for a run
+    /// without helpers).
+    LaneJoin,
     /// Ranking at the end of an estimator run, on the calling thread:
-    /// folding the candidate table and selecting its top k.
+    /// folding its lane's shard of the candidate table, selecting the
+    /// shard's top k, and waiting for the other lanes' top k.
     RankSelect,
     /// Rendering the response body JSON.
     JsonRender,
@@ -55,7 +62,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of [`Stage::ALL`]).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 12;
 
     /// Every stage, in execution order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -64,6 +71,7 @@ impl Stage {
         Stage::WorldMaterialize,
         Stage::EstimatorAccumulate,
         Stage::StableTracker,
+        Stage::LaneJoin,
         Stage::RankSelect,
         Stage::JsonRender,
         Stage::WalAppend,
@@ -81,6 +89,7 @@ impl Stage {
             Stage::WorldMaterialize => "world_materialize",
             Stage::EstimatorAccumulate => "estimator_accumulate",
             Stage::StableTracker => "stable_tracker",
+            Stage::LaneJoin => "lane_join",
             Stage::RankSelect => "rank_select",
             Stage::JsonRender => "json_render",
             Stage::WalAppend => "wal_append",
@@ -448,6 +457,7 @@ mod tests {
                 "world_materialize",
                 "estimator_accumulate",
                 "stable_tracker",
+                "lane_join",
                 "rank_select",
                 "json_render",
                 "wal_append",

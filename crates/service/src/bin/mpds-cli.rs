@@ -711,10 +711,25 @@ fn resolve_addr(addr: &str) -> Result<std::net::SocketAddr, String> {
         .ok_or_else(|| format!("cannot resolve --addr {addr:?}"))
 }
 
+/// `value` as a query-string component: every byte but the unreserved
+/// ones (`A–Z a–z 0–9 - . _ ~`) as `%XX`, so a dataset name holding `&`,
+/// `=`, `%`, `+` or a space names that dataset.
+fn percent_encode(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for b in value.bytes() {
+        if b.is_ascii_alphanumeric() || b"-._~".contains(&b) {
+            out.push(char::from(b));
+        } else {
+            out.push_str(&format!("%{b:02X}"));
+        }
+    }
+    out
+}
+
 fn update_command(o: &UpdateOptions) -> Result<(), String> {
     let addr = resolve_addr(&o.addr)?;
     let body = std::fs::read(&o.file).map_err(|e| format!("read {}: {e}", o.file))?;
-    let path = format!("/update?dataset={}", o.dataset);
+    let path = format!("/update?dataset={}", percent_encode(&o.dataset));
     let ex =
         mpds_service::client::http_post(addr, &path, &body, std::time::Duration::from_secs(120))
             .map_err(|e| format!("POST {path} to {addr}: {e}"))?;
@@ -728,7 +743,7 @@ fn update_command(o: &UpdateOptions) -> Result<(), String> {
 
 fn checkpoint_command(o: &CheckpointOptions) -> Result<(), String> {
     let addr = resolve_addr(&o.addr)?;
-    let path = format!("/admin/checkpoint?dataset={}", o.dataset);
+    let path = format!("/admin/checkpoint?dataset={}", percent_encode(&o.dataset));
     let ex = mpds_service::client::http_post(addr, &path, &[], std::time::Duration::from_secs(120))
         .map_err(|e| format!("POST {path} to {addr}: {e}"))?;
     let text = String::from_utf8_lossy(&ex.body);
@@ -834,8 +849,8 @@ fn diff_command(o: &DiffOptions) -> Result<(), String> {
     let addr = resolve_addr(&o.addr)?;
     let path = format!(
         "/diff?dataset={}&against={}&algo={}&notion={}&theta={}&k={}&lm={}&seed={}{}",
-        o.dataset,
-        o.against,
+        percent_encode(&o.dataset),
+        percent_encode(&o.against),
         o.algo,
         o.density,
         o.theta,
@@ -1287,6 +1302,14 @@ mod tests {
             Command::Batch(o) => Ok(o),
             _ => panic!("expected batch command"),
         }
+    }
+
+    #[test]
+    fn dataset_names_are_percent_encoded() {
+        assert_eq!(percent_encode("karate"), "karate");
+        assert_eq!(percent_encode("a-b.c_d~e9"), "a-b.c_d~e9");
+        assert_eq!(percent_encode("x&y"), "x%26y");
+        assert_eq!(percent_encode("a=b%c+d e/é"), "a%3Db%25c%2Bd%20e%2F%C3%A9");
     }
 
     fn parse_diff(args: &[&str]) -> Result<DiffOptions, String> {

@@ -291,3 +291,135 @@ fn unknown_and_duplicate_flags_fail_with_usage() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("duplicate option"), "{err}");
 }
+
+/// A `mpds-cli serve` child process on an ephemeral port; dropping it kills
+/// the process.
+struct ServeProcess {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+}
+
+impl ServeProcess {
+    fn spawn(args: &[&str]) -> ServeProcess {
+        use std::io::BufRead;
+        let mut child = cli()
+            .args(["serve", "--bind", "127.0.0.1:0"])
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn mpds-cli serve");
+        let stdout = child.stdout.take().expect("piped stdout");
+        let mut lines = std::io::BufReader::new(stdout).lines();
+        let addr = lines.by_ref().map_while(Result::ok).find_map(|line| {
+            let rest = line.split("listening on http://").nth(1)?;
+            rest.split_whitespace().next()?.parse().ok()
+        });
+        // Keep draining stdout so the server never blocks on a full pipe.
+        std::thread::spawn(move || lines.for_each(drop));
+        let mut process = ServeProcess {
+            child,
+            addr: std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
+        };
+        process.addr = addr.expect("serve printed no listening address");
+        process
+    }
+
+    /// The generation of dataset `name` (`escaped` in a query string) in
+    /// the server's `/datasets` list, once a `/dataset` read loaded it.
+    fn generation(&self, name: &str, escaped: &str) -> u64 {
+        let get = |path: &str| {
+            let e =
+                mpds_service::client::http_get(self.addr, path, std::time::Duration::from_secs(30))
+                    .expect("GET");
+            assert_eq!(e.status, 200, "{path}");
+            String::from_utf8(e.body).unwrap()
+        };
+        get(&format!("/dataset?name={escaped}"));
+        let text = get("/datasets");
+        let doc = mpds_service::json::JsonValue::parse(&text).unwrap();
+        let list = doc.get("datasets").unwrap().unwrap();
+        let entry = list
+            .as_array("datasets")
+            .unwrap()
+            .iter()
+            .find(|d| d.get("name").unwrap().unwrap().as_str("name").unwrap() == name)
+            .unwrap_or_else(|| panic!("no dataset {name:?}: {text}"));
+        let generation = entry.get("generation").unwrap().unwrap();
+        generation.as_u64("generation").unwrap()
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[test]
+fn update_and_diff_address_dataset_names_that_need_escaping() {
+    let graph = demo_file();
+    let mut delta = tempfile::NamedTempFile::new();
+    writeln!(delta.file, "1 2 0.9").unwrap();
+    let delta = delta.into_path();
+    let server = ServeProcess::spawn(&[
+        "--threads",
+        "1",
+        "--mutable",
+        "--dataset",
+        &format!("x={}", graph.as_str()),
+        "--dataset",
+        &format!("x&y={}", graph.as_str()),
+    ]);
+    let addr = server.addr.to_string();
+    assert_eq!(server.generation("x", "x"), 0);
+    assert_eq!(server.generation("x&y", "x%26y"), 0);
+    let out = cli()
+        .args(["update", "--addr", &addr, "--dataset", "x&y", "--file"])
+        .arg(delta.as_str())
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(server.generation("x&y", "x%26y"), 1);
+    assert_eq!(server.generation("x", "x"), 0);
+    // `diff` escapes both names: x&y after its update against x before it.
+    let out = cli()
+        .args([
+            "diff",
+            "--addr",
+            &addr,
+            "--dataset",
+            "x&y",
+            "--against",
+            "x",
+        ])
+        .args(["--theta", "64", "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc = mpds_service::json::JsonValue::parse(text.trim()).unwrap();
+    let after = doc
+        .get("dataset")
+        .unwrap()
+        .unwrap()
+        .as_str("dataset")
+        .unwrap();
+    let before = doc
+        .get("against")
+        .unwrap()
+        .unwrap()
+        .as_str("against")
+        .unwrap();
+    assert_eq!((after, before), ("x&y", "x"), "{text}");
+}

@@ -25,12 +25,13 @@ fn scrape_prom(server: &Server) -> String {
     String::from_utf8(get(server, "/metrics").body).unwrap()
 }
 
-const STAGES: [&str; 7] = [
+const STAGES: [&str; 8] = [
     "snapshot_resolve",
     "cache_probe",
     "world_materialize",
     "estimator_accumulate",
     "stable_tracker",
+    "lane_join",
     "rank_select",
     "json_render",
 ];
@@ -567,6 +568,35 @@ fn a_cold_miss_borrows_the_parked_worker_as_a_helper() {
     let (record, moved) = cold_miss_trace(1, mpds, None);
     assert_eq!(field(&record, "helpers"), 0, "{record:?}");
     assert_eq!(moved, 0.0);
+}
+
+#[test]
+fn a_helped_miss_times_its_lane_join_and_its_hit_does_not() {
+    let cfg = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = start_server(&EngineConfig::default(), &cfg);
+    assert_eq!(get(&server, "/healthz").status, 200);
+    // Give the other worker time to park, so the MISS borrows it.
+    std::thread::sleep(Duration::from_millis(100));
+    let path = "/query?dataset=karate&theta=64&k=3&seed=9002";
+    let miss = get(&server, path);
+    assert_eq!(miss.status, 200, "{}", String::from_utf8_lossy(&miss.body));
+    assert_eq!(miss.x_cache.as_deref(), Some("MISS"));
+    let hit = get(&server, path);
+    assert_eq!(hit.x_cache.as_deref(), Some("HIT"));
+    assert_eq!(hit.body, miss.body);
+    let records = [trace_record(&server, &miss), trace_record(&server, &hit)];
+    let doc = mpds_service::json::JsonValue::parse(&records[0]).unwrap();
+    let helpers = doc.get("helpers").unwrap().unwrap().as_u64("helpers");
+    assert_eq!(helpers.unwrap(), 1, "{}", records[0]);
+    // The MISS's calling lane met its helper once, then ranked its shard;
+    // the HIT ran neither.
+    assert!(stage_field(&records[0], "lane_join", "count") >= 1);
+    assert!(stage_field(&records[0], "rank_select", "count") >= 1);
+    assert_eq!(stage_field(&records[1], "lane_join", "count"), 0);
+    assert_eq!(stage_field(&records[1], "rank_select", "count"), 0);
 }
 
 #[test]
