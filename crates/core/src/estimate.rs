@@ -781,8 +781,8 @@ impl PartialEq for CandidateTable {
 }
 
 /// A lane's part of a run's [`CandidateTable`]: the key shard it owns and,
-/// for each other shard, a batch of the sets it credited that belong
-/// there. A one-shard lane owns every set.
+/// for each shard, a [`Batch`] of the sets it credited that belong there.
+/// A one-shard lane owns every set and credits it at once.
 #[derive(Debug)]
 pub(crate) struct LaneTable {
     /// The shard this lane owns.
@@ -797,8 +797,10 @@ pub(crate) struct LaneTable {
     key: Vec<u8>,
 }
 
-/// Sets that one lane credited and another lane's shard owns, handed over
-/// when [`BATCH`] keys are in: packed masks, or compact keys end to end.
+/// Sets that one lane credited for one shard: packed masks, or compact keys
+/// end to end. Once [`BATCH`] keys (or [`BATCH_BYTES`] of compact keys) are
+/// in, the batch goes to the shard's lane, or, for the lane's own shard, is
+/// credited in place.
 #[derive(Debug, Default)]
 pub(crate) struct Batch {
     masks: Vec<u64>,
@@ -808,10 +810,6 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    fn is_full(&self) -> bool {
-        self.masks.len() == BATCH || self.ends.len() == BATCH || self.bytes.len() >= BATCH_BYTES
-    }
-
     fn is_empty(&self) -> bool {
         self.masks.is_empty() && self.ends.is_empty()
     }
@@ -932,7 +930,8 @@ impl LaneTable {
         let batch = &mut self.outboxes[to];
         batch.bytes.extend_from_slice(&self.key);
         batch.ends.push(batch.bytes.len());
-        batch.is_full().then(|| (to, std::mem::take(batch)))
+        let full = batch.ends.len() == BATCH || batch.bytes.len() >= BATCH_BYTES;
+        full.then(|| (to, std::mem::take(batch)))
     }
 
     /// Credits a batch another lane handed to this lane's shard.
