@@ -10,14 +10,18 @@
 //!   solving worlds beside the calling one (`RunControl::with_helpers(1)`),
 //!   as a server lends a MISS its parked worker; the answers are the same.
 //! * `solve_only` times the solver alone over the same pre-sampled worlds:
-//!   `for_each_densest` streaming each set into a no-op sink.
+//!   `for_each_densest` streaming each set into a no-op sink, which, being
+//!   a generic closure like the estimator's crediting one, is inlined into
+//!   the walk.
 //! * `max_density_only` times `max_density` over those worlds: instance
 //!   listing, peeling, core reduction and the Dinkelbach max-flow steps,
 //!   without the enumeration.
 //!
 //! `query − solve_only` is what the estimator spends around the solver,
 //! mostly the candidate tally; `solve_only − max_density_only` is the
-//! enumeration (residual graph, condensation and the antichain walk).
+//! enumeration (residual graph, condensation and the antichain walk; every
+//! karate world has at most 64 components and ids, so it takes the one-word
+//! walk, whose levels live in registers).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use densest::{for_each_densest, max_density, DensityNotion};

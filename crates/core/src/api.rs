@@ -1033,13 +1033,24 @@ impl Query {
     }
 }
 
-/// Validates the stream knobs θ and [`Stop`] of a query or a set; the one
-/// checkpoint before a run.
-fn check_stream(theta: usize, stop: Stop) -> Result<(), ApiError> {
+/// Validates the stream knobs θ and [`Stop`] of a query or a set, and each
+/// MPDS member's enumeration cap; the one checkpoint before a run.
+fn check_run(members: &[Query], theta: usize, stop: Stop) -> Result<(), ApiError> {
     let invalid =
         |param: &'static str, message: String| Err(ApiError::InvalidParameter { param, message });
     if theta == 0 {
         return invalid("theta", "need at least one sampled world".to_string());
+    }
+    // A zero cap would stop every world's enumeration before its first set
+    // and report each world as empty and truncated.
+    if members
+        .iter()
+        .any(|q| q.kind == Kind::Mpds && q.enumeration_cap == 0)
+    {
+        return invalid(
+            "enumeration_cap",
+            "need at least one densest subgraph per world".to_string(),
+        );
     }
     if let Stop::Stable {
         window,
@@ -1085,7 +1096,7 @@ fn run_members(
     ctrl: &RunControl,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<(Vec<Run>, WorldsOutcome), ApiError> {
-    check_stream(theta, stop)?;
+    check_run(members, theta, stop)?;
     let started = Instant::now();
     let (limit, mut tracker) = match stop {
         Stop::FixedTheta => (theta, None),
@@ -1937,6 +1948,59 @@ mod tests {
             .unwrap();
         assert_eq!(lent.stats.helper_worlds, 0);
         assert_eq!(lent.top_k, one_densest.run(&g).unwrap().top_k);
+    }
+
+    /// A zero enumeration cap used to run and report every karate world as
+    /// empty and truncated (θ = 8, seed 1: `top_k` empty, 8 and 8); it is
+    /// rejected for a query, a set member and a recompute alike.
+    #[test]
+    fn a_zero_enumeration_cap_is_rejected_at_every_entry() {
+        let karate = ugraph::datasets::karate_club().graph;
+        let zero = Query::mpds(DensityNotion::Edge)
+            .theta(8)
+            .seed(1)
+            .enumeration_cap(0);
+        let is_cap = |r: Result<(), ApiError>| {
+            assert!(
+                matches!(
+                    r,
+                    Err(ApiError::InvalidParameter {
+                        param: "enumeration_cap",
+                        ..
+                    })
+                ),
+                "got {r:?}"
+            )
+        };
+        is_cap(zero.run(&karate).map(drop));
+        is_cap(
+            zero.clone()
+                .control(RunControl::unbounded().with_helpers(1))
+                .run(&karate)
+                .map(drop),
+        );
+        is_cap(
+            queryset::QuerySet::new()
+                .theta(8)
+                .push(Query::nds(DensityNotion::Edge).k(1))
+                .push(zero.clone())
+                .run(&karate)
+                .map(drop),
+        );
+        is_cap(
+            crate::recompute::Recompute::new(zero.clone())
+                .run(&karate, &karate)
+                .map(drop),
+        );
+        // One set a world is enough, and NDS never enumerates.
+        let one = zero.clone().enumeration_cap(1).run(&karate).unwrap();
+        assert_eq!(one.stats.empty_worlds, 0);
+        assert!(!one.top_k.is_empty());
+        Query::nds(DensityNotion::Edge)
+            .theta(8)
+            .enumeration_cap(0)
+            .run(&karate)
+            .unwrap();
     }
 
     /// The builder accepts degenerate `k = 0` ("rank nothing") and NDS

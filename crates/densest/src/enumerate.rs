@@ -35,6 +35,17 @@
 //! below them still arrive through the closure masks of the chosen
 //! components above. Dropping them changes no set.
 //!
+//! # One-word walk
+//!
+//! When every row and every mask fits one word (at most 64 components and
+//! every original id below 64, as in each karate world), the walk passes a
+//! level's candidate row and set mask by value instead of keeping them in
+//! the per-level scratch: the child of choosing `C` is `rest & compat[C]`,
+//! where `rest` is what remains of the level's row after `C`, and
+//! `mask | closure[C]`. Since `compat[C]` holds only ids above `C`, that is
+//! the same child row as `live & compat[C]`, so the one-word walk emits the
+//! general walk's sets in the same order and stops at the same cap.
+//!
 //! # Why the order is the list order
 //!
 //! The list form walked `C2` in ascending component id and built a child's
@@ -74,9 +85,11 @@ pub struct Scratch {
     compat: Vec<u64>,
     /// Closure masks, `node_words` words per component.
     closure: Vec<u64>,
-    /// One `comp_words`-word candidate row per open recursion level.
+    /// One `comp_words`-word candidate row per open recursion level (the
+    /// root row only, for the one-word walk).
     live: Vec<u64>,
-    /// One `node_words`-word set mask per open recursion level.
+    /// One `node_words`-word set mask per open recursion level (the root
+    /// mask only, for the one-word walk).
     masks: Vec<u64>,
     /// The maximum-sized densest subgraph's node mask.
     max_sized: Vec<u64>,
@@ -99,21 +112,23 @@ pub struct Scratch {
 /// of word `v / 64` is set iff node `v` is in the set. Every mask of one
 /// call has the same length, `⌈(max to_original + 1) / 64⌉` words — exactly
 /// one word whenever all ids are below 64. The slice is only valid for the
-/// duration of the call.
+/// duration of the call. `sink` is generic, so a closure passed as
+/// `&mut |mask| …` is inlined into the walk; a `&mut dyn FnMut(&[u64])`
+/// works too.
 ///
 /// Sets arrive in paper Algorithm 3's recursion order over the non-trivial
 /// components in ascending component id, each set exactly once. The order
 /// is part of the contract: truncation keeps the *first* `cap` sets of it,
 /// and the estimator's one-densest-per-world ablation picks its random set
 /// by position in it, so changing the order changes both.
-pub fn for_each_min_cut_subgraph(
+pub fn for_each_min_cut_subgraph<F: FnMut(&[u64]) + ?Sized>(
     network: &FlowNetwork,
     s: usize,
     t: usize,
     num_v: usize,
     to_original: &[NodeId],
     cap: usize,
-    sink: &mut dyn FnMut(&[u64]),
+    sink: &mut F,
     scratch: &mut Scratch,
 ) -> Enumeration {
     let Scratch {
@@ -168,8 +183,10 @@ pub fn for_each_min_cut_subgraph(
         }
     }
     // An independent set holds at most every candidate, so the recursion
-    // opens at most `candidates + 1` levels, the root included.
-    let levels = candidates + 1;
+    // opens at most `candidates + 1` levels, the root included. The
+    // one-word walk keeps every level below the root in registers.
+    let one_word = comp_words == 1 && node_words == 1;
+    let levels = if one_word { 1 } else { candidates + 1 };
     live.resize(levels * comp_words, 0);
 
     // Closure masks (paper Def. 9): each component's V members OR those of
@@ -211,7 +228,11 @@ pub fn for_each_min_cut_subgraph(
         count: 0,
         truncated: false,
     };
-    enumerator.recurse(0);
+    if one_word {
+        enumerator.recurse1(enumerator.live[0], 0);
+    } else {
+        enumerator.recurse(0);
+    }
 
     Enumeration {
         count: enumerator.count,
@@ -240,7 +261,7 @@ fn or_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-struct Enumerator<'a> {
+struct Enumerator<'a, F: ?Sized> {
     /// Per candidate component, the candidates after it that are
     /// incomparable with it, `comp_words` words each.
     compat: &'a [u64],
@@ -253,13 +274,13 @@ struct Enumerator<'a> {
     /// The current independent set's node mask (paper's `C1 ∪ des(C1)`)
     /// at every open depth (empty at depth 0).
     masks: &'a mut [u64],
-    sink: &'a mut dyn FnMut(&[u64]),
+    sink: &'a mut F,
     cap: usize,
     count: usize,
     truncated: bool,
 }
 
-impl Enumerator<'_> {
+impl<F: FnMut(&[u64]) + ?Sized> Enumerator<'_, F> {
     /// Paper Algorithm 3: the independent set built so far has mask
     /// `masks[depth]`, and `live[depth]` holds the components still
     /// compatible with it. Each child set is emitted here, before its own
@@ -305,6 +326,32 @@ impl Enumerator<'_> {
                     if self.truncated {
                         return;
                     }
+                }
+            }
+        }
+    }
+
+    /// [`Self::recurse`] when rows and masks are one word each: the level's
+    /// candidate row `live` and set mask `mask` are passed by value, so the
+    /// walk touches no per-level scratch.
+    fn recurse1(&mut self, live: u64, mask: u64) {
+        let mut bits = live;
+        while bits != 0 {
+            let c = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            // `bits` now holds the candidates above C, and `compat[C]` only
+            // ids above C, so this is `live & compat[C]`.
+            let (open, child) = (bits & self.compat[c], mask | self.closure[c]);
+            if self.count >= self.cap {
+                self.truncated = true;
+                return;
+            }
+            (self.sink)(std::slice::from_ref(&child));
+            self.count += 1;
+            if open != 0 {
+                self.recurse1(open, child);
+                if self.truncated {
+                    return;
                 }
             }
         }
@@ -387,6 +434,57 @@ mod tests {
         assert_eq!(capped, full[..3]);
         assert!(e.truncated);
         assert_eq!(e.max_sized, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn the_one_word_walk_emits_what_the_general_walk_emits() {
+        // Five V nodes, each on its own saturated path, plus spare arcs
+        // 0 -> 1 and 2 -> 3: five singleton components where comp(0)
+        // reaches comp(1) and comp(2) reaches comp(3), so 3 * 3 * 2 - 1 = 17
+        // antichains, several of them pulling in a descendant.
+        let mut net = FlowNetwork::new(7);
+        for v in 0..5 {
+            net.add_edge(5, v, 1, 0);
+            net.add_edge(v, 6, 1, 0);
+        }
+        net.add_edge(0, 1, 5, 0);
+        net.add_edge(2, 3, 5, 0);
+        net.max_flow(5, 6);
+        // Ids below 64 take the one-word walk; the same ids shifted by 64
+        // need two-word masks (the rows stay one word), so the general walk.
+        let low: Vec<NodeId> = vec![7, 0, 63, 12, 5];
+        let high: Vec<NodeId> = low.iter().map(|&v| v + 64).collect();
+        let stream = |ids: &[NodeId], cap: usize| {
+            let mut sets = Vec::new();
+            let e = for_each_min_cut_subgraph(
+                &net,
+                5,
+                6,
+                5,
+                ids,
+                cap,
+                &mut |mask| sets.push((mask.len(), ones_in(mask).collect::<Vec<_>>())),
+                &mut Scratch::default(),
+            );
+            (sets, e)
+        };
+        for cap in [usize::MAX, 1, 3] {
+            let (one, e1) = stream(&low, cap);
+            let (general, e2) = stream(&high, cap);
+            assert_eq!(one.len(), cap.min(17));
+            assert!(one.iter().all(|&(w, _)| w == 1));
+            assert!(general.iter().all(|&(w, _)| w == 2));
+            let shifted: Vec<Vec<usize>> = one
+                .iter()
+                .map(|(_, set)| set.iter().map(|v| v + 64).collect())
+                .collect();
+            let general: Vec<Vec<usize>> = general.into_iter().map(|(_, set)| set).collect();
+            assert_eq!(shifted, general, "cap {cap}");
+            assert_eq!((e1.count, e1.truncated), (e2.count, e2.truncated));
+            assert_eq!(e1.truncated, cap < 17);
+            let max_sized: Vec<NodeId> = e1.max_sized.iter().map(|v| v + 64).collect();
+            assert_eq!(max_sized, e2.max_sized);
+        }
     }
 
     #[test]

@@ -89,17 +89,19 @@ pub fn all_densest(g: &Graph, notion: &DensityNotion, cap: usize) -> Option<AllD
 
 /// Streams every densest subgraph of `g` under `notion` (at most `cap` of
 /// them) into `sink` as a packed node mask, allocating nothing per set.
+/// The sink is generic, so a closure passed as `&mut |mask| …` is inlined
+/// into the enumeration.
 /// Masks index original node ids and are one word wide whenever
 /// `g.num_nodes() <= 64`; see [`crate::enumerate::for_each_min_cut_subgraph`]
 /// for the mask layout and the emission-order contract.
 ///
 /// Returns `None` (and never calls `sink`) when `g` has no instance of the
 /// notion, exactly like [`all_densest`].
-pub fn for_each_densest(
+pub fn for_each_densest<F: FnMut(&[u64]) + ?Sized>(
     g: &Graph,
     notion: &DensityNotion,
     cap: usize,
-    sink: &mut dyn FnMut(&[u64]),
+    sink: &mut F,
 ) -> Option<DensestFamily> {
     workspace::with(&WORKSPACE, |ws| {
         let solved = solve(g, notion, true, ws)?;
