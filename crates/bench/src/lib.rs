@@ -17,26 +17,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Resident-set size of the current process in bytes (Linux), used for the
-/// sampling-strategy memory comparison. Returns 0 if unavailable.
-pub fn rss_bytes() -> usize {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: usize = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
 /// A markdown table accumulated row by row.
 pub struct Table {
     title: String,
@@ -170,11 +150,6 @@ mod tests {
         assert!(fmt(1e-6).contains('e'));
         assert_eq!(fmt_set(&[1, 2]), "[1, 2]");
         assert!(fmt_set(&(0..20).collect::<Vec<_>>()).contains("20 nodes"));
-    }
-
-    #[test]
-    fn rss_is_positive_on_linux() {
-        assert!(rss_bytes() > 0);
     }
 
     #[test]

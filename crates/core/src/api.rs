@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`Query::mpds`] / [`Query::nds`] | Algorithm 1 (τ) / Algorithm 5 (γ) |
 //! | constructor argument | density notion ρ: edge, h-clique, pattern ψ (§II) |
-//! | [`Query::theta`] (alias [`Query::worlds`]) | θ, the number of sampled possible worlds |
+//! | [`Query::theta`] | θ, the number of sampled possible worlds |
 //! | [`Query::k`] | k, how many top node sets to return |
 //! | [`Query::min_size`] | `l_m` (a.k.a. Λ), minimum nucleus size (§IV) |
 //! | [`Query::sampler`] | MC / LP / RSS sampling strategies (§V, §VI-G) |
@@ -564,7 +564,6 @@ pub struct Query {
     heuristic: bool,
     all_densest: bool,
     enumeration_cap: usize,
-    choice_seed: u64,
     miner_node_cap: usize,
     stop: Stop,
     control: RunControl,
@@ -584,7 +583,6 @@ impl std::fmt::Debug for Query {
             .field("heuristic", &self.heuristic)
             .field("all_densest", &self.all_densest)
             .field("enumeration_cap", &self.enumeration_cap)
-            .field("choice_seed", &self.choice_seed)
             .field("miner_node_cap", &self.miner_node_cap)
             .field("stop", &self.stop)
             .field("control", &self.control)
@@ -606,7 +604,6 @@ impl Query {
             heuristic: false,
             all_densest: true,
             enumeration_cap: 100_000,
-            choice_seed: 0x5eed,
             miner_node_cap: 5_000_000,
             stop: Stop::FixedTheta,
             control: RunControl::unbounded(),
@@ -653,21 +650,8 @@ impl Query {
         self
     }
 
-    /// Alias of [`Query::theta`] for readers who think in "#worlds".
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::Query;
-    /// let q = Query::mpds(DensityNotion::Edge).worlds(64);
-    /// assert!(format!("{q:?}").contains("theta: 64"));
-    /// ```
-    pub fn worlds(self, worlds: usize) -> Self {
-        self.theta(worlds)
-    }
-
     /// Sets k, how many top node sets to return (default 5; `k = 0` is the
-    /// degenerate "rank nothing" query and yields an empty `top_k`, exactly
-    /// as the legacy entry points did).
+    /// degenerate "rank nothing" query and yields an empty `top_k`).
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -680,9 +664,9 @@ impl Query {
         self
     }
 
-    /// Sets `l_m`, the minimum size of a returned nucleus (default 2;
-    /// `0` imposes no size floor, exactly as the legacy entry point did).
-    /// NDS only; MPDS queries ignore it, exactly as Algorithm 1 does.
+    /// Sets `l_m`, the minimum size of a returned nucleus (default 2; `0`
+    /// imposes no size floor). NDS only; MPDS queries ignore it, exactly as
+    /// Algorithm 1 does.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -775,20 +759,6 @@ impl Query {
     /// ```
     pub fn enumeration_cap(mut self, cap: usize) -> Self {
         self.enumeration_cap = cap;
-        self
-    }
-
-    /// MPDS only: seed of the tie-breaking RNG used by the
-    /// `all_densest(false)` ablation (default `0x5eed`).
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::Query;
-    /// let q = Query::mpds(DensityNotion::Edge).choice_seed(1);
-    /// assert!(format!("{q:?}").contains("choice_seed: 1"));
-    /// ```
-    pub fn choice_seed(mut self, choice_seed: u64) -> Self {
-        self.choice_seed = choice_seed;
         self
     }
 
@@ -1597,7 +1567,7 @@ impl Tally {
         Tally {
             table: mpds.then(|| LaneTable::new(num_nodes, lane, lanes)),
             pick: (mpds && !q.all_densest).then(|| Pick {
-                rng: StdRng::seed_from_u64(q.choice_seed),
+                rng: StdRng::seed_from_u64(CHOICE_SEED),
                 family: Vec::new(),
             }),
         }
@@ -1667,6 +1637,10 @@ fn hand_over(send: &mut dyn FnMut(usize, Batch), full: Option<(usize, Batch)>) {
         send(to, batch);
     }
 }
+
+/// Seed of the §VI-D ablation's choice stream, which picks the one densest
+/// set an `all_densest(false)` run counts in each world.
+const CHOICE_SEED: u64 = 0x5eed;
 
 /// The §VI-D ablation's choice stream, and one world's densest family as
 /// packed masks (reused across worlds) to pick from.
@@ -1832,7 +1806,6 @@ mod tests {
         let _set: fn() -> QuerySet = QuerySet::new;
         let _push: fn(QuerySet, Query) -> QuerySet = QuerySet::push;
         let _batch: fn(&QuerySet, &UncertainGraph) -> Result<BatchRun, ApiError> = QuerySet::run;
-        let _amortized: fn(&BatchStats) -> f64 = BatchStats::worlds_per_member;
         let _variants = [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss];
         let _scores = [Score::TauHat, Score::GammaHat];
         let _stops = [

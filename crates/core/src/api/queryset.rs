@@ -22,18 +22,16 @@
 //! standalone run** of that member with the set's `(sampler, θ, seed)` —
 //! MPDS and NDS members simultaneously, for every [`SamplerKind`]. This is
 //! the same common-random-numbers discipline [`crate::recompute`] uses
-//! across graph versions, applied across estimators; pair the two with
-//! [`QuerySet::run_with_sampler`] and a
-//! [`crate::recompute::CommonRandomNumbers`] stream to get both at once.
+//! across graph versions, applied across estimators.
 //!
 //! # Execution model
 //!
 //! A `QuerySet` runs through the same loop as a standalone [`Query`] (which
 //! runs as a set of one): every lane solves each world it claims for every
 //! member. A fixed-θ set whose members are all NDS or all-densest MPDS takes
-//! the helpers [`RunControl::with_helpers`] lends it; a stable stop, a
-//! one-densest ablation member or a caller's sampler keeps the set on one
-//! ordered lane. Either way each member's run is its standalone run.
+//! the helpers [`RunControl::with_helpers`] lends it; a stable stop or a
+//! one-densest ablation member keeps the set on one ordered lane. Either
+//! way each member's run is its standalone run.
 //!
 //! # Example
 //!
@@ -69,7 +67,6 @@ use super::{
     run_members, ApiError, ProgressSink, Query, Run, SamplerKind, Stop, StopReason, Stream,
 };
 use crate::control::RunControl;
-use sampling::WorldSampler;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::UncertainGraph;
@@ -93,7 +90,7 @@ use ugraph::UncertainGraph;
 ///     .theta(64)
 ///     .push(Query::mpds(DensityNotion::Edge))
 ///     .push(Query::nds(DensityNotion::Edge));
-/// assert_eq!(set.len(), 2);
+/// assert!(format!("{set:?}").contains("Nds"));
 /// ```
 #[derive(Clone)]
 pub struct QuerySet {
@@ -125,7 +122,7 @@ impl Default for QuerySet {
     ///
     /// ```
     /// use mpds::api::queryset::QuerySet;
-    /// assert!(QuerySet::default().is_empty());
+    /// assert_eq!(format!("{:?}", QuerySet::default()), format!("{:?}", QuerySet::new()));
     /// ```
     fn default() -> Self {
         QuerySet::new()
@@ -139,7 +136,7 @@ impl QuerySet {
     /// ```
     /// use mpds::api::queryset::QuerySet;
     /// let set = QuerySet::new();
-    /// assert!(set.is_empty());
+    /// assert!(format!("{set:?}").contains("members: []"));
     /// assert!(format!("{set:?}").contains("theta: 320"));
     /// ```
     pub fn new() -> Self {
@@ -179,17 +176,6 @@ impl QuerySet {
     pub fn theta(mut self, theta: usize) -> Self {
         self.theta = theta;
         self
-    }
-
-    /// Alias of [`QuerySet::theta`] for readers who think in "#worlds".
-    ///
-    /// ```
-    /// use mpds::api::queryset::QuerySet;
-    /// let set = QuerySet::new().worlds(48);
-    /// assert!(format!("{set:?}").contains("theta: 48"));
-    /// ```
-    pub fn worlds(self, worlds: usize) -> Self {
-        self.theta(worlds)
     }
 
     /// Sets the shared stream's RNG seed (default 42). Equal
@@ -294,32 +280,11 @@ impl QuerySet {
     /// let set = QuerySet::new()
     ///     .push(Query::mpds(DensityNotion::Edge).k(1))
     ///     .push(Query::mpds(DensityNotion::Edge).k(2));
-    /// assert_eq!(set.len(), 2);
+    /// assert!(format!("{set:?}").contains("k: 2"));
     /// ```
     pub fn push(mut self, query: Query) -> Self {
         self.members.push(query);
         self
-    }
-
-    /// Number of member queries.
-    ///
-    /// ```
-    /// use mpds::api::queryset::QuerySet;
-    /// assert_eq!(QuerySet::new().len(), 0);
-    /// ```
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set has no members (running an empty set is an
-    /// [`ApiError::InvalidParameter`]).
-    ///
-    /// ```
-    /// use mpds::api::queryset::QuerySet;
-    /// assert!(QuerySet::new().is_empty());
-    /// ```
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 
     /// Validates the set, builds the shared sampler from
@@ -350,48 +315,6 @@ impl QuerySet {
     /// assert_eq!(batch.runs[1].top_k, alone.top_k);
     /// ```
     pub fn run(&self, g: &UncertainGraph) -> Result<BatchRun, ApiError> {
-        self.run_on(g, Stream::Shared(&mut *self.sampler.build(g, self.seed)))
-    }
-
-    /// Like [`QuerySet::run`] with a caller-supplied world stream instead of
-    /// one resolved from `(sampler kind, seed)` — e.g. a
-    /// [`crate::recompute::CommonRandomNumbers`] stream, so a whole batch
-    /// can be re-evaluated against two graph versions under common random
-    /// numbers. As with [`Query::run_with_sampler`], the sampler stays on
-    /// the calling thread and the batch keeps one lane.
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::queryset::QuerySet;
-    /// use mpds::api::Query;
-    /// use mpds::recompute::CommonRandomNumbers;
-    /// use ugraph::UncertainGraph;
-    ///
-    /// let g = UncertainGraph::from_weighted_edges(
-    ///     4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
-    /// let mut crn = CommonRandomNumbers::new(&g, 7);
-    /// let batch = QuerySet::new()
-    ///     .theta(200)
-    ///     .push(Query::mpds(DensityNotion::Edge).k(1))
-    ///     .run_with_sampler(&g, &mut crn)
-    ///     .unwrap();
-    /// // Same stream, standalone: bit-identical member result.
-    /// let mut crn = CommonRandomNumbers::new(&g, 7);
-    /// let alone = Query::mpds(DensityNotion::Edge)
-    ///     .k(1).theta(200).run_with_sampler(&g, &mut crn).unwrap();
-    /// assert_eq!(batch.runs[0].top_k, alone.top_k);
-    /// ```
-    pub fn run_with_sampler<S: WorldSampler + ?Sized>(
-        &self,
-        g: &UncertainGraph,
-        mut sampler: &mut S,
-    ) -> Result<BatchRun, ApiError> {
-        self.run_on(g, Stream::Local(&mut sampler))
-    }
-
-    /// Runs the members over `stream`. The stream knobs and run hooks are
-    /// the set's; each member contributes only its estimator knobs.
-    fn run_on(&self, g: &UncertainGraph, stream: Stream<'_>) -> Result<BatchRun, ApiError> {
         if self.members.is_empty() {
             return Err(ApiError::InvalidParameter {
                 param: "members",
@@ -402,7 +325,7 @@ impl QuerySet {
         let (runs, outcome) = run_members(
             &self.members,
             g,
-            stream,
+            Stream::Shared(&mut *self.sampler.build(g, self.seed)),
             self.stop,
             self.theta,
             &self.control,
@@ -440,7 +363,6 @@ impl QuerySet {
 ///     .unwrap();
 /// assert_eq!(batch.stats.worlds_sampled, 40);
 /// assert_eq!(batch.stats.members, 2);
-/// assert_eq!(batch.stats.worlds_per_member(), 20.0); // vs 40 standalone
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -460,29 +382,6 @@ pub struct BatchStats {
     /// Wall-clock time of the batch (sampling + every member's
     /// aggregation).
     pub wall: Duration,
-}
-
-impl BatchStats {
-    /// Worlds materialized per member — the amortization metric
-    /// (`θ / members`; a standalone run costs θ per member).
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::queryset::QuerySet;
-    /// use mpds::api::Query;
-    /// use ugraph::UncertainGraph;
-    ///
-    /// let g = UncertainGraph::from_weighted_edges(2, &[(0, 1, 0.5)]);
-    /// let mut set = QuerySet::new().theta(32);
-    /// for k in 1..=4 {
-    ///     set = set.push(Query::mpds(DensityNotion::Edge).k(k));
-    /// }
-    /// let batch = set.run(&g).unwrap();
-    /// assert_eq!(batch.stats.worlds_per_member(), 8.0);
-    /// ```
-    pub fn worlds_per_member(&self) -> f64 {
-        self.worlds_sampled as f64 / self.members as f64
-    }
 }
 
 /// The result of [`QuerySet::run`]: one [`Run`] per member (in push order)
@@ -724,7 +623,6 @@ mod tests {
         let batch = set.run(&g).unwrap();
         assert_eq!(batch.stats.worlds_sampled, 60);
         assert_eq!(batch.stats.members, 6);
-        assert_eq!(batch.stats.worlds_per_member(), 10.0);
         assert!(batch.stats.wall.as_nanos() > 0);
         for run in &batch.runs {
             assert_eq!(run.stats.worlds_sampled, 60);

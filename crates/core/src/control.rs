@@ -131,9 +131,8 @@ impl RunControl {
     /// semantics are those of one lane; only the wall time changes. Runs
     /// that must see their worlds in order keep one lane and ignore it:
     /// [`crate::api::Stop::Stable`], the one-densest ablation, and runs
-    /// over a caller's sampler ([`crate::api::Query::run_with_sampler`],
-    /// [`crate::api::queryset::QuerySet::run_with_sampler`]), which need
-    /// not be `Send`. Helpers record no stage spans. Default: 0.
+    /// over a caller's sampler ([`crate::api::Query::run_with_sampler`]),
+    /// which need not be `Send`. Helpers record no stage spans. Default: 0.
     ///
     /// ```
     /// use densest::DensityNotion;

@@ -57,12 +57,10 @@ pub mod api;
 pub mod baselines;
 pub mod case_studies;
 pub mod control;
-pub mod convergence;
 pub mod estimate;
 pub mod exact;
 pub mod nds;
 pub mod recompute;
-pub mod single;
 pub mod theory;
 
 pub use api::queryset::{BatchRun, BatchStats, QuerySet};

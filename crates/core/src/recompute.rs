@@ -21,13 +21,13 @@
 //! [`Recompute`] packages the pattern: one [`Query`] run over the *before*
 //! and *after* snapshots with per-snapshot CRN samplers, returning both
 //! full [`Run`]s plus a structured [`TopKDiff`] (entered / left / re-ranked
-//! node sets with their τ̂/γ̂ deltas). The query's [`RunControl`] applies to
-//! both runs, so re-estimation is as cancellable as everything else, and
-//! both take its lent helpers as a [`Query::run`] does: the CRN draws are
-//! counter-based, and lanes draw world *i* as the sampler's *i*-th draw.
+//! node sets with their τ̂/γ̂ deltas). The query's
+//! [`RunControl`](crate::control::RunControl) applies to both runs, so
+//! re-estimation is as cancellable as everything else, and both take its
+//! lent helpers as a [`Query::run`] does: the CRN draws are counter-based,
+//! and lanes draw world *i* as the sampler's *i*-th draw.
 
 use crate::api::{ApiError, Query, Run, Stream};
-use crate::control::RunControl;
 use sampling::{stream_seed, WorldSampler};
 use ugraph::{EdgeMask, NodeId, NodeSet, UncertainGraph};
 
@@ -277,9 +277,11 @@ pub struct RecomputeReport {
 /// and diffs the top-k rankings.
 ///
 /// Each run draws world *i* as its CRN sampler's *i*-th draw, so a
-/// fixed-θ query takes the helpers [`RunControl::with_helpers`] lends it
-/// (the rule of [`Query::run`]) without changing either answer. The
-/// query's [`RunControl`] is polled per world in both runs.
+/// fixed-θ query takes the helpers
+/// [`RunControl::with_helpers`](crate::control::RunControl::with_helpers)
+/// lends it (the rule of [`Query::run`]) without changing either answer.
+/// The query's [`RunControl`](crate::control::RunControl) is polled per
+/// world in both runs.
 ///
 /// ```
 /// use densest::DensityNotion;
@@ -318,22 +320,6 @@ impl Recompute {
     /// ```
     pub fn new(query: Query) -> Self {
         Recompute { query }
-    }
-
-    /// Replaces the query's [`RunControl`] (deadline / cancellation applies
-    /// to both the before and after run).
-    ///
-    /// ```
-    /// use densest::DensityNotion;
-    /// use mpds::api::Query;
-    /// use mpds::control::RunControl;
-    /// use mpds::recompute::Recompute;
-    /// let _ = Recompute::new(Query::mpds(DensityNotion::Edge))
-    ///     .control(RunControl::unbounded());
-    /// ```
-    pub fn control(mut self, control: RunControl) -> Self {
-        self.query = self.query.control(control);
-        self
     }
 
     /// Runs the query over `before` and `after` with per-snapshot CRN
@@ -375,7 +361,7 @@ impl Recompute {
 mod tests {
     use super::*;
     use crate::api::RunDetails;
-    use crate::control::InterruptReason;
+    use crate::control::{InterruptReason, RunControl};
     use densest::DensityNotion;
     use std::time::{Duration, Instant};
 
@@ -517,10 +503,13 @@ mod tests {
         let g = fig1();
         let expired =
             RunControl::unbounded().with_deadline(Instant::now() - Duration::from_millis(1));
-        let err = Recompute::new(Query::mpds(DensityNotion::Edge).theta(10_000))
-            .control(expired)
-            .run(&g, &g)
-            .unwrap_err();
+        let err = Recompute::new(
+            Query::mpds(DensityNotion::Edge)
+                .theta(10_000)
+                .control(expired),
+        )
+        .run(&g, &g)
+        .unwrap_err();
         match err {
             ApiError::Interrupted(i) => {
                 assert_eq!(i.reason, InterruptReason::DeadlineExceeded)
@@ -531,10 +520,13 @@ mod tests {
         // helpers solve worlds without changing either answer.
         let karate = ugraph::datasets::karate_club().graph;
         let query = Query::mpds(DensityNotion::Edge).theta(320).k(3);
-        let lent = Recompute::new(query.clone())
-            .control(RunControl::unbounded().with_helpers(2))
-            .run(&karate, &karate)
-            .unwrap();
+        let lent = Recompute::new(
+            query
+                .clone()
+                .control(RunControl::unbounded().with_helpers(2)),
+        )
+        .run(&karate, &karate)
+        .unwrap();
         let alone = Recompute::new(query).run(&karate, &karate).unwrap();
         let helped = lent.before.stats.helper_worlds + lent.after.stats.helper_worlds;
         assert!(helped > 0, "the helpers solved no world");

@@ -1,13 +1,12 @@
 //! Core decompositions: the classic `k`-core (Batagelj–Zaversnik, O(m)) for
-//! edge degrees and the instance-based `(k, h)`/`(k, ψ)`-core (paper Def. 7,
-//! \[5\]) via [`crate::peeling`].
+//! edge degrees. The instance-based `(k, h)`/`(k, ψ)`-core (paper Def. 7,
+//! \[5\]) is the peeling's
+//! [`core_number`](crate::peeling::Peeling::core_number).
 //!
 //! Densest subgraphs live inside the `(⌈ρ̃⌉, ·)`-core (paper Lemma 2 and
 //! \[46\]), so both the MPDS and NDS inner loops shrink each sampled world to
 //! this core before building any flow network.
 
-use crate::instances::InstanceSet;
-use crate::peeling::{peel, Peeling};
 use ugraph::{Graph, NodeId};
 
 /// Edge-degree core number of every node via the O(m) bucket-queue algorithm
@@ -67,36 +66,11 @@ pub fn edge_core_numbers(g: &Graph) -> Vec<u32> {
     core
 }
 
-/// Nodes of the `k`-core (edge degrees), sorted.
-pub fn k_core(g: &Graph, k: u32) -> Vec<NodeId> {
-    edge_core_numbers(g)
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c >= k)
-        .map(|(v, _)| v as NodeId)
-        .collect()
-}
-
-/// Instance-based core decomposition: peels by instance-degree and returns
-/// the full [`Peeling`] (core numbers, removal order, suffix densities).
-pub fn instance_core_decomposition(n: usize, instances: &InstanceSet) -> Peeling {
-    peel(n, instances)
-}
-
-/// Nodes of the `(k, ψ)`-core (paper Def. 7 generalized to patterns): the
-/// largest subgraph in which every node is contained in at least `k`
-/// surviving instances. Sorted node list.
-pub fn instance_core(n: usize, instances: &InstanceSet, k: u64) -> Vec<NodeId> {
-    let p = peel(n, instances);
-    (0..n as NodeId)
-        .filter(|&v| p.core_number[v as usize] >= k)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instances::enumerate_cliques;
+    use crate::peeling::peel;
 
     fn k4_tail() -> Graph {
         Graph::from_edges(
@@ -142,24 +116,19 @@ mod tests {
             let g = Graph::from_edges(n, &edges);
             let bz = edge_core_numbers(&g);
             let inst = enumerate_cliques(&g, 2);
-            let p = instance_core_decomposition(n, &inst);
+            let p = peel(n, &inst);
             let generic: Vec<u32> = p.core_number.iter().map(|&c| c as u32).collect();
             assert_eq!(bz, generic);
         }
     }
 
     #[test]
-    fn k_core_extraction() {
-        let g = k4_tail();
-        assert_eq!(k_core(&g, 3), vec![0, 1, 2, 3]);
-        assert_eq!(k_core(&g, 1).len(), 6);
-        assert!(k_core(&g, 4).is_empty());
-    }
-
-    #[test]
     fn k_core_is_maximal_with_min_degree() {
         let g = k4_tail();
-        let core = k_core(&g, 3);
+        let core: Vec<NodeId> = (0..g.num_nodes() as NodeId)
+            .filter(|&v| edge_core_numbers(&g)[v as usize] >= 3)
+            .collect();
+        assert_eq!(core, vec![0, 1, 2, 3]);
         let (sub, _) = g.induced_subgraph(&core);
         for v in 0..sub.num_nodes() {
             assert!(sub.degree(v as NodeId) >= 3);
@@ -171,9 +140,7 @@ mod tests {
         let g = k4_tail();
         let tris = enumerate_cliques(&g, 3);
         // Every K4 node is in 3 triangles; tail nodes in none.
-        assert_eq!(instance_core(6, &tris, 3), vec![0, 1, 2, 3]);
-        assert_eq!(instance_core(6, &tris, 1), vec![0, 1, 2, 3]);
-        assert!(instance_core(6, &tris, 4).is_empty());
+        assert_eq!(peel(6, &tris).core_number, vec![3, 3, 3, 3, 0, 0]);
     }
 
     #[test]
@@ -182,6 +149,5 @@ mod tests {
         assert!(edge_core_numbers(&g).is_empty());
         let g = Graph::new(4);
         assert_eq!(edge_core_numbers(&g), vec![0, 0, 0, 0]);
-        assert_eq!(k_core(&g, 0).len(), 4);
     }
 }

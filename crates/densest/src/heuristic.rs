@@ -8,7 +8,6 @@
 //! sets replace the exact densest-subgraph list in Algorithm 1's inner loop.
 
 use crate::density::Density;
-use crate::instances::InstanceSet;
 use crate::notion::DensityNotion;
 use crate::peeling::{with_peel, Peeled, Rows};
 use crate::solve::{instances_of, normalize};
@@ -155,15 +154,6 @@ pub fn with_candidates<R>(
 /// instances (consistent with [`crate::solve::all_densest`]).
 pub fn heuristic_dense_subgraphs(g: &Graph, notion: &DensityNotion) -> Option<HeuristicDense> {
     with_candidates(g, notion, |c| c.map(|c| c.to_dense()))
-}
-
-/// Same as [`heuristic_dense_subgraphs`] but over pre-enumerated instances
-/// (lets callers share the instance list with other steps).
-pub fn heuristic_from_instances(n: usize, instances: &InstanceSet) -> Option<HeuristicDense> {
-    if instances.count() == 0 {
-        return None;
-    }
-    candidates_in(n, Rows::Instances(instances), |c| c.map(|c| c.to_dense()))
 }
 
 /// Peels `rows` (at least one instance) and hands `f` the candidates.

@@ -98,37 +98,6 @@ impl InstanceSet {
             .filter(|inst| inst.iter().all(|&v| mark.contains(v as usize)))
             .count() as u64
     }
-
-    /// Keeps only instances fully contained in the node set `keep` (marks).
-    pub fn retain_within(&mut self, keep: &[bool]) {
-        let arity = self.arity;
-        let mut write = 0;
-        for read in (0..self.nodes.len()).step_by(arity) {
-            if self.nodes[read..read + arity]
-                .iter()
-                .all(|&v| keep[v as usize])
-            {
-                self.nodes.copy_within(read..read + arity, write);
-                write += arity;
-            }
-        }
-        self.nodes.truncate(write);
-    }
-
-    /// Groups instances by node set, returning `(node_set, multiplicity)`
-    /// pairs in ascending node-set order — the `Λ'` groups of Algorithm 7.
-    pub fn grouped(&self) -> Vec<(Vec<NodeId>, u64)> {
-        let mut sorted: Vec<&[NodeId]> = self.iter().collect();
-        sorted.sort_unstable();
-        let mut out: Vec<(Vec<NodeId>, u64)> = Vec::new();
-        for inst in sorted {
-            match out.last_mut() {
-                Some((set, cnt)) if set[..] == *inst => *cnt += 1,
-                _ => out.push((inst.to_vec(), 1)),
-            }
-        }
-        out
-    }
 }
 
 /// Enumerates all `h`-cliques of `G` (`h ≥ 1`), returned as sorted node sets.
@@ -443,10 +412,7 @@ mod tests {
         // the same node set.
         let inst = enumerate_pattern(&k4(), &Pattern::diamond());
         assert_eq!(inst.count(), 6);
-        let groups = inst.grouped();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].0, vec![0, 1, 2, 3]);
-        assert_eq!(groups[0].1, 6);
+        assert!(inst.iter().all(|nodes| nodes == [0, 1, 2, 3]));
     }
 
     #[test]
@@ -469,17 +435,6 @@ mod tests {
     fn pattern_clique_delegates() {
         let inst = enumerate_pattern(&k4(), &Pattern::clique(3));
         assert_eq!(inst.count(), 4);
-    }
-
-    #[test]
-    fn retain_within_filters() {
-        let g = k4();
-        let mut tris = enumerate_cliques(&g, 3);
-        let keep = vec![true, true, true, false];
-        tris.retain_within(&keep);
-        assert_eq!(tris.count(), 1);
-        assert_eq!(tris.get(0), [0, 1, 2]);
-        assert_eq!(tris.nodes(), [0, 1, 2]);
     }
 
     #[test]

@@ -33,15 +33,6 @@ impl DensityNotion {
             DensityNotion::Pattern(p) => p.name().to_string(),
         }
     }
-
-    /// The notion as a [`Pattern`] (edges and cliques are clique patterns).
-    pub fn as_pattern(&self) -> Pattern {
-        match self {
-            DensityNotion::Edge => Pattern::edge(),
-            DensityNotion::Clique(h) => Pattern::clique(*h),
-            DensityNotion::Pattern(p) => p.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -59,11 +50,5 @@ mod tests {
             DensityNotion::Pattern(Pattern::c3_star()).label(),
             "c3-star"
         );
-    }
-
-    #[test]
-    fn as_pattern_roundtrip() {
-        assert!(DensityNotion::Edge.as_pattern().is_clique());
-        assert_eq!(DensityNotion::Clique(3).as_pattern().num_edges(), 3);
     }
 }

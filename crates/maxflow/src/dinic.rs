@@ -106,12 +106,6 @@ impl FlowNetwork {
         self.n
     }
 
-    /// Number of directed arcs (including reverse arcs).
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.to.len()
-    }
-
     /// Adds a directed edge `u → v` with capacity `cap` and its reverse arc
     /// `v → u` with capacity `rev_cap` (commonly 0). Returns the forward arc
     /// index; the reverse arc is `index ^ 1`.
@@ -363,17 +357,9 @@ impl FlowNetwork {
     }
 
     /// Resets all residual capacities to the original capacities, undoing any
-    /// flow. Lets one network be re-used across binary-search iterations that
-    /// only retune a few capacities via [`FlowNetwork::set_capacity`].
+    /// flow, so one network can be solved again.
     pub fn reset(&mut self) {
         self.cap.copy_from_slice(&self.orig);
-    }
-
-    /// Overwrites the capacity of arc `e` (both original and residual).
-    /// Typically used on `v → t` arcs during the binary search on α.
-    pub fn set_capacity(&mut self, e: usize, cap: u64) {
-        self.cap[e] = cap;
-        self.orig[e] = cap;
     }
 }
 
@@ -454,7 +440,10 @@ mod tests {
         let e = f.add_edge(1, 2, 2, 0);
         assert_eq!(f.max_flow(0, 2), 2);
         f.reset();
-        f.set_capacity(e, 6);
+        assert_eq!(f.max_flow(0, 2), 2, "reset undoes the first flow");
+        // Retune the bottleneck's original capacity; reset restores from it.
+        f.orig[e] = 6;
+        f.reset();
         assert_eq!(f.max_flow(0, 2), 6);
     }
 
@@ -484,7 +473,7 @@ mod tests {
         let rg = f.residual_graph();
         assert_eq!(rg.num_nodes(), 5);
         for v in 0..5 {
-            let mut want: Vec<u32> = (0..f.num_arcs())
+            let mut want: Vec<u32> = (0..f.to.len())
                 .filter(|&e| f.tail[e] as usize == v && f.residual(e) > 0)
                 .map(|e| f.to[e])
                 .collect();
@@ -501,7 +490,7 @@ mod tests {
         f.max_flow(0, 5);
         f.reachable_from(0);
         f.clear(3);
-        assert_eq!((f.num_nodes(), f.num_arcs()), (3, 0));
+        assert_eq!((f.num_nodes(), f.to.len()), (3, 0));
         f.add_edge(0, 1, 4, 0);
         f.add_edge(1, 2, 2, 0);
         assert_eq!(f.max_flow(0, 2), 2);

@@ -417,11 +417,6 @@ impl FlightRecorder {
         self.enabled
     }
 
-    /// The slow-ring promotion threshold, in microseconds.
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us
-    }
-
     /// Total number of requests ever promoted into the slow ring (a
     /// monotone counter; the ring itself is bounded).
     pub fn slow_promoted(&self) -> u64 {

@@ -167,35 +167,6 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Mean observed value, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
-    /// Adds another snapshot's buckets and sum into this one.
-    ///
-    /// ```
-    /// use mpds_obs::Histogram;
-    /// let (a, b) = (Histogram::new(), Histogram::new());
-    /// a.record(1);
-    /// b.record(1_000);
-    /// let mut merged = a.snapshot();
-    /// merged.merge(&b.snapshot());
-    /// assert_eq!(merged.count(), 2);
-    /// assert_eq!(merged.sum(), 1_001);
-    /// ```
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (slot, v) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += v;
-        }
-        self.sum += other.sum;
-    }
-
     /// Subtracts an earlier snapshot of the *same* histogram, yielding the
     /// observations recorded between the two (saturating on races).
     pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
@@ -428,10 +399,14 @@ mod tests {
                 });
             }
         });
-        let mut merged = HistogramSnapshot::default();
-        for local in &locals {
-            merged.merge(&local.snapshot());
+        let (mut counts, mut sum) = ([0u64; BUCKETS], 0);
+        for local in locals.iter().map(|l| l.snapshot()) {
+            for (slot, v) in counts.iter_mut().zip(local.counts()) {
+                *slot += v;
+            }
+            sum += local.sum();
         }
+        let merged = HistogramSnapshot::from_parts(counts, sum);
         assert_eq!(merged, shared.snapshot());
         assert_eq!(merged.count(), 40_000);
     }

@@ -83,7 +83,7 @@ pub fn micros_since(start: Instant) -> u64 {
 /// synchronization points.
 ///
 /// ```
-/// let c = mpds_obs::Counter::new();
+/// let c = mpds_obs::Counter::default();
 /// c.inc();
 /// c.add(4);
 /// assert_eq!(c.value(), 5);
@@ -92,11 +92,6 @@ pub fn micros_since(start: Instant) -> u64 {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Increments the counter by one.
     #[inline]
     pub fn inc(&self) {
@@ -147,11 +142,6 @@ impl Gauge {
     #[inline]
     pub fn dec(&self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Sets the gauge to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Returns the current value.

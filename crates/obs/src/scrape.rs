@@ -460,13 +460,14 @@ mod tests {
 
     #[test]
     fn histogram_round_trips_and_merges_series() {
-        let hit = Histogram::new();
-        let miss = Histogram::new();
+        let (hit, miss, both) = (Histogram::new(), Histogram::new(), Histogram::new());
         for v in [3u64, 9, 81, 6000] {
             hit.record(v);
+            both.record(v);
         }
         for v in [100u64, 100, 70000] {
             miss.record(v);
+            both.record(v);
         }
         let mut w = PromText::new();
         w.histogram("lat", &[("src", "HIT")], &hit.snapshot());
@@ -479,9 +480,7 @@ mod tests {
             miss.snapshot()
         );
         // Subset match merges both series.
-        let mut merged = hit.snapshot();
-        merged.merge(&miss.snapshot());
-        assert_eq!(prom_histogram(&text, "lat", &[]).unwrap(), merged);
+        assert_eq!(prom_histogram(&text, "lat", &[]).unwrap(), both.snapshot());
         // No match.
         assert!(prom_histogram(&text, "lat", &[("src", "COALESCED")]).is_none());
         assert!(prom_histogram(&text, "other", &[]).is_none());

@@ -41,16 +41,6 @@ pub enum SloKind {
     Availability,
 }
 
-impl SloKind {
-    /// Stable label for the kind (`latency` / `availability`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SloKind::Latency(_) => "latency",
-            SloKind::Availability => "availability",
-        }
-    }
-}
-
 /// One configured objective: the endpoint label it applies to, the good
 /// criterion, and the target good-fraction.
 #[derive(Clone, Debug, PartialEq)]

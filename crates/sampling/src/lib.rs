@@ -17,10 +17,12 @@
 //!   the cost of recursion memory.
 //!
 //! Each sampler fills a preallocated [`EdgeMask`] bitmap aligned with
-//! [`UncertainGraph`]'s canonical edge order ([`WorldSampler::next_mask_into`];
-//! the bitmap is reused across samples so the steady-state per-world cost is
-//! RNG draws only). [`next_world_reusing`] pairs that with CSR world
-//! materialization that recycles the previous world's backing storage.
+//! [`UncertainGraph`](ugraph::UncertainGraph)'s canonical edge order
+//! ([`WorldSampler::next_mask_into`]; the bitmap is reused across samples so
+//! the steady-state per-world cost is RNG draws only).
+//! [`UncertainGraph::world_from_bitmap`](ugraph::UncertainGraph::world_from_bitmap)
+//! pairs that with CSR world materialization that recycles the previous
+//! world's backing storage.
 //! Samplers report an estimate of their auxiliary memory so the
 //! Tables XIII–XIV experiment can reproduce the paper's memory comparison.
 
@@ -28,7 +30,7 @@ pub mod lp;
 pub mod mc;
 pub mod rss;
 
-use ugraph::{EdgeMask, Graph, UncertainGraph};
+use ugraph::EdgeMask;
 
 pub use lp::LazyPropagation;
 pub use mc::MonteCarlo;
@@ -115,28 +117,6 @@ impl<S: WorldSampler + ?Sized> WorldSampler for Box<S> {
     }
 }
 
-/// Materializes the next world as a [`Graph`].
-pub fn next_world<S: WorldSampler>(sampler: &mut S, g: &UncertainGraph) -> (Vec<bool>, Graph) {
-    let mask = sampler.next_mask();
-    let world = g.world_from_mask(&mask);
-    (mask, world)
-}
-
-/// Materializes the next world into recycled storage: the sampler fills the
-/// preallocated `mask` bitmap and the returned [`Graph`] reuses `recycle`'s
-/// CSR arrays. The steady-state loop
-/// `world = next_world_reusing(&mut s, &g, &mut mask, world)` performs no
-/// heap allocation per sample.
-pub fn next_world_reusing<S: WorldSampler>(
-    sampler: &mut S,
-    g: &UncertainGraph,
-    mask: &mut EdgeMask,
-    recycle: Graph,
-) -> Graph {
-    sampler.next_mask_into(mask);
-    g.world_from_bitmap(mask, recycle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,15 +178,5 @@ mod tests {
         let rss = RecursiveStratified::new(&g, 3, StdRng::seed_from_u64(1));
         assert!(mc.aux_memory_bytes() < lp.aux_memory_bytes());
         assert!(lp.aux_memory_bytes() < rss.aux_memory_bytes());
-    }
-
-    #[test]
-    fn next_world_materializes() {
-        let g = demo_graph();
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(9));
-        let (mask, world) = next_world(&mut mc, &g);
-        assert_eq!(mask.len(), 4);
-        assert_eq!(world.num_nodes(), 4);
-        assert_eq!(world.num_edges(), mask.iter().filter(|&&b| b).count());
     }
 }

@@ -1350,17 +1350,9 @@ impl QueryEngine {
     }
 
     /// Forces a compaction + durable snapshot checkpoint of `dataset` (see
-    /// [`crate::registry::GraphRegistry::checkpoint_dataset`]). The
-    /// generation is unchanged, so cached responses stay valid.
-    pub fn checkpoint(
-        &self,
-        dataset: &str,
-    ) -> Result<crate::registry::CheckpointOutcome, QueryError> {
-        self.checkpoint_traced(dataset, None)
-    }
-
-    /// [`Self::checkpoint`] with an optional flight recorder timing the
-    /// checkpoint write and its fsyncs.
+    /// [`crate::registry::GraphRegistry::checkpoint_dataset_traced`]), with
+    /// an optional flight recorder timing the checkpoint write and its
+    /// fsyncs. The generation is unchanged, so cached responses stay valid.
     pub fn checkpoint_traced(
         &self,
         dataset: &str,

@@ -200,7 +200,8 @@ pub struct UpdateOutcome {
     pub compactions: u64,
 }
 
-/// What one explicit checkpoint did (see [`GraphRegistry::checkpoint_dataset`]).
+/// What one explicit checkpoint did (see
+/// [`GraphRegistry::checkpoint_dataset_traced`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointOutcome {
     /// The generation the checkpoint was taken at (the current one).
@@ -277,11 +278,6 @@ impl GraphRegistry {
         self.store = Some(store);
     }
 
-    /// The attached durable store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
     /// Whether a data dir is attached (the precondition for checkpoints).
     pub fn persistence_enabled(&self) -> bool {
         self.store.is_some()
@@ -301,11 +297,6 @@ impl GraphRegistry {
             .filter(|name| store.has_state(name))
             .map(|name| (name.clone(), self.get(name).map(|g| g.generation)))
             .collect()
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
     }
 
     /// Cheap metadata for every entry (never triggers construction).
@@ -482,13 +473,8 @@ impl GraphRegistry {
     /// the WAL prefix it covers is truncated. The generation is unchanged —
     /// checkpoints are an operational act, not a mutation.
     ///
-    /// Errors if the registry has no data dir attached.
-    pub fn checkpoint_dataset(&self, name: &str) -> Result<CheckpointOutcome, String> {
-        self.checkpoint_dataset_traced(name, None)
-    }
-
-    /// [`GraphRegistry::checkpoint_dataset`] with an optional flight
-    /// recorder timing the checkpoint write and its fsyncs.
+    /// Errors if the registry has no data dir attached. `rec`, if any,
+    /// times the checkpoint write and its fsyncs.
     pub fn checkpoint_dataset_traced(
         &self,
         name: &str,
@@ -658,7 +644,6 @@ mod tests {
     #[test]
     fn builtin_karate_loads_and_lists() {
         let r = GraphRegistry::with_builtins();
-        assert!(r.names().contains(&"karate".to_string()));
         let before = r.list();
         let karate_row = before.iter().find(|d| d.name == "karate").unwrap();
         assert!(!karate_row.loaded, "listing must not trigger construction");
@@ -834,7 +819,7 @@ mod tests {
         // truncates the WAL without touching the generation.
         let out = r2.apply_update("karate", "0 3 0.7\n".as_bytes()).unwrap();
         assert_eq!(out.generation, 3);
-        let ck = r2.checkpoint_dataset("karate").unwrap();
+        let ck = r2.checkpoint_dataset_traced("karate", None).unwrap();
         assert_eq!(ck.generation, 3);
         assert_eq!(ck.wal_records, 0);
         drop(r2);
@@ -855,7 +840,7 @@ mod tests {
     #[test]
     fn checkpoint_requires_data_dir() {
         let r = GraphRegistry::with_builtins();
-        let err = r.checkpoint_dataset("karate").unwrap_err();
+        let err = r.checkpoint_dataset_traced("karate", None).unwrap_err();
         assert!(err.contains("not enabled"), "{err}");
     }
 

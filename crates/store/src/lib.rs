@@ -105,16 +105,6 @@ impl Store {
         })
     }
 
-    /// The data directory this store roots at.
-    pub fn data_dir(&self) -> &Path {
-        &self.data_dir
-    }
-
-    /// The WAL sync policy datasets are opened with.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
     /// Opens the durable state of one dataset (see [`DatasetStore::open`]).
     pub fn open_dataset(&self, name: &str) -> Result<DatasetOpen, StoreError> {
         DatasetStore::open(&self.data_dir, name, self.sync)

@@ -60,21 +60,6 @@ impl DenseBitSet {
         self.universe
     }
 
-    /// Number of elements currently in the set.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Removes every element, keeping the allocation and universe.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Re-targets the set to a (possibly different) universe and clears it.
     /// Reuses the existing allocation when large enough — the reset entry
     /// point for preallocated masks that outlive one sample.
@@ -120,26 +105,6 @@ impl DenseBitSet {
         let fresh = self.words[w] & b == 0;
         self.words[w] |= b;
         fresh
-    }
-
-    /// Removes `i` if present.
-    #[inline]
-    pub fn remove(&mut self, i: usize) {
-        if let Some(w) = self.words.get_mut(i / 64) {
-            *w &= !(1u64 << (i % 64));
-        }
-    }
-
-    /// Sets bit `i` to `present` (must be inside the universe).
-    #[inline]
-    pub fn set(&mut self, i: usize, present: bool) {
-        assert!(i < self.universe, "{i} outside universe {}", self.universe);
-        let (w, b) = (i / 64, 1u64 << (i % 64));
-        if present {
-            self.words[w] |= b;
-        } else {
-            self.words[w] &= !b;
-        }
     }
 
     /// Overwrites the set from a `bool` slice (re-targeting the universe to
@@ -216,16 +181,12 @@ mod tests {
         assert!(s.contains(129));
         assert!(!s.contains(64));
         assert!(!s.contains(1000)); // out of universe: false, no panic
-        s.remove(0);
-        assert!(!s.contains(0));
-        assert_eq!(s.count(), 1);
     }
 
     #[test]
     fn ones_iterates_ascending() {
         let s = DenseBitSet::from_members(200, &[3, 64, 65, 199]);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![3, 64, 65, 199]);
-        assert_eq!(s.count(), 4);
         assert_eq!(ones_in(&[0b101, 0, 1]).collect::<Vec<_>>(), vec![0, 2, 128]);
     }
 
@@ -243,7 +204,7 @@ mod tests {
         s.insert(50);
         s.reset(64);
         assert_eq!(s.universe(), 64);
-        assert!(s.is_empty());
+        assert!(s.ones().next().is_none());
         s.insert(63);
         assert!(s.contains(63));
     }
@@ -262,15 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn set_bit_both_ways() {
-        let mut s = DenseBitSet::new(10);
-        s.set(3, true);
-        assert!(s.contains(3));
-        s.set(3, false);
-        assert!(!s.contains(3));
-    }
-
-    #[test]
     #[should_panic(expected = "outside universe")]
     fn insert_out_of_universe_panics() {
         DenseBitSet::new(4).insert(4);
@@ -279,7 +231,6 @@ mod tests {
     #[test]
     fn empty_universe() {
         let s = DenseBitSet::new(0);
-        assert_eq!(s.count(), 0);
         assert!(s.ones().next().is_none());
     }
 }

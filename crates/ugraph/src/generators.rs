@@ -44,19 +44,6 @@ pub fn erdos_renyi_nm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Graph {
     g.build()
 }
 
-/// Erdős–Rényi `G(n, p)`: every pair appears independently with probability `p`.
-pub fn erdos_renyi_np<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
-    let mut g = GraphBuilder::new(n);
-    for u in 0..n as NodeId {
-        for v in (u + 1)..n as NodeId {
-            if rng.gen_bool(p) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g.build()
-}
-
 /// Barabási–Albert preferential attachment: starts from a clique on
 /// `attach + 1` nodes, then each new node attaches to `attach` distinct
 /// existing nodes chosen proportionally to degree.
@@ -97,34 +84,6 @@ fn barabasi_albert_builder<R: Rng>(n: usize, attach: usize, rng: &mut R) -> Grap
         }
     }
     g
-}
-
-/// Planted-partition graph: `n` nodes split round-robin into `communities`
-/// groups; intra-community pairs get probability `p_in`, inter-community
-/// pairs `p_out`. Returns the graph and each node's community label.
-pub fn planted_partition<R: Rng>(
-    n: usize,
-    communities: usize,
-    p_in: f64,
-    p_out: f64,
-    rng: &mut R,
-) -> (Graph, Vec<usize>) {
-    assert!(communities >= 1);
-    let labels: Vec<usize> = (0..n).map(|i| i % communities).collect();
-    let mut g = GraphBuilder::new(n);
-    for u in 0..n as NodeId {
-        for v in (u + 1)..n as NodeId {
-            let p = if labels[u as usize] == labels[v as usize] {
-                p_in
-            } else {
-                p_out
-            };
-            if rng.gen_bool(p) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    (g.build(), labels)
 }
 
 /// Sparse planted communities for large graphs: a BA-style sparse backbone
@@ -184,15 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn er_np_bounds() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = erdos_renyi_np(30, 0.0, &mut rng);
-        assert_eq!(g.num_edges(), 0);
-        let g = erdos_renyi_np(10, 1.0, &mut rng);
-        assert_eq!(g.num_edges(), 45);
-    }
-
-    #[test]
     fn ba_edge_count_and_connectivity() {
         let mut rng = StdRng::seed_from_u64(42);
         let (n, attach) = (50, 3);
@@ -208,21 +158,6 @@ mod tests {
         let g1 = barabasi_albert(30, 2, &mut StdRng::seed_from_u64(9));
         let g2 = barabasi_albert(30, 2, &mut StdRng::seed_from_u64(9));
         assert_eq!(g1.edges(), g2.edges());
-    }
-
-    #[test]
-    fn planted_partition_labels() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (g, labels) = planted_partition(40, 4, 0.9, 0.01, &mut rng);
-        assert_eq!(labels.len(), 40);
-        assert_eq!(labels.iter().filter(|&&l| l == 0).count(), 10);
-        // Intra-community edges should dominate at these settings.
-        let intra = g
-            .edges()
-            .iter()
-            .filter(|&&(u, v)| labels[u as usize] == labels[v as usize])
-            .count();
-        assert!(intra * 2 > g.num_edges());
     }
 
     #[test]

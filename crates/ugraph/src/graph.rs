@@ -62,18 +62,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges added so far.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Whether the undirected edge `(u, v)` has already been added.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let key = if u < v { (u, v) } else { (v, u) };
@@ -381,25 +369,6 @@ impl Graph {
         }
         out
     }
-
-    /// Common neighbors of `u` and `v` (sorted).
-    pub fn common_neighbors(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let (mut i, mut j) = (0, 0);
-        let (nu, nv) = (self.neighbors(u), self.neighbors(v));
-        let mut out = Vec::new();
-        while i < nu.len() && j < nv.len() {
-            match nu[i].cmp(&nv[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(nu[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -467,9 +436,9 @@ mod tests {
         b.add_edge(2, 0);
         assert!(b.has_edge(0, 2));
         assert!(!b.has_edge(0, 1));
-        assert_eq!(b.num_nodes(), 3);
-        assert_eq!(b.num_edges(), 1);
         let g = b.build();
+        assert_eq!(g.num_nodes(), 3);
+        assert_eq!(g.num_edges(), 1);
         assert!(g.has_edge(0, 2));
     }
 
@@ -506,7 +475,7 @@ mod tests {
         assert!(w.has_edge(0, 1));
         assert!(!w.has_edge(0, 2));
         // Recycle the world for a different mask.
-        mask.clear();
+        mask.reset(4);
         mask.insert(1);
         mask.insert(2);
         let w2 = g.filter_edges(&mask, w);
@@ -532,12 +501,5 @@ mod tests {
         assert_eq!(tris.len(), 4);
         assert!(tris.contains(&(0, 1, 2)));
         assert!(tris.contains(&(1, 2, 3)));
-    }
-
-    #[test]
-    fn common_neighbors_sorted() {
-        let g = Graph::from_edges(5, &[(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]);
-        assert_eq!(g.common_neighbors(0, 1), vec![2, 3]);
-        assert_eq!(g.common_neighbors(2, 3), vec![0, 1]);
     }
 }

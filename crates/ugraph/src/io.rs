@@ -8,10 +8,10 @@
 //!   mapping returned to the caller.
 //! * **Mutation files** — one mutation per line against a live
 //!   [`DeltaGraph`]: `u v p` inserts or re-weights the edge, `u v -`
-//!   deletes it ([`read_edge_list_delta`] / [`apply_edge_list_delta`]).
-//!   Same comment/whitespace/probability rules as weighted edge lists;
+//!   deletes it ([`DeltaLines`] / [`apply_edge_list_delta`]). Same
+//!   comment/whitespace/probability rules as weighted edge lists;
 //!   duplicate edge keys within one batch are rejected with the offending
-//!   line number. [`DeltaLines`] exposes the same grammar as a streaming
+//!   line number. [`DeltaLines`] reads the grammar as a streaming
 //!   iterator, so replaying a large log never buffers the whole file.
 //! * **Binary checkpoints** — [`write_graph_checkpoint`] /
 //!   [`read_graph_checkpoint`]: the materialized graph (edges + probability
@@ -21,7 +21,7 @@
 use crate::dynamic::{ApplyStats, DeltaGraph, EdgeMutation, MutationBatch};
 use crate::graph::NodeId;
 use crate::uncertain::UncertainGraph;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
 /// Errors from edge-list parsing.
 #[derive(Debug)]
@@ -136,8 +136,8 @@ pub type LabeledMutation = (u32, u32, Option<f64>);
 /// nothing buffers the whole input, so WAL replay of a large log costs one
 /// line of memory at a time.
 ///
-/// Duplicate canonical edge keys within the stream are rejected with the
-/// offending line number, exactly as [`read_edge_list_delta`] does. After
+/// Self-loops, out-of-range probabilities and duplicate canonical edge keys
+/// within the stream are rejected with the offending line number. After
 /// the first `Err` the iterator is fused (yields `None` forever).
 ///
 /// ```
@@ -209,24 +209,6 @@ impl<R: BufRead> Iterator for DeltaLines<R> {
             return Some(Ok((self.lineno, (u, v, action))));
         }
     }
-}
-
-/// Reads a mutation file: one `u v p` (insert / re-weight) or `u v -`
-/// (delete) per line, `#`-comments and blank lines ignored, node ids in
-/// original-label space. Self-loops, out-of-range probabilities, and
-/// duplicate edge keys within the batch are rejected with the offending
-/// line number.
-///
-/// ```
-/// use ugraph::io::read_edge_list_delta;
-/// let muts = read_edge_list_delta("# delta\n1 2 0.5\n3 1 -\n".as_bytes()).unwrap();
-/// assert_eq!(muts, vec![(1, 2, Some(0.5)), (3, 1, None)]);
-/// assert!(read_edge_list_delta("1 2 0.5\n2 1 -\n".as_bytes()).is_err()); // dup key
-/// ```
-pub fn read_edge_list_delta<R: Read>(reader: R) -> Result<Vec<LabeledMutation>, IoError> {
-    DeltaLines::new(BufReader::new(reader))
-        .map(|r| r.map(|(_, m)| m))
-        .collect()
 }
 
 /// What [`apply_edge_list_delta`] changed.
@@ -501,25 +483,6 @@ pub fn read_graph_checkpoint<R: Read>(
     Ok((g, labels, generation))
 }
 
-/// Writes a weighted edge list (`u v p` per line), using `labels` to map
-/// compact ids back to original labels (pass `None` for identity).
-pub fn write_weighted_edge_list<W: Write>(
-    writer: W,
-    g: &UncertainGraph,
-    labels: Option<&[u32]>,
-) -> std::io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "# {} nodes, {} edges", g.num_nodes(), g.num_edges())?;
-    for (i, &(u, v)) in g.graph().edges().iter().enumerate() {
-        let (lu, lv) = match labels {
-            Some(l) => (l[u as usize], l[v as usize]),
-            None => (u, v),
-        };
-        writeln!(w, "{} {} {}", lu, lv, g.prob(i))?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,9 +532,11 @@ mod tests {
     #[test]
     fn roundtrip_preserves_graph() {
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.25), (1, 2, 0.5), (2, 3, 0.75)]);
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&mut buf, &g, None).unwrap();
-        let (g2, labels) = read_weighted_edge_list(buf.as_slice()).unwrap();
+        let mut text = format!("# {} nodes, {} edges\n", g.num_nodes(), g.num_edges());
+        for (i, &(u, v)) in g.graph().edges().iter().enumerate() {
+            text += &format!("{u} {v} {}\n", g.prob(i));
+        }
+        let (g2, labels) = read_weighted_edge_list(text.as_bytes()).unwrap();
         assert_eq!(labels.len(), 4);
         assert_eq!(g2.num_edges(), 3);
         for (i, &(u, v)) in g.graph().edges().iter().enumerate() {
@@ -583,40 +548,28 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_with_custom_labels() {
-        let g = UncertainGraph::from_weighted_edges(2, &[(0, 1, 0.5)]);
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&mut buf, &g, Some(&[100, 200])).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("100 200 0.5"));
-    }
-
-    #[test]
     fn delta_parse_grammar_and_duplicates() {
-        let muts = read_edge_list_delta("# batch\n1 2 0.5\n\n2 3 -\n4 1 1.0\n".as_bytes()).unwrap();
+        let parse = |text: &str| DeltaLines::new(text.as_bytes()).collect::<Result<Vec<_>, _>>();
+        // Comment and blank lines are skipped but still numbered.
+        let muts = parse("# batch\n1 2 0.5\n\n2 3 -\n4 1 1.0\n").unwrap();
         assert_eq!(
             muts,
-            vec![(1, 2, Some(0.5)), (2, 3, None), (4, 1, Some(1.0))]
+            vec![
+                (2, (1, 2, Some(0.5))),
+                (4, (2, 3, None)),
+                (5, (4, 1, Some(1.0)))
+            ]
         );
         // Duplicate canonical keys are rejected with the offending line.
-        let err = read_edge_list_delta("1 2 0.5\n# ok\n2 1 -\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 3"), "{err}");
+        let err = parse("1 2 0.5\n# ok\n2 1 -\n").unwrap_err();
+        assert!(matches!(err, IoError::Parse(3, _)), "{err}");
         assert!(err.to_string().contains("duplicate edge"), "{err}");
         // Shared validation path: same rules as weighted edge lists.
-        assert!(matches!(
-            read_edge_list_delta("1 1 0.5".as_bytes()),
-            Err(IoError::Parse(1, _))
-        ));
-        assert!(matches!(
-            read_edge_list_delta("1 2 1.5".as_bytes()),
-            Err(IoError::Parse(1, _))
-        ));
-        assert!(matches!(
-            read_edge_list_delta("1 2".as_bytes()),
-            Err(IoError::Parse(1, _))
-        ));
+        assert!(matches!(parse("1 1 0.5"), Err(IoError::Parse(1, _))));
+        assert!(matches!(parse("1 2 1.5"), Err(IoError::Parse(1, _))));
+        assert!(matches!(parse("1 2"), Err(IoError::Parse(1, _))));
         // `-` is only a delete marker in the probability position.
-        assert!(read_edge_list_delta("- 2 0.5".as_bytes()).is_err());
+        assert!(matches!(parse("- 2 0.5"), Err(IoError::Parse(1, _))));
     }
 
     #[test]
@@ -736,11 +689,10 @@ mod tests {
 
     #[test]
     fn edge_list_roundtrip_keeps_counts() {
-        let g = UncertainGraph::from_weighted_edges(3, &[(0, 2, 0.4), (1, 2, 0.6)]);
-        let mut buf = Vec::new();
-        write_weighted_edge_list(&mut buf, &g, None).unwrap();
-        let (g2, _) = read_weighted_edge_list(buf.as_slice()).unwrap();
-        assert_eq!(g2.num_nodes(), g.num_nodes());
-        assert_eq!(g2.num_edges(), g.num_edges());
+        // The edge list of a 3-node, 2-edge graph, header comment included.
+        let text = "# 3 nodes, 2 edges\n0 2 0.4\n1 2 0.6\n";
+        let (g, _) = read_weighted_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(g.num_nodes(), 3);
+        assert_eq!(g.num_edges(), 2);
     }
 }

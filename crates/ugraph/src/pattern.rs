@@ -155,51 +155,6 @@ impl Pattern {
         }
         seen.count_ones() as usize == self.k
     }
-
-    /// Number of automorphisms of the pattern, by brute force over the `k!`
-    /// permutations (`k ≤ 16`, but in practice patterns have ≤ 6 nodes).
-    /// `#embeddings = #instances × |Aut(ψ)|`, a relation the instance
-    /// enumerator's tests rely on.
-    pub fn automorphism_count(&self) -> usize {
-        let mut perm: Vec<usize> = (0..self.k).collect();
-        let mut count = 0;
-        loop {
-            let ok = self.edges.iter().all(|&(u, v)| {
-                let (pu, pv) = (perm[u as usize], perm[v as usize]);
-                self.has_edge(pu, pv)
-            });
-            if ok {
-                count += 1;
-            }
-            if !next_permutation(&mut perm) {
-                break;
-            }
-        }
-        count
-    }
-}
-
-/// Advances `perm` to the next lexicographic permutation; returns `false` when
-/// `perm` was the last one.
-fn next_permutation(perm: &mut [usize]) -> bool {
-    let n = perm.len();
-    if n < 2 {
-        return false;
-    }
-    let mut i = n - 1;
-    while i > 0 && perm[i - 1] >= perm[i] {
-        i -= 1;
-    }
-    if i == 0 {
-        return false;
-    }
-    let mut j = n - 1;
-    while perm[j] <= perm[i - 1] {
-        j -= 1;
-    }
-    perm.swap(i - 1, j);
-    perm[i..].reverse();
-    true
 }
 
 #[cfg(test)]
@@ -221,21 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn automorphism_counts() {
-        assert_eq!(Pattern::edge().automorphism_count(), 2);
-        assert_eq!(Pattern::clique(3).automorphism_count(), 6);
-        assert_eq!(Pattern::clique(4).automorphism_count(), 24);
-        // 2-star: swap the two leaves.
-        assert_eq!(Pattern::two_star().automorphism_count(), 2);
-        // 3-star: permute the three leaves.
-        assert_eq!(Pattern::three_star().automorphism_count(), 6);
-        // paw: swap the two degree-2 triangle nodes.
-        assert_eq!(Pattern::c3_star().automorphism_count(), 2);
-        // diamond: swap the two hubs, swap the two non-adjacent nodes.
-        assert_eq!(Pattern::diamond().automorphism_count(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "connected")]
     fn rejects_disconnected() {
         Pattern::new("bad", 4, &[(0, 1), (2, 3)]);
@@ -245,15 +185,5 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn rejects_duplicate_edges() {
         Pattern::new("bad", 3, &[(0, 1), (1, 0), (1, 2)]);
-    }
-
-    #[test]
-    fn permutation_helper_covers_all() {
-        let mut p = vec![0, 1, 2];
-        let mut count = 1;
-        while next_permutation(&mut p) {
-            count += 1;
-        }
-        assert_eq!(count, 6);
     }
 }

@@ -64,23 +64,6 @@ pub fn uniform_probs<R: Rng>(m: usize, lo: f64, hi: f64, rng: &mut R) -> Vec<f64
     (0..m).map(|_| rng.gen_range(lo..=hi)).collect()
 }
 
-/// Geometric-ish interaction counts for the synthetic social networks: counts
-/// in `1..=cap` with mass decaying by `decay` per step, so that applying
-/// `exponential_cdf(·, 20)` reproduces low-mean, right-skewed probability
-/// distributions like Twitter's row of Table II.
-pub fn interaction_counts<R: Rng>(m: usize, cap: u32, decay: f64, rng: &mut R) -> Vec<u32> {
-    assert!(cap >= 1 && (0.0..1.0).contains(&decay));
-    (0..m)
-        .map(|_| {
-            let mut t = 1u32;
-            while t < cap && rng.gen_bool(decay) {
-                t += 1;
-            }
-            t
-        })
-        .collect()
-}
-
 /// Summary statistics of a probability vector: `(mean, std, [q1, median, q3])`.
 /// Used to verify the synthetic datasets against Table II.
 pub fn prob_stats(probs: &[f64]) -> (f64, f64, [f64; 3]) {
@@ -154,16 +137,6 @@ mod tests {
         assert!(p.iter().all(|&x| (0.2..=0.8).contains(&x)));
         let (mean, _, _) = prob_stats(&p);
         assert!((mean - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn interaction_counts_bounded() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let c = interaction_counts(2000, 10, 0.5, &mut rng);
-        assert!(c.iter().all(|&t| (1..=10).contains(&t)));
-        // Expected value of the capped geometric is near 2 for decay 0.5.
-        let mean = c.iter().map(|&t| t as f64).sum::<f64>() / c.len() as f64;
-        assert!((mean - 2.0).abs() < 0.2, "mean {mean}");
     }
 
     #[test]
